@@ -31,7 +31,7 @@ from .ellipsoid import (
 )
 from .errors import AuditError, ReebLabError
 from .fixedpoint import PlanarMapSample, brouwer_index
-from .floergraph import FilteredComplex, barcode, bars_to_csv_rows
+from .floergraph import FilteredComplex, barcode
 from .hamiltonian import (
     CylinderTrace,
     action_tables,
@@ -152,9 +152,8 @@ def cmd_hamiltonian(args) -> int:
     csv_header = None
     if args.tables:
         tables = action_tables(profile, grid=args.grid)
-        csv_rows = [("r", *row, "") for row in tables.r_rows] + \
-                   [("T", T, "", "", "", v, r) for (T, v, r) in tables.t_rows]
-        csv_header = ("table", "x", "h", "dh", "d2h", "A", "level")
+        csv_rows = tables.csv_rows()
+        csv_header = tables.CSV_HEADER
         lines.append(f"tables: {len(tables.r_rows)} level rows, "
                      f"{len(tables.t_rows)} period rows")
     if args.check_ratio_r0 is not None:
@@ -241,7 +240,7 @@ def cmd_ellipsoid(args) -> int:
 def cmd_barcode(args) -> int:
     complex_ = FilteredComplex.from_json(_load_json(args.complex))
     bars = barcode(complex_)
-    rows = bars_to_csv_rows(bars)
+    rows = [b.to_row() for b in bars]
     finite = [b for b in bars if not math.isinf(b.death)]
     _emit(args, {"bars": [list(r) for r in rows]},
           f"{len(bars)} bars ({len(finite)} finite); "

@@ -83,6 +83,11 @@ class NotDominated(ReebLabError):
     pass
 
 
+class SandwichViolated(ReebLabError):
+    """A transfer map left its sandwich tau - lam h(r_max) <= f(tau) <= tau
+    or failed to be monotone on its grid."""
+
+
 class UncertifiedRegion(ReebLabError):
     pass
 

@@ -259,7 +259,3 @@ def check_bar_lengths(bars: Sequence[Bar], max_length: float,
         if b.death <= level and not b.length < max_length
     )
     return BarLengthReport(ok=not witnesses, witnesses=witnesses)
-
-
-def bars_to_csv_rows(bars: Sequence[Bar]) -> list:
-    return [b.to_row() for b in bars]

@@ -32,11 +32,17 @@ from .errors import (
     MalformedTrace,
     NotDominated,
     PeriodOutOfRange,
+    SandwichViolated,
     SlopeMismatch,
     UncertifiedRegion,
 )
 
 GRID_POINTS = 4096
+
+#: x ** n through libm's pow, elementwise: numpy's ``**`` on arrays takes a
+#: SIMD path that can differ from pow in the last bit, which would make an
+#: array call disagree with the same call on a float
+_pow = np.float_power
 
 
 @dataclass(frozen=True)
@@ -187,11 +193,12 @@ class CubicProfile(RadialProfile):
 
     def _piece_h(self, x):
         a, w, th = self.slope, self._w, self.theta
-        return (1 - th) * a * x ** 2 / (2 * w) + th * a * x ** 3 / (3 * w * w)
+        return ((1 - th) * a * _pow(x, 2) / (2 * w)
+                + th * a * _pow(x, 3) / (3 * w * w))
 
     def _piece_dh(self, x):
         a, w, th = self.slope, self._w, self.theta
-        return (1 - th) * a * x / w + th * a * x ** 2 / (w * w)
+        return (1 - th) * a * x / w + th * a * _pow(x, 2) / (w * w)
 
     def _piece_d2h(self, x):
         a, w, th = self.slope, self._w, self.theta
@@ -277,8 +284,10 @@ class SplineProfile(RadialProfile):
             # exact integral of the quadratic h' over the piece
             v0, v1 = knots[i], knots[i + 1]
             hh.append(hh[-1] + dh[i] * dx + 0.5 * v0 * dx * dx + (v1 - v0) * dx * dx / 6.0)
-        object.__setattr__(self, "_dh_knots", tuple(dh))
-        object.__setattr__(self, "_h_knots", tuple(hh))
+        object.__setattr__(self, "_k", np.asarray(knots))
+        object.__setattr__(self, "_dk", np.diff(self._k))
+        object.__setattr__(self, "_dh_knots", np.asarray(dh))
+        object.__setattr__(self, "_h_knots", np.asarray(hh))
         object.__setattr__(self, "_dx", dx)
         computed = dh[-1]
         if abs(computed - self.slope) > 1e-9 * max(1.0, abs(self.slope)):
@@ -295,52 +304,42 @@ class SplineProfile(RadialProfile):
 
     def _locate(self, x):
         x = np.asarray(x, dtype=float)
-        i = np.clip((x / self._dx).astype(int), 0, len(self.knots) - 2)
+        # np.clip would look up the integer limits on every call
+        i = np.minimum(np.maximum((x / self._dx).astype(int), 0), len(self.knots) - 2)
         return i, x - i * self._dx
 
     def _piece_d2h(self, x):
         i, t = self._locate(x)
-        k = np.asarray(self.knots)
-        return k[i] + (k[i + 1] - k[i]) * t / self._dx
+        return self._k[i] + self._dk[i] * t / self._dx
 
     def _piece_d3h(self, x):
         i, _ = self._locate(x)
-        k = np.asarray(self.knots)
-        return (k[i + 1] - k[i]) / self._dx
+        return self._dk[i] / self._dx
 
     def _piece_dh(self, x):
         i, t = self._locate(x)
-        k = np.asarray(self.knots)
-        dh = np.asarray(self._dh_knots)
-        return dh[i] + k[i] * t + (k[i + 1] - k[i]) * t * t / (2 * self._dx)
+        return self._dh_knots[i] + self._k[i] * t + self._dk[i] * t * t / (2 * self._dx)
 
     def _piece_h(self, x):
         i, t = self._locate(x)
-        k = np.asarray(self.knots)
-        dh = np.asarray(self._dh_knots)
-        hh = np.asarray(self._h_knots)
-        return hh[i] + dh[i] * t + 0.5 * k[i] * t * t + (k[i + 1] - k[i]) * t ** 3 / (6 * self._dx)
+        return (self._h_knots[i] + self._dh_knots[i] * t + 0.5 * self._k[i] * t * t
+                + self._dk[i] * _pow(t, 3) / (6 * self._dx))
 
     def _piece_dh_inv(self, T):
-        # bracketed bisection on the monotone h', then one Newton polish
-        scalar = np.ndim(T) == 0
-        T = np.atleast_1d(np.asarray(T, dtype=float))
+        # bracketed bisection on the monotone h', then one Newton polish,
+        # elementwise over the array of targets
+        T = np.asarray(T, dtype=float)
         w = self.r_max - 1.0
-        out = np.empty_like(T)
-        for j, target in enumerate(T):
-            lo, hi = 0.0, w
-            for _ in range(64):
-                mid = 0.5 * (lo + hi)
-                if self._piece_dh(mid) < target:
-                    lo = mid
-                else:
-                    hi = mid
-            x = 0.5 * (lo + hi)
-            d2 = float(self._piece_d2h(x))
-            if d2 > 0:
-                x = float(np.clip(x - (float(self._piece_dh(x)) - target) / d2, 0.0, w))
-            out[j] = x
-        return out[0] if scalar else out
+        lo, hi = np.zeros_like(T), np.full_like(T, w)
+        for _ in range(64):
+            mid = 0.5 * (lo + hi)
+            below = self._piece_dh(mid) < T
+            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+        x = 0.5 * (lo + hi)
+        d2 = self._piece_d2h(x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            polished = np.clip(x - (self._piece_dh(x) - T) / d2, 0.0, w)
+        return np.where(d2 > 0, polished, x)
 
     def to_json(self):
         return {"family": "spline", "slope": self.slope, "r_max": self.r_max,
@@ -428,19 +427,33 @@ def radial_action(profile: RadialProfile, r, k: float = 1.0):
     return profile.action(r, k)
 
 
-def action_from_period(profile: RadialProfile, T: float, k: float = 1.0) -> tuple:
-    """(a_{kH}(T), r) where (k h)'(r) = T.  Requires 0 <= T <= k * slope."""
-    if T < 0 or T > k * profile.slope * (1 + 1e-12):
-        raise PeriodOutOfRange(f"T = {T:.6g} outside [0, {k * profile.slope:.6g}]")
-    r = float(profile.dh_inv(min(T / k, profile.slope)))
-    return float(profile.action(r, k)), r
+def action_from_period(profile: RadialProfile, T, k: float = 1.0) -> tuple:
+    """(a_{kH}(T), r) where (k h)'(r) = T.  Requires 0 <= T <= k * slope.
+
+    T is a float or an array: a float gives a pair of floats, an array a
+    pair of arrays of its shape.
+    """
+    T = np.asarray(T, dtype=float)
+    outside = (T < 0) | (T > k * profile.slope * (1 + 1e-12))
+    if np.any(outside):
+        raise PeriodOutOfRange(
+            f"T = {float(T[outside].flat[0]):.6g} outside [0, {k * profile.slope:.6g}]"
+        )
+    r = profile.dh_inv(np.minimum(T / k, profile.slope))
+    return profile.action(r, k), r
 
 
-def action_inverse(profile: RadialProfile, alpha: float, k: float = 1.0) -> float:
+def action_inverse(profile: RadialProfile, alpha, k: float = 1.0):
     """Period T with a_{kH}(T) = alpha; bisection + one Newton step (a' = r).
 
     Normalized for semi-admissible profiles, where a_{kH} maps [0, k slope]
-    onto [0, k c].
+    onto [0, k c].  alpha is a float (the result is a float) or an array,
+    which is bisected as a whole: since a_{kH}'(T) = r(T) >= 1, a_{kH} is
+    strictly increasing, so every element keeps the single bracket that the
+    80 halvings narrow.  Each step takes the same midpoints and the same
+    ``<`` decision per element as one scalar bisection would, and the Newton
+    step is applied where r > 1, so every element is the scalar result bit
+    for bit.
     """
     if profile.admissible:
         raise ActionOutOfRange(
@@ -448,21 +461,23 @@ def action_inverse(profile: RadialProfile, alpha: float, k: float = 1.0) -> floa
             "shift the profile by its constant first"
         )
     top = k * profile.c
-    if alpha < -1e-12 or alpha > top * (1 + 1e-12):
-        raise ActionOutOfRange(f"action {alpha:.6g} outside [0, {top:.6g}]")
-    alpha = min(max(alpha, 0.0), top)
-    lo, hi = 0.0, k * profile.slope
+    alpha = np.asarray(alpha, dtype=float)
+    outside = (alpha < -1e-12) | (alpha > top * (1 + 1e-12))
+    if np.any(outside):
+        raise ActionOutOfRange(
+            f"action {float(alpha[outside].flat[0]):.6g} outside [0, {top:.6g}]"
+        )
+    alpha = np.clip(alpha, 0.0, top)
+    T_max = k * profile.slope
+    lo, hi = np.zeros_like(alpha), np.full_like(alpha, T_max)
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if action_from_period(profile, mid, k)[0] < alpha:
-            lo = mid
-        else:
-            hi = mid
+        below = action_from_period(profile, mid, k)[0] < alpha
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
     T = 0.5 * (lo + hi)
     val, r = action_from_period(profile, T, k)
-    if r > 1.0:
-        T = min(max(T - (val - alpha) / r, 0.0), k * profile.slope)
-    return T
+    T = np.where(r > 1.0, np.clip(T - (val - alpha) / r, 0.0, T_max), T)
+    return T if T.ndim else float(T)
 
 
 @dataclass(frozen=True)
@@ -484,9 +499,7 @@ def compare_action_functions(h0: RadialProfile, h1: RadialProfile,
     if margin < -tol * max(1.0, h0.slope):
         raise NotDominated(f"H1 < H0 by {margin:.3e} at r = {float(rs[np.argmin(diff)]):.6g}")
     Ts = np.linspace(0.0, h0.slope, grid)
-    viol = max(
-        float(action_from_period(h1, T)[0] - action_from_period(h0, T)[0]) for T in Ts
-    )
+    viol = float(np.max(action_from_period(h1, Ts)[0] - action_from_period(h0, Ts)[0]))
     return DominationCertificate(dominated_margin=margin, max_violation=viol,
                                  ok=viol <= tol * max(1.0, h0.c))
 
@@ -514,21 +527,19 @@ def transfer_map(profile: RadialProfile, k: float, lam: float,
     top = k * profile.c
     if np.any(taus < -1e-12) or np.any(taus > top * (1 + 1e-9)):
         raise ActionOutOfRange(f"tau grid escapes [0, {top:.6g}]")
-    values = np.empty_like(taus)
-    for i, tau in enumerate(np.clip(taus, 0.0, top)):
-        T = action_inverse(profile, float(tau), k)
-        values[i] = action_from_period(profile, T, k + lam)[0]
+    T = action_inverse(profile, np.clip(taus, 0.0, top), k)
+    values = action_from_period(profile, T, k + lam)[0]
     h_top = float(profile.h(profile.r_max))
     upper = float(np.min(taus - values))
     lower = float(np.min(values - (taus - lam * h_top)))
     scale = max(1.0, top)
     if upper < -tol * scale or lower < -tol * scale:
-        raise AssertionError(
+        raise SandwichViolated(
             f"transfer sandwich violated: upper slack {upper:.3e}, lower slack {lower:.3e}"
         )
     order = np.argsort(taus)
     if np.any(np.diff(values[order]) < -tol * scale):
-        raise AssertionError("transfer map is not monotone on the grid")
+        raise SandwichViolated("transfer map is not monotone on the grid")
     return TransferValues(taus=taus, values=values, lower_slack=lower, upper_slack=upper)
 
 
@@ -751,31 +762,23 @@ class ActionTables:
     t_rows: list     # (T, a_H(T), r(T))
     markers: list    # spectrum values covered by [0, slope], if provided
 
-    def to_csv(self) -> str:
-        """One CSV, two row kinds: level rows (r, h, h', h'', A) and period
-        rows (T, action, solved level)."""
-        out = io.StringIO()
-        w = csv.writer(out)
-        w.writerow(["table", "x", "h", "dh", "d2h", "A", "level"])
-        for row in self.r_rows:
-            w.writerow(["r", *(f"{v:.12g}" for v in row), ""])
-        for T, val, r in self.t_rows:
-            w.writerow(["T", f"{T:.12g}", "", "", "", f"{val:.12g}", f"{r:.12g}"])
-        return out.getvalue()
+    CSV_HEADER = ("table", "x", "h", "dh", "d2h", "A", "level")
+
+    def csv_rows(self) -> list:
+        """Rows of ``hamiltonian --tables --out x.csv`` under CSV_HEADER:
+        level rows (r, h, h', h'', A), then period rows (T, action, solved
+        level)."""
+        return ([("r", *row, "") for row in self.r_rows]
+                + [("T", T, "", "", "", v, r) for (T, v, r) in self.t_rows])
 
 
 def action_tables(profile: RadialProfile, grid: int = 256,
                   spectrum: Optional[Sequence[float]] = None) -> ActionTables:
     rs = np.linspace(1.0, profile.r_max, grid)
-    r_rows = [
-        (float(r), float(profile.h(r)), float(profile.dh(r)),
-         float(profile.d2h(r)), float(profile.action(r)))
-        for r in rs
-    ]
+    r_rows = list(zip(rs.tolist(), profile.h(rs).tolist(), profile.dh(rs).tolist(),
+                      profile.d2h(rs).tolist(), profile.action(rs).tolist()))
     Ts = np.linspace(0.0, profile.slope, grid)
-    t_rows = []
-    for T in Ts:
-        val, r = action_from_period(profile, float(T))
-        t_rows.append((float(T), val, r))
+    values, levels = action_from_period(profile, Ts)
+    t_rows = list(zip(Ts.tolist(), values.tolist(), levels.tolist()))
     markers = [float(v) for v in (spectrum or []) if 0.0 <= v <= profile.slope]
     return ActionTables(r_rows=r_rows, t_rows=t_rows, markers=markers)

@@ -3,6 +3,8 @@
 These deliberately avoid the library's computation paths: the path index is
 recomputed from crossing contributions, sublevel homology ranks by brute
 force over the two-element field, and derivatives by finite differences.
+The scalar action-calculus loops are the exception: they are the per-element
+path the array code replaced, kept to check it bit for bit.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import math
 
 import numpy as np
 
+from reeb_lab.hamiltonian import action_from_period
 from reeb_lab.symplectic import flow_rotation, standard_form, _expm
 
 
@@ -185,6 +188,51 @@ def random_complex(rng, n_generators: int, degrees=(0, 1, 2)):
             else:
                 boundary.pop(gid)
     return gens, {k: frozenset(v) for k, v in boundary.items()}
+
+
+# ---------------------------------------------------------------------------
+# scalar action calculus, one element at a time
+# ---------------------------------------------------------------------------
+
+def scalar_action_inverse(profile, alpha: float, k: float = 1.0) -> float:
+    """80-step bisection of a_{kH}(T) = alpha over scalar action_from_period
+    calls, then one Newton step with a' = r."""
+    top = k * profile.c
+    alpha = min(max(alpha, 0.0), top)
+    lo, hi = 0.0, k * profile.slope
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if action_from_period(profile, mid, k)[0] < alpha:
+            lo = mid
+        else:
+            hi = mid
+    T = 0.5 * (lo + hi)
+    val, r = action_from_period(profile, T, k)
+    if r > 1.0:
+        T = min(max(T - (val - alpha) / r, 0.0), k * profile.slope)
+    return T
+
+
+def scalar_spline_dh_inv(profile, T) -> np.ndarray:
+    """x = r - 1 with h'(r) = T on a spline's shell: a 64-step bisection on
+    the monotone h' and one Newton step, element by element."""
+    T = np.atleast_1d(np.asarray(T, dtype=float))
+    w = profile.r_max - 1.0
+    out = np.empty_like(T)
+    for j, target in enumerate(T):
+        lo, hi = 0.0, w
+        for _ in range(64):
+            mid = 0.5 * (lo + hi)
+            if profile._piece_dh(mid) < target:
+                lo = mid
+            else:
+                hi = mid
+        x = 0.5 * (lo + hi)
+        d2 = float(profile._piece_d2h(x))
+        if d2 > 0:
+            x = float(np.clip(x - (float(profile._piece_dh(x)) - target) / d2, 0.0, w))
+        out[j] = x
+    return out
 
 
 def finite_difference(f, x: float, h: float = 1e-6) -> float:

@@ -11,11 +11,14 @@ from reeb_lab.errors import (
     MalformedTrace,
     NotDominated,
     PeriodOutOfRange,
+    ReebLabError,
+    SandwichViolated,
     SlopeMismatch,
     UncertifiedRegion,
 )
 from reeb_lab.hamiltonian import (
     CylinderTrace,
+    _pow,
     action_from_period,
     action_inverse,
     action_tables,
@@ -32,7 +35,7 @@ from reeb_lab.hamiltonian import (
     transfer_map,
 )
 
-from _oracles import finite_difference
+from _oracles import finite_difference, scalar_action_inverse, scalar_spline_dh_inv
 
 FAMILIES = [
     ("quadratic", {}),
@@ -217,6 +220,74 @@ class TestTransfer:
         with pytest.raises(ActionOutOfRange):
             transfer_map(p, 2.0, 1.0, [2.0 * p.c + 1.0])
 
+    def test_sandwich_violation_is_typed(self):
+        # a negative tolerance demands slack the map cannot have
+        p = make()
+        with pytest.raises(SandwichViolated) as info:
+            transfer_map(p, 2.0, 1.5, np.linspace(0.0, 2.0 * p.c, 5), tol=-1.0)
+        assert isinstance(info.value, ReebLabError)
+
+
+SPLINE_KNOTS = {
+    "spline": (0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 5.5, 7.0),
+    "spline-nonmonotone": (3.0, 1.0, 4.0, 0.5, 2.0, 6.0),
+}
+
+
+def array_profile(name):
+    if name in SPLINE_KNOTS:
+        knots = SPLINE_KNOTS[name]
+        return make("spline", slope=spline_slope(knots, 2.0), knots=knots)
+    return make(name, **dict(FAMILIES)[name])
+
+
+class TestArrayPath:
+    """Array calls reproduce the scalar path element for element, bit for bit."""
+
+    @pytest.mark.parametrize("name", [f for f, _ in FAMILIES] + list(SPLINE_KNOTS))
+    def test_matches_scalar_path(self, name):
+        p = array_profile(name)
+        rng = np.random.default_rng(2309)
+        k = float(rng.uniform(1.0, 5.0))
+        lam = float(rng.uniform(0.1, 3.0))
+        taus = np.concatenate([[0.0, k * p.c], rng.uniform(0.0, k * p.c, 4)])
+
+        T = action_inverse(p, taus, k)
+        scalar_T = [scalar_action_inverse(p, float(a), k) for a in taus]
+        assert T.tolist() == scalar_T
+
+        res = transfer_map(p, k, lam, taus)
+        values = np.array([action_from_period(p, t, k + lam)[0] for t in scalar_T])
+        assert res.values.tolist() == values.tolist()
+        assert res.upper_slack == float(np.min(taus - values))
+        assert res.lower_slack == float(np.min(values - (taus - lam * float(p.h(p.r_max)))))
+
+        Ts = np.concatenate([[0.0, k * p.slope], rng.uniform(0.0, k * p.slope, 6)])
+        vals, levels = action_from_period(p, Ts, k)
+        for i, t in enumerate(Ts):
+            v, r = action_from_period(p, float(t), k)
+            assert type(v) is float and type(r) is float
+            assert (v, r) == (vals[i], levels[i])
+            one_v, one_r = action_from_period(p, np.array([t]), k)
+            assert (v, r) == (one_v[0], one_r[0])
+        for a, t in zip(taus[1:4], scalar_T[1:4]):
+            one = action_inverse(p, float(a), k)
+            assert type(one) is float
+            assert one == t == action_inverse(p, np.array([a]), k)[0]
+
+    def test_powers_round_as_float_pow(self):
+        # the scalar path took x ** n on floats, which is C pow(); numpy's **
+        # on arrays may round differently, so the profiles raise through _pow
+        xs = np.random.default_rng(3).uniform(0.0, 1.5, 2000)
+        for n in (2, 3):
+            assert _pow(xs, n).tolist() == [x ** n for x in xs.tolist()]
+
+    @pytest.mark.parametrize("name", list(SPLINE_KNOTS))
+    def test_spline_inverse_matches_scalar_loop(self, name):
+        p = array_profile(name)
+        targets = np.random.default_rng(57).uniform(0.0, p.slope, 40)
+        assert p._piece_dh_inv(targets).tolist() == scalar_spline_dh_inv(p, targets).tolist()
+
 
 class TestHomotopyDerivative:
     def test_zero_period(self):
@@ -367,6 +438,8 @@ class TestCylinderTrace:
 def test_action_tables_csv():
     p = make()
     tables = action_tables(p, grid=32)
-    text = tables.to_csv()
-    assert "table" in text.splitlines()[0]
+    rows = tables.csv_rows()
     assert len(tables.r_rows) == 32 and len(tables.t_rows) == 32
+    assert len(rows) == 64 and all(len(row) == len(tables.CSV_HEADER) for row in rows)
+    assert rows[0] == ("r", *tables.r_rows[0], "")
+    assert rows[32] == ("T", tables.t_rows[0][0], "", "", "", *tables.t_rows[0][1:])
