@@ -28,8 +28,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -40,6 +38,7 @@ from .errors import (
     BadGeometry,
     HypothesisFailed,
     JOutOfRange,
+    MalformedInput,
     NotExcluded,
     ShellMarginNotFound,
 )
@@ -61,13 +60,33 @@ CASE_FAR = "far-iterate"
 
 _RESONANCE_TOL = 1e-9
 
+# JSON types accepted for each field type; integral floats pass as ints, as
+# JSON Schema's "integer" allows
+_JSON_TYPES = {float: (int, float), int: (int, float), dict: (dict,), list: (list,)}
 
-def worker_count() -> int:
-    raw = os.environ.get("REEB_LAB_THREADS", "1")
+
+def _field(obj, key: str, kind, where: str):
+    """obj[key] converted to kind; MalformedInput when the key is missing or
+    its value has another JSON type."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise MalformedInput(f"{where}: missing key {key!r}")
+    value = obj[key]
+    if (not isinstance(value, _JSON_TYPES[kind]) or isinstance(value, bool)
+            or (kind is int and isinstance(value, float) and not value.is_integer())):
+        raise MalformedInput(f"{where}: {key!r} must be {kind.__name__}, "
+                             f"got {json.dumps(value)}")
+    return kind(value) if kind in (float, int) else value
+
+
+def _nested(loader, obj, key: str, where: str):
+    """Load the JSON object obj[key] with loader; a missing key or a wrong
+    type inside it becomes MalformedInput."""
+    value = _field(obj, key, dict, where)
     try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+        return loader(value)
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise MalformedInput(f"{where}: malformed {key!r}: "
+                             f"{type(exc).__name__}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -83,9 +102,9 @@ class SystemOrbit:
                 "locally_maximal": self.locally_maximal}
 
     @classmethod
-    def from_json(cls, obj: dict) -> "SystemOrbit":
-        return cls(period=float(obj["period"]),
-                   profile=IterationProfile.from_json(obj["profile"]),
+    def from_json(cls, obj: dict, where: str = "orbit") -> "SystemOrbit":
+        return cls(period=_field(obj, "period", float, where),
+                   profile=_nested(IterationProfile.from_json, obj, "profile", where),
                    hyperbolic=bool(obj.get("hyperbolic", False)),
                    locally_maximal=bool(obj.get("locally_maximal", False)))
 
@@ -231,15 +250,20 @@ class OrbitSystem:
 
     @classmethod
     def from_json(cls, obj: dict) -> "OrbitSystem":
-        consts = obj.get("constants", {})
+        """Raises MalformedInput on a missing key or a value of the wrong type."""
+        where = "orbit system"
+        consts = _field(obj, "constants", dict, where)
+        if consts.get("b") is not None:
+            _field(consts, "b", float, "constants")     # kept as given
         return cls(
-            orbits=tuple(SystemOrbit.from_json(o) for o in obj["orbits"]),
-            hamiltonian=profile_from_json(obj["hamiltonian"]),
-            n=int(obj["n"]),
-            sigma=float(consts["sigma"]),
-            eta=float(consts["eta"]),
-            ell0=int(consts["ell0"]),
-            cbar=float(consts["cbar"]),
+            orbits=tuple(SystemOrbit.from_json(o, f"orbit {pos}") for pos, o
+                         in enumerate(_field(obj, "orbits", list, where))),
+            hamiltonian=_nested(profile_from_json, obj, "hamiltonian", where),
+            n=_field(obj, "n", int, where),
+            sigma=_field(consts, "sigma", float, "constants"),
+            eta=_field(consts, "eta", float, "constants"),
+            ell0=_field(consts, "ell0", int, "constants"),
+            cbar=_field(consts, "cbar", float, "constants"),
             mode=obj.get("mode", "hyperbolic"),
             b_level=consts.get("b"),
         )
@@ -565,13 +589,8 @@ def audit(system: OrbitSystem, solutions: Optional[Sequence[RecurrenceSolution]]
             if not cert.ok:
                 raise AuditFailed(f"supplied solution d={s.d} fails verification")
 
-    workers = min(worker_count(), len(solutions))
     try:
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                audits = list(pool.map(lambda s: _audit_solution(system, s), solutions))
-        else:
-            audits = [_audit_solution(system, s) for s in solutions]
+        audits = [_audit_solution(system, s) for s in solutions]
     except NotExcluded as exc:
         raise AuditFailed(f"audit failed: {exc}", first_failure=exc) from exc
 
@@ -594,6 +613,17 @@ def audit(system: OrbitSystem, solutions: Optional[Sequence[RecurrenceSolution]]
 
 
 def _audit_solution(system: OrbitSystem, solution: RecurrenceSolution) -> SolutionAudit:
+    """Certify every pair (i, j) of one solution, one orbit at a time.
+
+    The index gaps of an orbit come from one array support_interval call over
+    all its iterates but the centre one (j = k_0 on the distinguished orbit,
+    the aligned j = k_i on a companion).  ExclusionReason objects are built,
+    through exclusion_certificate, only for the pairs the report lists: the
+    centre and the near pairs |j - k_i| <= ell0 around it.  A pair that fails
+    raises the NotExcluded of the first failing pair in (i, j) order, as a
+    pair-by-pair sweep would.
+    """
+    protected, which = _protected_degree(system, solution)
     counts = {"same-pair": 0, "index-gap": 0, "short-action-gap": 0,
               "diverging-action-gap": 0}
     min_gap = None
@@ -601,43 +631,58 @@ def _audit_solution(system: OrbitSystem, solution: RecurrenceSolution) -> Soluti
     aligned = []
     near = []
     total = 0
-    for i in range(len(system.orbits)):
+    for i, orbit in enumerate(system.orbits):
         top = j_range(system, solution, i)
-        for j in range(1, top + 1):
+        total += top
+        centre = solution.k[i]
+        reach = system.ell0 if i else 0
+        js = np.arange(1, top + 1, dtype=np.int64)
+        js = js[js != centre]
+        lo, hi = support_interval(orbit.profile, js, system.n)
+        gaps = np.maximum(np.maximum(lo - protected, protected - hi), 0)
+        counts["index-gap"] += int(js.size)
+        if js.size:
+            g = int(gaps.min())
+            min_gap = g if min_gap is None else min(min_gap, g)
+        short = np.flatnonzero(gaps < 2)
+        fail = int(js[short[0]]) if short.size else None
+        for j in range(max(1, centre - reach), min(top, centre + reach) + 1):
+            if fail is not None and fail < j:
+                break
             reason = exclusion_certificate(system, solution, i, j)
-            total += 1
+            if reason.case == CASE_NEAR:
+                near.append(reason)          # counted with the index gaps
+                continue
             counts[reason.kind] += 1
-            if reason.kind == "index-gap":
-                g = reason.numbers["gap"]
-                min_gap = g if min_gap is None else min(min_gap, g)
-                if reason.case == CASE_NEAR:
-                    near.append(reason)
-            elif reason.kind == "diverging-action-gap":
+            if reason.kind == "diverging-action-gap":
                 b = reason.numbers["lower_bound"]
                 min_div = b if min_div is None else min(min_div, b)
+            if reason.case == CASE_ALIGNED:
                 aligned.append(reason)
-            elif reason.kind == "short-action-gap":
-                aligned.append(reason)
+        if fail is not None:
+            exclusion_certificate(system, solution, i, fail)   # raises NotExcluded
 
-    protected, which = _protected_degree(system, solution)
-    # the domain vertex carries degrees up to n; demand distance >= 2 from it
-    w_ok = protected - system.n >= 2
+    return SolutionAudit(
+        d=solution.d, k=solution.k, counts=counts,
+        min_index_gap=min_gap, min_diverging_gap=min_div,
+        aligned=tuple(aligned), near=tuple(near),
+        protected={"degree": protected, "which": which},
+        # the domain vertex carries degrees up to n; demand distance >= 2 from it
+        w_vertex_gap_ok=protected - system.n >= 2,
+        contradiction=_contradiction(system, solution),
+        total_pairs=total,
+    )
+
+
+def _contradiction(system: OrbitSystem, solution: RecurrenceSolution) -> dict:
+    """Vanishing-window bookkeeping of one solution."""
     A = solution.k[0] * float(system.hamiltonian.action(system.derived.r_star))
     margin = system.b - float(system.hamiltonian.action(system.derived.r_star))
     k_threshold = math.ceil(2.0 * system.cbar / margin) if margin > 0 else None
-    contradiction = {
+    return {
         "action": A,
         "window": [A - 2 * system.cbar, A + 2 * system.cbar],
         "level_budget": solution.k[0] * system.b,
         "ready": bool(A + 2 * system.cbar <= solution.k[0] * system.b),
         "k_threshold": k_threshold,
     }
-    return SolutionAudit(
-        d=solution.d, k=solution.k, counts=counts,
-        min_index_gap=min_gap, min_diverging_gap=min_div,
-        aligned=tuple(aligned), near=tuple(near),
-        protected={"degree": protected, "which": which},
-        w_vertex_gap_ok=w_ok,
-        contradiction=contradiction,
-        total_pairs=total,
-    )

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import DegenerateEllipsoid
-from .indices import IterationProfile, check_dynamical_convexity, index_triple
+from .errors import DegenerateEllipsoid, HypothesisFailed
+from .indices import IterationProfile, check_dynamical_convexity
 
 CONVENTION = "periods=pi*a_j; return-map angles 2*pi*a_j/a_i"
 
@@ -220,8 +220,9 @@ def pseudo_rotation_instance(spec: EllipsoidSpec, k_max: int = 100,
                              locally_maximal: Optional[int] = None) -> PseudoRotationSeed:
     """Package the n simple orbits with profiles and the convexity report.
 
-    Ellipsoids are dynamically convex; the report is asserted to pass.  Mark
-    one orbit (1-based) locally maximal to seed a pseudo-rotation audit.
+    Ellipsoids are dynamically convex; a failing report raises
+    HypothesisFailed.  Mark one orbit (1-based) locally maximal to seed a
+    pseudo-rotation audit.
     """
     if not spec.irrational:
         raise DegenerateEllipsoid("some weight ratio is rational")
@@ -237,7 +238,8 @@ def pseudo_rotation_instance(spec: EllipsoidSpec, k_max: int = 100,
         ))
     report = check_dynamical_convexity([(o.profile, k_max) for o in orbits], n)
     if not report.ok:
-        raise AssertionError(f"ellipsoid failed dynamical convexity: {report.witnesses[:3]}")
+        raise HypothesisFailed(
+            f"ellipsoid failed dynamical convexity: {report.witnesses[:3]}")
     return PseudoRotationSeed(orbits=tuple(orbits), n=n, convexity=report)
 
 
@@ -245,7 +247,3 @@ def mean_index(spec: EllipsoidSpec, j: int) -> float:
     """2 * sum_i a_j / a_i; matches the profile's mean index exactly."""
     return 2.0 * sum(spec.weights[j - 1] / a for a in spec.weights)
 
-
-def orbit_index(spec: EllipsoidSpec, j: int, k: int) -> int:
-    """Closed-form mu(gamma_j^k) = n - 1 + 2 sum_i floor(k a_j / a_i)."""
-    return index_triple(ellipsoid_profile(spec, j), k).mu_minus

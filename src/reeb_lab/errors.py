@@ -11,6 +11,10 @@ class ReebLabError(Exception):
     """Base class for all validation and computation errors."""
 
 
+class MalformedInput(ReebLabError):
+    """A JSON input lacks a required key or holds a value of the wrong type."""
+
+
 # -- symplectic linear algebra ------------------------------------------------
 
 class OddDimension(ReebLabError):
@@ -52,6 +56,10 @@ class PathNotSplittable(ReebLabError):
 
 class DimensionMismatch(ReebLabError):
     pass
+
+
+class SupportOutOfRange(ReebLabError):
+    """A local-homology support left [mu_hat - n + 1, mu_hat + n]."""
 
 
 # -- Hamiltonian profiles and action functions --------------------------------

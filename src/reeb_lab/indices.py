@@ -16,7 +16,6 @@ quantity.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,6 +28,7 @@ from .errors import (
     DimensionMismatch,
     PathNotSplittable,
     SamplingTooCoarse,
+    SupportOutOfRange,
 )
 from .symplectic import WilliamsonInvariants, standard_form
 
@@ -119,6 +119,9 @@ def _times(rho, k: int):
 
 @dataclass(frozen=True)
 class IndexTriple:
+    """Indices of one iterate, or int64 / float64 arrays of them when the
+    iteration order was given as an array."""
+
     mu_minus: int
     mu_plus: int
     mu_hat: float
@@ -127,8 +130,20 @@ class IndexTriple:
         return iter((self.mu_minus, self.mu_plus, self.mu_hat))
 
 
-def index_triple(profile: IterationProfile, k: int) -> IndexTriple:
-    """Exact (mu_minus, mu_plus, mu_hat) of the k-th iterate of a profile."""
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def index_triple(profile: IterationProfile, k) -> IndexTriple:
+    """Exact (mu_minus, mu_plus, mu_hat) of the k-th iterate of a profile.
+
+    k is an int, or an int64 array of iteration orders, which gives an
+    IndexTriple of arrays equal elementwise to the int calls.  The iterate
+    formulas are those of Long, *Index Theory for Symplectic Paths with
+    Applications* (Birkhauser, 2002), in the form used by the common index
+    jump theorem of Long & Zhu, Ann. of Math. 155 (2002) 317-368.
+    """
+    if isinstance(k, np.ndarray):
+        return _index_triple_array(profile, k)
     if k < 1:
         raise ValueError(f"iteration order must be >= 1, got {k}")
     lo = hi = k * profile.loop_index
@@ -152,11 +167,55 @@ def index_triple(profile: IterationProfile, k: int) -> IndexTriple:
     return IndexTriple(mu_minus=lo, mu_plus=hi, mu_hat=profile.mean_index(k))
 
 
-def support_interval(profile: IterationProfile, k: int, n: int) -> tuple:
+def _index_triple_array(profile: IterationProfile, k: np.ndarray) -> IndexTriple:
+    """index_triple over an array of k, with the scalar path's float
+    operations (rint rounds half to even, as round does) and exact integer
+    arithmetic for Fraction rotation numbers."""
+    k = k.astype(np.int64, copy=False)
+    if k.size and k.min() < 1:
+        raise ValueError(f"iteration order must be >= 1, got {int(k[np.argmax(k < 1)])}")
+    lo = k * profile.loop_index
+    hi = lo.copy()
+    for rho in profile.elliptic:
+        if isinstance(rho, Fraction):
+            n, hit = _fraction_floor(rho, k)
+        else:
+            t = float(rho) * k
+            nearest = np.rint(t)
+            hit = np.abs(t - nearest) <= INTEGER_BAND
+            n = np.where(hit, nearest, np.floor(t)).astype(np.int64)
+        # an integer k*rho = n splits into 2n - 1 and 2n + 1
+        hi += 2 * n + 1
+        lo += 2 * n + 1 - 2 * hit
+    for h in profile.hyperbolic:
+        lo += k * h
+        hi += k * h
+    if profile.degenerate is not None:
+        d = profile.degenerate
+        hi += d.b0 + d.b_plus + d.nu0
+        lo -= d.b0 + d.b_minus + d.nu0
+    return IndexTriple(mu_minus=lo, mu_plus=hi, mu_hat=profile.mean_index(k))
+
+
+def _fraction_floor(rho: Fraction, k: np.ndarray) -> tuple:
+    """(floor(k rho), k rho is an integer) for k >= 1, in int64 unless
+    max(k) * max(|p|, q) could overflow it, then in Python ints."""
+    p, q = rho.numerator, rho.denominator
+    if k.size and int(k.max()) * max(abs(p), q) > _INT64_MAX:
+        kp = [kk * p for kk in k.tolist()]
+        return (np.array([v // q for v in kp], dtype=np.int64),
+                np.array([v % q == 0 for v in kp], dtype=bool))
+    kp = k * p
+    return kp // q, kp % q == 0
+
+
+def support_interval(profile: IterationProfile, k, n: int) -> tuple:
     """Degree range [mu_minus, mu_plus + 1] of a closed orbit's local homology.
 
-    Profiles on the contact side have half-dimension n - 1; the interval is
-    guaranteed inside [mu_hat - n + 1, mu_hat + n].
+    k is an int, or an int64 array that gives a pair of arrays.  Profiles on
+    the contact side have half-dimension n - 1; the interval is guaranteed
+    inside [mu_hat - n + 1, mu_hat + n], and SupportOutOfRange reports the
+    first k where it is not.
     """
     if profile.dim_half != n - 1:
         raise DimensionMismatch(
@@ -164,11 +223,20 @@ def support_interval(profile: IterationProfile, k: int, n: int) -> tuple:
         )
     t = index_triple(profile, k)
     lo, hi = t.mu_minus, t.mu_plus + 1
-    if lo < t.mu_hat - n + 1 - 1e-9 or hi > t.mu_hat + n + 1e-9:
-        raise AssertionError(
-            f"support [{lo}, {hi}] escapes [mu_hat - n + 1, mu_hat + n] at k={k}"
-        )
+    escaped = (lo < t.mu_hat - n + 1 - 1e-9) | (hi > t.mu_hat + n + 1e-9)
+    if isinstance(k, np.ndarray):
+        if escaped.any():
+            at = int(np.argmax(escaped))
+            raise _escape_error(int(lo[at]), int(hi[at]), int(k[at]))
+    elif escaped:
+        raise _escape_error(lo, hi, k)
     return (lo, hi)
+
+
+def _escape_error(lo: int, hi: int, k: int) -> SupportOutOfRange:
+    return SupportOutOfRange(
+        f"support [{lo}, {hi}] escapes [mu_hat - n + 1, mu_hat + n] at k={k}"
+    )
 
 
 @dataclass(frozen=True)
@@ -396,10 +464,3 @@ def profile_table(profile: IterationProfile, k_max: int) -> list:
         rows.append((k, t.mu_minus, t.mu_plus, t.mu_hat))
     return rows
 
-
-def dump_profile(profile: IterationProfile) -> str:
-    return json.dumps(profile.to_json())
-
-
-def load_profile(text: str) -> IterationProfile:
-    return IterationProfile.from_json(json.loads(text))

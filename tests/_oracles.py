@@ -3,8 +3,9 @@
 These deliberately avoid the library's computation paths: the path index is
 recomputed from crossing contributions, sublevel homology ranks by brute
 force over the two-element field, and derivatives by finite differences.
-The scalar action-calculus loops are the exception: they are the per-element
-path the array code replaced, kept to check it bit for bit.
+The scalar action-calculus loops and the pair-by-pair audit sweep are the
+exception: they are the per-element paths the array code replaced, kept to
+check it bit for bit.
 """
 
 from __future__ import annotations
@@ -13,6 +14,14 @@ import math
 
 import numpy as np
 
+from reeb_lab.audit import (
+    CASE_NEAR,
+    SolutionAudit,
+    _contradiction,
+    _protected_degree,
+    exclusion_certificate,
+    j_range,
+)
 from reeb_lab.hamiltonian import action_from_period
 from reeb_lab.symplectic import flow_rotation, standard_form, _expm
 
@@ -233,6 +242,50 @@ def scalar_spline_dh_inv(profile, T) -> np.ndarray:
             x = float(np.clip(x - (float(profile._piece_dh(x)) - target) / d2, 0.0, w))
         out[j] = x
     return out
+
+
+# ---------------------------------------------------------------------------
+# the exclusion sweep, one pair at a time
+# ---------------------------------------------------------------------------
+
+def scalar_audit_solution(system, solution) -> SolutionAudit:
+    """One exclusion_certificate call per pair (i, j), in (i, j) order; the
+    first NotExcluded propagates."""
+    counts = {"same-pair": 0, "index-gap": 0, "short-action-gap": 0,
+              "diverging-action-gap": 0}
+    min_gap = None
+    min_div = None
+    aligned = []
+    near = []
+    total = 0
+    for i in range(len(system.orbits)):
+        top = j_range(system, solution, i)
+        for j in range(1, top + 1):
+            reason = exclusion_certificate(system, solution, i, j)
+            total += 1
+            counts[reason.kind] += 1
+            if reason.kind == "index-gap":
+                g = reason.numbers["gap"]
+                min_gap = g if min_gap is None else min(min_gap, g)
+                if reason.case == CASE_NEAR:
+                    near.append(reason)
+            elif reason.kind == "diverging-action-gap":
+                b = reason.numbers["lower_bound"]
+                min_div = b if min_div is None else min(min_div, b)
+                aligned.append(reason)
+            elif reason.kind == "short-action-gap":
+                aligned.append(reason)
+
+    protected, which = _protected_degree(system, solution)
+    return SolutionAudit(
+        d=solution.d, k=solution.k, counts=counts,
+        min_index_gap=min_gap, min_diverging_gap=min_div,
+        aligned=tuple(aligned), near=tuple(near),
+        protected={"degree": protected, "which": which},
+        w_vertex_gap_ok=protected - system.n >= 2,
+        contradiction=_contradiction(system, solution),
+        total_pairs=total,
+    )
 
 
 def finite_difference(f, x: float, h: float = 1e-6) -> float:

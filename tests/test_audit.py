@@ -9,6 +9,7 @@ from reeb_lab.audit import (
     CASE_SAME,
     OrbitSystem,
     SystemOrbit,
+    _audit_solution,
     audit,
     case_classify,
     exclusion_certificate,
@@ -21,11 +22,20 @@ from reeb_lab.errors import (
     BadGeometry,
     HypothesisFailed,
     JOutOfRange,
+    MalformedInput,
+    NotExcluded,
     ShellMarginNotFound,
 )
 from reeb_lab.hamiltonian import build_profile, radial_action
 from reeb_lab.indices import IterationProfile
-from reeb_lab.recurrence import RecurrenceQuery, recurrence_search
+from reeb_lab.recurrence import (
+    Certificate,
+    RecurrenceQuery,
+    RecurrenceSolution,
+    recurrence_search,
+)
+
+from _oracles import scalar_audit_solution
 
 SQRT2 = math.sqrt(2.0)
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -295,13 +305,118 @@ class TestAuditRuns:
         with pytest.raises(AuditFailed):
             audit(sys_, solutions=[fake])
 
-    def test_thread_env_does_not_change_results(self, monkeypatch):
-        rep1 = audit(sqrt2_system(), count=2)
-        monkeypatch.setenv("REEB_LAB_THREADS", "4")
-        rep2 = audit(sqrt2_system(), count=2)
-        assert rep1.to_json() == rep2.to_json()
-
     def test_text_summary_mentions_counts(self):
         rep = audit(sqrt2_system(), count=1)
         text = rep.text_summary()
         assert "pairs certified" in text and "min_div_gap" in text
+
+
+def flagship_solutions(system, count):
+    return recurrence_search(RecurrenceQuery(
+        profiles=tuple(o.profile for o in system.orbits), eta=system.eta,
+        ell0=system.ell0, k_bound=10 ** 6, count=count)).solutions
+
+
+def swapped(system_factory):
+    """The system with its companions in reverse order (a no-op for the
+    golden system, which has one companion)."""
+    orbits = system_factory().orbits
+    return system_factory(orbits=(orbits[0], *orbits[:0:-1]))
+
+
+def unverified(solution, d, k):
+    return RecurrenceSolution(d=d, k=tuple(k), eta=solution.eta, ell0=solution.ell0,
+                              certificate=Certificate(ok=True, records=()))
+
+
+def outcome(sweep, system, solution):
+    """The report of one solution, or the message and context it fails with."""
+    try:
+        return sweep(system, solution).to_json()
+    except NotExcluded as exc:
+        return {"failed": str(exc), "context": exc.context}
+
+
+class TestArraySweep:
+    """_audit_solution against the pair-by-pair sweep it replaced."""
+
+    @pytest.mark.parametrize("factory", [
+        sqrt2_system,
+        lambda **kw: sqrt2_system(mode="hyperbolic_lower", **kw),
+        golden_system,
+    ], ids=["hyperbolic", "hyperbolic_lower", "pseudo_rotation"])
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_reports_equal_the_oracle(self, factory, swap):
+        system = swapped(factory) if swap else factory()
+        for solution in flagship_solutions(system, 10):
+            assert (_audit_solution(system, solution).to_json()
+                    == scalar_audit_solution(system, solution).to_json())
+
+    def test_hyperbolic_failure_equals_the_oracle(self):
+        system = sqrt2_system()
+        fails = []
+        for s in flagship_solutions(system, 10):
+            fake = unverified(s, s.d, (*s.k[:-1], s.k[-1] + 1))
+            got = outcome(_audit_solution, system, fake)
+            assert got == outcome(scalar_audit_solution, system, fake)
+            fails.append(got)
+        assert fails[1]["context"]["j"] == 82
+        assert fails[1]["context"]["case"] == CASE_NEAR
+
+    def test_far_failure_reported_before_aligned_failure(self):
+        # k_1 + 4 moves the aligned pair to j = 62, where the diverging bound
+        # fails too, but the far pair j = 58 comes first in (i, j) order
+        system = sqrt2_system()
+        s = flagship_solutions(system, 1)[0]
+        fake = unverified(s, s.d, (s.k[0], s.k[1] + 4, s.k[2]))
+        got = outcome(_audit_solution, system, fake)
+        assert got == outcome(scalar_audit_solution, system, fake)
+        assert got["context"]["j"] == 58 and got["context"]["case"] == CASE_FAR
+
+    def test_pseudo_rotation_failure_equals_the_oracle(self):
+        system = golden_system()
+        fails = []
+        for s in flagship_solutions(system, 10):
+            fake = unverified(s, s.d + 2, s.k)
+            got = outcome(_audit_solution, system, fake)
+            assert got == outcome(scalar_audit_solution, system, fake)
+            fails.append(got)
+        assert fails[1]["context"]["j"] == 35
+        assert "distinguished orbit" in fails[1]["failed"]
+
+
+class TestMalformedSystem:
+    @pytest.mark.parametrize("edit", [
+        lambda b: b.pop("n"),
+        lambda b: b.pop("orbits"),
+        lambda b: b.pop("hamiltonian"),
+        lambda b: b.pop("constants"),
+        lambda b: b["constants"].pop("sigma"),
+        lambda b: b["constants"].pop("eta"),
+        lambda b: b["constants"].pop("ell0"),
+        lambda b: b["constants"].pop("cbar"),
+        lambda b: b["orbits"][1].pop("period"),
+        lambda b: b["orbits"][1].pop("profile"),
+        lambda b: b["hamiltonian"].pop("family"),
+        lambda b: b.update(n="2"),
+        lambda b: b.update(n=2.5),
+        lambda b: b.update(orbits={"period": 3.0}),
+        lambda b: b.update(orbits=[3.0]),
+        lambda b: b["constants"].update(sigma=[0.6]),
+        lambda b: b["constants"].update(ell0=True),
+        lambda b: b["constants"].update(b="high"),
+        lambda b: b["orbits"][0].update(period="3"),
+        lambda b: b["orbits"][0].update(profile=[3]),
+        lambda b: b["orbits"][0]["profile"].update(hyperbolic=3),
+        lambda b: b["hamiltonian"].update(slope=None),
+    ])
+    def test_typed_error(self, edit):
+        blob = sqrt2_system().to_json()
+        edit(blob)
+        with pytest.raises(MalformedInput):
+            OrbitSystem.from_json(blob)
+
+    def test_integral_float_accepted_as_int(self):
+        blob = sqrt2_system().to_json()
+        blob["n"] = 2.0
+        assert OrbitSystem.from_json(blob).n == 2

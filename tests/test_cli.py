@@ -273,6 +273,18 @@ class TestConfigAndErrors:
                                   "--k-bound", "10", "--count", "1"], capsys)
         assert code2 == 3 and "audit failed" in err2
 
+    def test_malformed_system_exit_2(self, capsys, tmp_path, sqrt2_system_file):
+        blob = json.loads(sqrt2_system_file.read_text())
+        del blob["n"]
+        bad = tmp_path / "no_n.json"
+        bad.write_text(json.dumps(blob))
+        code, _, err = run_cli(["audit-lemma", "--system", str(bad)], capsys)
+        assert code == 2 and "missing key 'n'" in err
+        proc = subprocess.run([sys.executable, "-m", "reeb_lab.cli", "audit-lemma",
+                               "--system", str(bad)], capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+
     def test_deterministic_outputs_byte_identical(self, capsys, tmp_path,
                                                   sqrt2_system_file):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import reeb_lab.ellipsoid as ellipsoid_module
 from reeb_lab.ellipsoid import (
     EllipsoidSpec,
     action_spectrum,
@@ -13,8 +14,8 @@ from reeb_lab.ellipsoid import (
     pseudo_rotation_instance,
     slope_valid,
 )
-from reeb_lab.errors import DegenerateEllipsoid
-from reeb_lab.indices import cz_index_sampled, index_triple
+from reeb_lab.errors import DegenerateEllipsoid, HypothesisFailed
+from reeb_lab.indices import ConvexityReport, cz_index_sampled, index_triple
 from reeb_lab.symplectic import direct_sum, rotation2
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -166,6 +167,14 @@ class TestPseudoRotation:
     def test_rational_rejected(self):
         with pytest.raises(DegenerateEllipsoid):
             pseudo_rotation_instance(EllipsoidSpec((1.0, 2.0)))
+
+    def test_failed_convexity_is_typed(self, monkeypatch):
+        failing = ConvexityReport(ok=False, witnesses=((0, 1, 2),), weak_ok=True,
+                                  weak_witnesses=(), min_mu_minus=2)
+        monkeypatch.setattr(ellipsoid_module, "check_dynamical_convexity",
+                            lambda orbits, n: failing)
+        with pytest.raises(HypothesisFailed):
+            pseudo_rotation_instance(EllipsoidSpec((1.0, math.sqrt(2.0))), k_max=5)
 
     def test_convexity_sweep_small_ratios(self):
         rng = np.random.default_rng(23)

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -6,8 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reeb_lab.errors import DegenerateEndpoint, DimensionMismatch, SamplingTooCoarse
+from reeb_lab.errors import (
+    DegenerateEndpoint,
+    DimensionMismatch,
+    SamplingTooCoarse,
+    SupportOutOfRange,
+)
 from reeb_lab.indices import (
+    INTEGER_BAND,
     IterationProfile,
     check_dynamical_convexity,
     cz_index_sampled,
@@ -213,6 +220,93 @@ class TestSupportInterval:
     def test_dimension_checked(self):
         with pytest.raises(DimensionMismatch):
             support_interval(IterationProfile(elliptic=(0.3,)), 1, 4)
+
+
+ARRAY_PROFILES = {
+    "float": IterationProfile(elliptic=(math.sqrt(2.0) - 1.0,)),
+    "float_third": IterationProfile(elliptic=(1.0 / 3.0,)),
+    "band_edge": IterationProfile(elliptic=(INTEGER_BAND,)),   # k = 1 hits at the edge
+    "fraction_third": IterationProfile(elliptic=(Fraction(1, 3),)),
+    "mixed": IterationProfile(loop_index=2, elliptic=(0.25, Fraction(-5, 7)),
+                              hyperbolic=(3, -1)),
+    "hyperbolic": IterationProfile(hyperbolic=(3,)),
+    "loop": IterationProfile(loop_index=-4, elliptic=(2.6180339887498949,)),
+    "degenerate": IterationProfile(
+        degenerate=WilliamsonInvariants.from_counts(b_plus=1, nu0=1)),
+}
+
+# dense near both ends of 1..10**6, strided in between
+ARRAY_KS = np.unique(np.concatenate([
+    np.arange(1, 3001), np.arange(3001, 10 ** 6 - 2000, 997),
+    np.arange(10 ** 6 - 2000, 10 ** 6 + 1)])).astype(np.int64)
+
+
+def assert_matches_scalar(profile, ks):
+    t = index_triple(profile, ks)
+    assert t.mu_minus.dtype == t.mu_plus.dtype == np.int64
+    assert t.mu_hat.dtype == np.float64
+    for pos, k in enumerate(ks.tolist()):
+        s = index_triple(profile, k)
+        assert (s.mu_minus, s.mu_plus, s.mu_hat) == (
+            t.mu_minus[pos], t.mu_plus[pos], t.mu_hat[pos]), k
+    return t
+
+
+class TestArrayPath:
+    """The int64-array path of index_triple and support_interval against the
+    int path, element by element and exactly."""
+
+    @pytest.mark.parametrize("name", sorted(ARRAY_PROFILES))
+    def test_index_triple_matches_scalar(self, name):
+        assert_matches_scalar(ARRAY_PROFILES[name], ARRAY_KS)
+
+    @pytest.mark.parametrize("name", sorted(ARRAY_PROFILES))
+    def test_support_interval_matches_scalar(self, name):
+        # an escape raises for the first k at which the int path raises
+        p = ARRAY_PROFILES[name]
+        n = p.dim_half + 1
+        scalar = []
+        for k in ARRAY_KS.tolist():
+            try:
+                scalar.append(support_interval(p, k, n))
+            except SupportOutOfRange as exc:
+                with pytest.raises(SupportOutOfRange, match=f"^{re.escape(str(exc))}$"):
+                    support_interval(p, ARRAY_KS, n)
+                return
+        lo, hi = support_interval(p, ARRAY_KS, n)
+        assert scalar == list(zip(lo.tolist(), hi.tolist()))
+
+    @pytest.mark.parametrize("name", ["float_third", "fraction_third"])
+    def test_exact_integer_hits_split(self, name):
+        t = index_triple(ARRAY_PROFILES[name], np.arange(1, 301, dtype=np.int64))
+        split = (t.mu_plus - t.mu_minus) == 2
+        assert np.array_equal(np.flatnonzero(split) + 1, np.arange(3, 301, 3))
+
+    def test_fraction_overflow_falls_back_to_python_ints(self):
+        # k * p overflows int64 for k near 10**6; multiples of 7 are exact hits
+        rho = Fraction(10 ** 13 + 1, 7)
+        ks = np.concatenate([np.arange(1, 501), np.arange(10 ** 6 - 500, 10 ** 6 + 1)])
+        assert int(ks.max()) * rho.numerator > np.iinfo(np.int64).max
+        t = assert_matches_scalar(IterationProfile(elliptic=(rho,)), ks)
+        assert int(t.mu_plus[-1]) == 2 * (10 ** 6 * (10 ** 13 + 1) // 7) + 1
+
+    def test_empty_array(self):
+        t = index_triple(ARRAY_PROFILES["mixed"], np.arange(1, 1, dtype=np.int64))
+        assert t.mu_minus.size == t.mu_plus.size == t.mu_hat.size == 0
+
+    def test_order_checked(self):
+        with pytest.raises(ValueError, match="got 0"):
+            index_triple(ARRAY_PROFILES["float"], np.array([3, 0, -1]))
+
+    def test_escape_is_typed_and_names_the_first_k(self):
+        # k rho = 1 - 9e-10 sits inside the guard band, so k = 3 splits, but
+        # mu_hat = 2 - 1.8e-9 leaves mu_+ + 1 = 4 above mu_hat + n + 1e-9
+        p = IterationProfile(elliptic=(1.0 / 3.0 - 3e-10,))
+        with pytest.raises(SupportOutOfRange) as scalar:
+            support_interval(p, 3, 2)
+        with pytest.raises(SupportOutOfRange) as array:
+            support_interval(p, np.arange(1, 10), 2)
+        assert str(array.value) == str(scalar.value)
 
 
 class TestDynamicalConvexity:
