@@ -43,7 +43,7 @@ from .errors import (
     ShellMarginNotFound,
 )
 from .hamiltonian import RadialProfile, profile_from_json
-from .indices import IterationProfile, index_triple, support_interval
+from .indices import IterationProfile, _support_bounds, index_triple, support_interval
 from .recurrence import (
     RecurrenceQuery,
     RecurrenceSolution,
@@ -102,11 +102,16 @@ class SystemOrbit:
                 "locally_maximal": self.locally_maximal}
 
     @classmethod
-    def from_json(cls, obj: dict, where: str = "orbit") -> "SystemOrbit":
-        return cls(period=_field(obj, "period", float, where),
-                   profile=_nested(IterationProfile.from_json, obj, "profile", where),
-                   hyperbolic=bool(obj.get("hyperbolic", False)),
-                   locally_maximal=bool(obj.get("locally_maximal", False)))
+    def from_json(cls, obj: dict) -> "SystemOrbit":
+        return _orbit_from_json(obj, "orbit")
+
+
+def _orbit_from_json(obj: dict, where: str) -> SystemOrbit:
+    """SystemOrbit.from_json with MalformedInput messages that start with where."""
+    return SystemOrbit(period=_field(obj, "period", float, where),
+                       profile=_nested(IterationProfile.from_json, obj, "profile", where),
+                       hyperbolic=bool(obj.get("hyperbolic", False)),
+                       locally_maximal=bool(obj.get("locally_maximal", False)))
 
 
 @dataclass(frozen=True)
@@ -256,7 +261,7 @@ class OrbitSystem:
         if consts.get("b") is not None:
             _field(consts, "b", float, "constants")     # kept as given
         return cls(
-            orbits=tuple(SystemOrbit.from_json(o, f"orbit {pos}") for pos, o
+            orbits=tuple(_orbit_from_json(o, f"orbit {pos}") for pos, o
                          in enumerate(_field(obj, "orbits", list, where))),
             hamiltonian=_nested(profile_from_json, obj, "hamiltonian", where),
             n=_field(obj, "n", int, where),
@@ -615,13 +620,13 @@ def audit(system: OrbitSystem, solutions: Optional[Sequence[RecurrenceSolution]]
 def _audit_solution(system: OrbitSystem, solution: RecurrenceSolution) -> SolutionAudit:
     """Certify every pair (i, j) of one solution, one orbit at a time.
 
-    The index gaps of an orbit come from one array support_interval call over
-    all its iterates but the centre one (j = k_0 on the distinguished orbit,
-    the aligned j = k_i on a companion).  ExclusionReason objects are built,
+    The supports of an orbit come from one array index_triple call over all
+    its iterates but the centre one (j = k_0 on the distinguished orbit, the
+    aligned j = k_i on a companion).  ExclusionReason objects are built,
     through exclusion_certificate, only for the pairs the report lists: the
-    centre and the near pairs |j - k_i| <= ell0 around it.  A pair that fails
-    raises the NotExcluded of the first failing pair in (i, j) order, as a
-    pair-by-pair sweep would.
+    centre and the near pairs |j - k_i| <= ell0 around it.  The first pair in
+    (i, j) order that fails, by an escaping support (SupportOutOfRange) or by
+    NotExcluded, raises what a pair-by-pair sweep would.
     """
     protected, which = _protected_degree(system, solution)
     counts = {"same-pair": 0, "index-gap": 0, "short-action-gap": 0,
@@ -638,14 +643,15 @@ def _audit_solution(system: OrbitSystem, solution: RecurrenceSolution) -> Soluti
         reach = system.ell0 if i else 0
         js = np.arange(1, top + 1, dtype=np.int64)
         js = js[js != centre]
-        lo, hi = support_interval(orbit.profile, js, system.n)
+        lo, hi, escaped = _support_bounds(index_triple(orbit.profile, js), system.n)
         gaps = np.maximum(np.maximum(lo - protected, protected - hi), 0)
         counts["index-gap"] += int(js.size)
         if js.size:
             g = int(gaps.min())
             min_gap = g if min_gap is None else min(min_gap, g)
-        short = np.flatnonzero(gaps < 2)
-        fail = int(js[short[0]]) if short.size else None
+        # the first pair whose support escapes or sits too close
+        bad = np.flatnonzero(escaped | (gaps < 2))
+        fail = int(js[bad[0]]) if bad.size else None
         for j in range(max(1, centre - reach), min(top, centre + reach) + 1):
             if fail is not None and fail < j:
                 break
@@ -660,7 +666,8 @@ def _audit_solution(system: OrbitSystem, solution: RecurrenceSolution) -> Soluti
             if reason.case == CASE_ALIGNED:
                 aligned.append(reason)
         if fail is not None:
-            exclusion_certificate(system, solution, i, fail)   # raises NotExcluded
+            # raises SupportOutOfRange or NotExcluded
+            exclusion_certificate(system, solution, i, fail)
 
     return SolutionAudit(
         d=solution.d, k=solution.k, counts=counts,

@@ -130,9 +130,6 @@ class IndexTriple:
         return iter((self.mu_minus, self.mu_plus, self.mu_hat))
 
 
-_INT64_MAX = int(np.iinfo(np.int64).max)
-
-
 def index_triple(profile: IterationProfile, k) -> IndexTriple:
     """Exact (mu_minus, mu_plus, mu_hat) of the k-th iterate of a profile.
 
@@ -198,15 +195,11 @@ def _index_triple_array(profile: IterationProfile, k: np.ndarray) -> IndexTriple
 
 
 def _fraction_floor(rho: Fraction, k: np.ndarray) -> tuple:
-    """(floor(k rho), k rho is an integer) for k >= 1, in int64 unless
-    max(k) * max(|p|, q) could overflow it, then in Python ints."""
+    """(floor(k rho), k rho is an integer) for k >= 1, exactly, in Python ints."""
     p, q = rho.numerator, rho.denominator
-    if k.size and int(k.max()) * max(abs(p), q) > _INT64_MAX:
-        kp = [kk * p for kk in k.tolist()]
-        return (np.array([v // q for v in kp], dtype=np.int64),
-                np.array([v % q == 0 for v in kp], dtype=bool))
-    kp = k * p
-    return kp // q, kp % q == 0
+    kp = [kk * p for kk in k.tolist()]
+    return (np.array([v // q for v in kp], dtype=np.int64),
+            np.array([v % q == 0 for v in kp], dtype=bool))
 
 
 def support_interval(profile: IterationProfile, k, n: int) -> tuple:
@@ -221,9 +214,7 @@ def support_interval(profile: IterationProfile, k, n: int) -> tuple:
         raise DimensionMismatch(
             f"profile half-dimension {profile.dim_half} != n - 1 = {n - 1}"
         )
-    t = index_triple(profile, k)
-    lo, hi = t.mu_minus, t.mu_plus + 1
-    escaped = (lo < t.mu_hat - n + 1 - 1e-9) | (hi > t.mu_hat + n + 1e-9)
+    lo, hi, escaped = _support_bounds(index_triple(profile, k), n)
     if isinstance(k, np.ndarray):
         if escaped.any():
             at = int(np.argmax(escaped))
@@ -231,6 +222,15 @@ def support_interval(profile: IterationProfile, k, n: int) -> tuple:
     elif escaped:
         raise _escape_error(lo, hi, k)
     return (lo, hi)
+
+
+def _support_bounds(t: IndexTriple, n: int) -> tuple:
+    """(lo, hi, escaped) of support_interval from an index triple, without
+    raising: escaped is True (elementwise) where [lo, hi] leaves
+    [mu_hat - n + 1, mu_hat + n]."""
+    lo, hi = t.mu_minus, t.mu_plus + 1
+    escaped = (lo < t.mu_hat - n + 1 - 1e-9) | (hi > t.mu_hat + n + 1e-9)
+    return lo, hi, escaped
 
 
 def _escape_error(lo: int, hi: int, k: int) -> SupportOutOfRange:

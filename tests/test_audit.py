@@ -25,6 +25,7 @@ from reeb_lab.errors import (
     MalformedInput,
     NotExcluded,
     ShellMarginNotFound,
+    SupportOutOfRange,
 )
 from reeb_lab.hamiltonian import build_profile, radial_action
 from reeb_lab.indices import IterationProfile
@@ -330,11 +331,14 @@ def unverified(solution, d, k):
 
 
 def outcome(sweep, system, solution):
-    """The report of one solution, or the message and context it fails with."""
+    """The report of one solution, or the error, message and context it fails
+    with."""
     try:
         return sweep(system, solution).to_json()
     except NotExcluded as exc:
-        return {"failed": str(exc), "context": exc.context}
+        return {"error": "NotExcluded", "failed": str(exc), "context": exc.context}
+    except SupportOutOfRange as exc:
+        return {"error": "SupportOutOfRange", "failed": str(exc)}
 
 
 class TestArraySweep:
@@ -372,6 +376,25 @@ class TestArraySweep:
         got = outcome(_audit_solution, system, fake)
         assert got == outcome(scalar_audit_solution, system, fake)
         assert got["context"]["j"] == 58 and got["context"]["case"] == CASE_FAR
+
+    def test_escape_after_an_earlier_failure_equals_the_oracle(self):
+        # 140/99 - 0.75e-9/99 puts iterate 99 of the second companion inside
+        # the guard band, where its support escapes.  The second solution
+        # reaches j = 99 and fails there; its k[-1] + 1 fake fails first on
+        # the near pair j = 82
+        system = sqrt2_system()
+        companion = system.orbits[2]
+        banded = sqrt2_system(orbits=(*system.orbits[:2], SystemOrbit(
+            period=companion.period,
+            profile=IterationProfile(loop_index=2, elliptic=(140 / 99 - 0.75e-9 / 99,)))))
+        got = []
+        for s in flagship_solutions(system, 3):
+            for sol in (s, unverified(s, s.d, (*s.k[:-1], s.k[-1] + 1))):
+                got.append(outcome(_audit_solution, banded, sol))
+                assert got[-1] == outcome(scalar_audit_solution, banded, sol)
+        assert got[2]["error"] == "SupportOutOfRange"
+        assert got[2]["failed"].endswith("at k=99")
+        assert got[3]["error"] == "NotExcluded" and got[3]["context"]["j"] == 82
 
     def test_pseudo_rotation_failure_equals_the_oracle(self):
         system = golden_system()

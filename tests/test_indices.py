@@ -282,8 +282,8 @@ class TestArrayPath:
         split = (t.mu_plus - t.mu_minus) == 2
         assert np.array_equal(np.flatnonzero(split) + 1, np.arange(3, 301, 3))
 
-    def test_fraction_overflow_falls_back_to_python_ints(self):
-        # k * p overflows int64 for k near 10**6; multiples of 7 are exact hits
+    def test_fraction_exact_beyond_int64_products(self):
+        # k * p exceeds int64 for k near 10**6; multiples of 7 are exact hits
         rho = Fraction(10 ** 13 + 1, 7)
         ks = np.concatenate([np.arange(1, 501), np.arange(10 ** 6 - 500, 10 ** 6 + 1)])
         assert int(ks.max()) * rho.numerator > np.iinfo(np.int64).max
