@@ -41,6 +41,7 @@ from .errors import (
     MalformedInput,
     NotExcluded,
     ShellMarginNotFound,
+    json_field,
 )
 from .hamiltonian import RadialProfile, profile_from_json
 from .indices import IterationProfile, _support_bounds, index_triple, support_interval
@@ -60,28 +61,10 @@ CASE_FAR = "far-iterate"
 
 _RESONANCE_TOL = 1e-9
 
-# JSON types accepted for each field type; integral floats pass as ints, as
-# JSON Schema's "integer" allows
-_JSON_TYPES = {float: (int, float), int: (int, float), dict: (dict,), list: (list,)}
-
-
-def _field(obj, key: str, kind, where: str):
-    """obj[key] converted to kind; MalformedInput when the key is missing or
-    its value has another JSON type."""
-    if not isinstance(obj, dict) or key not in obj:
-        raise MalformedInput(f"{where}: missing key {key!r}")
-    value = obj[key]
-    if (not isinstance(value, _JSON_TYPES[kind]) or isinstance(value, bool)
-            or (kind is int and isinstance(value, float) and not value.is_integer())):
-        raise MalformedInput(f"{where}: {key!r} must be {kind.__name__}, "
-                             f"got {json.dumps(value)}")
-    return kind(value) if kind in (float, int) else value
-
-
 def _nested(loader, obj, key: str, where: str):
     """Load the JSON object obj[key] with loader; a missing key or a wrong
     type inside it becomes MalformedInput."""
-    value = _field(obj, key, dict, where)
+    value = json_field(obj, key, dict, where)
     try:
         return loader(value)
     except (KeyError, TypeError, AttributeError) as exc:
@@ -108,7 +91,7 @@ class SystemOrbit:
 
 def _orbit_from_json(obj: dict, where: str) -> SystemOrbit:
     """SystemOrbit.from_json with MalformedInput messages that start with where."""
-    return SystemOrbit(period=_field(obj, "period", float, where),
+    return SystemOrbit(period=json_field(obj, "period", float, where),
                        profile=_nested(IterationProfile.from_json, obj, "profile", where),
                        hyperbolic=bool(obj.get("hyperbolic", False)),
                        locally_maximal=bool(obj.get("locally_maximal", False)))
@@ -170,6 +153,7 @@ class OrbitSystem:
 
         z = self.orbits[0]
         mean_z = z.profile.mean_index(1)
+        ells = np.arange(1, self.ell0 + 1, dtype=np.int64)
         if self.mode in ("hyperbolic", "hyperbolic_lower"):
             if not z.hyperbolic or z.profile.elliptic or z.profile.degenerate:
                 raise HypothesisFailed(
@@ -185,14 +169,13 @@ class OrbitSystem:
                     f"ell0 = {self.ell0} <= (n+3)/min mean = {floor_needed:.6g}"
                 )
             for pos, o in enumerate(self.orbits):
-                for ell in range(1, self.ell0 + 1):
-                    t = index_triple(o.profile, ell)
-                    need = 3 + o.profile.nu_a(ell) if self.mode == "hyperbolic_lower" \
-                        else max(3, 2 + o.profile.nu_a(ell))
-                    if t.mu_minus < need:
-                        raise HypothesisFailed(
-                            f"orbit {pos} iterate {ell}: mu_- = {t.mu_minus} < {need}"
-                        )
+                mu = index_triple(o.profile, ells).mu_minus
+                nu = o.profile.nu_a(ells)
+                need = 3 + nu if self.mode == "hyperbolic_lower" else np.maximum(3, 2 + nu)
+                if (mu < need).any():
+                    e = int(np.argmax(mu < need))
+                    raise HypothesisFailed(
+                        f"orbit {pos} iterate {e + 1}: mu_- = {mu[e]} < {need[e]}")
         else:
             if not z.locally_maximal:
                 raise HypothesisFailed(
@@ -201,13 +184,12 @@ class OrbitSystem:
             for pos, o in enumerate(self.orbits):
                 if o.profile.degenerate is not None:
                     raise HypothesisFailed(f"orbit {pos} is degenerate")
-                for ell in range(1, self.ell0 + 1):
-                    if o.profile.is_degenerate(ell):
-                        raise HypothesisFailed(f"orbit {pos} iterate {ell} degenerate")
-                    if index_triple(o.profile, ell).mu_minus < self.n + 1:
-                        raise HypothesisFailed(
-                            f"orbit {pos} iterate {ell} breaks dynamical convexity"
-                        )
+                degenerate = o.profile.is_degenerate(ells)
+                bad = degenerate | (index_triple(o.profile, ells).mu_minus < self.n + 1)
+                if bad.any():
+                    e = int(np.argmax(bad))
+                    what = "degenerate" if degenerate[e] else "breaks dynamical convexity"
+                    raise HypothesisFailed(f"orbit {pos} iterate {e + 1} {what}")
             if self.ell0 != self.n + 1:
                 raise BadGeometry(f"pseudo-rotation mode fixes ell0 = n + 1 = {self.n + 1}")
 
@@ -257,18 +239,18 @@ class OrbitSystem:
     def from_json(cls, obj: dict) -> "OrbitSystem":
         """Raises MalformedInput on a missing key or a value of the wrong type."""
         where = "orbit system"
-        consts = _field(obj, "constants", dict, where)
+        consts = json_field(obj, "constants", dict, where)
         if consts.get("b") is not None:
-            _field(consts, "b", float, "constants")     # kept as given
+            json_field(consts, "b", float, "constants")     # kept as given
         return cls(
             orbits=tuple(_orbit_from_json(o, f"orbit {pos}") for pos, o
-                         in enumerate(_field(obj, "orbits", list, where))),
+                         in enumerate(json_field(obj, "orbits", list, where))),
             hamiltonian=_nested(profile_from_json, obj, "hamiltonian", where),
-            n=_field(obj, "n", int, where),
-            sigma=_field(consts, "sigma", float, "constants"),
-            eta=_field(consts, "eta", float, "constants"),
-            ell0=_field(consts, "ell0", int, "constants"),
-            cbar=_field(consts, "cbar", float, "constants"),
+            n=json_field(obj, "n", int, where),
+            sigma=json_field(consts, "sigma", float, "constants"),
+            eta=json_field(consts, "eta", float, "constants"),
+            ell0=json_field(consts, "ell0", int, "constants"),
+            cbar=json_field(consts, "cbar", float, "constants"),
             mode=obj.get("mode", "hyperbolic"),
             b_level=consts.get("b"),
         )
@@ -381,12 +363,9 @@ class ExclusionReason:
                 "numbers": self.numbers}
 
 
-def _interval_gap(p: int, lo: int, hi: int) -> int:
-    if p < lo:
-        return lo - p
-    if p > hi:
-        return p - hi
-    return 0
+def _interval_gap(p: int, lo, hi):
+    """Distance from degree p to the interval [lo, hi], elementwise on arrays."""
+    return np.maximum(np.maximum(lo - p, p - hi), 0)
 
 
 def _protected_degree(system: OrbitSystem, solution: RecurrenceSolution) -> tuple:
@@ -411,20 +390,25 @@ def exclusion_certificate(system: OrbitSystem, solution: RecurrenceSolution,
     Raises NotExcluded with the full numeric context when no reason applies;
     that failure is the audit's most informative output.
     """
-    case = case_classify(system, solution, i, j)
-    k = solution.k[0]
-    d = solution.d
-    protected, which = _protected_degree(system, solution)
+    return _certify(system, solution, i, j, *_protected_degree(system, solution))
 
-    if case == CASE_SAME and j == k:
+
+def _certify(system: OrbitSystem, solution: RecurrenceSolution, i: int, j: int,
+             protected: int, which: str) -> ExclusionReason:
+    """exclusion_certificate, given the protected generator's degree and which."""
+    case = case_classify(system, solution, i, j)
+    if case == CASE_SAME and j == solution.k[0]:
         return ExclusionReason(
             kind="same-pair", case=case, i=i, j=j,
             numbers={"degrees": [protected - 1, protected + 1], "which": which})
+    if case == CASE_ALIGNED:
+        return _aligned_certificate(system, solution, i, j)
 
+    # other iterates: degree distance to the support, pure index arithmetic
+    profile = system.orbits[i].profile
+    lo, hi = support_interval(profile, j, system.n)
+    gap = int(_interval_gap(protected, lo, hi))
     if case == CASE_SAME:
-        # other iterates of the distinguished orbit: pure index arithmetic
-        lo, hi = support_interval(system.orbits[0].profile, j, system.n)
-        gap = _interval_gap(protected, lo, hi)
         if gap < 2:
             raise NotExcluded(
                 f"iterate {j} of the distinguished orbit sits {gap} from "
@@ -433,30 +417,31 @@ def exclusion_certificate(system: OrbitSystem, solution: RecurrenceSolution,
         return ExclusionReason(kind="index-gap", case=case, i=i, j=j,
                                numbers={"support": [lo, hi], "protected": protected,
                                         "gap": gap, "which": which})
-
-    if case == CASE_ALIGNED:
-        return _aligned_certificate(system, solution, i, j)
-
-    # near / far: degree distance to the companion support
-    profile = system.orbits[i].profile
-    lo, hi = support_interval(profile, j, system.n)
-    gap = _interval_gap(protected, lo, hi)
     if gap < 2:
         raise NotExcluded(
             f"support of orbit {i} iterate {j} is {gap} from the protected degree",
             {"i": i, "j": j, "support": [lo, hi], "protected": protected,
-             "case": case, "d": d})
-    numbers = {"support": [lo, hi], "protected": protected, "gap": gap,
-               "which": which, "l": j - solution.k[i]}
-    if case == CASE_NEAR:
-        # consistency with the recurrence inclusions
-        ell = abs(j - solution.k[i])
-        base = index_triple(profile, ell)
-        if j > solution.k[i]:
-            numbers["recurrence_floor"] = d + base.mu_minus
-        else:
-            numbers["recurrence_ceiling"] = d - base.mu_minus + profile.nu_a(ell)
-    return ExclusionReason(kind="index-gap", case=case, i=i, j=j, numbers=numbers)
+             "case": case, "d": solution.d})
+    l = j - solution.k[i]
+    base = () if case == CASE_FAR else (index_triple(profile, abs(l)).mu_minus,
+                                        profile.nu_a(abs(l)))
+    return ExclusionReason(kind="index-gap", case=case, i=i, j=j, numbers=_index_gap_numbers(
+        solution.d, l, lo, hi, gap, protected, which, *base))
+
+
+def _index_gap_numbers(d: int, l: int, lo: int, hi: int, gap: int, protected: int,
+                       which: str, base_minus: Optional[int] = None, nu: int = 0) -> dict:
+    """numbers of the index-gap reason of companion iterate j = k_i + l, whose
+    support [lo, hi] is gap from the protected degree; for a near pair, mu_-
+    (base_minus) and nu_a (nu) of the |l|-th iterate bound that support."""
+    numbers = {"support": [lo, hi], "protected": protected, "gap": gap, "which": which, "l": l}
+    if base_minus is None:
+        return numbers
+    if l > 0:
+        numbers["recurrence_floor"] = d + base_minus
+    else:
+        numbers["recurrence_ceiling"] = d - base_minus + nu
+    return numbers
 
 
 def _aligned_certificate(system: OrbitSystem, solution: RecurrenceSolution,
@@ -578,7 +563,7 @@ def audit(system: OrbitSystem, solutions: Optional[Sequence[RecurrenceSolution]]
     """Run the full exclusion sweep over recurrence solutions.
 
     Searches for solutions when none are supplied.  Raises AuditFailed on the
-    first NotExcluded pair (the report up to that point is attached).
+    first NotExcluded pair, with that NotExcluded as its first_failure.
     """
     profiles = [o.profile for o in system.orbits]
     if solutions is None:
@@ -620,13 +605,13 @@ def audit(system: OrbitSystem, solutions: Optional[Sequence[RecurrenceSolution]]
 def _audit_solution(system: OrbitSystem, solution: RecurrenceSolution) -> SolutionAudit:
     """Certify every pair (i, j) of one solution, one orbit at a time.
 
-    The supports of an orbit come from one array index_triple call over all
-    its iterates but the centre one (j = k_0 on the distinguished orbit, the
-    aligned j = k_i on a companion).  ExclusionReason objects are built,
-    through exclusion_certificate, only for the pairs the report lists: the
-    centre and the near pairs |j - k_i| <= ell0 around it.  The first pair in
-    (i, j) order that fails, by an escaping support (SupportOutOfRange) or by
-    NotExcluded, raises what a pair-by-pair sweep would.
+    One array index_triple call per orbit gives the supports of all its
+    iterates but the centre one (j = k_0 on the distinguished orbit, the
+    aligned j = k_i on a companion); one more over iterates 1..ell0 gives the
+    recurrence bounds of a companion's near pairs |j - k_i| <= ell0.  Only the
+    centre and the near pairs, which the report lists, get ExclusionReason
+    objects.  The first pair in (i, j) order that fails raises what a
+    pair-by-pair sweep would: SupportOutOfRange or NotExcluded.
     """
     protected, which = _protected_degree(system, solution)
     counts = {"same-pair": 0, "index-gap": 0, "short-action-gap": 0,
@@ -636,6 +621,7 @@ def _audit_solution(system: OrbitSystem, solution: RecurrenceSolution) -> Soluti
     aligned = []
     near = []
     total = 0
+    ells = np.arange(1, system.ell0 + 1, dtype=np.int64)
     for i, orbit in enumerate(system.orbits):
         top = j_range(system, solution, i)
         total += top
@@ -644,7 +630,7 @@ def _audit_solution(system: OrbitSystem, solution: RecurrenceSolution) -> Soluti
         js = np.arange(1, top + 1, dtype=np.int64)
         js = js[js != centre]
         lo, hi, escaped = _support_bounds(index_triple(orbit.profile, js), system.n)
-        gaps = np.maximum(np.maximum(lo - protected, protected - hi), 0)
+        gaps = _interval_gap(protected, lo, hi)
         counts["index-gap"] += int(js.size)
         if js.size:
             g = int(gaps.min())
@@ -652,13 +638,22 @@ def _audit_solution(system: OrbitSystem, solution: RecurrenceSolution) -> Soluti
         # the first pair whose support escapes or sits too close
         bad = np.flatnonzero(escaped | (gaps < 2))
         fail = int(js[bad[0]]) if bad.size else None
+        if reach:
+            base = index_triple(orbit.profile, ells).mu_minus
+            nu = orbit.profile.nu_a(ells)
         for j in range(max(1, centre - reach), min(top, centre + reach) + 1):
-            if fail is not None and fail < j:
+            if fail is not None and fail <= j:
                 break
-            reason = exclusion_certificate(system, solution, i, j)
-            if reason.case == CASE_NEAR:
-                near.append(reason)          # counted with the index gaps
+            if j != centre:
+                # a near pair: position j - 1 in js, or j - 2 past the centre
+                at, l = j - 1 - (j > centre), j - centre
+                near.append(ExclusionReason(
+                    kind="index-gap", case=CASE_NEAR, i=i, j=j,
+                    numbers=_index_gap_numbers(
+                        solution.d, l, int(lo[at]), int(hi[at]), int(gaps[at]), protected, which,
+                        int(base[abs(l) - 1]), int(nu[abs(l) - 1]))))
                 continue
+            reason = _certify(system, solution, i, j, protected, which)
             counts[reason.kind] += 1
             if reason.kind == "diverging-action-gap":
                 b = reason.numbers["lower_bound"]
@@ -667,7 +662,7 @@ def _audit_solution(system: OrbitSystem, solution: RecurrenceSolution) -> Soluti
                 aligned.append(reason)
         if fail is not None:
             # raises SupportOutOfRange or NotExcluded
-            exclusion_certificate(system, solution, i, fail)
+            _certify(system, solution, i, fail, protected, which)
 
     return SolutionAudit(
         d=solution.d, k=solution.k, counts=counts,

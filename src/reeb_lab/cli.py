@@ -107,6 +107,7 @@ def cmd_cz_index(args) -> int:
 
 def cmd_iterate_indices(args) -> int:
     profile = IterationProfile.from_json(_load_json(args.profile))
+    _positive("k_max", args.k_max)
     rows = profile_table(profile, args.k_max)
     payload = {"profile": profile.to_json(),
                "rows": [list(r) for r in rows]}
@@ -148,8 +149,7 @@ def cmd_hamiltonian(args) -> int:
              f"c={profile.c:.6g} h'''>=0 up to {profile.h_triple_nonneg_up_to:.6g}"]
     payload = {"profile": profile.to_json(), "c": profile.c,
                "h_triple_nonneg_up_to": profile.h_triple_nonneg_up_to}
-    csv_rows = None
-    csv_header = None
+    csv_rows = csv_header = None
     if args.tables:
         tables = action_tables(profile, grid=args.grid)
         csv_rows = tables.csv_rows()
@@ -215,8 +215,7 @@ def cmd_ellipsoid(args) -> int:
     payload = {"spec": spec.to_json(), "periods": ellipsoid_periods(spec),
                "irrational": spec.irrational}
     lines = [f"ellipsoid weights={list(spec.weights)} irrational={spec.irrational}"]
-    csv_rows = None
-    csv_header = None
+    csv_rows = csv_header = None
     if args.spectrum is not None:
         spectrum = action_spectrum(spec, args.spectrum)
         csv_rows = spectrum.to_csv_rows()
@@ -451,26 +450,29 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser,
     config = _load_json(args.config)
     if not isinstance(config, dict):
         raise ReebLabError("config file must hold a JSON object")
-    valid = set(vars(args))
-    explicit = _explicit_dests(parser, argv)
+    # flags actually present on the command line win over config values
+    explicit = {t[2:].split("=")[0].replace("-", "_") for t in argv if t.startswith("--")}
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = {a.dest: a for a in sub.choices[args.command]._actions}
     for key, value in config.items():
         dest = key.replace("-", "_")
-        if dest not in valid:
+        action = actions.get(dest)
+        if action is None:
             raise ReebLabError(f"unknown config key {key!r}")
+        if action.type is not None:
+            # a config value reads as the same text given as a flag would
+            try:
+                value = action.type(value if isinstance(value, str) else json.dumps(value))
+            except (TypeError, ValueError):
+                raise ReebLabError(f"config key {key!r}: invalid "
+                                   f"{action.type.__name__} value {json.dumps(value)}") from None
+        elif action.nargs == 0 and not isinstance(value, bool):
+            raise ReebLabError(f"config key {key!r} takes true or false, not {json.dumps(value)}")
         if "tol" in dest and isinstance(value, (int, float)):
             _positive(key, value)
         if dest not in explicit:
             setattr(args, dest, value)
     return args
-
-
-def _explicit_dests(parser, argv) -> set:
-    # flags actually present on the command line win over config values
-    out = set()
-    for token in argv:
-        if token.startswith("--"):
-            out.add(token[2:].split("=")[0].replace("-", "_"))
-    return out
 
 
 def main(argv=None) -> int:

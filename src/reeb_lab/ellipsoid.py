@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from .audit import SystemOrbit
 from .errors import DegenerateEllipsoid, HypothesisFailed
 from .indices import IterationProfile, check_dynamical_convexity
 
@@ -96,14 +97,8 @@ class EllipsoidSpec:
     @property
     def rationality_capped(self) -> bool:
         """True when some ratio exhausted the denominator cap (verdict is soft)."""
-        for j in range(self.n):
-            for i in range(self.n):
-                if i == j:
-                    continue
-                frac, capped = detect_rational(self.weights[j] / self.weights[i])
-                if frac is None and capped:
-                    return True
-        return False
+        return any(detect_rational(a / b) == (None, True) for j, a in enumerate(self.weights)
+                   for i, b in enumerate(self.weights) if i != j)
 
     def to_json(self) -> dict:
         return {"weights": list(self.weights), "convention": CONVENTION}
@@ -181,15 +176,6 @@ def slope_valid(spec: EllipsoidSpec, slope: float, band: float = 1e-9) -> bool:
 
 
 @dataclass(frozen=True)
-class ModelOrbit:
-    period: float
-    profile: IterationProfile
-    nondegenerate: bool = True
-    hyperbolic: bool = False
-    locally_maximal: bool = False
-
-
-@dataclass(frozen=True)
 class PseudoRotationSeed:
     """The finitely many simple orbits of an irrational ellipsoid, packaged."""
 
@@ -202,16 +188,8 @@ class PseudoRotationSeed:
         return {
             "n": self.n,
             "convention": self.convention,
-            "orbits": [
-                {
-                    "period": o.period,
-                    "profile": o.profile.to_json(),
-                    "nondegenerate": o.nondegenerate,
-                    "hyperbolic": o.hyperbolic,
-                    "locally_maximal": o.locally_maximal,
-                }
-                for o in self.orbits
-            ],
+            # irrational weights: every iterate of every orbit is nondegenerate
+            "orbits": [{**o.to_json(), "nondegenerate": True} for o in self.orbits],
             "convexity": self.convexity.to_json(),
         }
 
@@ -230,10 +208,9 @@ def pseudo_rotation_instance(spec: EllipsoidSpec, k_max: int = 100,
     periods = ellipsoid_periods(spec)
     orbits = []
     for j in range(1, n + 1):
-        orbits.append(ModelOrbit(
+        orbits.append(SystemOrbit(
             period=periods[j - 1],
             profile=ellipsoid_profile(spec, j),
-            nondegenerate=True,
             locally_maximal=(locally_maximal == j),
         ))
     report = check_dynamical_convexity([(o.profile, k_max) for o in orbits], n)

@@ -6,6 +6,8 @@ can map it to exit code 2; audit failures get their own branch (exit 3).
 
 from __future__ import annotations
 
+import json
+
 
 class ReebLabError(Exception):
     """Base class for all validation and computation errors."""
@@ -13,6 +15,25 @@ class ReebLabError(Exception):
 
 class MalformedInput(ReebLabError):
     """A JSON input lacks a required key or holds a value of the wrong type."""
+
+
+# JSON types accepted for each field type; integral floats pass as ints, as
+# JSON Schema's "integer" allows
+_JSON_TYPES = {float: (int, float), int: (int, float), str: (str,), dict: (dict,),
+               list: (list,)}
+
+
+def json_field(obj, key: str, kind, where: str):
+    """obj[key] converted to kind; MalformedInput when the key is missing or
+    its value has another JSON type."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise MalformedInput(f"{where}: missing key {key!r}")
+    value = obj[key]
+    if (not isinstance(value, _JSON_TYPES[kind]) or isinstance(value, bool)
+            or (kind is int and isinstance(value, float) and not value.is_integer())):
+        raise MalformedInput(f"{where}: {key!r} must be {kind.__name__}, "
+                             f"got {json.dumps(value)}")
+    return kind(value) if kind in (float, int) else value
 
 
 # -- symplectic linear algebra ------------------------------------------------

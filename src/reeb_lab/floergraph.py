@@ -12,7 +12,13 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .errors import FiltrationViolation, MalformedGraph, NotADifferential
+from .errors import (
+    FiltrationViolation,
+    MalformedGraph,
+    MalformedInput,
+    NotADifferential,
+    json_field,
+)
 
 INF = math.inf
 
@@ -163,22 +169,41 @@ class FilteredComplex:
         for col, rows in self.boundary.items():
             if col not in info:
                 raise MalformedGraph(f"boundary of unknown generator {col}")
+            action, degree = info[col]
             for r in rows:
                 if r not in info:
                     raise MalformedGraph(f"boundary hits unknown generator {r}")
-                if not info[r][0] < info[col][0]:
+                r_action, r_degree = info[r]
+                if not r_action < action:
                     raise FiltrationViolation(
-                        f"boundary of {col} (action {info[col][0]}) hits {r} "
-                        f"(action {info[r][0]}): not strictly decreasing"
+                        f"boundary of {col} (action {action}) hits {r} "
+                        f"(action {r_action}): not strictly decreasing"
+                    )
+                if r_degree != degree - 1:
+                    raise MalformedGraph(
+                        f"boundary of {col} (degree {degree}) hits {r} "
+                        f"(degree {r_degree}): the degree must drop by one"
                     )
         _check_squares(self.boundary)
 
     @classmethod
     def from_json(cls, obj: dict) -> "FilteredComplex":
-        gens = tuple((g["id"], float(g["action"]), int(g["degree"]))
-                     for g in obj["generators"])
-        bnd = {k: frozenset(v) for k, v in (obj.get("boundary") or {}).items()}
-        return cls(generators=gens, boundary=bnd)
+        """Raises MalformedInput on a generator without "id", "action" or
+        "degree" or with a value of the wrong JSON type, and on a boundary
+        entry that is not a list of ids."""
+        gens = []
+        for pos, g in enumerate(json_field(obj, "generators", list, "complex")):
+            if (type(g) is dict and type(g.get("id")) is str
+                    and type(g.get("action")) is float and type(g.get("degree")) is int):
+                gens.append((g["id"], g["action"], g["degree"]))
+            else:   # converts an int action or an integral float degree, or raises
+                gens.append(tuple(json_field(g, key, kind, f"generator {pos}") for key, kind
+                                  in (("id", str), ("action", float), ("degree", int))))
+        bnd = {} if obj.get("boundary") is None else json_field(obj, "boundary", dict, "complex")
+        for col, rows in bnd.items():
+            if type(rows) is not list or not all(type(r) is str for r in rows):
+                raise MalformedInput(f"boundary of {col}: expected a list of ids")
+        return cls(generators=tuple(gens), boundary=bnd)
 
     def to_json(self) -> dict:
         return {

@@ -17,6 +17,7 @@ quantity.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -35,14 +36,6 @@ from .symplectic import WilliamsonInvariants, standard_form
 #: floats within this distance of an integer are treated as hitting it;
 #: rotation numbers given as Fraction are tested exactly instead.
 INTEGER_BAND = 1e-9
-
-
-def _is_integer(x, band: float = INTEGER_BAND):
-    """Return (hit, nearest_int) under the guard-band policy."""
-    if isinstance(x, Fraction):
-        return x.denominator == 1, int(x) if x.denominator == 1 else int(math.floor(x))
-    n = round(float(x))
-    return abs(float(x) - n) <= band, int(n)
 
 
 @dataclass(frozen=True)
@@ -75,13 +68,18 @@ class IterationProfile:
         rho_sum = sum(float(r) for r in self.elliptic)
         return k * (self.loop_index + 2.0 * rho_sum + sum(self.hyperbolic))
 
-    def nu_a(self, k: int = 1) -> int:
-        """Half the algebraic multiplicity of eigenvalue 1 of the k-th iterate."""
-        hits = sum(1 for rho in self.elliptic if _is_integer(_times(rho, k))[0])
-        deg = self.degenerate.m if self.degenerate is not None else 0
-        return hits + deg
+    def nu_a(self, k=1):
+        """Half the algebraic multiplicity of eigenvalue 1 of the k-th iterate.
 
-    def is_degenerate(self, k: int = 1) -> bool:
+        k is an int, or an int64 array of iteration orders that gives an array.
+        """
+        ks = _orders(self, k)
+        nu = np.full(ks.shape, self.degenerate.m if self.degenerate is not None else 0)
+        for rho in self.elliptic:
+            nu += _floor_hits(rho, ks)[1]
+        return nu if isinstance(k, np.ndarray) else int(nu[0])
+
+    def is_degenerate(self, k=1):
         return self.nu_a(k) > 0
 
     def b_correction(self) -> int:
@@ -113,10 +111,6 @@ class IterationProfile:
         )
 
 
-def _times(rho, k: int):
-    return rho * k if isinstance(rho, Fraction) else float(rho) * k
-
-
 @dataclass(frozen=True)
 class IndexTriple:
     """Indices of one iterate, or int64 / float64 arrays of them when the
@@ -133,73 +127,70 @@ class IndexTriple:
 def index_triple(profile: IterationProfile, k) -> IndexTriple:
     """Exact (mu_minus, mu_plus, mu_hat) of the k-th iterate of a profile.
 
-    k is an int, or an int64 array of iteration orders, which gives an
-    IndexTriple of arrays equal elementwise to the int calls.  The iterate
-    formulas are those of Long, *Index Theory for Symplectic Paths with
-    Applications* (Birkhauser, 2002), in the form used by the common index
-    jump theorem of Long & Zhu, Ann. of Math. 155 (2002) 317-368.
+    k is an int, which gives two ints and a float, or an int64 array of
+    iteration orders, which gives an IndexTriple of arrays; an int is computed
+    as the array of length one.  Orders below 1, or so large that an index
+    leaves int64, raise ValueError.  The iterate formulas are those of Long,
+    *Index Theory for Symplectic Paths with Applications* (Birkhauser, 2002),
+    in the form used by the common index jump theorem of Long & Zhu, Ann. of
+    Math. 155 (2002) 317-368.
     """
+    ks = _orders(profile, k)
+    hi = ks * (profile.loop_index + sum(profile.hyperbolic)) + len(profile.elliptic)
+    hits = 0
+    for rho in profile.elliptic:
+        n, hit = _floor_hits(rho, ks)
+        # 2n + 1 each, and an integer k*rho = n splits into 2n - 1 and 2n + 1
+        hi += 2 * n
+        hits = hits + hit
+    lo = hi - 2 * hits
+    if profile.degenerate is not None:
+        d = profile.degenerate
+        hi += d.b0 + d.b_plus + d.nu0
+        lo -= d.b0 + d.b_minus + d.nu0
+    mu_hat = profile.mean_index(ks)
     if isinstance(k, np.ndarray):
-        return _index_triple_array(profile, k)
-    if k < 1:
-        raise ValueError(f"iteration order must be >= 1, got {k}")
-    lo = hi = k * profile.loop_index
-    for rho in profile.elliptic:
-        t = _times(rho, k)
-        hit, n = _is_integer(t)
-        if hit:
-            hi += 2 * n + 1
-            lo += 2 * n - 1
-        else:
-            v = 2 * int(math.floor(t)) + 1
-            hi += v
-            lo += v
-    for h in profile.hyperbolic:
-        lo += k * h
-        hi += k * h
-    if profile.degenerate is not None:
-        d = profile.degenerate
-        hi += d.b0 + d.b_plus + d.nu0
-        lo -= d.b0 + d.b_minus + d.nu0
-    return IndexTriple(mu_minus=lo, mu_plus=hi, mu_hat=profile.mean_index(k))
+        return IndexTriple(mu_minus=lo, mu_plus=hi, mu_hat=mu_hat)
+    return IndexTriple(mu_minus=int(lo[0]), mu_plus=int(hi[0]), mu_hat=float(mu_hat[0]))
 
 
-def _index_triple_array(profile: IterationProfile, k: np.ndarray) -> IndexTriple:
-    """index_triple over an array of k, with the scalar path's float
-    operations (rint rounds half to even, as round does) and exact integer
-    arithmetic for Fraction rotation numbers."""
-    k = k.astype(np.int64, copy=False)
-    if k.size and k.min() < 1:
-        raise ValueError(f"iteration order must be >= 1, got {int(k[np.argmax(k < 1)])}")
-    lo = k * profile.loop_index
-    hi = lo.copy()
-    for rho in profile.elliptic:
-        if isinstance(rho, Fraction):
-            n, hit = _fraction_floor(rho, k)
-        else:
-            t = float(rho) * k
-            nearest = np.rint(t)
-            hit = np.abs(t - nearest) <= INTEGER_BAND
-            n = np.where(hit, nearest, np.floor(t)).astype(np.int64)
-        # an integer k*rho = n splits into 2n - 1 and 2n + 1
-        hi += 2 * n + 1
-        lo += 2 * n + 1 - 2 * hit
-    for h in profile.hyperbolic:
-        lo += k * h
-        hi += k * h
-    if profile.degenerate is not None:
-        d = profile.degenerate
-        hi += d.b0 + d.b_plus + d.nu0
-        lo -= d.b0 + d.b_minus + d.nu0
-    return IndexTriple(mu_minus=lo, mu_plus=hi, mu_hat=profile.mean_index(k))
+def _orders(profile: IterationProfile, k) -> np.ndarray:
+    """k as an int64 array of iteration orders (an int gives length one);
+    ValueError for an order below 1 or one whose indices leave int64."""
+    if isinstance(k, np.ndarray):
+        ks = k.astype(np.int64, copy=False)
+    else:
+        try:
+            ks = np.array([operator.index(k)], dtype=np.int64)
+        except OverflowError:
+            raise ValueError(f"iteration order {k} outside int64") from None
+    if ks.size:
+        if ks.min() < 1:
+            raise ValueError(f"iteration order must be >= 1, got {int(ks[np.argmax(ks < 1)])}")
+        # every index and every floor(k rho) is at most k * growth in size
+        growth = (abs(profile.loop_index) + sum(map(abs, profile.hyperbolic)) + 2 * profile.dim_half
+                  + sum(2.0 * abs(float(rho)) for rho in profile.elliptic))
+        if not int(ks.max()) * growth < 2 ** 62:
+            raise ValueError(f"indices of iterate {int(ks.max())} leave int64")
+    return ks
 
 
-def _fraction_floor(rho: Fraction, k: np.ndarray) -> tuple:
-    """(floor(k rho), k rho is an integer) for k >= 1, exactly, in Python ints."""
-    p, q = rho.numerator, rho.denominator
-    kp = [kk * p for kk in k.tolist()]
-    return (np.array([v // q for v in kp], dtype=np.int64),
-            np.array([v % q == 0 for v in kp], dtype=bool))
+def _floor_hits(rho, k: np.ndarray) -> tuple:
+    """(floor(k rho), whether k rho is an integer) over an int64 array of k.
+
+    A Fraction rho is exact, in Python ints.  A float rho hits an integer
+    when k rho lies within INTEGER_BAND of it (rint rounds half to even, as
+    round does), and the floor of a hit is that integer.
+    """
+    if isinstance(rho, Fraction):
+        p, q = rho.numerator, rho.denominator
+        kp = [kk * p for kk in k.tolist()]
+        return (np.array([v // q for v in kp], dtype=np.int64),
+                np.array([v % q == 0 for v in kp], dtype=bool))
+    t = float(rho) * k
+    nearest = np.rint(t)
+    hit = np.abs(t - nearest) <= INTEGER_BAND
+    return np.where(hit, nearest, np.floor(t)).astype(np.int64), hit
 
 
 def support_interval(profile: IterationProfile, k, n: int) -> tuple:
@@ -214,14 +205,13 @@ def support_interval(profile: IterationProfile, k, n: int) -> tuple:
         raise DimensionMismatch(
             f"profile half-dimension {profile.dim_half} != n - 1 = {n - 1}"
         )
-    lo, hi, escaped = _support_bounds(index_triple(profile, k), n)
-    if isinstance(k, np.ndarray):
-        if escaped.any():
-            at = int(np.argmax(escaped))
-            raise _escape_error(int(lo[at]), int(hi[at]), int(k[at]))
-    elif escaped:
-        raise _escape_error(lo, hi, k)
-    return (lo, hi)
+    ks = _orders(profile, k)
+    lo, hi, escaped = _support_bounds(index_triple(profile, ks), n)
+    if escaped.any():
+        at = int(np.argmax(escaped))
+        raise SupportOutOfRange(f"support [{lo[at]}, {hi[at]}] escapes "
+                                f"[mu_hat - n + 1, mu_hat + n] at k={ks[at]}")
+    return (lo, hi) if isinstance(k, np.ndarray) else (int(lo[0]), int(hi[0]))
 
 
 def _support_bounds(t: IndexTriple, n: int) -> tuple:
@@ -231,12 +221,6 @@ def _support_bounds(t: IndexTriple, n: int) -> tuple:
     lo, hi = t.mu_minus, t.mu_plus + 1
     escaped = (lo < t.mu_hat - n + 1 - 1e-9) | (hi > t.mu_hat + n + 1e-9)
     return lo, hi, escaped
-
-
-def _escape_error(lo: int, hi: int, k: int) -> SupportOutOfRange:
-    return SupportOutOfRange(
-        f"support [{lo}, {hi}] escapes [mu_hat - n + 1, mu_hat + n] at k={k}"
-    )
 
 
 @dataclass(frozen=True)
@@ -267,14 +251,15 @@ def check_dynamical_convexity(orbits: Sequence[tuple], n: int) -> ConvexityRepor
     weak_witnesses = []
     min_mu = None
     for pos, (profile, k_max) in enumerate(orbits):
-        for k in range(1, int(k_max) + 1):
-            mu_minus = index_triple(profile, k).mu_minus
-            if min_mu is None or mu_minus < min_mu:
-                min_mu = mu_minus
-            if mu_minus < n + 1:
-                witnesses.append((pos, k, mu_minus))
-            if mu_minus < max(3, 2 + profile.nu_a(k)):
-                weak_witnesses.append((pos, k, mu_minus))
+        ks = np.arange(1, int(k_max) + 1, dtype=np.int64)
+        if not ks.size:
+            continue
+        mu = index_triple(profile, ks).mu_minus
+        low = int(mu.min())
+        min_mu = low if min_mu is None else min(min_mu, low)
+        for out, bad in ((witnesses, mu < n + 1),
+                         (weak_witnesses, mu < np.maximum(3, 2 + profile.nu_a(ks)))):
+            out += [(pos, k, m) for k, m in zip(ks[bad].tolist(), mu[bad].tolist())]
     return ConvexityReport(
         ok=not witnesses,
         witnesses=tuple(witnesses),
@@ -458,9 +443,7 @@ def stretch_path(lam: float, n_samples: int = 64) -> np.ndarray:
 
 def profile_table(profile: IterationProfile, k_max: int) -> list:
     """Rows (k, mu_minus, mu_plus, mu_hat) for k = 1..k_max."""
-    rows = []
-    for k in range(1, k_max + 1):
-        t = index_triple(profile, k)
-        rows.append((k, t.mu_minus, t.mu_plus, t.mu_hat))
-    return rows
-
+    ks = np.arange(1, k_max + 1, dtype=np.int64)
+    t = index_triple(profile, ks)
+    return list(zip(ks.tolist(), t.mu_minus.tolist(), t.mu_plus.tolist(),
+                    t.mu_hat.tolist()))

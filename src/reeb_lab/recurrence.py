@@ -107,51 +107,60 @@ def verify_recurrence(profiles: Sequence[IterationProfile], d: int,
     if len(ks) != len(profiles):
         raise ValueError(f"{len(ks)} iteration orders for {len(profiles)} profiles")
     records = []
-    ok = True
     for i, (p, k) in enumerate(zip(profiles, ks)):
         if k - ell0 < 1:
             raise IterateUnderflow(f"profile {i}: k = {k} <= ell0 = {ell0}")
-        mean_k = p.mean_index(k)
-        r1 = abs(mean_k - d) < eta
-        records.append(ConditionRecord(
-            name=f"R1[{i}]", ok=r1,
-            detail={"mean": mean_k, "d": d, "gap": abs(mean_k - d)}))
-        ok &= r1
-        for ell in range(1, ell0 + 1):
-            up = index_triple(p, k + ell)
-            base = index_triple(p, ell)
-            r2 = (up.mu_minus == d + base.mu_minus) and (up.mu_plus == d + base.mu_plus)
-            records.append(ConditionRecord(
-                name=f"R2[{i},{ell}]", ok=r2,
-                detail={"mu_minus": up.mu_minus, "mu_plus": up.mu_plus,
-                        "expected_minus": d + base.mu_minus,
-                        "expected_plus": d + base.mu_plus}))
-            ok &= r2
-            down = index_triple(p, k - ell)
-            # b_+ - b_- of the ell-th iterate: elliptic blocks hitting an
-            # integer contribute zero planes only, and a degenerate factor's
-            # counts are stable under positive scaling of its form.
-            corr = p.b_correction()
-            want = d - base.mu_minus + corr
-            r3 = down.mu_plus == want
-            records.append(ConditionRecord(
-                name=f"R3[{i},{ell}]", ok=r3,
-                detail={"mu_plus": down.mu_plus, "expected": want, "b_corr": corr}))
-            ok &= r3
-            # consequences: the nu_a bound always, exact symmetry when nondegenerate
-            bound = d - base.mu_minus + p.nu_a(ell)
-            r3b = down.mu_plus <= bound
-            records.append(ConditionRecord(
-                name=f"R3-bound[{i},{ell}]", ok=r3b,
-                detail={"mu_plus": down.mu_plus, "bound": bound}))
-            ok &= r3b
-            if not p.is_degenerate(ell) and not p.is_degenerate(k - ell):
-                sym = down.mu_plus == d - base.mu_plus
-                records.append(ConditionRecord(
-                    name=f"R3-nondeg[{i},{ell}]", ok=sym,
-                    detail={"mu": down.mu_plus, "expected": d - base.mu_plus}))
-                ok &= sym
-    return Certificate(ok=ok, records=tuple(records))
+        records += _Iterates(p, d, k, eta, ell0).records(i)
+    return Certificate(ok=all(r.ok for r in records), records=tuple(records))
+
+
+class _Iterates:
+    """R1-R3 of one profile at (d, k), read from one index_triple call over
+    the iterates ell, k + ell and k - ell for 1 <= ell <= ell0."""
+
+    def __init__(self, p: IterationProfile, d: int, k: int, eta: float, ell0: int):
+        self.p, self.d, self.k, self.ell0 = p, d, k, ell0
+        ells = np.arange(1, ell0 + 1, dtype=np.int64)
+        self.orders = np.concatenate([ells, k + ells, k - ells])
+        t = index_triple(p, self.orders)
+        # rows: the iterates ell (base), k + ell (up) and k - ell (down)
+        self.lo = t.mu_minus.reshape(3, ell0)
+        self.hi = t.mu_plus.reshape(3, ell0)
+        self.mean = p.mean_index(k)
+        self.r1 = abs(self.mean - d) < eta
+        self.expected = (d + self.lo[0], d + self.hi[0])
+        self.r2 = (self.lo[1] == self.expected[0]) & (self.hi[1] == self.expected[1])
+        # b_+ - b_- of the ell-th iterate: elliptic blocks hitting an integer
+        # contribute zero planes only, and a degenerate factor's counts are
+        # stable under positive scaling of its form.
+        self.want = d - self.lo[0] + p.b_correction()
+        self.r3 = self.hi[2] == self.want
+        self.ok = bool(self.r1 and self.r2.all() and self.r3.all())
+
+    def records(self, i: int) -> list:
+        """ConditionRecords of R1-R3 for profile i, with two consequences of
+        R3: the nu_a bound always, exact symmetry when the ell-th and
+        (k - ell)-th iterates are nondegenerate."""
+        d, corr = self.d, self.p.b_correction()
+        nu = self.p.nu_a(self.orders).reshape(3, self.ell0)
+        columns = [a.tolist() for a in (
+            self.r2, self.lo[1], self.hi[1], *self.expected, self.r3, self.hi[2], self.want,
+            d - self.lo[0] + nu[0], (nu[0] == 0) & (nu[2] == 0), d - self.hi[0])]
+        out = [ConditionRecord(f"R1[{i}]", self.r1,
+                               {"mean": self.mean, "d": d, "gap": abs(self.mean - d)})]
+        for ell, (r2, up_lo, up_hi, exp_lo, exp_hi, r3, down, want, bound, nondeg,
+                  sym) in enumerate(zip(*columns), start=1):
+            out.append(ConditionRecord(f"R2[{i},{ell}]", r2, {
+                "mu_minus": up_lo, "mu_plus": up_hi,
+                "expected_minus": exp_lo, "expected_plus": exp_hi}))
+            out.append(ConditionRecord(f"R3[{i},{ell}]", r3,
+                                       {"mu_plus": down, "expected": want, "b_corr": corr}))
+            out.append(ConditionRecord(f"R3-bound[{i},{ell}]", down <= bound,
+                                       {"mu_plus": down, "bound": bound}))
+            if nondeg:
+                out.append(ConditionRecord(f"R3-nondeg[{i},{ell}]", down == sym,
+                                           {"mu": down, "expected": sym}))
+        return out
 
 
 @dataclass(frozen=True)
@@ -219,41 +228,30 @@ def recurrence_search(query: RecurrenceQuery, on_solution=None) -> SearchResult:
 
 def _assemble(query: RecurrenceQuery, k0: int, d: int) -> Optional[RecurrenceSolution]:
     N, eta, ell0 = query.n_divisor, query.eta, query.ell0
-    ks = [k0]
+    if k0 - ell0 < 1:
+        return None
+    # profile 0 first: its outcome does not depend on the companions
+    picked = [_Iterates(query.profiles[0], d, k0, eta, ell0)]
+    if not picked[0].ok:
+        return None
     for p in query.profiles[1:]:
         mi = p.mean_index(1)
         lo = int(np.floor((d - eta) / (N * mi))) * N
         hi = int(np.ceil((d + eta) / (N * mi))) * N
-        picked = None
         for k in range(max(N, lo), hi + N, N):
             if k - ell0 < 1 or abs(k * mi - d) >= eta:
                 continue
-            if _profile_passes(p, d, k, eta, ell0):
-                picked = k   # smallest passing candidate wins
+            it = _Iterates(p, d, k, eta, ell0)
+            if it.ok:
+                picked.append(it)   # smallest passing candidate wins
                 break
-        if picked is None:
+        else:
             return None
-        ks.append(picked)
-    if k0 - ell0 < 1 or not _profile_passes(query.profiles[0], d, k0, eta, ell0):
+    records = [r for i, it in enumerate(picked) for r in it.records(i)]
+    if not all(r.ok for r in records):
         return None
-    cert = verify_recurrence(query.profiles, d, ks, eta, ell0)
-    if not cert.ok:
-        return None
-    return RecurrenceSolution(d=d, k=tuple(ks), eta=eta, ell0=ell0, certificate=cert)
-
-
-def _profile_passes(p: IterationProfile, d: int, k: int, eta: float, ell0: int) -> bool:
-    if abs(p.mean_index(k) - d) >= eta:
-        return False
-    for ell in range(1, ell0 + 1):
-        up = index_triple(p, k + ell)
-        base = index_triple(p, ell)
-        if up.mu_minus != d + base.mu_minus or up.mu_plus != d + base.mu_plus:
-            return False
-        down = index_triple(p, k - ell)
-        if down.mu_plus != d - base.mu_minus + p.b_correction():
-            return False
-    return True
+    return RecurrenceSolution(d=d, k=tuple(it.k for it in picked), eta=eta, ell0=ell0,
+                              certificate=Certificate(ok=True, records=tuple(records)))
 
 
 @dataclass(frozen=True)
@@ -271,18 +269,16 @@ def convexity_gap_check(profiles: Sequence[IterationProfile],
 
     Requires the convexity hypothesis mu_-(Phi_i) >= m + 2 on every profile.
     """
-    for i, p in enumerate(profiles):
-        mu_minus = index_triple(p, 1).mu_minus
-        if mu_minus < m + 2:
+    ells = np.arange(1, solution.ell0 + 1, dtype=np.int64)
+    # one call per profile: the first iterate, then k - ell for 1 <= ell <= ell0
+    tables = [index_triple(p, np.concatenate([[1], k - ells]))
+              for p, k in zip(profiles, solution.k)]
+    for i, t in enumerate(tables):
+        if t.mu_minus[0] < m + 2:
             raise HypothesisFailed(
-                f"profile {i} has mu_- = {mu_minus} < m + 2 = {m + 2}"
+                f"profile {i} has mu_- = {t.mu_minus[0]} < m + 2 = {m + 2}"
             )
-    rows = []
-    ok = True
-    for i, (p, k) in enumerate(zip(profiles, solution.k)):
-        for ell in range(1, solution.ell0 + 1):
-            mu_plus = index_triple(p, k - ell).mu_plus
-            good = mu_plus <= solution.d - 2
-            rows.append((i, ell, mu_plus, solution.d - 2))
-            ok &= good
-    return GapReport(ok=ok, rows=tuple(rows))
+    rows = tuple((i, ell, mu_plus, solution.d - 2) for i, t in enumerate(tables)
+                 for ell, mu_plus in enumerate(t.mu_plus[1:].tolist(), start=1))
+    return GapReport(ok=all(mu_plus <= solution.d - 2 for _i, _ell, mu_plus, _b in rows),
+                     rows=rows)

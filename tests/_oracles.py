@@ -3,14 +3,16 @@
 These deliberately avoid the library's computation paths: the path index is
 recomputed from crossing contributions, sublevel homology ranks by brute
 force over the two-element field, and derivatives by finite differences.
-The scalar action-calculus loops and the pair-by-pair audit sweep are the
-exception: they are the per-element paths the array code replaced, kept to
-check it bit for bit.
+The scalar index formulas, the per-ell recurrence check, the scalar
+action-calculus loops and the pair-by-pair audit sweep are the exception:
+they are the per-element paths the array code replaced, kept to check it bit
+for bit.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -22,7 +24,10 @@ from reeb_lab.audit import (
     exclusion_certificate,
     j_range,
 )
+from reeb_lab.errors import IterateUnderflow, SupportOutOfRange
 from reeb_lab.hamiltonian import action_from_period
+from reeb_lab.indices import INTEGER_BAND, IndexTriple
+from reeb_lab.recurrence import Certificate, ConditionRecord
 from reeb_lab.symplectic import flow_rotation, standard_form, _expm
 
 
@@ -197,6 +202,115 @@ def random_complex(rng, n_generators: int, degrees=(0, 1, 2)):
             else:
                 boundary.pop(gid)
     return gens, {k: frozenset(v) for k, v in boundary.items()}
+
+
+# ---------------------------------------------------------------------------
+# iterate indices and the recurrence check, one iterate at a time
+# ---------------------------------------------------------------------------
+
+def _is_integer(x, band: float = INTEGER_BAND):
+    """Return (hit, nearest_int) under the guard-band policy."""
+    if isinstance(x, Fraction):
+        return x.denominator == 1, int(x) if x.denominator == 1 else int(math.floor(x))
+    n = round(float(x))
+    return abs(float(x) - n) <= band, int(n)
+
+
+def _times(rho, k: int):
+    return rho * k if isinstance(rho, Fraction) else float(rho) * k
+
+
+def scalar_nu_a(profile, k: int) -> int:
+    """Half the algebraic multiplicity of eigenvalue 1 of the k-th iterate."""
+    hits = sum(1 for rho in profile.elliptic if _is_integer(_times(rho, k))[0])
+    deg = profile.degenerate.m if profile.degenerate is not None else 0
+    return hits + deg
+
+
+def scalar_index_triple(profile, k: int) -> IndexTriple:
+    """Exact (mu_minus, mu_plus, mu_hat) of the k-th iterate in Python ints."""
+    if k < 1:
+        raise ValueError(f"iteration order must be >= 1, got {k}")
+    lo = hi = k * profile.loop_index
+    for rho in profile.elliptic:
+        t = _times(rho, k)
+        hit, n = _is_integer(t)
+        if hit:
+            hi += 2 * n + 1
+            lo += 2 * n - 1
+        else:
+            v = 2 * int(math.floor(t)) + 1
+            hi += v
+            lo += v
+    for h in profile.hyperbolic:
+        lo += k * h
+        hi += k * h
+    if profile.degenerate is not None:
+        d = profile.degenerate
+        hi += d.b0 + d.b_plus + d.nu0
+        lo -= d.b0 + d.b_minus + d.nu0
+    return IndexTriple(mu_minus=lo, mu_plus=hi, mu_hat=profile.mean_index(k))
+
+
+def scalar_support_interval(profile, k: int, n: int) -> tuple:
+    """[mu_minus, mu_plus + 1] of the k-th iterate; SupportOutOfRange when it
+    leaves [mu_hat - n + 1, mu_hat + n] by more than 1e-9."""
+    t = scalar_index_triple(profile, k)
+    lo, hi = t.mu_minus, t.mu_plus + 1
+    if lo < t.mu_hat - n + 1 - 1e-9 or hi > t.mu_hat + n + 1e-9:
+        raise SupportOutOfRange(
+            f"support [{lo}, {hi}] escapes [mu_hat - n + 1, mu_hat + n] at k={k}")
+    return (lo, hi)
+
+
+def scalar_verify_recurrence(profiles, d: int, ks, eta: float, ell0: int) -> Certificate:
+    """R1-R3 and their consequences, one iterate and one record at a time."""
+    profiles = list(profiles)
+    ks = [int(k) for k in ks]
+    if len(ks) != len(profiles):
+        raise ValueError(f"{len(ks)} iteration orders for {len(profiles)} profiles")
+    records = []
+    ok = True
+    for i, (p, k) in enumerate(zip(profiles, ks)):
+        if k - ell0 < 1:
+            raise IterateUnderflow(f"profile {i}: k = {k} <= ell0 = {ell0}")
+        mean_k = p.mean_index(k)
+        r1 = abs(mean_k - d) < eta
+        records.append(ConditionRecord(
+            name=f"R1[{i}]", ok=r1,
+            detail={"mean": mean_k, "d": d, "gap": abs(mean_k - d)}))
+        ok &= r1
+        for ell in range(1, ell0 + 1):
+            up = scalar_index_triple(p, k + ell)
+            base = scalar_index_triple(p, ell)
+            r2 = (up.mu_minus == d + base.mu_minus) and (up.mu_plus == d + base.mu_plus)
+            records.append(ConditionRecord(
+                name=f"R2[{i},{ell}]", ok=r2,
+                detail={"mu_minus": up.mu_minus, "mu_plus": up.mu_plus,
+                        "expected_minus": d + base.mu_minus,
+                        "expected_plus": d + base.mu_plus}))
+            ok &= r2
+            down = scalar_index_triple(p, k - ell)
+            corr = p.b_correction()
+            want = d - base.mu_minus + corr
+            r3 = down.mu_plus == want
+            records.append(ConditionRecord(
+                name=f"R3[{i},{ell}]", ok=r3,
+                detail={"mu_plus": down.mu_plus, "expected": want, "b_corr": corr}))
+            ok &= r3
+            bound = d - base.mu_minus + scalar_nu_a(p, ell)
+            r3b = down.mu_plus <= bound
+            records.append(ConditionRecord(
+                name=f"R3-bound[{i},{ell}]", ok=r3b,
+                detail={"mu_plus": down.mu_plus, "bound": bound}))
+            ok &= r3b
+            if scalar_nu_a(p, ell) == 0 and scalar_nu_a(p, k - ell) == 0:
+                sym = down.mu_plus == d - base.mu_plus
+                records.append(ConditionRecord(
+                    name=f"R3-nondeg[{i},{ell}]", ok=sym,
+                    detail={"mu": down.mu_plus, "expected": d - base.mu_plus}))
+                ok &= sym
+    return Certificate(ok=ok, records=tuple(records))
 
 
 # ---------------------------------------------------------------------------

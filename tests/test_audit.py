@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -7,6 +8,7 @@ from reeb_lab.audit import (
     CASE_FAR,
     CASE_NEAR,
     CASE_SAME,
+    MODES,
     OrbitSystem,
     SystemOrbit,
     _audit_solution,
@@ -29,6 +31,7 @@ from reeb_lab.errors import (
 )
 from reeb_lab.hamiltonian import build_profile, radial_action
 from reeb_lab.indices import IterationProfile
+from reeb_lab.symplectic import WilliamsonInvariants
 from reeb_lab.recurrence import (
     Certificate,
     RecurrenceQuery,
@@ -36,7 +39,7 @@ from reeb_lab.recurrence import (
     recurrence_search,
 )
 
-from _oracles import scalar_audit_solution
+from _oracles import scalar_audit_solution, scalar_index_triple, scalar_nu_a
 
 SQRT2 = math.sqrt(2.0)
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -138,11 +141,61 @@ class TestConstruction:
         with pytest.raises(BadGeometry):
             golden_system(ell0=4)
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_iterate_hypotheses_match_per_ell_loop(self, mode):
+        companions = [
+            IterationProfile(hyperbolic=(3,)),
+            IterationProfile(loop_index=2, elliptic=(Fraction(1, 2),)),
+            IterationProfile(loop_index=2, elliptic=(0.5,)),
+            IterationProfile(loop_index=2, elliptic=(0.3,)),
+            IterationProfile(elliptic=(1.3,)),
+            IterationProfile(hyperbolic=(2,)),
+            IterationProfile(loop_index=2, elliptic=(Fraction(1, 3),)),
+            IterationProfile(elliptic=(Fraction(1),)),
+            IterationProfile(loop_index=2,
+                             degenerate=WilliamsonInvariants.from_counts(b_plus=1)),
+        ]
+        z = SystemOrbit(period=3.0, profile=IterationProfile(hyperbolic=(3,)),
+                        hyperbolic=True, locally_maximal=True)
+        failures = 0
+        for x in companions:
+            orbits = (z, SystemOrbit(period=3.2, profile=x))
+            want = per_ell_hypothesis_failure(mode, orbits, ell0=3, n=2)
+            try:
+                sqrt2_system(orbits=orbits, mode=mode)
+                got = None
+            except HypothesisFailed as exc:
+                got = str(exc)
+            except BadGeometry:
+                got = None
+            assert got == want, x
+            failures += want is not None
+        assert failures >= 3
+
     def test_json_roundtrip(self):
         sys_ = sqrt2_system()
         round_ = OrbitSystem.from_json(sys_.to_json())
         assert round_.derived.to_json() == sys_.derived.to_json()
         assert round_.norm_periods == sys_.norm_periods
+
+
+def per_ell_hypothesis_failure(mode, orbits, ell0, n):
+    """The first failing iterate hypothesis of OrbitSystem, one ell at a time."""
+    for pos, o in enumerate(orbits):
+        if mode == "pseudo_rotation" and o.profile.degenerate is not None:
+            return f"orbit {pos} is degenerate"
+        for ell in range(1, ell0 + 1):
+            mu, nu = scalar_index_triple(o.profile, ell).mu_minus, scalar_nu_a(o.profile, ell)
+            if mode == "pseudo_rotation":
+                if nu > 0:
+                    return f"orbit {pos} iterate {ell} degenerate"
+                if mu < n + 1:
+                    return f"orbit {pos} iterate {ell} breaks dynamical convexity"
+                continue
+            need = 3 + nu if mode == "hyperbolic_lower" else max(3, 2 + nu)
+            if mu < need:
+                return f"orbit {pos} iterate {ell}: mu_- = {mu} < {need}"
+    return None
 
 
 class TestResonance:
@@ -355,6 +408,19 @@ class TestArraySweep:
         for solution in flagship_solutions(system, 10):
             assert (_audit_solution(system, solution).to_json()
                     == scalar_audit_solution(system, solution).to_json())
+
+    def test_degenerate_near_iterates_equal_the_oracle(self):
+        # rho = 1/2: the companion's even iterates are degenerate, so nu_a
+        # enters the recurrence ceilings of its near pairs
+        companion = SystemOrbit(period=3.1, profile=IterationProfile(
+            loop_index=2, elliptic=(Fraction(1, 2),)))
+        system = sqrt2_system(orbits=(sqrt2_system().orbits[0], companion))
+        solutions = flagship_solutions(system, 3)
+        for s in solutions:
+            assert outcome(_audit_solution, system, s) == \
+                outcome(scalar_audit_solution, system, s)
+        near = [r for s in solutions for r in _audit_solution(system, s).near]
+        assert any(r.numbers["l"] == -2 for r in near)
 
     def test_hyperbolic_failure_equals_the_oracle(self):
         system = sqrt2_system()

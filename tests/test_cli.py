@@ -285,6 +285,60 @@ class TestConfigAndErrors:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("name, files, argv, message", [
+        ("complex_without_degree",
+         {"cx.json": {"generators": [{"id": "a", "action": 1.0}], "boundary": {}}},
+         ["barcode", "--complex", "cx.json"], "missing key 'degree'"),
+        ("complex_with_string_id",
+         {"cx.json": {"generators": [{"id": 1, "action": 1.0, "degree": 0}]}},
+         ["barcode", "--complex", "cx.json"], "'id' must be str"),
+        ("boundary_skipping_degrees",
+         {"cx.json": {"generators": [{"id": "a", "action": 0.0, "degree": 0},
+                                     {"id": "b", "action": 1.0, "degree": 3}],
+                      "boundary": {"b": ["a"]}}},
+         ["barcode", "--complex", "cx.json"], "degree must drop by one"),
+        ("k_max_zero", {"p.json": {"elliptic": [0.3]}},
+         ["iterate-indices", "--profile", "p.json", "--k-max", "0"], "k_max must be positive"),
+        ("config_k_max_not_an_int",
+         {"p.json": {"elliptic": [0.3]}, "c.json": {"k_max": "fifty"}},
+         ["iterate-indices", "--profile", "p.json", "--config", "c.json"], "invalid int value"),
+        ("config_k_max_null",
+         {"p.json": {"elliptic": [0.3]}, "c.json": {"k_max": None}},
+         ["iterate-indices", "--profile", "p.json", "--config", "c.json"], "invalid int value"),
+        ("config_switch_not_a_bool", {"c.json": {"tables": "no"}},
+         ["hamiltonian", "--slope", "5", "--r-max", "2", "--config", "c.json"],
+         "'tables' takes true or false"),
+        ("config_names_the_subcommand",
+         {"p.json": {"elliptic": [0.3]}, "c.json": {"command": "williamson"}},
+         ["iterate-indices", "--profile", "p.json", "--config", "c.json"],
+         "unknown config key 'command'"),
+    ])
+    def test_invalid_input_exit_2(self, capsys, tmp_path, name, files, argv, message):
+        for fname, blob in files.items():
+            (tmp_path / fname).write_text(json.dumps(blob))
+        argv = [str(tmp_path / a) if a in files else a for a in argv]
+        code, _, err = run_cli(argv, capsys)
+        assert code == 2 and message in err
+        proc = subprocess.run([sys.executable, "-m", "reeb_lab.cli", *argv],
+                              capture_output=True, text=True)
+        assert proc.returncode == 2 and message in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_config_values_take_the_flag_type(self, capsys, tmp_path):
+        # a JSON string is read as the flag's text would be
+        profile, cfg = tmp_path / "p.json", tmp_path / "c.json"
+        profile.write_text(json.dumps({"elliptic": [0.3]}))
+        cfg.write_text(json.dumps({"k_max": "50"}))
+        out = tmp_path / "t.json"
+        code, stdout, _ = run_cli(["iterate-indices", "--profile", str(profile),
+                                   "--config", str(cfg), "--out", str(out)], capsys)
+        assert code == 0 and "50 iterates" in stdout
+        assert len(json.loads(out.read_text())["rows"]) == 50
+        proc = subprocess.run([sys.executable, "-m", "reeb_lab.cli", "iterate-indices",
+                               "--profile", str(profile), "--config", str(cfg)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0 and "Traceback" not in proc.stderr
+
     def test_deterministic_outputs_byte_identical(self, capsys, tmp_path,
                                                   sqrt2_system_file):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import reeb_lab.ellipsoid as ellipsoid_module
+from reeb_lab.audit import SystemOrbit
 from reeb_lab.ellipsoid import (
     EllipsoidSpec,
     action_spectrum,
@@ -152,8 +153,12 @@ class TestSpectrum:
 
 class TestPseudoRotation:
     def test_sqrt2_instance(self):
-        seed = pseudo_rotation_instance(EllipsoidSpec((1.0, math.sqrt(2.0))), k_max=20)
+        seed = pseudo_rotation_instance(EllipsoidSpec((1.0, math.sqrt(2.0))), k_max=20,
+                                        locally_maximal=2)
         assert len(seed.orbits) == 2
+        assert all(type(o) is SystemOrbit for o in seed.orbits)
+        assert [o.locally_maximal for o in seed.orbits] == [False, True]
+        assert all(o["nondegenerate"] for o in seed.to_json()["orbits"])
         assert seed.convexity.ok
         assert seed.convexity.min_mu_minus == 3
 

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reeb_lab.errors import FiltrationViolation, MalformedGraph, NotADifferential
+from reeb_lab.errors import (
+    FiltrationViolation,
+    MalformedGraph,
+    MalformedInput,
+    NotADifferential,
+)
 from reeb_lab.floergraph import (
     Bar,
     FilteredComplex,
@@ -100,6 +105,41 @@ class TestBarcode:
             FilteredComplex(
                 generators=(("a", 2.0, 0), ("b", 1.0, 1)),
                 boundary={"b": {"a"}})
+
+    def test_degree_must_drop_by_one(self):
+        with pytest.raises(MalformedGraph, match="degree must drop by one"):
+            FilteredComplex(generators=(("a", 0.0, 0), ("b", 1.0, 3)),
+                            boundary={"b": {"a"}})
+
+    @pytest.mark.parametrize("obj", [
+        {"generators": [{"id": "a", "action": 1.0}], "boundary": {}},
+        {"generators": [{"action": 1.0, "degree": 0}]},
+        {"generators": [{"id": "a", "degree": 0}]},
+        {"generators": [{"id": 3, "action": 1.0, "degree": 0}]},
+        {"generators": [{"id": "a", "action": "1.0", "degree": 0}]},
+        {"generators": [{"id": "a", "action": 1.0, "degree": 0.5}]},
+        {"generators": [{"id": "a", "action": 1.0, "degree": True}]},
+        {"generators": ["a"]},
+        {"generators": {"a": 1}},
+        {"boundary": {}},
+        [],
+        {"generators": [{"id": "a", "action": 1.0, "degree": 0}], "boundary": []},
+        {"generators": [{"id": "a", "action": 1.0, "degree": 0}], "boundary": {"a": "b"}},
+        {"generators": [{"id": "a", "action": 1.0, "degree": 0}], "boundary": {"a": [["b"]]}},
+    ])
+    def test_from_json_typed_errors(self, obj):
+        with pytest.raises(MalformedInput):
+            FilteredComplex.from_json(obj)
+
+    def test_from_json_converts_as_the_schema_allows(self):
+        cx = FilteredComplex.from_json({
+            "generators": [{"id": "a", "action": 0, "degree": 0.0},
+                           {"id": "b", "action": 1.5, "degree": 1}],
+            "boundary": {"b": ["a"]}})
+        assert cx.generators == (("a", 0.0, 0), ("b", 1.5, 1))
+        assert [type(v) for v in cx.generators[0]] == [str, float, int]
+        assert cx.boundary == {"b": frozenset({"a"})}
+        assert FilteredComplex.from_json({"generators": [], "boundary": None}).boundary == {}
 
     def test_interleaved_pairs(self):
         # two births then two deaths pairing across each other

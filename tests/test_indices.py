@@ -25,7 +25,14 @@ from reeb_lab.indices import (
 )
 from reeb_lab.symplectic import WilliamsonInvariants, direct_sum, rotation2
 
-from _oracles import crossing_index, flow_path, rotation_index_closed_form
+from _oracles import (
+    crossing_index,
+    flow_path,
+    rotation_index_closed_form,
+    scalar_index_triple,
+    scalar_nu_a,
+    scalar_support_interval,
+)
 
 
 class TestSampledIndex:
@@ -246,15 +253,15 @@ def assert_matches_scalar(profile, ks):
     assert t.mu_minus.dtype == t.mu_plus.dtype == np.int64
     assert t.mu_hat.dtype == np.float64
     for pos, k in enumerate(ks.tolist()):
-        s = index_triple(profile, k)
+        s = scalar_index_triple(profile, k)
         assert (s.mu_minus, s.mu_plus, s.mu_hat) == (
             t.mu_minus[pos], t.mu_plus[pos], t.mu_hat[pos]), k
     return t
 
 
 class TestArrayPath:
-    """The int64-array path of index_triple and support_interval against the
-    int path, element by element and exactly."""
+    """index_triple, support_interval and nu_a on int64 arrays against the
+    scalar formulas kept in _oracles, element by element and exactly."""
 
     @pytest.mark.parametrize("name", sorted(ARRAY_PROFILES))
     def test_index_triple_matches_scalar(self, name):
@@ -268,7 +275,7 @@ class TestArrayPath:
         scalar = []
         for k in ARRAY_KS.tolist():
             try:
-                scalar.append(support_interval(p, k, n))
+                scalar.append(scalar_support_interval(p, k, n))
             except SupportOutOfRange as exc:
                 with pytest.raises(SupportOutOfRange, match=f"^{re.escape(str(exc))}$"):
                     support_interval(p, ARRAY_KS, n)
@@ -303,10 +310,52 @@ class TestArrayPath:
         # mu_hat = 2 - 1.8e-9 leaves mu_+ + 1 = 4 above mu_hat + n + 1e-9
         p = IterationProfile(elliptic=(1.0 / 3.0 - 3e-10,))
         with pytest.raises(SupportOutOfRange) as scalar:
-            support_interval(p, 3, 2)
-        with pytest.raises(SupportOutOfRange) as array:
-            support_interval(p, np.arange(1, 10), 2)
-        assert str(array.value) == str(scalar.value)
+            scalar_support_interval(p, 3, 2)
+        for k in (3, np.arange(1, 10)):
+            with pytest.raises(SupportOutOfRange) as lib:
+                support_interval(p, k, 2)
+            assert str(lib.value) == str(scalar.value)
+
+    @pytest.mark.parametrize("name", sorted(ARRAY_PROFILES))
+    def test_nu_a_matches_scalar(self, name):
+        p = ARRAY_PROFILES[name]
+        ks = ARRAY_KS[:3000]
+        nu = p.nu_a(ks)
+        assert nu.dtype == np.int64
+        assert nu.tolist() == [scalar_nu_a(p, k) for k in ks.tolist()]
+        assert p.is_degenerate(ks).tolist() == [v > 0 for v in nu.tolist()]
+
+    @pytest.mark.parametrize("name", sorted(ARRAY_PROFILES))
+    def test_int_is_an_array_of_length_one(self, name):
+        # an int (or numpy integer) k unwraps to Python ints and a float
+        p = ARRAY_PROFILES[name]
+        for k in (1, 2, 3, 7, np.int64(12), np.int32(999_999)):
+            t = index_triple(p, k)
+            assert [type(v) for v in t] == [int, int, float]
+            assert tuple(t) == tuple(scalar_index_triple(p, int(k)))
+            a = index_triple(p, np.array([k], dtype=np.int64))
+            assert tuple(t) == (a.mu_minus[0], a.mu_plus[0], a.mu_hat[0])
+            nu = p.nu_a(k)
+            assert type(nu) is int and nu == scalar_nu_a(p, int(k))
+            assert type(p.is_degenerate(k)) is bool
+        lo, hi = support_interval(ARRAY_PROFILES["float"], 5, 2)
+        assert (type(lo), type(hi)) == (int, int)
+
+    def test_orders_outside_int64_rejected(self):
+        hyp = ARRAY_PROFILES["hyperbolic"]
+        with pytest.raises(ValueError, match="outside int64"):
+            index_triple(hyp, 2 ** 63)
+        # k fits, but 3k does not: no silent wrap-around
+        for k in (2 ** 62, np.array([1, 2 ** 62], dtype=np.int64)):
+            with pytest.raises(ValueError, match="leave int64"):
+                index_triple(hyp, k)
+        with pytest.raises(ValueError, match="leave int64"):
+            ARRAY_PROFILES["float"].nu_a(2 ** 62)
+        with pytest.raises(ValueError, match="leave int64"):
+            index_triple(IterationProfile(elliptic=(float("nan"),)), 1)
+        with pytest.raises(ValueError, match="got 0"):
+            support_interval(hyp, 0, 2)
+        assert index_triple(hyp, 2 ** 58).mu_minus == 3 * 2 ** 58
 
 
 class TestDynamicalConvexity:
@@ -327,6 +376,33 @@ class TestDynamicalConvexity:
         # weak condition needs mu_- >= 2 + nu_a at the degenerate iterates
         t = index_triple(p, 2)
         assert t.mu_minus >= max(3, 2 + p.nu_a(2)) or not rep.weak_ok
+
+
+def per_k_convexity(orbits, n) -> dict:
+    """check_dynamical_convexity(orbits, n).to_json() by one scalar call per iterate."""
+    witnesses, weak, min_mu = [], [], None
+    for pos, (profile, k_max) in enumerate(orbits):
+        for k in range(1, k_max + 1):
+            mu = scalar_index_triple(profile, k).mu_minus
+            min_mu = mu if min_mu is None else min(min_mu, mu)
+            if mu < n + 1:
+                witnesses.append([pos, k, mu])
+            if mu < max(3, 2 + scalar_nu_a(profile, k)):
+                weak.append([pos, k, mu])
+    return {"ok": not witnesses, "witnesses": witnesses, "weak_ok": not weak,
+            "weak_witnesses": weak, "min_mu_minus": min_mu}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_convexity_witnesses_match_per_k_loop(n):
+    orbits = [(p, 40) for p in ARRAY_PROFILES.values()] + [
+        (IterationProfile(hyperbolic=(2,)), 3),
+        (IterationProfile(loop_index=2, elliptic=(Fraction(1, 2),)), 0),
+        (IterationProfile(loop_index=2, elliptic=(Fraction(1, 2), 1 / math.sqrt(2))), 25),
+    ]
+    rep = check_dynamical_convexity(orbits, n)
+    assert rep.to_json() == per_k_convexity(orbits, n)
+    assert all(type(v) is int for w in rep.witnesses + rep.weak_witnesses for v in w)
 
 
 def test_profile_json_roundtrip():

@@ -5,13 +5,16 @@ import pytest
 
 from reeb_lab.ellipsoid import EllipsoidSpec, ellipsoid_profile
 from reeb_lab.errors import HypothesisFailed, IterateUnderflow
-from reeb_lab.indices import IterationProfile
+from reeb_lab.indices import INTEGER_BAND, IterationProfile
 from reeb_lab.recurrence import (
     RecurrenceQuery,
     convexity_gap_check,
     recurrence_search,
     verify_recurrence,
 )
+from reeb_lab.symplectic import WilliamsonInvariants
+
+from _oracles import scalar_index_triple, scalar_verify_recurrence
 
 SQRT2 = math.sqrt(2.0)
 
@@ -176,3 +179,89 @@ class TestConvexityGap:
             profiles=(p,), eta=0.4, ell0=2, k_bound=100, count=1))
         with pytest.raises(HypothesisFailed):
             convexity_gap_check((p,), res.solutions[0], m=1)
+
+
+def core_ok(p, d, k, eta, ell0) -> bool:
+    """R1-R3 of one profile by the per-ell oracle, without the consequences."""
+    cert = scalar_verify_recurrence([p], d, [k], eta, ell0)
+    return all(r.ok for r in cert.records if r.name.split("[")[0] in ("R1", "R2", "R3"))
+
+
+def assert_solutions_match_oracle(query):
+    """Each certificate equals the per-ell oracle's, and no smaller companion
+    candidate in the R1 window passes R1-R3."""
+    res = recurrence_search(query)
+    assert res.solutions
+    for s in res.solutions:
+        oracle = scalar_verify_recurrence(query.profiles, s.d, s.k, s.eta, s.ell0)
+        assert oracle.ok and s.certificate.to_json() == oracle.to_json()
+        assert verify_recurrence(query.profiles, s.d, s.k, s.eta, s.ell0).to_json() \
+            == oracle.to_json()
+        for p, k in zip(query.profiles[1:], s.k[1:]):
+            mi = p.mean_index(1)
+            window = range(max(s.ell0 + 1, math.floor((s.d - s.eta) / mi)), k)
+            assert not any(core_ok(p, s.d, c, s.eta, s.ell0) for c in window
+                           if abs(c * mi - s.d) < s.eta)
+    return res
+
+
+# the rational entry orders the benchmark's seeds draw from
+RATIONAL_ORDERS = [(a, b) for a in (("2/7", "5/11"), ("5/11", "2/7"))
+                   for b in (("1/5", "3/5"), ("3/5", "1/5"))]
+
+FAILING_PROFILES = {
+    "fraction_hit": IterationProfile(loop_index=2, elliptic=(Fraction(1, 3),)),
+    "band_edge": IterationProfile(loop_index=2, elliptic=(INTEGER_BAND,)),
+    "float_third": IterationProfile(elliptic=(1.0 / 3.0, 0.25)),
+    "degenerate": IterationProfile(loop_index=2, degenerate=WilliamsonInvariants.from_counts(
+        b_plus=1)),
+}
+
+
+class TestCertificateOracle:
+    """Certificates against the per-ell loop kept in _oracles."""
+
+    def test_ellipsoid_scan_solutions(self):
+        spec = EllipsoidSpec((1.0, SQRT2, math.sqrt(3.0)))
+        profiles = tuple(ellipsoid_profile(spec, j) for j in (1, 2, 3))
+        res = assert_solutions_match_oracle(RecurrenceQuery(
+            profiles=profiles, eta=0.001, ell0=4, k_bound=10 ** 7, count=10))
+        assert len(res.solutions) == 4 and res.horizon_exhausted
+
+    @pytest.mark.parametrize("orders", RATIONAL_ORDERS)
+    def test_rational_scan_solutions(self, orders):
+        profiles = tuple(IterationProfile(loop_index=2,
+                                          elliptic=tuple(Fraction(r) for r in entries))
+                         for entries in orders)
+        res = assert_solutions_match_oracle(RecurrenceQuery(
+            profiles=profiles, eta=0.2, ell0=3, k_bound=10 ** 6, count=100))
+        assert len(res.solutions) == 100
+
+    @pytest.mark.parametrize("name", sorted(FAILING_PROFILES))
+    def test_failing_candidates(self, name):
+        p = FAILING_PROFILES[name]
+        outcomes = set()
+        for k in range(4, 40):
+            mean = p.mean_index(k)
+            for d in range(math.floor(mean) - 3, math.ceil(mean) + 4):
+                for ks, profiles in (([k], [p]), ([k, 7], [p, FAILING_PROFILES["degenerate"]])):
+                    cert = verify_recurrence(profiles, d, ks, 0.5, 3)
+                    assert cert.to_json() == \
+                        scalar_verify_recurrence(profiles, d, ks, 0.5, 3).to_json()
+                    outcomes.add(cert.ok)
+        assert False in outcomes
+
+    def test_underflow_raised_as_the_oracle(self):
+        p = FAILING_PROFILES["degenerate"]
+        for check in (verify_recurrence, scalar_verify_recurrence):
+            with pytest.raises(IterateUnderflow, match="profile 1: k = 3 <= ell0 = 3"):
+                check([p, p], 8, [5, 3], 0.5, 3)
+
+    def test_gap_rows_match_scalar_calls(self):
+        profiles = sqrt2_profiles()
+        s = recurrence_search(RecurrenceQuery(profiles=profiles, eta=0.1, ell0=3,
+                                              count=2)).solutions[-1]
+        rep = convexity_gap_check(profiles, s, m=1)
+        assert rep.rows == tuple(
+            (i, ell, scalar_index_triple(p, k - ell).mu_plus, s.d - 2)
+            for i, (p, k) in enumerate(zip(profiles, s.k)) for ell in range(1, 4))
