@@ -46,7 +46,6 @@ from .hamiltonian import (
     homotopy_action_derivative,
     min_level_bound,
     profile_from_json,
-    radial_action,
     transfer_map,
 )
 from .ellipsoid import (

@@ -67,6 +67,8 @@ def _nested(loader, obj, key: str, where: str):
     value = json_field(obj, key, dict, where)
     try:
         return loader(value)
+    except MalformedInput as exc:
+        raise MalformedInput(f"{where}: {exc}") from exc
     except (KeyError, TypeError, AttributeError) as exc:
         raise MalformedInput(f"{where}: malformed {key!r}: "
                              f"{type(exc).__name__}: {exc}") from exc

@@ -29,7 +29,7 @@ from .ellipsoid import (
     pseudo_rotation_instance,
     slope_valid,
 )
-from .errors import AuditError, ReebLabError
+from .errors import AuditError, ReebLabError, json_value
 from .fixedpoint import PlanarMapSample, brouwer_index
 from .floergraph import FilteredComplex, barcode
 from .hamiltonian import (
@@ -184,8 +184,8 @@ def cmd_hamiltonian(args) -> int:
 
 def cmd_recurrence_search(args) -> int:
     if args.profiles:
-        profiles = tuple(IterationProfile.from_json(p)
-                         for p in _load_json(args.profiles))
+        profiles = tuple(IterationProfile.from_json(p) for p in
+                         json_value(_load_json(args.profiles), list, "--profiles"))
     elif args.weights:
         spec = EllipsoidSpec(tuple(float(w) for w in args.weights.split(",")))
         profiles = tuple(ellipsoid_profile(spec, j) for j in range(1, spec.n + 1))

@@ -28,11 +28,15 @@ def json_field(obj, key: str, kind, where: str):
     its value has another JSON type."""
     if not isinstance(obj, dict) or key not in obj:
         raise MalformedInput(f"{where}: missing key {key!r}")
-    value = obj[key]
+    return json_value(obj[key], kind, f"{where}: {key!r}")
+
+
+def json_value(value, kind, what: str):
+    """value converted to kind; MalformedInput naming what when it has
+    another JSON type."""
     if (not isinstance(value, _JSON_TYPES[kind]) or isinstance(value, bool)
             or (kind is int and isinstance(value, float) and not value.is_integer())):
-        raise MalformedInput(f"{where}: {key!r} must be {kind.__name__}, "
-                             f"got {json.dumps(value)}")
+        raise MalformedInput(f"{what} must be {kind.__name__}, got {json.dumps(value)}")
     return kind(value) if kind in (float, int) else value
 
 

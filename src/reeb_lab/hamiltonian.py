@@ -19,7 +19,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -45,6 +45,20 @@ GRID_POINTS = 4096
 _pow = np.float_power
 
 
+def _bisect(f, target, top: float, steps: int):
+    """Midpoint of the bracket [0, top] of an increasing f around target,
+    halved ``steps`` times: a midpoint where f(mid) < target becomes the
+    lower end, any other the upper end.  Elementwise over the target array,
+    with the same midpoints and decisions as one scalar bisection per
+    element."""
+    lo, hi = np.zeros_like(target), np.full_like(target, top)
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        below = f(mid) < target
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
 @dataclass(frozen=True)
 class RadialProfile:
     """Base class; concrete families implement the _piece_* methods on [1, r_max]."""
@@ -63,7 +77,12 @@ class RadialProfile:
         """Linear-piece offset: h(r) = slope * r - c for r >= r_max; equals max A_h."""
         return self.action(self.r_max)
 
-    # -- piece implementations (x = r - 1 in [0, r_max - 1]) -----------------
+    @property
+    def _w(self):
+        """Shell width r_max - 1."""
+        return self.r_max - 1.0
+
+    # -- piece implementations (x = r - 1 in [0, _w]) -------------------------
 
     def _piece_h(self, x):
         raise NotImplementedError
@@ -74,54 +93,36 @@ class RadialProfile:
     def _piece_d2h(self, x):
         raise NotImplementedError
 
-    def _piece_d3h(self, x):
-        raise NotImplementedError
-
     def _piece_dh_inv(self, T):
         raise NotImplementedError
 
     # -- assembled profile ----------------------------------------------------
 
-    def h(self, r):
+    def _on_shell(self, r, masked):
+        """masked(r, x) with x = r - 1 clipped to the shell [0, r_max - 1];
+        a 0-d result unwraps to a float."""
         r = np.asarray(r, dtype=float)
-        w = self.r_max - 1.0
-        x = np.clip(r - 1.0, 0.0, w)
-        core = self.c0 + self._piece_h(x)
-        tail = self._piece_h(w) + self.slope * (r - self.r_max)
-        out = np.where(r >= self.r_max, self.c0 + tail, core)
-        return out if out.ndim else float(out)
+        out = masked(r, np.clip(r - 1.0, 0.0, self._w))
+        return out if np.ndim(out) else float(out)
+
+    def h(self, r):
+        at_r_max = self._piece_h(self._w)
+        return self._on_shell(r, lambda r, x: np.where(
+            r >= self.r_max, self.c0 + (at_r_max + self.slope * (r - self.r_max)),
+            self.c0 + self._piece_h(x)))
 
     def dh(self, r):
-        r = np.asarray(r, dtype=float)
-        w = self.r_max - 1.0
-        x = np.clip(r - 1.0, 0.0, w)
-        out = np.where(r >= self.r_max, self.slope,
-                       np.where(r <= 1.0, 0.0, self._piece_dh(x)))
-        return out if out.ndim else float(out)
+        return self._on_shell(r, lambda r, x: np.where(
+            r >= self.r_max, self.slope, np.where(r <= 1.0, 0.0, self._piece_dh(x))))
 
     def d2h(self, r):
-        r = np.asarray(r, dtype=float)
-        w = self.r_max - 1.0
-        x = np.clip(r - 1.0, 0.0, w)
-        inside = (r > 1.0) & (r < self.r_max)
-        out = np.where(inside, self._piece_d2h(x), 0.0)
-        return out if out.ndim else float(out)
-
-    def d3h(self, r):
-        r = np.asarray(r, dtype=float)
-        w = self.r_max - 1.0
-        x = np.clip(r - 1.0, 0.0, w)
-        inside = (r > 1.0) & (r < self.r_max)
-        out = np.where(inside, self._piece_d3h(x), 0.0)
-        return out if out.ndim else float(out)
+        return self._on_shell(r, lambda r, x: np.where(
+            (r > 1.0) & (r < self.r_max), self._piece_d2h(x), 0.0))
 
     def d2h_shell(self, r):
         """Shell-piece h'' with one-sided boundary values; for bound constants
         that must dominate the supremum over the closed shell."""
-        w = self.r_max - 1.0
-        x = np.clip(np.asarray(r, dtype=float) - 1.0, 0.0, w)
-        out = self._piece_d2h(x)
-        return out if np.ndim(out) else float(out)
+        return self._on_shell(r, lambda r, x: self._piece_d2h(x))
 
     def dh_inv(self, T):
         """Level r in [1, r_max] with h'(r) = T; exact for closed forms."""
@@ -130,6 +131,10 @@ class RadialProfile:
             raise PeriodOutOfRange(
                 f"period outside [0, {self.slope}]: {float(np.max(T)):.6g}"
             )
+        return self._dh_inv(T)
+
+    def _dh_inv(self, T):
+        """dh_inv without the range check, for periods in [0, slope]."""
         out = np.clip(self._piece_dh_inv(np.clip(T, 0.0, self.slope)) + 1.0,
                       1.0, self.r_max)
         return out if out.ndim else float(out)
@@ -152,10 +157,6 @@ class QuadraticProfile(RadialProfile):
     def __post_init__(self):
         object.__setattr__(self, "h_triple_nonneg_up_to", self.r_max)
 
-    @property
-    def _w(self):
-        return self.r_max - 1.0
-
     def _piece_h(self, x):
         return self.slope * x * x / (2.0 * self._w)
 
@@ -164,9 +165,6 @@ class QuadraticProfile(RadialProfile):
 
     def _piece_d2h(self, x):
         return np.full_like(np.asarray(x, dtype=float), self.slope / self._w)
-
-    def _piece_d3h(self, x):
-        return np.zeros_like(np.asarray(x, dtype=float))
 
     def _piece_dh_inv(self, T):
         return np.asarray(T, dtype=float) * self._w / self.slope
@@ -187,10 +185,6 @@ class CubicProfile(RadialProfile):
             raise ConvexityViolation(1.0, self.theta)
         object.__setattr__(self, "h_triple_nonneg_up_to", self.r_max)
 
-    @property
-    def _w(self):
-        return self.r_max - 1.0
-
     def _piece_h(self, x):
         a, w, th = self.slope, self._w, self.theta
         return ((1 - th) * a * _pow(x, 2) / (2 * w)
@@ -203,10 +197,6 @@ class CubicProfile(RadialProfile):
     def _piece_d2h(self, x):
         a, w, th = self.slope, self._w, self.theta
         return (1 - th) * a / w + 2 * th * a * np.asarray(x, dtype=float) / (w * w)
-
-    def _piece_d3h(self, x):
-        a, w, th = self.slope, self._w, self.theta
-        return np.full_like(np.asarray(x, dtype=float), 2 * th * a / (w * w))
 
     def _piece_dh_inv(self, T):
         a, w, th = self.slope, self._w, self.theta
@@ -231,7 +221,7 @@ class ExpProfile(RadialProfile):
 
     @property
     def _den(self):
-        return math.expm1(self.beta * (self.r_max - 1.0))
+        return math.expm1(self.beta * self._w)
 
     def _piece_h(self, x):
         a, b = self.slope, self.beta
@@ -244,10 +234,6 @@ class ExpProfile(RadialProfile):
     def _piece_d2h(self, x):
         a, b = self.slope, self.beta
         return a * b * np.exp(b * np.asarray(x, dtype=float)) / self._den
-
-    def _piece_d3h(self, x):
-        a, b = self.slope, self.beta
-        return a * b * b * np.exp(b * np.asarray(x, dtype=float)) / self._den
 
     def _piece_dh_inv(self, T):
         return np.log1p(np.asarray(T, dtype=float) * self._den / self.slope) / self.beta
@@ -272,9 +258,8 @@ class SplineProfile(RadialProfile):
             raise ConvexityViolation(1.0, -1.0)
         knots = tuple(float(v) for v in self.knots)
         object.__setattr__(self, "knots", knots)
-        w = self.r_max - 1.0
         n = len(knots) - 1
-        dx = w / n
+        dx = self._w / n
         # integrate h'' -> h' and h' -> h at the knot positions
         dh = [0.0]
         for i in range(n):
@@ -312,10 +297,6 @@ class SplineProfile(RadialProfile):
         i, t = self._locate(x)
         return self._k[i] + self._dk[i] * t / self._dx
 
-    def _piece_d3h(self, x):
-        i, _ = self._locate(x)
-        return self._dk[i] / self._dx
-
     def _piece_dh(self, x):
         i, t = self._locate(x)
         return self._dh_knots[i] + self._k[i] * t + self._dk[i] * t * t / (2 * self._dx)
@@ -326,19 +307,12 @@ class SplineProfile(RadialProfile):
                 + self._dk[i] * _pow(t, 3) / (6 * self._dx))
 
     def _piece_dh_inv(self, T):
-        # bracketed bisection on the monotone h', then one Newton polish,
-        # elementwise over the array of targets
+        # bisection on the monotone h', then one Newton polish where h'' > 0
         T = np.asarray(T, dtype=float)
-        w = self.r_max - 1.0
-        lo, hi = np.zeros_like(T), np.full_like(T, w)
-        for _ in range(64):
-            mid = 0.5 * (lo + hi)
-            below = self._piece_dh(mid) < T
-            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
-        x = 0.5 * (lo + hi)
+        x = _bisect(self._piece_dh, T, self._w, 64)
         d2 = self._piece_d2h(x)
         with np.errstate(divide="ignore", invalid="ignore"):
-            polished = np.clip(x - (self._piece_dh(x) - T) / d2, 0.0, w)
+            polished = np.clip(x - (self._piece_dh(x) - T) / d2, 0.0, self._w)
         return np.where(d2 > 0, polished, x)
 
     def to_json(self):
@@ -422,11 +396,6 @@ def _certify(profile: RadialProfile, grid: int):
 # action calculus
 # ---------------------------------------------------------------------------
 
-def radial_action(profile: RadialProfile, r, k: float = 1.0):
-    """k * A_h(r); zero on (0, 1] for semi-admissible profiles."""
-    return profile.action(r, k)
-
-
 def action_from_period(profile: RadialProfile, T, k: float = 1.0) -> tuple:
     """(a_{kH}(T), r) where (k h)'(r) = T.  Requires 0 <= T <= k * slope.
 
@@ -439,7 +408,12 @@ def action_from_period(profile: RadialProfile, T, k: float = 1.0) -> tuple:
         raise PeriodOutOfRange(
             f"T = {float(T[outside].flat[0]):.6g} outside [0, {k * profile.slope:.6g}]"
         )
-    r = profile.dh_inv(np.minimum(T / k, profile.slope))
+    return _action_from_period(profile, T, k)
+
+
+def _action_from_period(profile: RadialProfile, T, k: float) -> tuple:
+    """action_from_period without the range check, for T in [0, k * slope]."""
+    r = profile._dh_inv(np.minimum(T / k, profile.slope))
     return profile.action(r, k), r
 
 
@@ -467,15 +441,15 @@ def action_inverse(profile: RadialProfile, alpha, k: float = 1.0):
         raise ActionOutOfRange(
             f"action {float(alpha[outside].flat[0]):.6g} outside [0, {top:.6g}]"
         )
-    alpha = np.clip(alpha, 0.0, top)
+    return _action_inverse(profile, np.clip(alpha, 0.0, top), k)
+
+
+def _action_inverse(profile: RadialProfile, alpha, k: float):
+    """action_inverse without the checks, for a semi-admissible profile and
+    alpha in [0, k c]."""
     T_max = k * profile.slope
-    lo, hi = np.zeros_like(alpha), np.full_like(alpha, T_max)
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        below = action_from_period(profile, mid, k)[0] < alpha
-        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
-    T = 0.5 * (lo + hi)
-    val, r = action_from_period(profile, T, k)
+    T = _bisect(lambda T: _action_from_period(profile, T, k)[0], alpha, T_max, 80)
+    val, r = _action_from_period(profile, T, k)
     T = np.where(r > 1.0, np.clip(T - (val - alpha) / r, 0.0, T_max), T)
     return T if T.ndim else float(T)
 
@@ -527,8 +501,8 @@ def transfer_map(profile: RadialProfile, k: float, lam: float,
     top = k * profile.c
     if np.any(taus < -1e-12) or np.any(taus > top * (1 + 1e-9)):
         raise ActionOutOfRange(f"tau grid escapes [0, {top:.6g}]")
-    T = action_inverse(profile, np.clip(taus, 0.0, top), k)
-    values = action_from_period(profile, T, k + lam)[0]
+    T = _action_inverse(profile, np.clip(taus, 0.0, top), k)
+    values = _action_from_period(profile, T, k + lam)[0]
     h_top = float(profile.h(profile.r_max))
     upper = float(np.min(taus - values))
     lower = float(np.min(values - (taus - lam * h_top)))
@@ -553,10 +527,7 @@ def homotopy_action_derivative(profile: RadialProfile, k: float, lam: float,
         raise ValueError(f"s = {s} outside [0, 1]")
     if profile.admissible:
         raise PeriodOutOfRange("the derivative identity is normalized for h(1) = 0")
-    ks = k + s * lam
-    if T < 0 or T > ks * profile.slope * (1 + 1e-12):
-        raise PeriodOutOfRange(f"T = {T:.6g} outside the domain of a_F at s = {s}")
-    r = float(profile.dh_inv(min(T / ks, profile.slope)))
+    r = action_from_period(profile, T, k + s * lam)[1]
     return -lam * float(profile.h(r))
 
 
@@ -760,7 +731,6 @@ def check_cylinder_trace(trace: CylinderTrace, profile: RadialProfile, k: float,
 class ActionTables:
     r_rows: list     # (r, h, h', h'', A_h)
     t_rows: list     # (T, a_H(T), r(T))
-    markers: list    # spectrum values covered by [0, slope], if provided
 
     CSV_HEADER = ("table", "x", "h", "dh", "d2h", "A", "level")
 
@@ -772,13 +742,11 @@ class ActionTables:
                 + [("T", T, "", "", "", v, r) for (T, v, r) in self.t_rows])
 
 
-def action_tables(profile: RadialProfile, grid: int = 256,
-                  spectrum: Optional[Sequence[float]] = None) -> ActionTables:
+def action_tables(profile: RadialProfile, grid: int = 256) -> ActionTables:
     rs = np.linspace(1.0, profile.r_max, grid)
     r_rows = list(zip(rs.tolist(), profile.h(rs).tolist(), profile.dh(rs).tolist(),
                       profile.d2h(rs).tolist(), profile.action(rs).tolist()))
     Ts = np.linspace(0.0, profile.slope, grid)
     values, levels = action_from_period(profile, Ts)
     t_rows = list(zip(Ts.tolist(), values.tolist(), levels.tolist()))
-    markers = [float(v) for v in (spectrum or []) if 0.0 <= v <= profile.slope]
-    return ActionTables(r_rows=r_rows, t_rows=t_rows, markers=markers)
+    return ActionTables(r_rows=r_rows, t_rows=t_rows)

@@ -27,9 +27,12 @@ import numpy as np
 from .errors import (
     DegenerateEndpoint,
     DimensionMismatch,
+    MalformedInput,
     PathNotSplittable,
     SamplingTooCoarse,
     SupportOutOfRange,
+    json_field,
+    json_value,
 )
 from .symplectic import WilliamsonInvariants, standard_form
 
@@ -100,14 +103,28 @@ class IterationProfile:
 
     @classmethod
     def from_json(cls, obj: dict) -> "IterationProfile":
-        def dec(r):
-            return Fraction(r) if isinstance(r, str) else float(r)
+        """Raises MalformedInput on a value of the wrong JSON type; a missing
+        key takes its default."""
+        where = "profile"
+        json_value(obj, dict, where)
+
+        def entries(key, entry):
+            values = json_field(obj, key, list, where) if key in obj else []
+            return tuple(entry(v, f"{where}: {key}[{i}]") for i, v in enumerate(values))
+
+        def rotation(r, what):
+            try:
+                return Fraction(r) if isinstance(r, str) else json_value(r, float, what)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise MalformedInput(f"{what} is not a fraction: {r!r}") from exc
+
         deg = obj.get("degenerate")
         return cls(
-            loop_index=int(obj.get("loop_index", 0)),
-            elliptic=tuple(dec(r) for r in obj.get("elliptic", [])),
-            hyperbolic=tuple(int(h) for h in obj.get("hyperbolic", [])),
-            degenerate=WilliamsonInvariants.from_json(deg) if deg else None,
+            loop_index=json_field(obj, "loop_index", int, where) if "loop_index" in obj else 0,
+            elliptic=entries("elliptic", rotation),
+            hyperbolic=entries("hyperbolic", lambda h, what: json_value(h, int, what)),
+            degenerate=None if deg is None else WilliamsonInvariants.from_json(
+                json_field(obj, "degenerate", dict, where)),
         )
 
 
@@ -245,15 +262,16 @@ def check_dynamical_convexity(orbits: Sequence[tuple], n: int) -> ConvexityRepor
     """Check mu_-(x^k) >= n + 1 for every (profile, k_max) pair given.
 
     Also evaluates the weaker threshold mu_- >= max(3, 2 + nu_a) per iterate,
-    reported separately.
+    reported separately.  A k_max below 1 raises ValueError: it would check
+    no iterate at all.
     """
     witnesses = []
     weak_witnesses = []
     min_mu = None
     for pos, (profile, k_max) in enumerate(orbits):
+        if k_max < 1:
+            raise ValueError(f"k_max must be at least 1, got {k_max} for orbit {pos}")
         ks = np.arange(1, int(k_max) + 1, dtype=np.int64)
-        if not ks.size:
-            continue
         mu = index_triple(profile, ks).mu_minus
         low = int(mu.min())
         min_mu = low if min_mu is None else min(min_mu, low)

@@ -31,6 +31,7 @@ from .errors import (
     NotUnipotent,
     OddDimension,
     UnresolvedNormalForm,
+    json_field,
 )
 
 DEFAULT_TOL = 1e-9
@@ -327,9 +328,10 @@ class WilliamsonInvariants:
 
     @classmethod
     def from_json(cls, obj: dict) -> "WilliamsonInvariants":
-        return cls(nu0=int(obj["nu0"]), b0=int(obj["b0"]),
-                   b_plus=int(obj["b_plus"]), b_minus=int(obj["b_minus"]),
-                   nu_g=int(obj["nu_g"]), nu_a=int(obj["nu_a"]), m=int(obj["m"]))
+        """Raises MalformedInput on a missing key or a value that is not an
+        integer."""
+        return cls(**{key: json_field(obj, key, int, "williamson invariants")
+                      for key in ("nu0", "b0", "b_plus", "b_minus", "nu_g", "nu_a", "m")})
 
     @classmethod
     def from_counts(cls, nu0: int = 0, b0: int = 0, b_plus: int = 0,

@@ -22,7 +22,6 @@ from reeb_lab.hamiltonian import (
     build_profile,
     check_action_ratio_monotone,
     homotopy_action_derivative,
-    radial_action,
     spline_slope,
     transfer_map,
 )
@@ -120,7 +119,7 @@ def test_criterion_04_action_function_identities():
         for family, params in FAMILIES:
             p = build_profile(family, slope=5.0, r_max=2.0, **params)
             rs = np.linspace(1.0, p.r_max, 4096)
-            A = radial_action(p, rs)
+            A = p.action(rs)
             assert np.all(np.diff(A) >= -1e-12 * p.c)
             assert A[-1] == pytest.approx(p.c, rel=1e-12)
             assert p.c >= p.slope

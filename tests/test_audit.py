@@ -29,7 +29,7 @@ from reeb_lab.errors import (
     ShellMarginNotFound,
     SupportOutOfRange,
 )
-from reeb_lab.hamiltonian import build_profile, radial_action
+from reeb_lab.hamiltonian import build_profile
 from reeb_lab.indices import IterationProfile
 from reeb_lab.symplectic import WilliamsonInvariants
 from reeb_lab.recurrence import (
@@ -312,8 +312,8 @@ class TestCertificates:
             j = self.sol.k[i]
             r = exclusion_certificate(self.sys, self.sol, i, j)
             level = float(H.dh_inv(j * self.sys.norm_periods[i] / k))
-            direct = abs(radial_action(H, level, k=k) -
-                         radial_action(H, self.sys.derived.r_star, k=k))
+            direct = abs(H.action(level, k=k) -
+                         H.action(self.sys.derived.r_star, k=k))
             assert direct == pytest.approx(r.numbers["action_gap"], rel=1e-12)
             assert direct >= r.numbers["lower_bound"] - 1e-9
 

@@ -312,6 +312,23 @@ class TestConfigAndErrors:
          {"p.json": {"elliptic": [0.3]}, "c.json": {"command": "williamson"}},
          ["iterate-indices", "--profile", "p.json", "--config", "c.json"],
          "unknown config key 'command'"),
+        ("profile_with_null_angle", {"p.json": {"elliptic": [None]}},
+         ["iterate-indices", "--profile", "p.json"], "elliptic[0] must be float, got null"),
+        ("profiles_not_a_list", {"p.json": {"elliptic": [0.3]}},
+         ["recurrence-search", "--profiles", "p.json", "--eta", "0.5", "--ell0", "2"],
+         "--profiles must be list"),
+        ("degenerate_without_counts", {"p.json": {"degenerate": {"nu0": 1}}},
+         ["iterate-indices", "--profile", "p.json"], "missing key 'b0'"),
+        ("elliptic_not_a_list", {"p.json": {"elliptic": "12"}},
+         ["iterate-indices", "--profile", "p.json"], "'elliptic' must be list"),
+        ("hyperbolic_not_an_int", {"p.json": {"hyperbolic": [1.5]}},
+         ["iterate-indices", "--profile", "p.json"], "hyperbolic[0] must be int, got 1.5"),
+        ("convexity_k_max_zero", {},
+         ["ellipsoid", "--weights", "1,1.41421356", "--convexity", "--k-max", "0"],
+         "k_max must be at least 1"),
+        ("convexity_k_max_negative", {},
+         ["ellipsoid", "--weights", "1,1.41421356", "--convexity", "--k-max", "-3"],
+         "k_max must be at least 1"),
     ])
     def test_invalid_input_exit_2(self, capsys, tmp_path, name, files, argv, message):
         for fname, blob in files.items():

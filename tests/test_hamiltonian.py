@@ -30,7 +30,6 @@ from reeb_lab.hamiltonian import (
     homotopy_action_derivative,
     min_level_bound,
     profile_from_json,
-    radial_action,
     spline_slope,
     transfer_map,
 )
@@ -61,7 +60,6 @@ class TestBuild:
         p = make("quadratic", slope=4.0, r_max=3.0)
         # c = a (r_max + 1) / 2 for the quadratic family
         assert p.c == pytest.approx(4.0 * (3.0 + 1.0) / 2.0)
-        assert float(p.d3h(2.0)) == 0.0
 
     def test_spline_roundtrip_and_certified_region(self):
         knots = (0.5, 1.0, 2.0, 1.5)   # h''' flips sign on the last piece
@@ -90,27 +88,27 @@ class TestBuild:
 
 class TestRadialAction:
     def test_zero_at_one_semiadmissible(self):
-        assert radial_action(make(), 1.0) == 0.0
-        assert radial_action(make(), 0.5) == 0.0
+        assert make().action(1.0) == 0.0
+        assert make().action(0.5) == 0.0
 
     def test_constant_beyond_r_max(self):
         p = make()
-        assert radial_action(p, p.r_max) == pytest.approx(p.c)
-        assert radial_action(p, p.r_max + 5.0) == pytest.approx(p.c)
+        assert p.action(p.r_max) == pytest.approx(p.c)
+        assert p.action(p.r_max + 5.0) == pytest.approx(p.c)
         assert p.c >= p.slope
 
     @pytest.mark.parametrize("family,params", FAMILIES)
     def test_matches_symbolic_difference(self, family, params):
         p = make(family, **params)
         for r in np.linspace(1.1, p.r_max - 0.1, 7):
-            assert radial_action(p, r) == pytest.approx(
+            assert p.action(r) == pytest.approx(
                 r * float(p.dh(r)) - float(p.h(r)), rel=1e-12)
 
     @pytest.mark.parametrize("family,params", FAMILIES)
     def test_monotone_with_derivative_r_h2(self, family, params):
         p = make(family, **params)
         rs = np.linspace(1.0, p.r_max, 4096)
-        A = radial_action(p, rs)
+        A = p.action(rs)
         assert np.all(np.diff(A) >= -1e-12 * p.c)
         mid = 0.5 * (rs[1:] + rs[:-1])
         expect = mid * p.d2h(mid)
@@ -120,7 +118,7 @@ class TestRadialAction:
     def test_scaling_identities(self):
         p = make()
         rs = np.linspace(1.0, p.r_max, 50)
-        assert np.allclose(radial_action(p, rs, k=3.0), 3.0 * radial_action(p, rs))
+        assert np.allclose(p.action(rs, k=3.0), 3.0 * p.action(rs))
         for T in np.linspace(0.0, 3.0 * p.slope, 11):
             v, _ = action_from_period(p, T, k=3.0)
             w, _ = action_from_period(p, T / 3.0)
@@ -287,6 +285,65 @@ class TestArrayPath:
         p = array_profile(name)
         targets = np.random.default_rng(57).uniform(0.0, p.slope, 40)
         assert p._piece_dh_inv(targets).tolist() == scalar_spline_dh_inv(p, targets).tolist()
+
+
+RANGE_PROFILES = {
+    "semi": lambda: make(),
+    "admissible": lambda: make(c0=-1.0),
+    "spline": lambda: make("spline", slope=spline_slope((1.0, 2.0, 3.0), 2.0),
+                           knots=(1.0, 2.0, 3.0)),
+}
+
+
+@pytest.mark.parametrize("profile, call, error, message", [
+    ("semi", lambda p: p.dh_inv(-1.0), PeriodOutOfRange, "period outside [0, 5.0]: -1"),
+    ("semi", lambda p: p.dh_inv(5.1), PeriodOutOfRange, "period outside [0, 5.0]: 5.1"),
+    ("semi", lambda p: p.dh_inv(np.array([0.1, 6.0, -3.0])), PeriodOutOfRange,
+     "period outside [0, 5.0]: 6"),
+    ("spline", lambda p: p.dh_inv(2.5), PeriodOutOfRange, "period outside [0, 2.0]: 2.5"),
+    ("semi", lambda p: action_from_period(p, -0.1), PeriodOutOfRange,
+     "T = -0.1 outside [0, 5]"),
+    ("semi", lambda p: action_from_period(p, 10.5, 2.0), PeriodOutOfRange,
+     "T = 10.5 outside [0, 10]"),
+    ("semi", lambda p: action_from_period(p, [1.0, -2.0, 20.0]), PeriodOutOfRange,
+     "T = -2 outside [0, 5]"),
+    ("admissible", lambda p: action_from_period(p, 6.0), PeriodOutOfRange,
+     "T = 6 outside [0, 5]"),
+    ("semi", lambda p: action_inverse(p, -1.0), ActionOutOfRange,
+     "action -1 outside [0, 7.5]"),
+    ("semi", lambda p: action_inverse(p, [0.0, 16.0], 2.0), ActionOutOfRange,
+     "action 16 outside [0, 15]"),
+    ("spline", lambda p: action_inverse(p, 5.0), ActionOutOfRange,
+     "action 5 outside [0, 3.16667]"),
+    ("admissible", lambda p: action_inverse(p, 0.0), ActionOutOfRange,
+     "action inversion is normalized for semi-admissible profiles; "
+     "shift the profile by its constant first"),
+    ("semi", lambda p: transfer_map(p, 2.0, 1.0, [-1.0]), ActionOutOfRange,
+     "tau grid escapes [0, 15]"),
+    ("semi", lambda p: transfer_map(p, 2.0, 1.0, [0.0, 16.0]), ActionOutOfRange,
+     "tau grid escapes [0, 15]"),
+    ("semi", lambda p: transfer_map(p, 0.5, 1.0, [0.0]), ValueError,
+     "need k >= 1 and lam > 0"),
+    ("semi", lambda p: transfer_map(p, 2.0, 0.0, [0.0]), ValueError,
+     "need k >= 1 and lam > 0"),
+    ("admissible", lambda p: transfer_map(p, 2.0, 1.0, [0.0]), ActionOutOfRange,
+     "the transfer sandwich is stated for semi-admissible profiles"),
+    ("semi", lambda p: homotopy_action_derivative(p, 1.0, 1.0, 1.5, 0.0), ValueError,
+     "s = 1.5 outside [0, 1]"),
+    ("admissible", lambda p: homotopy_action_derivative(p, 1.0, 1.0, 0.5, 0.0),
+     PeriodOutOfRange, "the derivative identity is normalized for h(1) = 0"),
+    # the period range of a_F at s is action_from_period's at k + s lam
+    ("semi", lambda p: homotopy_action_derivative(p, 1.0, 1.0, 0.0, 6.0),
+     PeriodOutOfRange, "T = 6 outside [0, 5]"),
+    ("semi", lambda p: homotopy_action_derivative(p, 1.0, 1.0, 0.5, -0.5),
+     PeriodOutOfRange, "T = -0.5 outside [0, 7.5]"),
+    ("semi", lambda p: homotopy_action_derivative(p, 2.0, 2.0, 1.0, 20.5),
+     PeriodOutOfRange, "T = 20.5 outside [0, 20]"),
+])
+def test_out_of_range_inputs(profile, call, error, message):
+    with pytest.raises(error) as err:
+        call(RANGE_PROFILES[profile]())
+    assert str(err.value) == message
 
 
 class TestHomotopyDerivative:

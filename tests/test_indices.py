@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from reeb_lab.errors import (
     DegenerateEndpoint,
     DimensionMismatch,
+    MalformedInput,
     SamplingTooCoarse,
     SupportOutOfRange,
 )
@@ -368,6 +369,12 @@ class TestDynamicalConvexity:
         rep = check_dynamical_convexity([], n=3)
         assert rep.ok and rep.weak_ok and rep.min_mu_minus is None
 
+    @pytest.mark.parametrize("k_max", [0, -3])
+    def test_no_iterates_rejected(self, k_max):
+        with pytest.raises(ValueError, match="k_max must be at least 1"):
+            check_dynamical_convexity([(IterationProfile(hyperbolic=(4,)), 3),
+                                       (IterationProfile(hyperbolic=(4,)), k_max)], n=3)
+
     def test_weak_flag_uses_nu_a(self):
         # rational elliptic angle: iterate 2 is degenerate, nu_a jumps
         p = IterationProfile(loop_index=2, elliptic=(Fraction(1, 2),))
@@ -397,7 +404,6 @@ def per_k_convexity(orbits, n) -> dict:
 def test_convexity_witnesses_match_per_k_loop(n):
     orbits = [(p, 40) for p in ARRAY_PROFILES.values()] + [
         (IterationProfile(hyperbolic=(2,)), 3),
-        (IterationProfile(loop_index=2, elliptic=(Fraction(1, 2),)), 0),
         (IterationProfile(loop_index=2, elliptic=(Fraction(1, 2), 1 / math.sqrt(2))), 25),
     ]
     rep = check_dynamical_convexity(orbits, n)
@@ -413,3 +419,31 @@ def test_profile_json_roundtrip():
     assert q.loop_index == 2
     assert q.elliptic[1] == Fraction(1, 3)
     assert q.degenerate.b_plus == 1
+
+
+@pytest.mark.parametrize("blob", [
+    [0.3],
+    {"loop_index": None},
+    {"loop_index": 2.5},
+    {"elliptic": [True]},
+    {"elliptic": ["1/0"]},
+    {"elliptic": ["a third"]},
+    {"elliptic": [[0.3]]},
+    {"hyperbolic": "3"},
+    {"hyperbolic": [True]},
+    {"degenerate": 5},
+    {"degenerate": {}},
+    {"degenerate": {**WilliamsonInvariants.from_counts(b_plus=1).to_json(), "m": "1"}},
+])
+def test_profile_from_json_typed_errors(blob):
+    with pytest.raises(MalformedInput):
+        IterationProfile.from_json(blob)
+
+
+def test_profile_from_json_converts_as_the_schema_allows():
+    p = IterationProfile.from_json({"loop_index": 2.0, "elliptic": [1, "-1/3"],
+                                    "hyperbolic": [3.0], "degenerate": None})
+    assert p == IterationProfile(loop_index=2, elliptic=(1.0, Fraction(-1, 3)),
+                                 hyperbolic=(3,))
+    assert type(p.loop_index) is int and type(p.elliptic[0]) is float
+    assert IterationProfile.from_json({}) == IterationProfile()
