@@ -171,8 +171,8 @@ class OrbitSystem:
                     f"ell0 = {self.ell0} <= (n+3)/min mean = {floor_needed:.6g}"
                 )
             for pos, o in enumerate(self.orbits):
-                mu = index_triple(o.profile, ells).mu_minus
-                nu = o.profile.nu_a(ells)
+                t = index_triple(o.profile, ells)
+                mu, nu = t.mu_minus, t.nu_a
                 need = 3 + nu if self.mode == "hyperbolic_lower" else np.maximum(3, 2 + nu)
                 if (mu < need).any():
                     e = int(np.argmax(mu < need))
@@ -186,8 +186,9 @@ class OrbitSystem:
             for pos, o in enumerate(self.orbits):
                 if o.profile.degenerate is not None:
                     raise HypothesisFailed(f"orbit {pos} is degenerate")
-                degenerate = o.profile.is_degenerate(ells)
-                bad = degenerate | (index_triple(o.profile, ells).mu_minus < self.n + 1)
+                t = index_triple(o.profile, ells)
+                degenerate = t.nu_a > 0
+                bad = degenerate | (t.mu_minus < self.n + 1)
                 if bad.any():
                     e = int(np.argmax(bad))
                     what = "degenerate" if degenerate[e] else "breaks dynamical convexity"
@@ -425,8 +426,10 @@ def _certify(system: OrbitSystem, solution: RecurrenceSolution, i: int, j: int,
             {"i": i, "j": j, "support": [lo, hi], "protected": protected,
              "case": case, "d": solution.d})
     l = j - solution.k[i]
-    base = () if case == CASE_FAR else (index_triple(profile, abs(l)).mu_minus,
-                                        profile.nu_a(abs(l)))
+    base = ()
+    if case != CASE_FAR:
+        t = index_triple(profile, abs(l))
+        base = (t.mu_minus, t.nu_a)
     return ExclusionReason(kind="index-gap", case=case, i=i, j=j, numbers=_index_gap_numbers(
         solution.d, l, lo, hi, gap, protected, which, *base))
 
@@ -641,8 +644,8 @@ def _audit_solution(system: OrbitSystem, solution: RecurrenceSolution) -> Soluti
         bad = np.flatnonzero(escaped | (gaps < 2))
         fail = int(js[bad[0]]) if bad.size else None
         if reach:
-            base = index_triple(orbit.profile, ells).mu_minus
-            nu = orbit.profile.nu_a(ells)
+            t = index_triple(orbit.profile, ells)
+            base, nu = t.mu_minus, t.nu_a
         for j in range(max(1, centre - reach), min(top, centre + reach) + 1):
             if fail is not None and fail <= j:
                 break

@@ -94,18 +94,8 @@ class EllipsoidSpec:
             for j in range(1, self.n + 1) for i in range(1, self.n + 1) if i != j
         )
 
-    @property
-    def rationality_capped(self) -> bool:
-        """True when some ratio exhausted the denominator cap (verdict is soft)."""
-        return any(detect_rational(a / b) == (None, True) for j, a in enumerate(self.weights)
-                   for i, b in enumerate(self.weights) if i != j)
-
     def to_json(self) -> dict:
         return {"weights": list(self.weights), "convention": CONVENTION}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "EllipsoidSpec":
-        return cls(weights=tuple(obj["weights"]))
 
 
 def ellipsoid_periods(spec: EllipsoidSpec) -> list:

@@ -74,13 +74,10 @@ class IterationProfile:
     def nu_a(self, k=1):
         """Half the algebraic multiplicity of eigenvalue 1 of the k-th iterate.
 
-        k is an int, or an int64 array of iteration orders that gives an array.
+        k is an int, or an int64 array of iteration orders that gives an array;
+        the value is the one index_triple reports.
         """
-        ks = _orders(self, k)
-        nu = np.full(ks.shape, self.degenerate.m if self.degenerate is not None else 0)
-        for rho in self.elliptic:
-            nu += _floor_hits(rho, ks)[1]
-        return nu if isinstance(k, np.ndarray) else int(nu[0])
+        return index_triple(self, k).nu_a
 
     def is_degenerate(self, k=1):
         return self.nu_a(k) > 0
@@ -131,11 +128,14 @@ class IterationProfile:
 @dataclass(frozen=True)
 class IndexTriple:
     """Indices of one iterate, or int64 / float64 arrays of them when the
-    iteration order was given as an array."""
+    iteration order was given as an array.  nu_a, half the algebraic
+    multiplicity of eigenvalue 1, comes from the same pass; iterating yields
+    the three indices only."""
 
     mu_minus: int
     mu_plus: int
     mu_hat: float
+    nu_a: int
 
     def __iter__(self):
         return iter((self.mu_minus, self.mu_plus, self.mu_hat))
@@ -154,21 +154,23 @@ def index_triple(profile: IterationProfile, k) -> IndexTriple:
     """
     ks = _orders(profile, k)
     hi = ks * (profile.loop_index + sum(profile.hyperbolic)) + len(profile.elliptic)
-    hits = 0
+    hits = np.zeros(ks.shape, dtype=np.int64)
     for rho in profile.elliptic:
         n, hit = _floor_hits(rho, ks)
         # 2n + 1 each, and an integer k*rho = n splits into 2n - 1 and 2n + 1
         hi += 2 * n
-        hits = hits + hit
+        hits += hit
     lo = hi - 2 * hits
     if profile.degenerate is not None:
         d = profile.degenerate
         hi += d.b0 + d.b_plus + d.nu0
         lo -= d.b0 + d.b_minus + d.nu0
+        hits += d.m
     mu_hat = profile.mean_index(ks)
     if isinstance(k, np.ndarray):
-        return IndexTriple(mu_minus=lo, mu_plus=hi, mu_hat=mu_hat)
-    return IndexTriple(mu_minus=int(lo[0]), mu_plus=int(hi[0]), mu_hat=float(mu_hat[0]))
+        return IndexTriple(mu_minus=lo, mu_plus=hi, mu_hat=mu_hat, nu_a=hits)
+    return IndexTriple(mu_minus=int(lo[0]), mu_plus=int(hi[0]), mu_hat=float(mu_hat[0]),
+                       nu_a=int(hits[0]))
 
 
 def _orders(profile: IterationProfile, k) -> np.ndarray:
@@ -184,12 +186,18 @@ def _orders(profile: IterationProfile, k) -> np.ndarray:
     if ks.size:
         if ks.min() < 1:
             raise ValueError(f"iteration order must be >= 1, got {int(ks[np.argmax(ks < 1)])}")
-        # every index and every floor(k rho) is at most k * growth in size
-        growth = (abs(profile.loop_index) + sum(map(abs, profile.hyperbolic)) + 2 * profile.dim_half
-                  + sum(2.0 * abs(float(rho)) for rho in profile.elliptic))
-        if not int(ks.max()) * growth < 2 ** 62:
+        if not _fits_int64(profile, int(ks.max())):
             raise ValueError(f"indices of iterate {int(ks.max())} leave int64")
     return ks
+
+
+def _fits_int64(profile: IterationProfile, k: int) -> bool:
+    """Whether the indices of iterates 1..k stay inside int64 (index_triple
+    raises ValueError beyond); False for a NaN rotation number."""
+    # every index and every floor(k rho) is at most k * growth in size
+    growth = (abs(profile.loop_index) + sum(map(abs, profile.hyperbolic)) + 2 * profile.dim_half
+              + sum(2.0 * abs(float(rho)) for rho in profile.elliptic))
+    return k * growth < 2 ** 62
 
 
 def _floor_hits(rho, k: np.ndarray) -> tuple:
@@ -272,11 +280,12 @@ def check_dynamical_convexity(orbits: Sequence[tuple], n: int) -> ConvexityRepor
         if k_max < 1:
             raise ValueError(f"k_max must be at least 1, got {k_max} for orbit {pos}")
         ks = np.arange(1, int(k_max) + 1, dtype=np.int64)
-        mu = index_triple(profile, ks).mu_minus
+        t = index_triple(profile, ks)
+        mu = t.mu_minus
         low = int(mu.min())
         min_mu = low if min_mu is None else min(min_mu, low)
         for out, bad in ((witnesses, mu < n + 1),
-                         (weak_witnesses, mu < np.maximum(3, 2 + profile.nu_a(ks)))):
+                         (weak_witnesses, mu < np.maximum(3, 2 + t.nu_a))):
             out += [(pos, k, m) for k, m in zip(ks[bad].tolist(), mu[bad].tolist())]
     return ConvexityReport(
         ok=not witnesses,

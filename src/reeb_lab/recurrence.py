@@ -7,25 +7,50 @@ pairs (d, k_i) with
   R2:  mu_pm(Phi_i^{k_i + l}) = d + mu_pm(Phi_i^l),        1 <= l <= l0,
   R3:  mu_+(Phi_i^{k_i - l}) = d - mu_-(Phi_i^l) + (b_+ - b_-)(Phi_i^l),
 
-with d and all k_i divisible by a given N.  The searcher scans k_0 in
-multiples of N (numpy-vectorized prefilters, exact verification on the
-survivors), proposes d as the nearest multiple of N to k_0 * mean(Phi_0),
-and locates the companion k_i in the unique window R1 allows.  An empty
+with d and all k_i divisible by a given N.  R1 for profile 0 is a
+Dirichlet-type return: with k_0 = N j, alpha = mean(Phi_0) and w = eta / N
+it asks for ||j alpha|| < w, the distance to the nearest integer.  This is
+the simultaneous approximation behind the common index jump theorem of Long
+& Zhu, Ann. of Math. 155 (2002) 317-368.
+
+The searcher enumerates these returns instead of testing every k_0.  Take
+a continued-fraction convergent p/Q of the fractional part of alpha
+(Khinchin, *Continued Fractions*).  Along each residue class j = r + tQ, the
+fractional part of j alpha moves by the fixed drift delta = Q alpha - p per
+step of t, so the t that return to the window near each integer form an
+interval.  This is the residue-class structure behind the three-distance
+theorem (Sos 1958; Swierczkowski 1959).  One numpy pass over the Q classes
+emits every interval.  The window is widened by a slack that bounds the
+float error of the enumeration and of the R1 test, so every k_0 that passes
+R1 is enumerated.  Each enumerated k_0 is then re-tested with that test's
+own float expressions.
+
+On the survivors the searcher proposes d as the nearest multiple of N to
+k_0 * mean(Phi_0), checks R1-R3 for profile 0 in one index call per batch,
+and locates each companion k_i in the unique window R1 allows.  An empty
 result therefore certifies that no solution exists below the horizon; a
 soft flag marks horizons exhausted before the requested solution count.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import HypothesisFailed, IterateUnderflow
-from .indices import IterationProfile, index_triple
+from .indices import IterationProfile, _fits_int64, index_triple
 
+#: scanned_up_to reports the horizon in chunks of this many multiples of N
 _CHUNK = 1 << 16
+#: the first block of j; each next block doubles, up to _BLOCK_MAX and to
+#: about _CHUNK expected R1 candidates
+_BLOCK = 1 << 11
+_BLOCK_MAX = 1 << 30
+_INT64_MAX = 2 ** 63 - 1
 
 
 @dataclass(frozen=True)
@@ -42,12 +67,14 @@ class RecurrenceQuery:
         if not self.profiles:
             raise ValueError("need at least one profile")
         for i, p in enumerate(self.profiles):
-            if p.mean_index(1) <= 0:
-                raise HypothesisFailed(
-                    f"profile {i} has mean index {p.mean_index(1):.6g} <= 0"
-                )
-        if self.eta <= 0 or self.ell0 < 1 or self.n_divisor < 1 or self.count < 1:
-            raise ValueError("eta > 0, ell0 >= 1, divisor >= 1, count >= 1 required")
+            mean = p.mean_index(1)
+            if not math.isfinite(mean):
+                raise ValueError(f"profile {i} has mean index {mean}")
+            if mean <= 0:
+                raise HypothesisFailed(f"profile {i} has mean index {mean:.6g} <= 0")
+        if (not 0 < self.eta < math.inf or self.ell0 < 1 or self.n_divisor < 1
+                or self.count < 1):
+            raise ValueError("finite eta > 0, ell0 >= 1, divisor >= 1, count >= 1 required")
 
     def to_json(self) -> dict:
         return {
@@ -55,16 +82,6 @@ class RecurrenceQuery:
             "eta": self.eta, "ell0": self.ell0, "n_divisor": self.n_divisor,
             "k_bound": self.k_bound, "count": self.count,
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "RecurrenceQuery":
-        return cls(
-            profiles=tuple(IterationProfile.from_json(p) for p in obj["profiles"]),
-            eta=float(obj["eta"]), ell0=int(obj["ell0"]),
-            n_divisor=int(obj.get("n_divisor", 1)),
-            k_bound=int(obj.get("k_bound", 10 ** 6)),
-            count=int(obj.get("count", 3)),
-        )
 
 
 @dataclass(frozen=True)
@@ -110,44 +127,55 @@ def verify_recurrence(profiles: Sequence[IterationProfile], d: int,
     for i, (p, k) in enumerate(zip(profiles, ks)):
         if k - ell0 < 1:
             raise IterateUnderflow(f"profile {i}: k = {k} <= ell0 = {ell0}")
-        records += _Iterates(p, d, k, eta, ell0).records(i)
+        records += _Iterates(p, _one(d), _one(k), eta, ell0).records(i)
     return Certificate(ok=all(r.ok for r in records), records=tuple(records))
 
 
-class _Iterates:
-    """R1-R3 of one profile at (d, k), read from one index_triple call over
-    the iterates ell, k + ell and k - ell for 1 <= ell <= ell0."""
+def _one(n: int) -> np.ndarray:
+    return np.array([n], dtype=np.int64)
 
-    def __init__(self, p: IterationProfile, d: int, k: int, eta: float, ell0: int):
+
+class _Iterates:
+    """R1-R3 of one profile at candidate pairs (d[c], k[c]), int64 arrays of
+    one length, read from one index_triple call over the iterates ell, then
+    k + ell and k - ell of every candidate, for 1 <= ell <= ell0."""
+
+    def __init__(self, p: IterationProfile, d: np.ndarray, k: np.ndarray, eta: float,
+                 ell0: int):
         self.p, self.d, self.k, self.ell0 = p, d, k, ell0
         ells = np.arange(1, ell0 + 1, dtype=np.int64)
-        self.orders = np.concatenate([ells, k + ells, k - ells])
-        t = index_triple(p, self.orders)
-        # rows: the iterates ell (base), k + ell (up) and k - ell (down)
-        self.lo = t.mu_minus.reshape(3, ell0)
-        self.hi = t.mu_plus.reshape(3, ell0)
+        t = index_triple(p, np.concatenate(
+            [ells, (k[:, None] + ells).ravel(), (k[:, None] - ells).ravel()]))
+
+        def rows(a):
+            # the iterates ell (base, shared), then per candidate k + ell (up)
+            # and k - ell (down)
+            return (a[:ell0],) + tuple(a[ell0:].reshape(2, k.size, ell0))
+
+        self.lo, self.hi, self.nu = rows(t.mu_minus), rows(t.mu_plus), rows(t.nu_a)
         self.mean = p.mean_index(k)
-        self.r1 = abs(self.mean - d) < eta
-        self.expected = (d + self.lo[0], d + self.hi[0])
+        self.r1 = np.abs(self.mean - d) < eta
+        self.expected = (d[:, None] + self.lo[0], d[:, None] + self.hi[0])
         self.r2 = (self.lo[1] == self.expected[0]) & (self.hi[1] == self.expected[1])
         # b_+ - b_- of the ell-th iterate: elliptic blocks hitting an integer
         # contribute zero planes only, and a degenerate factor's counts are
         # stable under positive scaling of its form.
-        self.want = d - self.lo[0] + p.b_correction()
+        self.want = d[:, None] - self.lo[0] + p.b_correction()
         self.r3 = self.hi[2] == self.want
-        self.ok = bool(self.r1 and self.r2.all() and self.r3.all())
+        self.ok = self.r1 & self.r2.all(axis=1) & self.r3.all(axis=1)
 
-    def records(self, i: int) -> list:
-        """ConditionRecords of R1-R3 for profile i, with two consequences of
-        R3: the nu_a bound always, exact symmetry when the ell-th and
-        (k - ell)-th iterates are nondegenerate."""
-        d, corr = self.d, self.p.b_correction()
-        nu = self.p.nu_a(self.orders).reshape(3, self.ell0)
+    def records(self, i: int, c: int = 0) -> list:
+        """ConditionRecords of R1-R3 for profile i at candidate c, with two
+        consequences of R3: the nu_a bound always, exact symmetry when the
+        ell-th and (k - ell)-th iterates are nondegenerate."""
+        d, corr, mean = int(self.d[c]), self.p.b_correction(), float(self.mean[c])
+        base_lo, base_hi, base_nu = self.lo[0], self.hi[0], self.nu[0]
         columns = [a.tolist() for a in (
-            self.r2, self.lo[1], self.hi[1], *self.expected, self.r3, self.hi[2], self.want,
-            d - self.lo[0] + nu[0], (nu[0] == 0) & (nu[2] == 0), d - self.hi[0])]
-        out = [ConditionRecord(f"R1[{i}]", self.r1,
-                               {"mean": self.mean, "d": d, "gap": abs(self.mean - d)})]
+            self.r2[c], self.lo[1][c], self.hi[1][c], self.expected[0][c], self.expected[1][c],
+            self.r3[c], self.hi[2][c], self.want[c], d - base_lo + base_nu,
+            (base_nu == 0) & (self.nu[2][c] == 0), d - base_hi)]
+        out = [ConditionRecord(f"R1[{i}]", bool(self.r1[c]),
+                               {"mean": mean, "d": d, "gap": abs(mean - d)})]
         for ell, (r2, up_lo, up_hi, exp_lo, exp_hi, r3, down, want, bound, nondeg,
                   sym) in enumerate(zip(*columns), start=1):
             out.append(ConditionRecord(f"R2[{i},{ell}]", r2, {
@@ -176,22 +204,27 @@ class SearchResult:
 
 
 def recurrence_search(query: RecurrenceQuery, on_solution=None) -> SearchResult:
-    """Scan k_0 <= k_bound for solutions; deterministic, exhaustive order.
+    """Solutions with k_0 <= k_bound, in increasing k_0; deterministic and
+    exhaustive below the horizon.
 
-    Solutions are emitted with strictly increasing d, companions chosen as
-    the smallest passing candidate.  on_solution, when given, is called with
-    each solution as found (the CLI uses this to stream).
+    k_0 runs over the R1 returns of profile 0 that _r1_candidates enumerates
+    block by block, each re-tested with the float expressions of R1 (see
+    the module docstring).  Solutions are emitted with strictly increasing d,
+    companions chosen as the smallest passing candidate.  on_solution, when
+    given, is called with each solution as found (the CLI uses this to
+    stream).  scanned_up_to is the end of the chunk of _CHUNK multiples of N
+    that holds the last solution, or the horizon when it is exhausted.
     """
-    p0 = query.profiles[0]
-    mean0 = p0.mean_index(1)
-    N = query.n_divisor
-    eta = query.eta
+    mean0 = query.profiles[0].mean_index(1)
+    N, eta = query.n_divisor, query.eta
+    j_start = max(1, (query.ell0 + N) // N)      # k0 - ell0 >= 1 required
+    j_end = min(query.k_bound, _INT64_MAX) // N  # k0 stays inside int64
     found = []
     last_d = 0
-    k0 = N * max(1, (query.ell0 + N) // N)  # k0 - ell0 >= 1 required
-    while k0 <= query.k_bound and len(found) < query.count:
-        hi = min(query.k_bound, k0 + _CHUNK * N - N)
-        k0s = np.arange(k0, hi + N, N, dtype=np.int64)
+    a, size = j_start, _BLOCK
+    while a <= j_end and len(found) < query.count:
+        b = min(j_end + 1, a + size)
+        k0s = N * _r1_candidates(mean0, eta / N, a, b)
         means = k0s * mean0
         ds = np.rint(means / N).astype(np.int64) * N
         mask = (np.abs(means - ds) < eta) & (ds > last_d)
@@ -207,33 +240,130 @@ def recurrence_search(query: RecurrenceQuery, on_solution=None) -> SearchResult:
             cand_hi = cand_lo + N
             ok_i = (np.abs(cand_lo * mi - ds) < eta) | (np.abs(cand_hi * mi - ds) < eta)
             mask &= ok_i
-        for k0_val, d_val in zip(k0s[mask], ds[mask]):
-            if d_val <= last_d:
-                continue
-            sol = _assemble(query, int(k0_val), int(d_val))
-            if sol is not None:
-                found.append(sol)
-                last_d = sol.d
-                if on_solution is not None:
-                    on_solution(sol)
-                if len(found) >= query.count:
-                    break
-        k0 = hi + N
+        for sol in _solutions(query, k0s[mask], ds[mask], last_d):
+            found.append(sol)
+            last_d = sol.d
+            if on_solution is not None:
+                on_solution(sol)
+            if len(found) >= query.count:
+                break
+        a = b
+        size = min(2 * size, _BLOCK_MAX,
+                   max(_CHUNK, int(_CHUNK / (2 * _window(eta / N, mean0, b)))))
+    start, span = N * j_start, _CHUNK * N
+    last = found[-1].k[0] if len(found) >= query.count else N * j_end
+    chunk_end = start + ((last - start) // span + 1) * span - N if last >= start else start - N
     return SearchResult(
         solutions=tuple(found),
         horizon_exhausted=len(found) < query.count,
-        scanned_up_to=min(query.k_bound, k0 - N),
+        scanned_up_to=min(query.k_bound, chunk_end),
     )
 
 
-def _assemble(query: RecurrenceQuery, k0: int, d: int) -> Optional[RecurrenceSolution]:
+def _window(w: float, alpha: float, b: int) -> float:
+    """w widened by a slack that bounds, for every j < b, the float error
+    of both R1's test and _r1_candidates' arithmetic.
+
+    R1's test rounds k_0 * alpha, its quotient by N, N times its nearest
+    integer and the difference, and so decides ||j alpha|| < w up to an
+    error of about 5u j alpha + 4u w (u = 2^-53).  The enumeration rounds
+    each class's start, drift and window edges, which adds about
+    20u (b alpha + 1) (its eps is at most alpha).  The slack 64u (b alpha + 1)
+    exceeds their sum about threefold; once it reaches the window's cap of
+    1/2, every j is enumerated.
+    """
+    return w + 2.0 ** -47 * (b * alpha + 1.0)
+
+
+def _r1_candidates(alpha: float, w: float, a: int, b: int) -> np.ndarray:
+    """The j in [a, b), in increasing order, with ||j alpha|| < W where W is
+    w widened by _window; a superset of the j that pass R1's float test.
+
+    p/Q is the last continued-fraction convergent of beta = alpha mod 1 with
+    Q <= sqrt(b - a), and eps = beta - p/Q.  Then for j = a + r + tQ with
+    0 <= r < Q, j alpha mod 1 equals y_r(t) = ((a + r) p mod Q) / Q +
+    (a + r) eps + t delta with delta = Q eps: each class starts at y_r(0)
+    and drifts by delta per step.  For every integer m that y_r can come
+    within W of over its t range, the t with |y_r(t) - m| < W form one
+    interval; floor and ceil widen it by the rounding of its ends.  The
+    next convergent's denominator exceeds sqrt(b - a), so |delta| <
+    1/sqrt(b - a) and a class drifts across few integers.  Nothing here
+    depends on the choice of Q but the amount of work.
+    """
+    W = _window(w, alpha, b)
+    if W >= 0.5:
+        return np.arange(a, b, dtype=np.int64)
+    beta = Fraction(alpha) % 1
+    p, Q = _convergent(beta, math.isqrt(b - a))
+    r = np.arange(Q, dtype=np.int64)
+    T = (b - a - r + Q - 1) // Q                  # t < T keeps j < b
+    y0 = ((a % Q + r) * p % Q) / Q + (a + r) * float(beta - Fraction(p, Q))
+    delta = float(Q * beta - p)
+    y1 = y0 + (T - 1) * delta
+    m_lo = np.floor(np.minimum(y0, y1) - W)
+    reach = np.floor(np.maximum(y0, y1) + W) - m_lo + 1
+    m = m_lo[:, None] + np.arange(int(reach.max()))
+    below, above = m - W - y0[:, None], m + W - y0[:, None]
+    last = T[:, None] - 1
+    if delta == 0.0:
+        # a class that does not drift is in the window for every t or none
+        t_lo = np.where((below < 0) & (above > 0), 0, T[:, None])
+        t_hi = np.broadcast_to(last, t_lo.shape)
+    else:
+        e0, e1 = below / delta, above / delta
+        t_lo = np.clip(np.floor(np.minimum(e0, e1)), 0, T[:, None]).astype(np.int64)
+        t_hi = np.clip(np.ceil(np.maximum(e0, e1)), -1, last).astype(np.int64)
+    n = np.maximum(t_hi - t_lo + 1, 0).ravel()
+    first = (a + r[:, None] + Q * t_lo).ravel()
+    offsets = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+    j = np.sort(np.repeat(first, n) + Q * offsets)
+    return j[np.diff(j, prepend=-1) != 0]    # intervals of one class may overlap
+
+
+def _convergent(x: Fraction, q_max: int) -> tuple:
+    """(p, q): the last continued-fraction convergent p/q of x in [0, 1)
+    with q <= q_max."""
+    (p0, q0), (p1, q1) = (1, 0), (0, 1)     # the convergents -1 and 0
+    a = 0
+    while x != a:
+        x = 1 / (x - a)
+        a = math.floor(x)
+        if a * q1 + q0 > q_max:
+            break
+        (p0, q0), (p1, q1) = (p1, q1), (a * p1 + p0, a * q1 + q0)
+    return p1, q1
+
+
+def _solutions(query: RecurrenceQuery, k0s: np.ndarray, ds: np.ndarray, last_d: int):
+    """Yield the solutions among R1 survivors (k0s, ds), increasing in k0,
+    each with d above the last one yielded (or above last_d).
+
+    Profile 0's R1-R3 run in one _Iterates over all survivors with d above
+    last_d.  When the largest of their orders would leave int64, they run
+    one survivor at a time instead, so that ValueError is raised at the
+    first survivor that reaches it, as a one-at-a-time test would.
+    """
+    p0, ell0 = query.profiles[0], query.ell0
+    step = k0s.size if k0s.size and _fits_int64(p0, int(k0s[-1]) + ell0) else 1
+    for at in range(0, k0s.size, step):
+        keep = ds[at:at + step] > last_d
+        it0 = _Iterates(p0, ds[at:at + step][keep], k0s[at:at + step][keep], query.eta, ell0)
+        for c in np.flatnonzero(it0.ok).tolist():
+            if it0.d[c] <= last_d:
+                continue
+            sol = _assemble(query, it0, c)
+            if sol is not None:
+                last_d = sol.d
+                yield sol
+
+
+def _assemble(query: RecurrenceQuery, it0: _Iterates, c: int) -> Optional[RecurrenceSolution]:
+    """The solution at candidate c of it0, which passes R1-R3 on profile 0,
+    or None: companions in order, each the smallest passing k in its R1
+    window, then every record, consequences included, must hold."""
     N, eta, ell0 = query.n_divisor, query.eta, query.ell0
-    if k0 - ell0 < 1:
-        return None
-    # profile 0 first: its outcome does not depend on the companions
-    picked = [_Iterates(query.profiles[0], d, k0, eta, ell0)]
-    if not picked[0].ok:
-        return None
+    d = int(it0.d[c])
+    picked = [(it0, c)]
     for p in query.profiles[1:]:
         mi = p.mean_index(1)
         lo = int(np.floor((d - eta) / (N * mi))) * N
@@ -241,17 +371,17 @@ def _assemble(query: RecurrenceQuery, k0: int, d: int) -> Optional[RecurrenceSol
         for k in range(max(N, lo), hi + N, N):
             if k - ell0 < 1 or abs(k * mi - d) >= eta:
                 continue
-            it = _Iterates(p, d, k, eta, ell0)
-            if it.ok:
-                picked.append(it)   # smallest passing candidate wins
+            it = _Iterates(p, _one(d), _one(k), eta, ell0)
+            if it.ok[0]:
+                picked.append((it, 0))   # smallest passing candidate wins
                 break
         else:
             return None
-    records = [r for i, it in enumerate(picked) for r in it.records(i)]
+    records = [r for i, (it, at) in enumerate(picked) for r in it.records(i, at)]
     if not all(r.ok for r in records):
         return None
-    return RecurrenceSolution(d=d, k=tuple(it.k for it in picked), eta=eta, ell0=ell0,
-                              certificate=Certificate(ok=True, records=tuple(records)))
+    return RecurrenceSolution(d=d, k=tuple(int(it.k[at]) for it, at in picked), eta=eta,
+                              ell0=ell0, certificate=Certificate(ok=True, records=tuple(records)))
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import (
     BorderlineSpectrum,
+    MalformedInput,
     NotSymplectic,
     NotUnipotent,
     OddDimension,
@@ -328,10 +329,15 @@ class WilliamsonInvariants:
 
     @classmethod
     def from_json(cls, obj: dict) -> "WilliamsonInvariants":
-        """Raises MalformedInput on a missing key or a value that is not an
-        integer."""
-        return cls(**{key: json_field(obj, key, int, "williamson invariants")
-                      for key in ("nu0", "b0", "b_plus", "b_minus", "nu_g", "nu_a", "m")})
+        """Raises MalformedInput on a missing key, a value that is not an
+        integer or a negative count."""
+        where = "williamson invariants"
+        counts = {key: json_field(obj, key, int, where)
+                  for key in ("nu0", "b0", "b_plus", "b_minus", "nu_g", "nu_a", "m")}
+        for key, value in counts.items():
+            if value < 0:
+                raise MalformedInput(f"{where}: {key!r} must be >= 0, got {value}")
+        return cls(**counts)
 
     @classmethod
     def from_counts(cls, nu0: int = 0, b0: int = 0, b_plus: int = 0,

@@ -6,7 +6,8 @@ force over the two-element field, and derivatives by finite differences.
 The scalar index formulas, the per-ell recurrence check, the scalar
 action-calculus loops and the pair-by-pair audit sweep are the exception:
 they are the per-element paths the array code replaced, kept to check it bit
-for bit.
+for bit.  So is the scan over every k0 that the recurrence search's
+residue-class enumeration replaced.
 """
 
 from __future__ import annotations
@@ -27,7 +28,13 @@ from reeb_lab.audit import (
 from reeb_lab.errors import IterateUnderflow, SupportOutOfRange
 from reeb_lab.hamiltonian import action_from_period
 from reeb_lab.indices import INTEGER_BAND, IndexTriple
-from reeb_lab.recurrence import Certificate, ConditionRecord
+from reeb_lab.recurrence import (
+    Certificate,
+    ConditionRecord,
+    RecurrenceSolution,
+    SearchResult,
+    _Iterates,
+)
 from reeb_lab.symplectic import flow_rotation, standard_form, _expm
 
 
@@ -249,7 +256,8 @@ def scalar_index_triple(profile, k: int) -> IndexTriple:
         d = profile.degenerate
         hi += d.b0 + d.b_plus + d.nu0
         lo -= d.b0 + d.b_minus + d.nu0
-    return IndexTriple(mu_minus=lo, mu_plus=hi, mu_hat=profile.mean_index(k))
+    return IndexTriple(mu_minus=lo, mu_plus=hi, mu_hat=profile.mean_index(k),
+                       nu_a=scalar_nu_a(profile, k))
 
 
 def scalar_support_interval(profile, k: int, n: int) -> tuple:
@@ -311,6 +319,98 @@ def scalar_verify_recurrence(profiles, d: int, ks, eta: float, ell0: int) -> Cer
                     detail={"mu": down.mu_plus, "expected": d - base.mu_plus}))
                 ok &= sym
     return Certificate(ok=ok, records=tuple(records))
+
+
+# ---------------------------------------------------------------------------
+# the recurrence search as a scan over every k0
+# ---------------------------------------------------------------------------
+
+_CHUNK = 1 << 16
+
+
+def scan_recurrence_search(query, on_solution=None) -> SearchResult:
+    """Scan k_0 <= k_bound for solutions in chunks of _CHUNK multiples of N,
+    with numpy prefilters; the search the residue-class enumeration replaced.
+
+    One expression differs from the replaced code: a chunk ends at hi + 1,
+    not hi + N, which let a k_bound that is not a multiple of N admit one
+    k_0 above it."""
+    p0 = query.profiles[0]
+    mean0 = p0.mean_index(1)
+    N = query.n_divisor
+    eta = query.eta
+    found = []
+    last_d = 0
+    k0 = N * max(1, (query.ell0 + N) // N)  # k0 - ell0 >= 1 required
+    while k0 <= query.k_bound and len(found) < query.count:
+        hi = min(query.k_bound, k0 + _CHUNK * N - N)
+        k0s = np.arange(k0, hi + 1, N, dtype=np.int64)
+        means = k0s * mean0
+        ds = np.rint(means / N).astype(np.int64) * N
+        mask = (np.abs(means - ds) < eta) & (ds > last_d)
+        # companion feasibility prefilter: for each other profile there must
+        # be a multiple of N within the R1 window around d / mean_i; only
+        # sound when the window is narrower than the divisor spacing
+        for p in query.profiles[1:]:
+            mi = p.mean_index(1)
+            if eta >= N * mi:
+                continue
+            approx = ds / (N * mi)
+            cand_lo = np.floor(approx).astype(np.int64) * N
+            cand_hi = cand_lo + N
+            ok_i = (np.abs(cand_lo * mi - ds) < eta) | (np.abs(cand_hi * mi - ds) < eta)
+            mask &= ok_i
+        for k0_val, d_val in zip(k0s[mask], ds[mask]):
+            if d_val <= last_d:
+                continue
+            sol = _scan_assemble(query, int(k0_val), int(d_val))
+            if sol is not None:
+                found.append(sol)
+                last_d = sol.d
+                if on_solution is not None:
+                    on_solution(sol)
+                if len(found) >= query.count:
+                    break
+        k0 = hi + N
+    return SearchResult(
+        solutions=tuple(found),
+        horizon_exhausted=len(found) < query.count,
+        scanned_up_to=min(query.k_bound, k0 - N),
+    )
+
+
+def _scan_assemble(query, k0: int, d: int):
+    """One candidate of the scan; the R1-R3 test of each (profile, k) is an
+    _Iterates of length one."""
+    N, eta, ell0 = query.n_divisor, query.eta, query.ell0
+    if k0 - ell0 < 1:
+        return None
+
+    def iterates(p, k):
+        return _Iterates(p, np.array([d]), np.array([k]), eta, ell0)
+
+    # profile 0 first: its outcome does not depend on the companions
+    picked = [iterates(query.profiles[0], k0)]
+    if not picked[0].ok[0]:
+        return None
+    for p in query.profiles[1:]:
+        mi = p.mean_index(1)
+        lo = int(np.floor((d - eta) / (N * mi))) * N
+        hi = int(np.ceil((d + eta) / (N * mi))) * N
+        for k in range(max(N, lo), hi + N, N):
+            if k - ell0 < 1 or abs(k * mi - d) >= eta:
+                continue
+            it = iterates(p, k)
+            if it.ok[0]:
+                picked.append(it)   # smallest passing candidate wins
+                break
+        else:
+            return None
+    records = [r for i, it in enumerate(picked) for r in it.records(i)]
+    if not all(r.ok for r in records):
+        return None
+    return RecurrenceSolution(d=d, k=tuple(int(it.k[0]) for it in picked), eta=eta,
+                              ell0=ell0, certificate=Certificate(ok=True, records=tuple(records)))
 
 
 # ---------------------------------------------------------------------------

@@ -329,6 +329,20 @@ class TestConfigAndErrors:
         ("convexity_k_max_negative", {},
          ["ellipsoid", "--weights", "1,1.41421356", "--convexity", "--k-max", "-3"],
          "k_max must be at least 1"),
+        ("eta_nan", {"p.json": [{"elliptic": [0.3]}]},
+         ["recurrence-search", "--profiles", "p.json", "--eta", "nan", "--ell0", "2"],
+         "finite eta > 0"),
+        ("eta_inf", {"p.json": [{"loop_index": 2, "elliptic": [0.3]},
+                                {"loop_index": 2, "elliptic": [0.7]}]},
+         ["recurrence-search", "--profiles", "p.json", "--eta", "inf", "--ell0", "2"],
+         "finite eta > 0"),
+        ("mean_index_nan", {"p.json": [{"elliptic": [float("nan")]}]},
+         ["recurrence-search", "--profiles", "p.json", "--eta", "0.1", "--ell0", "2"],
+         "profile 0 has mean index nan"),
+        ("williamson_negative_count",
+         {"p.json": {"degenerate": {"nu0": -1, "b0": 0, "b_plus": 2, "b_minus": 0,
+                                    "nu_g": 0, "nu_a": 1, "m": 1}}},
+         ["iterate-indices", "--profile", "p.json"], "'nu0' must be >= 0, got -1"),
     ])
     def test_invalid_input_exit_2(self, capsys, tmp_path, name, files, argv, message):
         for fname, blob in files.items():

@@ -1,20 +1,24 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from reeb_lab.ellipsoid import EllipsoidSpec, ellipsoid_profile
 from reeb_lab.errors import HypothesisFailed, IterateUnderflow
 from reeb_lab.indices import INTEGER_BAND, IterationProfile
 from reeb_lab.recurrence import (
     RecurrenceQuery,
+    _r1_candidates,
     convexity_gap_check,
     recurrence_search,
     verify_recurrence,
 )
 from reeb_lab.symplectic import WilliamsonInvariants
 
-from _oracles import scalar_index_triple, scalar_verify_recurrence
+from _oracles import scalar_index_triple, scalar_verify_recurrence, scan_recurrence_search
 
 SQRT2 = math.sqrt(2.0)
 
@@ -265,3 +269,73 @@ class TestCertificateOracle:
         assert rep.rows == tuple(
             (i, ell, scalar_index_triple(p, k - ell).mu_plus, s.d - 2)
             for i, (p, k) in enumerate(zip(profiles, s.k)) for ell in range(1, 4))
+
+
+def run_search(search, query):
+    """(result or exception, streamed solutions) of one search, as JSON."""
+    streamed = []
+    try:
+        outcome = search(query, on_solution=streamed.append).to_json()
+    except ValueError as exc:
+        outcome = repr(exc)
+    return outcome, [s.to_json() for s in streamed]
+
+
+PROFILE_FAMILIES = st.one_of(
+    st.lists(st.floats(0.001, 1.999), min_size=1, max_size=2).map(
+        lambda rhos: IterationProfile(loop_index=2, elliptic=tuple(rhos))),
+    st.lists(st.fractions(0, 2, max_denominator=13), min_size=1, max_size=2).map(
+        lambda rhos: IterationProfile(loop_index=2, elliptic=tuple(rhos))),
+    st.tuples(st.sampled_from((0, 2)), st.integers(1, 5)).map(
+        lambda lh: IterationProfile(loop_index=lh[0], hyperbolic=(lh[1],))),
+    st.integers(0, 1).map(lambda b: IterationProfile(
+        loop_index=2, degenerate=WilliamsonInvariants.from_counts(b_plus=b, b_minus=1 - b))),
+)
+
+
+class TestScanOracle:
+    """The residue-class search against the scan over every k0 it replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(profiles=st.lists(PROFILE_FAMILIES, min_size=1, max_size=3),
+           eta=st.one_of(st.floats(1e-4, 0.49), st.sampled_from((0.5, 0.7, 2.5))),
+           ell0=st.integers(1, 4), n_divisor=st.sampled_from((1, 2, 3, 5)),
+           k_bound=st.integers(0, 4000), count=st.integers(1, 20))
+    @example(profiles=[IterationProfile(loop_index=2,
+                                        elliptic=(0.2853121277467563, 0.7140821412202493)),
+                       IterationProfile(loop_index=2, elliptic=(Fraction(1, 13),),
+                                        hyperbolic=(2,))],
+             eta=0.1, ell0=1, n_divisor=5, k_bound=70_000, count=3)
+    @example(profiles=[IterationProfile(loop_index=2,
+                                        elliptic=(1.4491219427993907, 0.3689641828677386)),
+                       IterationProfile(loop_index=2,
+                                        elliptic=(0.03610962854758206, 0.028819641693376336))],
+             eta=0.1, ell0=2, n_divisor=1, k_bound=70_000, count=20)
+    # indices of iterate 16 leave int64, after 11 solutions: raised for a
+    # 12th, not for 11
+    @example(profiles=[IterationProfile(hyperbolic=(2 ** 58,))],
+             eta=0.1, ell0=2, n_divisor=1, k_bound=100, count=12)
+    @example(profiles=[IterationProfile(hyperbolic=(2 ** 58,))],
+             eta=0.1, ell0=2, n_divisor=1, k_bound=100, count=11)
+    def test_same_result_and_stream(self, profiles, eta, ell0, n_divisor, k_bound, count):
+        query = RecurrenceQuery(profiles=tuple(profiles), eta=eta, ell0=ell0,
+                                n_divisor=n_divisor, k_bound=k_bound, count=count)
+        assert run_search(recurrence_search, query) == run_search(scan_recurrence_search, query)
+
+    @settings(max_examples=200, deadline=None)
+    @given(alpha=st.one_of(st.floats(1e-12, 1e6),
+                           st.fractions(0, 20, max_denominator=60).filter(bool).map(float)),
+           eta=st.floats(1e-9, 0.49), n_divisor=st.sampled_from((1, 2, 3, 5)),
+           a=st.integers(1, 10 ** 12), length=st.integers(1, 5000))
+    @example(alpha=3.0, eta=0.1, n_divisor=1, a=1, length=2048)
+    def test_candidates_hold_every_r1_pass(self, alpha, eta, n_divisor, a, length):
+        # far beyond the horizons the scan oracle can reach: R1's own float
+        # expressions over every j of one block
+        js = np.arange(a, a + length, dtype=np.int64)
+        k0s = n_divisor * js
+        means = k0s * alpha
+        ds = np.rint(means / n_divisor).astype(np.int64) * n_divisor
+        passing = js[np.abs(means - ds) < eta]
+        found = _r1_candidates(alpha, eta / n_divisor, a, a + length)
+        assert (np.diff(found) > 0).all() and np.isin(found, js).all()
+        assert np.isin(passing, found).all()
