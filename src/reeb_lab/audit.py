@@ -42,6 +42,7 @@ from .errors import (
     NotExcluded,
     ShellMarginNotFound,
     json_field,
+    json_object,
 )
 from .hamiltonian import RadialProfile, profile_from_json
 from .indices import IterationProfile, _support_bounds, index_triple, support_interval
@@ -62,16 +63,13 @@ CASE_FAR = "far-iterate"
 _RESONANCE_TOL = 1e-9
 
 def _nested(loader, obj, key: str, where: str):
-    """Load the JSON object obj[key] with loader; a missing key or a wrong
-    type inside it becomes MalformedInput."""
+    """Load the JSON object obj[key] with loader, putting where in front of
+    its MalformedInput messages."""
     value = json_field(obj, key, dict, where)
     try:
         return loader(value)
     except MalformedInput as exc:
         raise MalformedInput(f"{where}: {exc}") from exc
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise MalformedInput(f"{where}: malformed {key!r}: "
-                             f"{type(exc).__name__}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -86,17 +84,15 @@ class SystemOrbit:
                 "hyperbolic": self.hyperbolic,
                 "locally_maximal": self.locally_maximal}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "SystemOrbit":
-        return _orbit_from_json(obj, "orbit")
-
 
 def _orbit_from_json(obj: dict, where: str) -> SystemOrbit:
-    """SystemOrbit.from_json with MalformedInput messages that start with where."""
+    """A SystemOrbit from its JSON object, with MalformedInput messages that
+    start with where; the flags must be JSON booleans."""
+    json_object(obj, ("period", "profile", "hyperbolic", "locally_maximal"), where)
     return SystemOrbit(period=json_field(obj, "period", float, where),
                        profile=_nested(IterationProfile.from_json, obj, "profile", where),
-                       hyperbolic=bool(obj.get("hyperbolic", False)),
-                       locally_maximal=bool(obj.get("locally_maximal", False)))
+                       **{flag: json_field(obj, flag, bool, where) for flag
+                          in ("hyperbolic", "locally_maximal") if flag in obj})
 
 
 @dataclass(frozen=True)
@@ -148,8 +144,8 @@ class OrbitSystem:
                 raise HypothesisFailed(f"orbit {pos} has nonpositive mean index")
             if o.period <= 0:
                 raise BadGeometry(f"orbit {pos} has nonpositive period")
-        if min(self.sigma, self.cbar) <= 0:
-            raise BadGeometry("sigma and cbar must be positive")
+        if not (0 < self.sigma < math.inf and 0 < self.cbar < math.inf):
+            raise BadGeometry("sigma and cbar must be positive and finite")
         if not 0.0 < self.eta < 0.5:
             raise BadGeometry(f"eta = {self.eta} outside (0, 1/2)")
 
@@ -240,9 +236,12 @@ class OrbitSystem:
 
     @classmethod
     def from_json(cls, obj: dict) -> "OrbitSystem":
-        """Raises MalformedInput on a missing key or a value of the wrong type."""
+        """Raises MalformedInput on a missing or unknown key or a value of the
+        wrong type."""
         where = "orbit system"
-        consts = json_field(obj, "constants", dict, where)
+        json_object(obj, ("orbits", "hamiltonian", "n", "constants", "mode"), where)
+        consts = json_object(json_field(obj, "constants", dict, where),
+                             ("sigma", "eta", "ell0", "cbar", "b"), "constants")
         if consts.get("b") is not None:
             json_field(consts, "b", float, "constants")     # kept as given
         return cls(

@@ -1,7 +1,7 @@
 """Batch command-line front end.
 
 Subcommands: cz-index, iterate-indices, williamson, hamiltonian,
-recurrence-search, ellipsoid, barcode, audit-lemma, fixed-point-index, fuzz.
+recurrence-search, ellipsoid, barcode, audit-lemma, fixed-point-index.
 Flags always win over --config file values; unknown config keys are
 rejected.  Machine-readable artifacts go to --out (JSON, or CSV where the
 format is tabular), a human summary goes to stdout.  Exit codes: 0 success,
@@ -29,7 +29,7 @@ from .ellipsoid import (
     pseudo_rotation_instance,
     slope_valid,
 )
-from .errors import AuditError, ReebLabError, json_value
+from .errors import AuditError, MalformedInput, ReebLabError, json_value
 from .fixedpoint import PlanarMapSample, brouwer_index
 from .floergraph import FilteredComplex, barcode
 from .hamiltonian import (
@@ -43,17 +43,12 @@ from .hamiltonian import (
 from .indices import (
     IterationProfile,
     cz_index_sampled,
-    index_triple,
     profile_table,
     rotation_path,
     stretch_path,
 )
 from .recurrence import RecurrenceQuery, recurrence_search
-from .symplectic import (
-    random_symplectic,
-    validate_symplectic,
-    williamson_invariants,
-)
+from .symplectic import validate_symplectic, williamson_invariants
 
 USAGE_EXIT = 2
 AUDIT_EXIT = 3
@@ -80,8 +75,22 @@ def _load_json(path: str):
     return json.loads(Path(path).read_text())
 
 
+def _load_array(path: str, depth: int, what: str) -> np.ndarray:
+    """The JSON file at path as a float array: lists nested depth deep with
+    numbers at the bottom, or MalformedInput."""
+    def check(value, level, where):
+        if level == depth:
+            json_value(value, float, where)
+        else:
+            for i, v in enumerate(json_value(value, list, where)):
+                check(v, level + 1, f"{where}[{i}]")
+    data = _load_json(path)
+    check(data, 0, what)
+    return np.asarray(data, dtype=float)
+
+
 def _positive(name: str, value: float):
-    if value is not None and value <= 0:
+    if value is not None and not value > 0:
         raise ReebLabError(f"{name} must be positive, got {value}")
 
 
@@ -95,7 +104,7 @@ def cmd_cz_index(args) -> int:
         path = stretch_path(args.stretch, max(args.samples, 64))
         source = f"stretch lambda={args.stretch}"
     elif args.path_file:
-        path = np.asarray(_load_json(args.path_file), dtype=float)
+        path = _load_array(args.path_file, 3, "--path-file")
         source = args.path_file
     else:
         raise ReebLabError("give --rotation, --stretch or --path-file")
@@ -120,7 +129,7 @@ def cmd_iterate_indices(args) -> int:
 
 
 def cmd_williamson(args) -> int:
-    M = validate_symplectic(np.asarray(_load_json(args.matrix), dtype=float),
+    M = validate_symplectic(_load_array(args.matrix, 2, "--matrix"),
                             tol=args.tol)
     inv = williamson_invariants(M, tol=args.tol)
     _emit(args, inv.to_json(),
@@ -279,64 +288,6 @@ def _is_number(token: str) -> bool:
         return False
 
 
-def cmd_fuzz(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    report = {"seed": args.seed, "cases": args.cases}
-
-    # mean-index sandwich on random profiles
-    violations = 0
-    for _ in range(args.cases):
-        profile = _random_profile(rng)
-        m = profile.dim_half
-        k = int(rng.integers(1, 51))
-        t = index_triple(profile, k)
-        if not (t.mu_hat - m <= t.mu_minus <= t.mu_plus <= t.mu_hat + m):
-            violations += 1
-    report["sandwich_violations"] = violations
-
-    # conjugation invariance of unipotent invariants
-    invariant_failures = 0
-    base = np.eye(4)
-    base[0, 2] = 1.0   # one positive chain, one zero plane
-    inv0 = williamson_invariants(validate_symplectic(base)).to_json()
-    for _ in range(min(args.cases, 200)):
-        C = random_symplectic(rng, 2, scale=0.4)
-        M = validate_symplectic(np.linalg.inv(C) @ base @ C, tol=1e-6)
-        if williamson_invariants(M, tol=1e-6).to_json() != inv0:
-            invariant_failures += 1
-    report["conjugation_failures"] = invariant_failures
-
-    # transfer sandwich on a quadratic profile
-    profile = build_profile("quadratic", slope=5.0, r_max=2.0)
-    worst_slack = 0.0
-    for _ in range(min(args.cases, 200)):
-        k = float(rng.uniform(1.0, 6.0))
-        lam = float(rng.uniform(0.1, 4.0))
-        tau = float(rng.uniform(0.0, k * profile.c))
-        res = transfer_map(profile, k, lam, [tau])
-        worst_slack = min(worst_slack, res.upper_slack, res.lower_slack)
-    report["transfer_worst_slack"] = worst_slack
-
-    ok = violations == 0 and invariant_failures == 0 and worst_slack >= -1e-9
-    report["ok"] = ok
-    _emit(args, report,
-          f"fuzz seed={args.seed}: sandwich violations {violations}, "
-          f"conjugation failures {invariant_failures}, "
-          f"transfer slack {worst_slack:.2e}")
-    return 0 if ok else USAGE_EXIT
-
-
-def _random_profile(rng) -> IterationProfile:
-    n_ell = int(rng.integers(0, 3))
-    n_hyp = int(rng.integers(0, 3))
-    if n_ell + n_hyp == 0:
-        n_ell = 1
-    elliptic = tuple(float(rng.uniform(-3, 3)) for _ in range(n_ell))
-    hyperbolic = tuple(int(rng.integers(-6, 7)) for _ in range(n_hyp))
-    return IterationProfile(loop_index=2 * int(rng.integers(-2, 3)),
-                            elliptic=elliptic, hyperbolic=hyperbolic)
-
-
 # -- wiring --------------------------------------------------------------------
 
 _COMMANDS = {
@@ -349,7 +300,6 @@ _COMMANDS = {
     "barcode": cmd_barcode,
     "audit-lemma": cmd_audit_lemma,
     "fixed-point-index": cmd_fixed_point_index,
-    "fuzz": cmd_fuzz,
 }
 
 
@@ -435,11 +385,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=1.0)
     common(p)
 
-    p = sub.add_parser("fuzz", help="seeded invariant sweeps")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cases", type=int, default=500)
-    common(p)
-
+    # _apply_config finds the flags given on the command line by their full
+    # names, so an abbreviation such as --rot must not parse as --rotation
+    for p in (parser, *sub.choices.values()):
+        p.allow_abbrev = False
     return parser
 
 
@@ -447,9 +396,7 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser,
                   argv) -> argparse.Namespace:
     if not getattr(args, "config", None):
         return args
-    config = _load_json(args.config)
-    if not isinstance(config, dict):
-        raise ReebLabError("config file must hold a JSON object")
+    config = json_value(_load_json(args.config), dict, "config file")
     # flags actually present on the command line win over config values
     explicit = {t[2:].split("=")[0].replace("-", "_") for t in argv if t.startswith("--")}
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
@@ -458,18 +405,20 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser,
         dest = key.replace("-", "_")
         action = actions.get(dest)
         if action is None:
-            raise ReebLabError(f"unknown config key {key!r}")
+            raise MalformedInput(f"unknown config key {key!r}")
         if action.type is not None:
             # a config value reads as the same text given as a flag would
             try:
                 value = action.type(value if isinstance(value, str) else json.dumps(value))
             except (TypeError, ValueError):
-                raise ReebLabError(f"config key {key!r}: invalid "
-                                   f"{action.type.__name__} value {json.dumps(value)}") from None
-        elif action.nargs == 0 and not isinstance(value, bool):
-            raise ReebLabError(f"config key {key!r} takes true or false, not {json.dumps(value)}")
-        if "tol" in dest and isinstance(value, (int, float)):
-            _positive(key, value)
+                raise MalformedInput(f"config key {key!r}: invalid "
+                                     f"{action.type.__name__} value {json.dumps(value)}") from None
+        elif action.nargs == 0:
+            if not isinstance(value, bool):
+                raise MalformedInput(f"config key {key!r} takes true or false, "
+                                     f"not {json.dumps(value)}")
+        elif not isinstance(value, str) or (action.choices and value not in action.choices):
+            raise MalformedInput(f"config key {key!r}: invalid value {json.dumps(value)}")
         if dest not in explicit:
             setattr(args, dest, value)
     return args

@@ -20,7 +20,7 @@ class MalformedInput(ReebLabError):
 # JSON types accepted for each field type; integral floats pass as ints, as
 # JSON Schema's "integer" allows
 _JSON_TYPES = {float: (int, float), int: (int, float), str: (str,), dict: (dict,),
-               list: (list,)}
+               list: (list,), bool: (bool,)}
 
 
 def json_field(obj, key: str, kind, where: str):
@@ -34,10 +34,21 @@ def json_field(obj, key: str, kind, where: str):
 def json_value(value, kind, what: str):
     """value converted to kind; MalformedInput naming what when it has
     another JSON type."""
-    if (not isinstance(value, _JSON_TYPES[kind]) or isinstance(value, bool)
+    if (not isinstance(value, _JSON_TYPES[kind])
+            or (isinstance(value, bool) and kind is not bool)
             or (kind is int and isinstance(value, float) and not value.is_integer())):
         raise MalformedInput(f"{what} must be {kind.__name__}, got {json.dumps(value)}")
     return kind(value) if kind in (float, int) else value
+
+
+def json_object(obj, keys, where: str) -> dict:
+    """obj itself; MalformedInput when it is not a JSON object or holds a key
+    outside keys, as the schemas' "additionalProperties": false demands."""
+    json_value(obj, dict, where)
+    for key in obj:
+        if key not in keys:
+            raise MalformedInput(f"{where}: unknown key {key!r}")
+    return obj
 
 
 # -- symplectic linear algebra ------------------------------------------------

@@ -18,6 +18,7 @@ from .errors import (
     MalformedInput,
     NotADifferential,
     json_field,
+    json_object,
 )
 
 INF = math.inf
@@ -166,6 +167,10 @@ class FilteredComplex:
         object.__setattr__(self, "boundary",
                            {k: frozenset(v) for k, v in self.boundary.items()})
         info = {g[0]: (float(g[1]), int(g[2])) for g in self.generators}
+        if not all(map(math.isfinite, (a for a, _ in info.values()))):
+            gid = next(g for g, (a, _) in info.items() if not math.isfinite(a))
+            raise FiltrationViolation(f"generator {gid} has action {info[gid][0]}: "
+                                      f"actions must be finite")
         for col, rows in self.boundary.items():
             if col not in info:
                 raise MalformedGraph(f"boundary of unknown generator {col}")
@@ -188,16 +193,19 @@ class FilteredComplex:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FilteredComplex":
-        """Raises MalformedInput on a generator without "id", "action" or
-        "degree" or with a value of the wrong JSON type, and on a boundary
-        entry that is not a list of ids."""
+        """Raises MalformedInput on an unknown key, on a generator without
+        "id", "action" or "degree", with another key or with a value of the
+        wrong JSON type, and on a boundary entry that is not a list of ids."""
+        json_object(obj, ("generators", "boundary"), "complex")
         gens = []
         for pos, g in enumerate(json_field(obj, "generators", list, "complex")):
-            if (type(g) is dict and type(g.get("id")) is str
+            if (type(g) is dict and len(g) == 3 and type(g.get("id")) is str
                     and type(g.get("action")) is float and type(g.get("degree")) is int):
                 gens.append((g["id"], g["action"], g["degree"]))
             else:   # converts an int action or an integral float degree, or raises
-                gens.append(tuple(json_field(g, key, kind, f"generator {pos}") for key, kind
+                where = f"generator {pos}"
+                json_object(g, ("id", "action", "degree"), where)
+                gens.append(tuple(json_field(g, key, kind, where) for key, kind
                                   in (("id", str), ("action", float), ("degree", int))))
         bnd = {} if obj.get("boundary") is None else json_field(obj, "boundary", dict, "complex")
         for col, rows in bnd.items():

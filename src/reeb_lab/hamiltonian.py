@@ -35,6 +35,9 @@ from .errors import (
     SandwichViolated,
     SlopeMismatch,
     UncertifiedRegion,
+    json_field,
+    json_object,
+    json_value,
 )
 
 GRID_POINTS = 4096
@@ -355,15 +358,26 @@ def build_profile(family: str = "quadratic", *, slope: float, r_max: float,
     return profile
 
 
+#: the parameter key of each family, beside family, slope, r_max and c0
+_FAMILY_PARAMS = {"quadratic": (), "cubic": ("theta",), "exp": ("beta",),
+                  "spline": ("knots",)}
+
+
 def profile_from_json(obj: dict) -> RadialProfile:
-    obj = dict(obj)
-    family = obj.pop("family")
-    slope = obj.pop("slope")
-    r_max = obj.pop("r_max")
-    c0 = obj.pop("c0", 0.0)
+    """Raises MalformedInput on a missing or unknown key (another family's
+    parameter counts as unknown) or a value of the wrong JSON type."""
+    where = "hamiltonian"
+    family = json_field(obj, "family", str, where)
+    json_object(obj, ("family", "slope", "r_max", "c0", *_FAMILY_PARAMS.get(family, ())),
+                where)
+    params = {key: json_field(obj, key, float, where)
+              for key in ("c0", "theta", "beta") if key in obj}
     if family == "spline":
-        obj["knots"] = tuple(obj.get("knots", ()))
-    return build_profile(family, slope=slope, r_max=r_max, c0=c0, **obj)
+        knots = json_field(obj, "knots", list, where) if "knots" in obj else ()
+        params["knots"] = tuple(json_value(v, float, f"{where}: knots[{i}]")
+                                for i, v in enumerate(knots))
+    return build_profile(family, slope=json_field(obj, "slope", float, where),
+                         r_max=json_field(obj, "r_max", float, where), **params)
 
 
 def _certify(profile: RadialProfile, grid: int):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -32,9 +33,13 @@ from .errors import (
     SamplingTooCoarse,
     SupportOutOfRange,
     json_field,
+    json_object,
     json_value,
 )
 from .symplectic import WilliamsonInvariants, standard_form
+
+#: an exact rotation number in a JSON profile, as profile.schema.json spells it
+_FRACTION = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
 
 #: floats within this distance of an integer are treated as hitting it;
 #: rotation numbers given as Fraction are tested exactly instead.
@@ -100,20 +105,21 @@ class IterationProfile:
 
     @classmethod
     def from_json(cls, obj: dict) -> "IterationProfile":
-        """Raises MalformedInput on a value of the wrong JSON type; a missing
-        key takes its default."""
+        """Raises MalformedInput on an unknown key or a value of the wrong JSON
+        type; a missing key takes its default."""
         where = "profile"
-        json_value(obj, dict, where)
+        json_object(obj, ("loop_index", "elliptic", "hyperbolic", "degenerate"), where)
 
         def entries(key, entry):
             values = json_field(obj, key, list, where) if key in obj else []
             return tuple(entry(v, f"{where}: {key}[{i}]") for i, v in enumerate(values))
 
         def rotation(r, what):
-            try:
-                return Fraction(r) if isinstance(r, str) else json_value(r, float, what)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise MalformedInput(f"{what} is not a fraction: {r!r}") from exc
+            if not isinstance(r, str):
+                return json_value(r, float, what)
+            if not _FRACTION.fullmatch(r):
+                raise MalformedInput(f"{what} is not a fraction: {r!r}")
+            return Fraction(r)
 
         deg = obj.get("degenerate")
         return cls(

@@ -33,6 +33,7 @@ from .errors import (
     OddDimension,
     UnresolvedNormalForm,
     json_field,
+    json_object,
 )
 
 DEFAULT_TOL = 1e-9
@@ -103,13 +104,6 @@ def direct_sum(blocks: Sequence[np.ndarray]) -> np.ndarray:
     return M
 
 
-def random_symplectic(rng: np.random.Generator, m: int, scale: float = 0.7) -> np.ndarray:
-    """exp(JHAT S) for a random symmetric S; always symplectic."""
-    B = rng.normal(size=(2 * m, 2 * m)) * scale
-    S = (B + B.T) / 2.0
-    return quadratic_flow(S)
-
-
 @dataclass(frozen=True)
 class SymplecticMatrix:
     """A validated element of Sp(2m)."""
@@ -123,9 +117,6 @@ class SymplecticMatrix:
     @property
     def dim(self) -> int:
         return 2 * self.dim_half
-
-    def to_json(self) -> list:
-        return [[float(x) for x in row] for row in self.entries]
 
 
 def validate_symplectic(M: np.ndarray, tol: float = DEFAULT_TOL) -> SymplecticMatrix:
@@ -329,11 +320,12 @@ class WilliamsonInvariants:
 
     @classmethod
     def from_json(cls, obj: dict) -> "WilliamsonInvariants":
-        """Raises MalformedInput on a missing key, a value that is not an
-        integer or a negative count."""
+        """Raises MalformedInput on a missing or unknown key, a value that is
+        not an integer or a negative count."""
         where = "williamson invariants"
-        counts = {key: json_field(obj, key, int, where)
-                  for key in ("nu0", "b0", "b_plus", "b_minus", "nu_g", "nu_a", "m")}
+        keys = ("nu0", "b0", "b_plus", "b_minus", "nu_g", "nu_a", "m")
+        json_object(obj, keys, where)
+        counts = {key: json_field(obj, key, int, where) for key in keys}
         for key, value in counts.items():
             if value < 0:
                 raise MalformedInput(f"{where}: {key!r} must be >= 0, got {value}")

@@ -97,6 +97,12 @@ class TestConstruction:
         with pytest.raises(BadGeometry):
             sqrt2_system(sigma=0.1)   # C * eta = 0.4 >= sigma
 
+    @pytest.mark.parametrize("constants", [
+        {"sigma": math.inf}, {"sigma": math.nan}, {"cbar": math.inf}, {"cbar": math.nan}])
+    def test_constants_must_be_finite(self, constants):
+        with pytest.raises(BadGeometry, match="positive and finite"):
+            sqrt2_system(**constants)
+
     def test_slope_too_small(self):
         H = build_profile("quadratic", slope=4.0, r_max=2.0)
         with pytest.raises(BadGeometry):
@@ -498,6 +504,17 @@ class TestMalformedSystem:
         lambda b: b["orbits"][0].update(profile=[3]),
         lambda b: b["orbits"][0]["profile"].update(hyperbolic=3),
         lambda b: b["hamiltonian"].update(slope=None),
+        # flags are JSON booleans, not truthy values
+        lambda b: b["orbits"][0].update(hyperbolic="no"),
+        lambda b: b["orbits"][0].update(hyperbolic=1),
+        lambda b: b["orbits"][1].update(locally_maximal=None),
+        # every object is closed, as "additionalProperties": false says
+        lambda b: b.update(modes="hyperbolic"),
+        lambda b: b["constants"].update(B=4.0),
+        lambda b: b["orbits"][1].update(hyperbolicity=True),
+        lambda b: b["orbits"][1]["profile"].update(loopindex=2),
+        lambda b: b["hamiltonian"].update(theta=0.5),
+        lambda b: b["hamiltonian"].update(slope=True),
     ])
     def test_typed_error(self, edit):
         blob = sqrt2_system().to_json()

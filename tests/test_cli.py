@@ -1,16 +1,28 @@
+import argparse
+import copy
 import csv
+import importlib
+import inspect
+import io
 import json
 import math
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from jsonschema import validators
 
 import reeb_lab
-from reeb_lab.cli import main
+import reeb_lab.cli as cli
+from reeb_lab.cli import build_parser, main
+from reeb_lab.errors import MalformedInput
 
 SCHEMA_DIR = Path(reeb_lab.__file__).parent / "schemas"
 SQRT2 = "1.4142135623730951"
@@ -51,8 +63,8 @@ def validate(name, payload, pointer=None):
         validator.validate(payload)
 
 
-@pytest.fixture
-def sqrt2_system_file(tmp_path):
+def sqrt2_system_json():
+    """The hyperbolic-mode system on the ellipsoid with weights 1, sqrt 2."""
     from reeb_lab.audit import OrbitSystem, SystemOrbit
     from reeb_lab.ellipsoid import EllipsoidSpec, ellipsoid_profile
     from reeb_lab.hamiltonian import build_profile
@@ -69,8 +81,30 @@ def sqrt2_system_file(tmp_path):
         ),
         hamiltonian=build_profile("quadratic", slope=5.0, r_max=2.0),
         n=2, sigma=0.6, eta=0.1, ell0=3, cbar=2.0, mode="hyperbolic")
+    return system.to_json()
+
+
+def golden_system_json():
+    """The pseudo-rotation-mode system on the ellipsoid with weights 1, phi,
+    under a cubic Hamiltonian."""
+    from reeb_lab.audit import OrbitSystem, SystemOrbit
+    from reeb_lab.ellipsoid import EllipsoidSpec, pseudo_rotation_instance
+    from reeb_lab.hamiltonian import build_profile
+
+    seed = pseudo_rotation_instance(EllipsoidSpec((1.0, (1.0 + math.sqrt(5.0)) / 2.0)),
+                                    k_max=30, locally_maximal=1)
+    system = OrbitSystem(
+        orbits=tuple(SystemOrbit(period=o.period, profile=o.profile,
+                                 locally_maximal=o.locally_maximal) for o in seed.orbits),
+        hamiltonian=build_profile("cubic", slope=6.0, r_max=2.0, theta=0.5),
+        n=2, sigma=0.6, eta=0.1, ell0=3, cbar=2.0, mode="pseudo_rotation")
+    return system.to_json()
+
+
+@pytest.fixture
+def sqrt2_system_file(tmp_path):
     path = tmp_path / "system.json"
-    path.write_text(json.dumps(system.to_json()))
+    path.write_text(json.dumps(sqrt2_system_json()))
     return path
 
 
@@ -213,17 +247,6 @@ class TestSubcommands:
         validate("cli_reports.schema.json", payload, pointer="definitions/fixed_point")
         assert payload["index"] == 1
 
-    def test_fuzz_deterministic(self, capsys, tmp_path):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        code1, _, _ = run_cli(["fuzz", "--seed", "7", "--cases", "50",
-                               "--out", str(a)], capsys)
-        code2, _, _ = run_cli(["fuzz", "--seed", "7", "--cases", "50",
-                               "--out", str(b)], capsys)
-        assert code1 == code2 == 0
-        assert a.read_bytes() == b.read_bytes()
-        validate("cli_reports.schema.json", json.loads(a.read_text()),
-                 pointer="definitions/fuzz")
-
 
 class TestConfigAndErrors:
     def test_config_file_merged_flags_win(self, capsys, tmp_path):
@@ -233,6 +256,18 @@ class TestConfigAndErrors:
         assert code == 0 and "index 1" in out
         code, out, _ = run_cli(["cz-index", "--config", str(cfg),
                                 "--rotation", "1.2"], capsys)
+        assert code == 0 and "index 3" in out
+
+    @pytest.mark.parametrize("flag", ["--rot", "--rotat"])
+    def test_abbreviated_flag_rejected(self, capsys, tmp_path, flag):
+        # --rot used to parse as --rotation while the config's rotation won
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"rotation": 0.3}))
+        with pytest.raises(SystemExit) as exc:
+            main(["cz-index", "--config", str(cfg), flag, "1.2"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        code, out, _ = run_cli(["cz-index", "--config", str(cfg), "--rotation=1.2"], capsys)
         assert code == 0 and "index 3" in out
 
     def test_unknown_config_key_rejected(self, capsys, tmp_path):
@@ -343,6 +378,24 @@ class TestConfigAndErrors:
          {"p.json": {"degenerate": {"nu0": -1, "b0": 0, "b_plus": 2, "b_minus": 0,
                                     "nu_g": 0, "nu_a": 1, "m": 1}}},
          ["iterate-indices", "--profile", "p.json"], "'nu0' must be >= 0, got -1"),
+        ("config_tol_nan", {"c.json": {"rotation": 0.3, "tol": float("nan")}},
+         ["cz-index", "--config", "c.json"], "tol must be positive, got nan"),
+        ("config_out_not_a_string", {"p.json": {"elliptic": [0.3]}, "c.json": {"out": 5}},
+         ["iterate-indices", "--profile", "p.json", "--config", "c.json"],
+         "config key 'out': invalid value 5"),
+        ("config_family_not_a_choice", {"c.json": {"family": "quartic"}},
+         ["hamiltonian", "--slope", "5", "--r-max", "2", "--config", "c.json"],
+         "config key 'family': invalid value \"quartic\""),
+        ("matrix_of_strings", {"m.json": [["1", "-1"], ["0", "1"]]},
+         ["williamson", "--matrix", "m.json"], "--matrix[0][0] must be float, got \"1\""),
+        ("matrix_of_booleans", {"m.json": [[True, True], [False, True]]},
+         ["williamson", "--matrix", "m.json"], "--matrix[0][0] must be float, got true"),
+        ("orbit_flag_not_a_bool", {"s.json": {**sqrt2_system_json(), "orbits": [
+            {**sqrt2_system_json()["orbits"][0], "hyperbolic": "no"}]}},
+         ["audit-lemma", "--system", "s.json"], "orbit 0: 'hyperbolic' must be bool"),
+        ("constants_unknown_key", {"s.json": {**sqrt2_system_json(), "constants": {
+            **sqrt2_system_json()["constants"], "B": 4.0}}},
+         ["audit-lemma", "--system", "s.json"], "constants: unknown key 'B'"),
     ])
     def test_invalid_input_exit_2(self, capsys, tmp_path, name, files, argv, message):
         for fname, blob in files.items():
@@ -384,7 +437,201 @@ class TestConfigAndErrors:
                  json.loads(sqrt2_system_file.read_text()))
 
 
+def test_package_exposes_modules_not_their_names():
+    # the package used to re-export audit() over the reeb_lab.audit module
+    for name in ("audit", "cli", "ellipsoid", "errors", "fixedpoint", "floergraph",
+                 "hamiltonian", "indices", "recurrence", "symplectic"):
+        importlib.import_module(f"reeb_lab.{name}")
+        assert inspect.ismodule(getattr(reeb_lab, name)), name
+
+
+def test_fuzz_subcommand_removed(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["fuzz"])
+    assert exc.value.code == 2 and "invalid choice: 'fuzz'" in capsys.readouterr().err
+    schema = json.loads((SCHEMA_DIR / "cli_reports.schema.json").read_text())
+    assert "fuzz" not in schema["definitions"]
+
+
 def test_console_entry_point():
     proc = subprocess.run([sys.executable, "-m", "reeb_lab.cli", "--version"],
                           capture_output=True, text=True)
     assert proc.returncode == 0
+
+
+# -- schema differential -------------------------------------------------------
+#
+# Each CLI loader reads one JSON input.  Hypothesis mutates a valid input
+# (drops a key or an entry, swaps a value for one of another JSON type, adds a
+# key, injects a negative, NaN or infinity) and runs the subcommand on it.  A
+# schema-invalid mutant must exit 2.  A schema-valid one must exit 0 or 3, or
+# exit 2 from a check the schema cannot state (a mean index must be positive,
+# a boundary must name known generators, ...): MalformedInput, the loaders'
+# error for what the schema rejects, is never raised on it.  JSON has no NaN
+# or infinity, so a mutant holding one is schema-invalid.  No run may end in
+# a traceback: an exception escaping main() fails the test.
+
+FLOAT_TEXT = r"^-?[0-9]+(\.[0-9]+)?([eE][-+]?[0-9]+)?$"
+
+
+def config_schema(command):
+    """The schema of a --config file for command, read off its parser: a
+    typed flag takes a JSON value of its type or the text the flag would
+    take, a switch takes a boolean, any other flag a string (one of its
+    choices, when it has them)."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    properties = {}
+    for action in sub.choices[command]._actions:
+        if action.nargs == 0:
+            value = {"type": "boolean"}
+        elif action.choices:
+            value = {"enum": list(action.choices)}
+        elif action.type is float:
+            value = {"type": ["number", "string"], "pattern": FLOAT_TEXT}
+        elif action.type is int:
+            value = {"type": ["integer", "string"], "pattern": "^-?[0-9]+$"}
+        else:
+            value = {"type": "string"}
+        properties[action.dest] = properties[action.dest.replace("_", "-")] = value
+    return {"type": "object", "properties": properties, "additionalProperties": False}
+
+
+# name: (the validator of the input, the valid input, argv with FILE for its path)
+LOADERS = {
+    "profile": (lambda: load_schema("profile.schema.json"),
+                {"loop_index": 2, "elliptic": [0.3, "1/3"], "hyperbolic": [1],
+                 "degenerate": None},
+                ["iterate-indices", "--profile", "FILE", "--k-max", "5"]),
+    "degenerate_profile": (lambda: load_schema("profile.schema.json"),
+                           {"elliptic": [0.25], "degenerate": {
+                               "nu0": 0, "b0": 0, "b_plus": 1, "b_minus": 0,
+                               "nu_g": 1, "nu_a": 1, "m": 1}},
+                           ["iterate-indices", "--profile", "FILE", "--k-max", "5"]),
+    "hyperbolic_system": (lambda: load_schema("orbit_system.schema.json"),
+                          sqrt2_system_json(),
+                          ["audit-lemma", "--system", "FILE", "--count", "1"]),
+    "pseudo_rotation_system": (lambda: load_schema("orbit_system.schema.json"),
+                               golden_system_json(),
+                               ["audit-lemma", "--system", "FILE", "--count", "1"]),
+    "complex": (lambda: load_schema("complex.schema.json"),
+                {"generators": [{"id": "y", "action": 0.0, "degree": 3},
+                                {"id": "x", "action": 1.0, "degree": 4}],
+                 "boundary": {"x": ["y"]}},
+                ["barcode", "--complex", "FILE"]),
+    "matrix": (lambda: load_schema("matrix.schema.json"),
+               [[1.0, -1.0], [0.0, 1.0]],
+               ["williamson", "--matrix", "FILE"]),
+    "cz_index_config": (lambda: validators.validator_for({})(config_schema("cz-index")),
+                        {"rotation": 0.3, "samples": 64, "tol": 1e-9},
+                        ["cz-index", "--config", "FILE"]),
+    "hamiltonian_config": (lambda: validators.validator_for({})(config_schema("hamiltonian")),
+                           {"family": "cubic", "theta": 0.5, "tables": True, "grid": 64},
+                           ["hamiltonian", "--slope", "5", "--r-max", "2",
+                            "--config", "FILE"]),
+}
+
+# one value of each JSON type, and numeric text
+OTHER_VALUES = ("text", "7", "0.5", True, False, None, [], {}, 7, 0.5)
+NEW_KEYS = ("extra", "B", "Hyperbolic")
+
+
+def _paths(doc, prefix=()):
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else (
+        enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+def _finite(doc) -> bool:
+    if isinstance(doc, float):
+        return math.isfinite(doc)
+    values = doc.values() if isinstance(doc, dict) else doc if isinstance(doc, list) else ()
+    return all(_finite(v) for v in values)
+
+
+@st.composite
+def mutants(draw):
+    """(loader name, one mutation of its valid input)."""
+    name = draw(st.sampled_from(sorted(LOADERS)))
+    doc = copy.deepcopy(LOADERS[name][1])
+    path = draw(st.sampled_from(list(_paths(doc))))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    target = parent[path[-1]] if path else doc
+    ops = ["swap"] + (["drop"] if path else []) + (["add"] if isinstance(target, dict) else [])
+    if type(target) in (int, float):
+        ops += ["negative", "nan", "inf"]
+    op = draw(st.sampled_from(ops))
+    if op == "drop":
+        del parent[path[-1]]
+        return name, doc
+    if op == "add":
+        target[draw(st.sampled_from(NEW_KEYS))] = draw(st.sampled_from(OTHER_VALUES))
+        return name, doc
+    value = {"swap": lambda: copy.deepcopy(draw(st.sampled_from(OTHER_VALUES))),
+             "negative": lambda: -abs(target) or -1,
+             "nan": lambda: math.nan,
+             "inf": lambda: draw(st.sampled_from((math.inf, -math.inf)))}[op]()
+    if not path:
+        return name, value
+    parent[path[-1]] = value
+    return name, doc
+
+
+def run_recorded(argv):
+    """(exit code, the exception main turned into it or None) of main(argv),
+    with stdout and stderr swallowed."""
+    caught = []
+
+    def record(fn):
+        def call(*args):
+            try:
+                return fn(*args)
+            except Exception as exc:
+                caught.append(exc)
+                raise
+        return call
+
+    commands = {name: record(fn) for name, fn in cli._COMMANDS.items()}
+    with mock.patch.object(cli, "_COMMANDS", commands), \
+            mock.patch.object(cli, "_apply_config", record(cli._apply_config)), \
+            redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, caught[0] if caught else None
+
+
+def _edited(name, edit):
+    doc = copy.deepcopy(LOADERS[name][1])
+    edit(doc)
+    return name, doc
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=mutants())
+@example(case=_edited("hyperbolic_system",
+                      lambda d: d["orbits"][0].update(hyperbolic="no")))
+@example(case=_edited("hyperbolic_system",
+                      lambda d: d["orbits"][0].update(hyperbolic=1)))
+@example(case=_edited("pseudo_rotation_system",
+                      lambda d: d["orbits"][0].update(locally_maximal="yes")))
+@example(case=_edited("hyperbolic_system", lambda d: d["constants"].update(B=4.0)))
+@example(case=_edited("hyperbolic_system", lambda d: d["orbits"][1].update(period_=3.0)))
+@example(case=_edited("profile", lambda d: d.update(loopindex=2)))
+@example(case=_edited("complex", lambda d: d["generators"][0].update(weight=1.0)))
+@example(case=_edited("complex", lambda d: d.update(boundaries={})))
+@example(case=_edited("matrix", lambda d: d[0].__setitem__(0, "1")))
+def test_loaders_reject_what_their_schemas_reject(case):
+    name, doc = case
+    schema, _, argv = LOADERS[name]
+    valid = schema().is_valid(doc) and _finite(doc)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.json"
+        path.write_text(json.dumps(doc))
+        code, exc = run_recorded([str(path) if a == "FILE" else a for a in argv])
+    if valid:
+        assert code in (0, 3) or not isinstance(exc, MalformedInput), (code, exc)
+    else:
+        assert code == 2, (code, exc)

@@ -111,6 +111,11 @@ class TestBarcode:
             FilteredComplex(generators=(("a", 0.0, 0), ("b", 1.0, 3)),
                             boundary={"b": {"a"}})
 
+    @pytest.mark.parametrize("action", [math.inf, -math.inf, math.nan])
+    def test_actions_must_be_finite(self, action):
+        with pytest.raises(FiltrationViolation, match="generator b has action"):
+            FilteredComplex(generators=(("a", 0.0, 0), ("b", action, 0)), boundary={})
+
     @pytest.mark.parametrize("obj", [
         {"generators": [{"id": "a", "action": 1.0}], "boundary": {}},
         {"generators": [{"action": 1.0, "degree": 0}]},
@@ -126,6 +131,9 @@ class TestBarcode:
         {"generators": [{"id": "a", "action": 1.0, "degree": 0}], "boundary": []},
         {"generators": [{"id": "a", "action": 1.0, "degree": 0}], "boundary": {"a": "b"}},
         {"generators": [{"id": "a", "action": 1.0, "degree": 0}], "boundary": {"a": [["b"]]}},
+        {"generators": [{"id": "a", "action": 1.0, "degree": 0, "weight": 2.0}]},
+        {"generators": [{"id": "a", "action": 1, "degree": 0, "weight": 2.0}]},
+        {"generators": [], "boundaries": {}},
     ])
     def test_from_json_typed_errors(self, obj):
         with pytest.raises(MalformedInput):

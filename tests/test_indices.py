@@ -434,6 +434,10 @@ def test_profile_json_roundtrip():
     {"degenerate": 5},
     {"degenerate": {}},
     {"degenerate": {**WilliamsonInvariants.from_counts(b_plus=1).to_json(), "m": "1"}},
+    {"elliptic": [0.3], "Hyperbolic": [3]},
+    {"degenerate": {**WilliamsonInvariants.from_counts(b_plus=1).to_json(), "M": 1}},
+    {"elliptic": ["1.5"]},
+    {"elliptic": ["1/3 "]},
 ])
 def test_profile_from_json_typed_errors(blob):
     with pytest.raises(MalformedInput):

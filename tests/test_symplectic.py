@@ -11,7 +11,6 @@ from reeb_lab.symplectic import (
     direct_sum,
     hyperbolic2,
     quadratic_flow,
-    random_symplectic,
     rotation2,
     spectral_classification,
     validate_symplectic,
@@ -20,6 +19,12 @@ from reeb_lab.symplectic import (
 
 from _oracles import flow_path
 from reeb_lab.indices import cz_index_sampled
+
+
+def random_symplectic(rng: np.random.Generator, m: int, scale: float = 0.7) -> np.ndarray:
+    """exp(JHAT S) for a random symmetric S; always symplectic."""
+    B = rng.normal(size=(2 * m, 2 * m)) * scale
+    return quadratic_flow((B + B.T) / 2.0)
 
 
 def test_identity_accepted():
