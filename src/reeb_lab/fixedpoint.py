@@ -98,10 +98,6 @@ class LefschetzReport:
     def ok(self) -> bool:
         return self.max_abs_residual <= 1e-9
 
-    def to_json(self) -> dict:
-        return {"residuals": list(self.residuals),
-                "max_abs_residual": self.max_abs_residual, "ok": self.ok}
-
 
 def lefschetz_residuals(induced_maps: Sequence,
                         fixed_point_indices: Sequence,
@@ -146,10 +142,6 @@ class TraceScan:
     count: int            # how many m in 1..m_max have trace(L^m) >= 0
     first_hits: tuple     # the first few such m
     m_max: int
-
-    def to_json(self) -> dict:
-        return {"count": self.count, "first_hits": list(self.first_hits),
-                "m_max": self.m_max}
 
 
 def trace_nonneg_scan(L: np.ndarray, m_max: int = 1000,

@@ -9,8 +9,8 @@ set of row indices per column and reduction is column XOR.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
     FiltrationViolation,
@@ -29,9 +29,6 @@ class GraphVertex:
     id: str
     action: float
     mu_hat: Optional[float] = None     # None for the domain vertex
-    support: Optional[tuple] = None    # degree range [lo, hi], inclusive
-    ranks: dict = field(default_factory=dict)   # degree -> local rank
-    kind: str = "orbit"                # "orbit" | "domain"
 
 
 @dataclass(frozen=True)
@@ -63,36 +60,6 @@ class ReducedFloerGraph:
 
     def vertex(self, vid: str) -> GraphVertex:
         return self._by_id[vid]
-
-    def to_json(self) -> dict:
-        return {
-            "vertices": [
-                {"id": v.id, "action": v.action, "mu_hat": v.mu_hat,
-                 "support": list(v.support) if v.support else None,
-                 "ranks": {str(k): r for k, r in v.ranks.items()}, "kind": v.kind}
-                for v in self.vertices
-            ],
-            "arrows": [{"source": a.source, "target": a.target, "length": a.length}
-                       for a in self.arrows],
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ReducedFloerGraph":
-        vertices = tuple(
-            GraphVertex(
-                id=v["id"], action=float(v["action"]),
-                mu_hat=v.get("mu_hat"),
-                support=tuple(v["support"]) if v.get("support") else None,
-                ranks={int(k): int(r) for k, r in (v.get("ranks") or {}).items()},
-                kind=v.get("kind", "orbit"),
-            )
-            for v in obj["vertices"]
-        )
-        arrows = tuple(
-            GraphArrow(source=a["source"], target=a["target"], length=float(a["length"]))
-            for a in obj["arrows"]
-        )
-        return cls(vertices=vertices, arrows=arrows)
 
 
 @dataclass(frozen=True)
@@ -155,41 +122,64 @@ class Bar:
 
 @dataclass(frozen=True)
 class FilteredComplex:
-    """Generators (id, action, degree) and an F2 boundary by generator id."""
+    """Generators (id, action, degree) and an F2 boundary by generator id.
+
+    Construction resolves every id once, to its position in the filtration
+    order (action, input position), and keeps the boundary as integer
+    columns: position p holds generator _order[p], and _columns[p] is the
+    frozenset of the positions in its boundary.  Every check runs on those
+    columns and names the generators by id.
+    """
 
     generators: tuple                  # (id, action, degree)
     boundary: dict                     # id -> frozenset of ids
 
     def __post_init__(self):
-        ids = [g[0] for g in self.generators]
+        gens = self.generators
+        ids = [g[0] for g in gens]
         if len(set(ids)) != len(ids):
             raise MalformedGraph("duplicate generator ids")
         object.__setattr__(self, "boundary",
                            {k: frozenset(v) for k, v in self.boundary.items()})
-        info = {g[0]: (float(g[1]), int(g[2])) for g in self.generators}
-        if not all(map(math.isfinite, (a for a, _ in info.values()))):
-            gid = next(g for g, (a, _) in info.items() if not math.isfinite(a))
-            raise FiltrationViolation(f"generator {gid} has action {info[gid][0]}: "
-                                      f"actions must be finite")
+        for g in gens:
+            if not math.isfinite(float(g[1])):
+                raise FiltrationViolation(f"generator {g[0]} has action {float(g[1])}: "
+                                          f"actions must be finite")
+        order = sorted(range(len(gens)), key=lambda i: (gens[i][1], i))
+        pos = {ids[i]: p for p, i in enumerate(order)}
+        action = [float(gens[i][1]) for i in order]
+        degree = [int(gens[i][2]) for i in order]
+        columns = [frozenset()] * len(gens)
         for col, rows in self.boundary.items():
-            if col not in info:
+            j = pos.get(col)
+            if j is None:
                 raise MalformedGraph(f"boundary of unknown generator {col}")
-            action, degree = info[col]
+            column = []
             for r in rows:
-                if r not in info:
+                p = pos.get(r)
+                if p is None:
                     raise MalformedGraph(f"boundary hits unknown generator {r}")
-                r_action, r_degree = info[r]
-                if not r_action < action:
+                if not action[p] < action[j]:
                     raise FiltrationViolation(
-                        f"boundary of {col} (action {action}) hits {r} "
-                        f"(action {r_action}): not strictly decreasing"
+                        f"boundary of {col} (action {action[j]}) hits {r} "
+                        f"(action {action[p]}): not strictly decreasing"
                     )
-                if r_degree != degree - 1:
+                if degree[p] != degree[j] - 1:
                     raise MalformedGraph(
-                        f"boundary of {col} (degree {degree}) hits {r} "
-                        f"(degree {r_degree}): the degree must drop by one"
+                        f"boundary of {col} (degree {degree[j]}) hits {r} "
+                        f"(degree {degree[p]}): the degree must drop by one"
                     )
-        _check_squares(self.boundary)
+                column.append(p)
+            columns[j] = frozenset(column)
+        for j, column in enumerate(columns):
+            acc = set()
+            for p in column:
+                acc ^= columns[p]
+            if acc:
+                raise NotADifferential(f"boundary of boundary of {ids[order[j]]} is "
+                                       f"{sorted(ids[order[p]] for p in acc)}")
+        object.__setattr__(self, "_order", order)
+        object.__setattr__(self, "_columns", columns)
 
     @classmethod
     def from_json(cls, obj: dict) -> "FilteredComplex":
@@ -213,53 +203,28 @@ class FilteredComplex:
                 raise MalformedInput(f"boundary of {col}: expected a list of ids")
         return cls(generators=tuple(gens), boundary=bnd)
 
-    def to_json(self) -> dict:
-        return {
-            "generators": [{"id": g[0], "action": g[1], "degree": g[2]}
-                           for g in self.generators],
-            "boundary": {k: sorted(v) for k, v in self.boundary.items()},
-        }
-
-
-def _check_squares(boundary: dict):
-    for col, rows in boundary.items():
-        acc: Set = set()
-        for r in rows:
-            acc ^= set(boundary.get(r, frozenset()))
-        if acc:
-            raise NotADifferential(f"boundary of boundary of {col} is {sorted(acc)}")
-
 
 def barcode(complex_: FilteredComplex) -> List[Bar]:
-    """Standard column reduction in action order; deterministic tie order.
+    """Standard column reduction of the complex's columns, left to right in
+    its filtration order (action, input position).
 
-    Generators are processed by (action, input position); a pairing (i, j)
-    yields the bar [action_i, action_j) in the degree of the dying cycle's
-    generator; unpaired generators yield infinite bars.
+    A pairing (i, j) yields the bar [action_i, action_j) in the degree of
+    the dying cycle's generator; unpaired generators yield infinite bars.
     """
-    order = sorted(range(len(complex_.generators)),
-                   key=lambda i: (complex_.generators[i][1], i))
-    pos = {complex_.generators[i][0]: rank for rank, i in enumerate(order)}
-    gens = [complex_.generators[i] for i in order]
-
-    columns: List[Set[int]] = []
-    for gid, _a, _d in gens:
-        columns.append({pos[r] for r in complex_.boundary.get(gid, frozenset())})
+    gens = [complex_.generators[i] for i in complex_._order]
+    columns = list(complex_._columns)
     low_to_col: Dict[int, int] = {}
     pairs: List[Tuple[int, int]] = []
-    for j in range(len(columns)):
-        col = columns[j]
+    for j, col in enumerate(columns):
         while col:
             low = max(col)
             other = low_to_col.get(low)
             if other is None:
+                low_to_col[low] = j
+                columns[j] = col
+                pairs.append((low, j))
                 break
-            col ^= columns[other]
-        if col:
-            low = max(col)
-            low_to_col[low] = j
-            columns[j] = col
-            pairs.append((low, j))
+            col ^= columns[other]      # a new frozenset: the complex keeps its own
     paired = {i for p in pairs for i in p}
     bars = []
     for i, j in pairs:
@@ -275,10 +240,6 @@ def barcode(complex_: FilteredComplex) -> List[Bar]:
 class BarLengthReport:
     ok: bool
     witnesses: tuple    # bars ending at or below the level with length >= max_length
-
-    def to_json(self) -> dict:
-        return {"ok": self.ok,
-                "witnesses": [list(b.to_row()) for b in self.witnesses]}
 
 
 def check_bar_lengths(bars: Sequence[Bar], max_length: float,

@@ -66,6 +66,9 @@ class IterationProfile:
             raise ValueError(f"loop index must be even, got {self.loop_index}")
         object.__setattr__(self, "elliptic", tuple(self.elliptic))
         object.__setattr__(self, "hyperbolic", tuple(int(h) for h in self.hyperbolic))
+        for i, rho in enumerate(self.elliptic):
+            if not isinstance(rho, Fraction) and not math.isfinite(rho):
+                raise ValueError(f"profile has a non-finite rotation number elliptic[{i}] = {rho}")
 
     @property
     def dim_half(self) -> int:
@@ -199,7 +202,7 @@ def _orders(profile: IterationProfile, k) -> np.ndarray:
 
 def _fits_int64(profile: IterationProfile, k: int) -> bool:
     """Whether the indices of iterates 1..k stay inside int64 (index_triple
-    raises ValueError beyond); False for a NaN rotation number."""
+    raises ValueError beyond)."""
     # every index and every floor(k rho) is at most k * growth in size
     growth = (abs(profile.loop_index) + sum(map(abs, profile.hyperbolic)) + 2 * profile.dim_half
               + sum(2.0 * abs(float(rho)) for rho in profile.elliptic))

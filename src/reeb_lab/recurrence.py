@@ -34,6 +34,7 @@ soft flag marks horizons exhausted before the requested solution count.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -75,13 +76,6 @@ class RecurrenceQuery:
         if (not 0 < self.eta < math.inf or self.ell0 < 1 or self.n_divisor < 1
                 or self.count < 1):
             raise ValueError("finite eta > 0, ell0 >= 1, divisor >= 1, count >= 1 required")
-
-    def to_json(self) -> dict:
-        return {
-            "profiles": [p.to_json() for p in self.profiles],
-            "eta": self.eta, "ell0": self.ell0, "n_divisor": self.n_divisor,
-            "k_bound": self.k_bound, "count": self.count,
-        }
 
 
 @dataclass(frozen=True)
@@ -214,16 +208,25 @@ def recurrence_search(query: RecurrenceQuery, on_solution=None) -> SearchResult:
     given, is called with each solution as found (the CLI uses this to
     stream).  scanned_up_to is the end of the chunk of _CHUNK multiples of N
     that holds the last solution, or the horizon when it is exhausted.
+
+    Raises ValueError, as index_triple does, when the horizon reaches a k_0
+    whose iterate k_0 + ell0 of profile 0 has indices outside int64 before
+    the requested count is found: no k_0 from there on is tested.
     """
     mean0 = query.profiles[0].mean_index(1)
     N, eta = query.n_divisor, query.eta
     j_start = max(1, (query.ell0 + N) // N)      # k0 - ell0 >= 1 required
     j_end = min(query.k_bound, _INT64_MAX) // N  # k0 stays inside int64
+    # the first j whose iterate N j + ell0 of profile 0 leaves int64, or
+    # j_end + 1; below it R1's test cannot wrap, as k0 mean0 < 2^62 there
+    j_stop = j_start + bisect.bisect_left(
+        range(j_start, j_end + 1), True,
+        key=lambda j: not _fits_int64(query.profiles[0], N * j + query.ell0))
     found = []
     last_d = 0
     a, size = j_start, _BLOCK
-    while a <= j_end and len(found) < query.count:
-        b = min(j_end + 1, a + size)
+    while a < j_stop and len(found) < query.count:
+        b = min(j_stop, a + size)
         k0s = N * _r1_candidates(mean0, eta / N, a, b)
         means = k0s * mean0
         ds = np.rint(means / N).astype(np.int64) * N
@@ -250,6 +253,8 @@ def recurrence_search(query: RecurrenceQuery, on_solution=None) -> SearchResult:
         a = b
         size = min(2 * size, _BLOCK_MAX,
                    max(_CHUNK, int(_CHUNK / (2 * _window(eta / N, mean0, b)))))
+    if len(found) < query.count and j_stop <= j_end:
+        raise ValueError(f"indices of iterate {N * j_stop + query.ell0} leave int64")
     start, span = N * j_start, _CHUNK * N
     last = found[-1].k[0] if len(found) >= query.count else N * j_end
     chunk_end = start + ((last - start) // span + 1) * span - N if last >= start else start - N
@@ -339,22 +344,19 @@ def _solutions(query: RecurrenceQuery, k0s: np.ndarray, ds: np.ndarray, last_d: 
     each with d above the last one yielded (or above last_d).
 
     Profile 0's R1-R3 run in one _Iterates over all survivors with d above
-    last_d.  When the largest of their orders would leave int64, they run
-    one survivor at a time instead, so that ValueError is raised at the
-    first survivor that reaches it, as a one-at-a-time test would.
+    last_d.
     """
-    p0, ell0 = query.profiles[0], query.ell0
-    step = k0s.size if k0s.size and _fits_int64(p0, int(k0s[-1]) + ell0) else 1
-    for at in range(0, k0s.size, step):
-        keep = ds[at:at + step] > last_d
-        it0 = _Iterates(p0, ds[at:at + step][keep], k0s[at:at + step][keep], query.eta, ell0)
-        for c in np.flatnonzero(it0.ok).tolist():
-            if it0.d[c] <= last_d:
-                continue
-            sol = _assemble(query, it0, c)
-            if sol is not None:
-                last_d = sol.d
-                yield sol
+    if not k0s.size:
+        return
+    keep = ds > last_d
+    it0 = _Iterates(query.profiles[0], ds[keep], k0s[keep], query.eta, query.ell0)
+    for c in np.flatnonzero(it0.ok).tolist():
+        if it0.d[c] <= last_d:
+            continue
+        sol = _assemble(query, it0, c)
+        if sol is not None:
+            last_d = sol.d
+            yield sol
 
 
 def _assemble(query: RecurrenceQuery, it0: _Iterates, c: int) -> Optional[RecurrenceSolution]:
@@ -388,9 +390,6 @@ def _assemble(query: RecurrenceQuery, it0: _Iterates, c: int) -> Optional[Recurr
 class GapReport:
     ok: bool
     rows: tuple      # (profile index, ell, mu_plus, bound d - 2)
-
-    def to_json(self) -> dict:
-        return {"ok": self.ok, "rows": [list(r) for r in self.rows]}
 
 
 def convexity_gap_check(profiles: Sequence[IterationProfile],

@@ -6,14 +6,16 @@ force over the two-element field, and derivatives by finite differences.
 The scalar index formulas, the per-ell recurrence check, the scalar
 action-calculus loops and the pair-by-pair audit sweep are the exception:
 they are the per-element paths the array code replaced, kept to check it bit
-for bit.  So is the scan over every k0 that the recurrence search's
-residue-class enumeration replaced.
+for bit.  So are the scan over every k0 that the recurrence search's
+residue-class enumeration replaced, and the id-keyed filtered complex and
+barcode that the integer columns replaced.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Dict, List, Set, Tuple
 
 import numpy as np
 
@@ -25,9 +27,16 @@ from reeb_lab.audit import (
     exclusion_certificate,
     j_range,
 )
-from reeb_lab.errors import IterateUnderflow, SupportOutOfRange
+from reeb_lab.errors import (
+    FiltrationViolation,
+    IterateUnderflow,
+    MalformedGraph,
+    NotADifferential,
+    SupportOutOfRange,
+)
+from reeb_lab.floergraph import INF, Bar
 from reeb_lab.hamiltonian import action_from_period
-from reeb_lab.indices import INTEGER_BAND, IndexTriple
+from reeb_lab.indices import INTEGER_BAND, IndexTriple, _fits_int64
 from reeb_lab.recurrence import (
     Certificate,
     ConditionRecord,
@@ -162,24 +171,25 @@ def bars_betti(bars, level) -> dict:
     return betti
 
 
-def random_complex(rng, n_generators: int, degrees=(0, 1, 2)):
+def random_complex(rng, n_generators: int, degrees=(0, 1, 2), distinct: bool = True):
     """Random filtered complex with a strictly action-decreasing differential.
 
     Degrees descend along the boundary and squares to zero by construction:
     the boundary only maps the top degree to cycles of the middle degree
     when those are closed, so instead we build it upper-triangularly and then
-    repair d^2 = 0 by dropping offending terms.
+    repair d^2 = 0 by dropping offending terms.  With distinct=False the
+    actions are whole numbers and may tie.
     """
     gens = []
     for i in range(n_generators):
         deg = int(rng.choice(degrees))
-        action = float(np.round(rng.uniform(0, 10), 6))
+        action = float(np.round(rng.uniform(0, 10), 6 if distinct else 0))
         gens.append((f"g{i}", action, deg))
     # make actions distinct to keep tie order irrelevant
     seen = set()
     out = []
     for gid, a, d in gens:
-        while a in seen:
+        while distinct and a in seen:
             a += 1e-3
         seen.add(a)
         out.append((gid, a, d))
@@ -209,6 +219,87 @@ def random_complex(rng, n_generators: int, degrees=(0, 1, 2)):
             else:
                 boundary.pop(gid)
     return gens, {k: frozenset(v) for k, v in boundary.items()}
+
+
+# ---------------------------------------------------------------------------
+# the filtered complex keyed by generator id
+# ---------------------------------------------------------------------------
+
+def id_keyed_complex(generators, boundary) -> dict:
+    """FilteredComplex's construction checks on sets of ids, the code the
+    integer columns replaced; returns the boundary as frozensets of ids."""
+    ids = [g[0] for g in generators]
+    if len(set(ids)) != len(ids):
+        raise MalformedGraph("duplicate generator ids")
+    boundary = {k: frozenset(v) for k, v in boundary.items()}
+    info = {g[0]: (float(g[1]), int(g[2])) for g in generators}
+    if not all(map(math.isfinite, (a for a, _ in info.values()))):
+        gid = next(g for g, (a, _) in info.items() if not math.isfinite(a))
+        raise FiltrationViolation(f"generator {gid} has action {info[gid][0]}: "
+                                  f"actions must be finite")
+    for col, rows in boundary.items():
+        if col not in info:
+            raise MalformedGraph(f"boundary of unknown generator {col}")
+        action, degree = info[col]
+        for r in rows:
+            if r not in info:
+                raise MalformedGraph(f"boundary hits unknown generator {r}")
+            r_action, r_degree = info[r]
+            if not r_action < action:
+                raise FiltrationViolation(
+                    f"boundary of {col} (action {action}) hits {r} "
+                    f"(action {r_action}): not strictly decreasing"
+                )
+            if r_degree != degree - 1:
+                raise MalformedGraph(
+                    f"boundary of {col} (degree {degree}) hits {r} "
+                    f"(degree {r_degree}): the degree must drop by one"
+                )
+    for col, rows in boundary.items():
+        acc: Set = set()
+        for r in rows:
+            acc ^= set(boundary.get(r, frozenset()))
+        if acc:
+            raise NotADifferential(f"boundary of boundary of {col} is {sorted(acc)}")
+    return boundary
+
+
+def id_keyed_barcode(generators, boundary) -> list:
+    """Standard column reduction in action order, over columns rebuilt from
+    the ids (see id_keyed_complex for the checks)."""
+    boundary = id_keyed_complex(generators, boundary)
+    order = sorted(range(len(generators)),
+                   key=lambda i: (generators[i][1], i))
+    pos = {generators[i][0]: rank for rank, i in enumerate(order)}
+    gens = [generators[i] for i in order]
+
+    columns: List[Set[int]] = []
+    for gid, _a, _d in gens:
+        columns.append({pos[r] for r in boundary.get(gid, frozenset())})
+    low_to_col: Dict[int, int] = {}
+    pairs: List[Tuple[int, int]] = []
+    for j in range(len(columns)):
+        col = columns[j]
+        while col:
+            low = max(col)
+            other = low_to_col.get(low)
+            if other is None:
+                break
+            col ^= columns[other]
+        if col:
+            low = max(col)
+            low_to_col[low] = j
+            columns[j] = col
+            pairs.append((low, j))
+    paired = {i for p in pairs for i in p}
+    bars = []
+    for i, j in pairs:
+        bars.append(Bar(birth=gens[i][1], death=gens[j][1], degree=gens[i][2]))
+    for i, (gid, a, d) in enumerate(gens):
+        if i not in paired:
+            bars.append(Bar(birth=a, death=INF, degree=d))
+    bars.sort(key=lambda b: (b.birth, b.death, b.degree))
+    return bars
 
 
 # ---------------------------------------------------------------------------
@@ -332,9 +423,10 @@ def scan_recurrence_search(query, on_solution=None) -> SearchResult:
     """Scan k_0 <= k_bound for solutions in chunks of _CHUNK multiples of N,
     with numpy prefilters; the search the residue-class enumeration replaced.
 
-    One expression differs from the replaced code: a chunk ends at hi + 1,
-    not hi + N, which let a k_bound that is not a multiple of N admit one
-    k_0 above it."""
+    Two things differ from the replaced code: a chunk ends at hi + 1, not
+    hi + N, which let a k_bound that is not a multiple of N admit one k_0
+    above it; and the scan raises ValueError at the first k_0 whose iterate
+    k_0 + ell0 of profile 0 leaves int64, where R1's test used to wrap."""
     p0 = query.profiles[0]
     mean0 = p0.mean_index(1)
     N = query.n_divisor
@@ -345,6 +437,12 @@ def scan_recurrence_search(query, on_solution=None) -> SearchResult:
     while k0 <= query.k_bound and len(found) < query.count:
         hi = min(query.k_bound, k0 + _CHUNK * N - N)
         k0s = np.arange(k0, hi + 1, N, dtype=np.int64)
+        # R1's test wraps once k0 * mean0 leaves int64: test no k0 whose
+        # iterate k0 + ell0 has indices outside it, and raise there
+        unfit = [] if _fits_int64(p0, hi + query.ell0) else [
+            k for k in k0s.tolist() if not _fits_int64(p0, k + query.ell0)]
+        if unfit:
+            k0s = k0s[k0s < unfit[0]]
         means = k0s * mean0
         ds = np.rint(means / N).astype(np.int64) * N
         mask = (np.abs(means - ds) < eta) & (ds > last_d)
@@ -371,6 +469,8 @@ def scan_recurrence_search(query, on_solution=None) -> SearchResult:
                     on_solution(sol)
                 if len(found) >= query.count:
                     break
+        if unfit and len(found) < query.count:
+            raise ValueError(f"indices of iterate {unfit[0] + query.ell0} leave int64")
         k0 = hi + N
     return SearchResult(
         solutions=tuple(found),

@@ -26,6 +26,9 @@ from reeb_lab.errors import MalformedInput
 
 SCHEMA_DIR = Path(reeb_lab.__file__).parent / "schemas"
 SQRT2 = "1.4142135623730951"
+# hamiltonian flags of each profile family beyond --slope 5 --r-max 2
+FAMILY_FLAGS = {"quadratic": [], "cubic": ["--theta", "0.6"], "exp": ["--beta", "1.5"],
+                "spline": ["--slope", "1.5", "--knots", "1,2"]}
 
 
 def run_cli(args, capsys):
@@ -149,15 +152,17 @@ class TestSubcommands:
         validate("williamson.schema.json", payload)
         assert payload["b_plus"] == 1
 
-    def test_hamiltonian_tables_and_checks(self, capsys, tmp_path):
+    @pytest.mark.parametrize("family", FAMILY_FLAGS)
+    def test_hamiltonian_tables_and_checks(self, capsys, tmp_path, family):
         out_file = tmp_path / "h.json"
         code, out, _ = run_cli([
-            "hamiltonian", "--family", "quadratic", "--slope", "5",
+            "hamiltonian", "--family", family, "--slope", "5",
             "--r-max", "2", "--check-ratio-r0", "2.0", "--transfer", "3,2",
-            "--out", str(out_file)], capsys)
+            *FAMILY_FLAGS[family], "--out", str(out_file)], capsys)
         assert code == 0
         payload = json.loads(out_file.read_text())
         validate("cli_reports.schema.json", payload, pointer="definitions/hamiltonian")
+        assert payload["profile"]["family"] == family
         assert payload["action_ratio_monotone"] is True
 
     def test_hamiltonian_trace_check(self, capsys, tmp_path):
@@ -373,7 +378,7 @@ class TestConfigAndErrors:
          "finite eta > 0"),
         ("mean_index_nan", {"p.json": [{"elliptic": [float("nan")]}]},
          ["recurrence-search", "--profiles", "p.json", "--eta", "0.1", "--ell0", "2"],
-         "profile 0 has mean index nan"),
+         "profile has a non-finite rotation number elliptic[0] = nan"),
         ("williamson_negative_count",
          {"p.json": {"degenerate": {"nu0": -1, "b0": 0, "b_plus": 2, "b_minus": 0,
                                     "nu_g": 0, "nu_a": 1, "m": 1}}},
@@ -396,6 +401,17 @@ class TestConfigAndErrors:
         ("constants_unknown_key", {"s.json": {**sqrt2_system_json(), "constants": {
             **sqrt2_system_json()["constants"], "B": 4.0}}},
          ["audit-lemma", "--system", "s.json"], "constants: unknown key 'B'"),
+        ("mean_index_inf", {"p.json": [{"loop_index": 2, "elliptic": [0.3, float("inf")]}]},
+         ["recurrence-search", "--profiles", "p.json", "--eta", "0.1", "--ell0", "2"],
+         "profile has a non-finite rotation number elliptic[1] = inf"),
+        ("rotation_nan", {"p.json": {"elliptic": [float("nan")]}},
+         ["iterate-indices", "--profile", "p.json"],
+         "profile has a non-finite rotation number elliptic[0] = nan"),
+        # k0 * mean0 leaves int64 past the first k0: no false "horizon exhausted"
+        ("search_leaves_int64", {"p.json": [{"loop_index": 2 ** 40, "elliptic": [0.25]}]},
+         ["recurrence-search", "--profiles", "p.json", "--eta", "0.01", "--ell0", "1",
+          "--divisor", str(2 ** 22), "--k-bound", str(2 ** 40), "--count", "3"],
+         "indices of iterate 4194305 leave int64"),
     ])
     def test_invalid_input_exit_2(self, capsys, tmp_path, name, files, argv, message):
         for fname, blob in files.items():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reeb_lab.errors import (
@@ -10,6 +10,7 @@ from reeb_lab.errors import (
     MalformedGraph,
     MalformedInput,
     NotADifferential,
+    ReebLabError,
 )
 from reeb_lab.floergraph import (
     Bar,
@@ -22,7 +23,12 @@ from reeb_lab.floergraph import (
     validate_graph,
 )
 
-from _oracles import bars_betti, random_complex, sublevel_betti
+from _oracles import (
+    bars_betti,
+    id_keyed_barcode,
+    random_complex,
+    sublevel_betti,
+)
 
 INF = math.inf
 
@@ -70,15 +76,6 @@ class TestValidateGraph:
         v1 = {(x.rule, x.source, x.target) for x in validate_graph(g1, n=2)}
         v2 = {(x.rule, x.source, x.target) for x in validate_graph(g2, n=2)}
         assert v1 <= v2
-
-    def test_json_roundtrip(self):
-        g = ReducedFloerGraph(
-            vertices=(_vertex("a", 3.0, 0.0),
-                      GraphVertex(id="W", action=0.0, kind="domain",
-                                  ranks={2: 1})),
-            arrows=(GraphArrow("a", "W", 3.0),))
-        g2 = ReducedFloerGraph.from_json(g.to_json())
-        assert g2.vertex("W").ranks == {2: 1}
 
 
 class TestBarcode:
@@ -198,6 +195,84 @@ class TestBarcode:
         bars1 = barcode(FilteredComplex(generators=shuffled, boundary=boundary))
         key = lambda b: (b.birth, b.death, b.degree)
         assert sorted(bars0, key=key) == sorted(bars1, key=key)
+
+
+# one fault each; fresh ids, so that no other check can fire first
+def _duplicate_id(rng, gens, bnd):
+    gens.insert(int(rng.integers(len(gens) + 1)), (gens[int(rng.integers(len(gens)))][0], 1.0, 0))
+
+
+def _non_finite_action(rng, gens, bnd):
+    i = int(rng.integers(len(gens)))
+    gens[i] = (gens[i][0], float(rng.choice([math.inf, -math.inf, math.nan])), gens[i][2])
+
+
+def _unknown_column(rng, gens, bnd):
+    bnd["ghost"] = frozenset({gens[int(rng.integers(len(gens)))][0]})
+
+
+def _unknown_row(rng, gens, bnd):
+    col = gens[int(rng.integers(len(gens)))][0]
+    bnd[col] = bnd.get(col, frozenset()) | {"ghost"}
+
+
+def _pair(rng, gens, bnd, low, high):
+    # a column "hi" whose boundary is the one generator "lo"
+    for g in (low, high):
+        gens.insert(int(rng.integers(len(gens) + 1)), g)
+    bnd["hi"] = frozenset({"lo"})
+
+
+def _not_decreasing(rng, gens, bnd):
+    a = float(rng.integers(0, 10))
+    _pair(rng, gens, bnd, ("lo", a + float(rng.integers(0, 2)), 0), ("hi", a, 1))
+
+
+def _wrong_degree(rng, gens, bnd):
+    _pair(rng, gens, bnd, ("lo", 0.0, 0), ("hi", 1.0, int(rng.choice([0, 2, 3]))))
+
+
+def _not_a_differential(rng, gens, bnd):
+    _pair(rng, gens, bnd, ("mid", 1.0, 1), ("hi", 2.0, 2))
+    gens.insert(int(rng.integers(len(gens) + 1)), ("lo", 0.0, 0))
+    bnd["hi"], bnd["mid"] = frozenset({"mid"}), frozenset({"lo"})
+
+
+FAULTS = (_duplicate_id, _non_finite_action, _unknown_column, _unknown_row,
+          _not_decreasing, _wrong_degree, _not_a_differential)
+
+
+def _outcome(build):
+    try:
+        return build()
+    except ReebLabError as exc:
+        return type(exc), str(exc)
+
+
+class TestIdKeyedOracle:
+    """The integer columns against the id-keyed complex and barcode they
+    replaced: the same bars, or the same exception."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 12), distinct=st.booleans(),
+           faults=st.lists(st.sampled_from(FAULTS), max_size=2))
+    @example(seed=0, n=4, distinct=False, faults=[_not_decreasing])
+    @example(seed=0, n=4, distinct=True, faults=[_not_a_differential])
+    def test_same_bars_or_same_error(self, seed, n, distinct, faults):
+        rng = np.random.default_rng(seed)
+        gens, bnd = random_complex(rng, n, distinct=distinct)
+        gens = [gens[i] for i in rng.permutation(n)]
+        for fault in faults:
+            fault(rng, gens, bnd)
+        got = _outcome(lambda: barcode(FilteredComplex(generators=tuple(gens), boundary=bnd)))
+        want = _outcome(lambda: id_keyed_barcode(tuple(gens), bnd))
+        if faults:
+            assert isinstance(want, tuple), "every fault is invalid"
+            assert got[0] is want[0]
+            if len(faults) == 1:
+                assert got == want
+        else:
+            assert got == want
 
 
 class TestBarLengths:

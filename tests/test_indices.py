@@ -352,8 +352,8 @@ class TestArrayPath:
                 index_triple(hyp, k)
         with pytest.raises(ValueError, match="leave int64"):
             ARRAY_PROFILES["float"].nu_a(2 ** 62)
-        with pytest.raises(ValueError, match="leave int64"):
-            index_triple(IterationProfile(elliptic=(float("nan"),)), 1)
+        with pytest.raises(ValueError, match=r"non-finite rotation number elliptic\[0\] = nan"):
+            IterationProfile(elliptic=(float("nan"),))
         with pytest.raises(ValueError, match="got 0"):
             support_interval(hyp, 0, 2)
         assert index_triple(hyp, 2 ** 58).mu_minus == 3 * 2 ** 58
