@@ -38,6 +38,7 @@ from .errors import (
     BadGeometry,
     HypothesisFailed,
     JOutOfRange,
+    JsonFields,
     MalformedInput,
     NotExcluded,
     ShellMarginNotFound,
@@ -73,16 +74,11 @@ def _nested(loader, obj, key: str, where: str):
 
 
 @dataclass(frozen=True)
-class SystemOrbit:
+class SystemOrbit(JsonFields):
     period: float
     profile: IterationProfile
     hyperbolic: bool = False
     locally_maximal: bool = False
-
-    def to_json(self) -> dict:
-        return {"period": self.period, "profile": self.profile.to_json(),
-                "hyperbolic": self.hyperbolic,
-                "locally_maximal": self.locally_maximal}
 
 
 def _orbit_from_json(obj: dict, where: str) -> SystemOrbit:
@@ -96,7 +92,7 @@ def _orbit_from_json(obj: dict, where: str) -> SystemOrbit:
 
 
 @dataclass(frozen=True)
-class DerivedConstants:
+class DerivedConstants(JsonFields):
     r_star: float          # level of the distinguished orbit, normalized units
     C1: float              # 2 * d(h')^{-1}/dT at the distinguished period
     C2: float              # max of |A_h'| = r h'' over [1, r_max]
@@ -106,11 +102,6 @@ class DerivedConstants:
     C: float               # C1 * C2 (normalized units, T0 = mean(z))
     C_raw: float           # the same constant computed on raw periods
     levels: tuple          # asymptotic aligned levels per companion orbit
-
-    def to_json(self) -> dict:
-        return {"r_star": self.r_star, "C1": self.C1, "C2": self.C2,
-                "c1": self.c1, "c2": self.c2, "xi": self.xi,
-                "C": self.C, "C_raw": self.C_raw, "levels": list(self.levels)}
 
 
 @dataclass(frozen=True)
@@ -260,7 +251,6 @@ class OrbitSystem:
 
 def _derive_constants(system: OrbitSystem) -> DerivedConstants:
     H = system.hamiltonian
-    a = H.slope
     z = system.orbits[0]
     mean_z = z.profile.mean_index(1)
     T0 = system.norm_periods[0]            # equals mean_z by construction
@@ -280,12 +270,11 @@ def _derive_constants(system: OrbitSystem) -> DerivedConstants:
         raise ShellMarginNotFound(f"h''(r_star) = {d2_star:.3e} <= 0")
     C1 = 2.0 / d2_star
 
+    # __post_init__ has put these level arguments and the raw period z.period
+    # below the slope
     levels = []
     for o, Tn in zip(system.orbits[1:], system.norm_periods[1:]):
-        arg = mean_z * Tn / o.profile.mean_index(1)
-        if arg >= a:
-            raise ShellMarginNotFound(f"aligned level argument {arg:.6g} >= slope")
-        levels.append(float(H.dh_inv(arg)))
+        levels.append(float(H.dh_inv(mean_z * Tn / o.profile.mean_index(1))))
     pts = [r_star, *levels]
     xi_max = min(min(p - 1.0 for p in pts), min(H.r_max - p for p in pts))
     if xi_max <= 0:
@@ -298,7 +287,7 @@ def _derive_constants(system: OrbitSystem) -> DerivedConstants:
     if c2 <= 0:
         raise ShellMarginNotFound(f"|A'| minimum {c2:.3e} <= 0 on the margin shell")
 
-    r_star_raw = float(H.dh_inv(z.period)) if z.period < a else r_star
+    r_star_raw = float(H.dh_inv(z.period))
     d2_raw = float(H.d2h_shell(r_star_raw))
     C1_raw = 2.0 / d2_raw if d2_raw > 0 else math.inf
     return DerivedConstants(
@@ -353,16 +342,12 @@ def case_classify(system: OrbitSystem, solution: RecurrenceSolution,
 
 
 @dataclass(frozen=True)
-class ExclusionReason:
+class ExclusionReason(JsonFields):
     kind: str           # same-pair | index-gap | short-action-gap | diverging-action-gap
     case: str
     i: int
     j: int
     numbers: dict = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "case": self.case, "i": self.i, "j": self.j,
-                "numbers": self.numbers}
 
 
 def _interval_gap(p: int, lo, hi):
@@ -491,7 +476,7 @@ def _aligned_certificate(system: OrbitSystem, solution: RecurrenceSolution,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SolutionAudit:
+class SolutionAudit(JsonFields):
     d: int
     k: tuple
     counts: dict                   # kind -> number of pairs
@@ -504,22 +489,9 @@ class SolutionAudit:
     contradiction: dict            # vanishing-window bookkeeping
     total_pairs: int
 
-    def to_json(self) -> dict:
-        return {
-            "d": self.d, "k": list(self.k), "counts": self.counts,
-            "min_index_gap": self.min_index_gap,
-            "min_diverging_gap": self.min_diverging_gap,
-            "aligned": [c.to_json() for c in self.aligned],
-            "near": [c.to_json() for c in self.near],
-            "protected": self.protected,
-            "w_vertex_gap_ok": self.w_vertex_gap_ok,
-            "contradiction": self.contradiction,
-            "total_pairs": self.total_pairs,
-        }
-
 
 @dataclass(frozen=True)
-class AuditReport:
+class AuditReport(JsonFields):
     mode: str
     n: int
     constants: dict
@@ -534,15 +506,7 @@ class AuditReport:
         return self.certified_pairs == self.total_pairs
 
     def to_json(self) -> dict:
-        return {
-            "mode": self.mode, "n": self.n, "constants": self.constants,
-            "normalization": self.normalization,
-            "solutions": [s.to_json() for s in self.solutions],
-            "diverging_trend_ok": self.diverging_trend_ok,
-            "certified_pairs": self.certified_pairs,
-            "total_pairs": self.total_pairs,
-            "ok": self.ok,
-        }
+        return {**super().to_json(), "ok": self.ok}
 
     def text_summary(self) -> str:
         lines = [
@@ -600,7 +564,7 @@ def audit(system: OrbitSystem, solutions: Optional[Sequence[RecurrenceSolution]]
                        "periods_normalized": list(system.norm_periods)},
         solutions=tuple(audits),
         diverging_trend_ok=trend_ok,
-        certified_pairs=sum(a.total_pairs for a in audits),
+        certified_pairs=sum(sum(a.counts.values()) for a in audits),
         total_pairs=sum(a.total_pairs for a in audits),
     )
     return report

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all reeb_lab modules.
+"""Exception hierarchy and JSON helpers shared by all reeb_lab modules.
 
 Every error raised on invalid input derives from ReebLabError so the CLI
 can map it to exit code 2; audit failures get their own branch (exit 3).
@@ -7,6 +7,7 @@ can map it to exit code 2; audit failures get their own branch (exit 3).
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 
 
 class ReebLabError(Exception):
@@ -49,6 +50,23 @@ def json_object(obj, keys, where: str) -> dict:
         if key not in keys:
             raise MalformedInput(f"{where}: unknown key {key!r}")
     return obj
+
+
+def _json_data(value):
+    """value as JSON data: an object with to_json gives its own, a tuple or
+    list gives a list, and any other value passes through uncopied."""
+    if hasattr(value, "to_json"):
+        return value.to_json()
+    if isinstance(value, (tuple, list)):
+        return [_json_data(v) for v in value]
+    return value
+
+
+class JsonFields:
+    """Mixin for a dataclass whose JSON object is its fields, by name."""
+
+    def to_json(self) -> dict:
+        return {f.name: _json_data(getattr(self, f.name)) for f in fields(self)}
 
 
 # -- symplectic linear algebra ------------------------------------------------

@@ -18,8 +18,8 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import MISSING, dataclass, fields
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .errors import (
     ConvexityViolation,
     EnergyAboveThreshold,
     JoinDiscontinuity,
+    JsonFields,
     MalformedTrace,
     NotDominated,
     PeriodOutOfRange,
@@ -63,13 +64,18 @@ def _bisect(f, target, top: float, steps: int):
 
 
 @dataclass(frozen=True)
-class RadialProfile:
-    """Base class; concrete families implement the _piece_* methods on [1, r_max]."""
+class RadialProfile(JsonFields):
+    """Base class; concrete families implement the _piece_* methods on [1, r_max].
+
+    Each family names itself in ``family`` and sets h_triple_nonneg_up_to,
+    the end of its certified h''' >= 0 region, in __post_init__.
+    """
+
+    family: ClassVar[str]
 
     slope: float
     r_max: float
     c0: float = 0.0
-    h_triple_nonneg_up_to: float = field(default=0.0, compare=False)
 
     @property
     def admissible(self) -> bool:
@@ -150,12 +156,14 @@ class RadialProfile:
         return out if out.ndim else float(out)
 
     def to_json(self) -> dict:
-        raise NotImplementedError
+        return {"family": self.family, **super().to_json()}
 
 
 @dataclass(frozen=True)
 class QuadraticProfile(RadialProfile):
     """h = c0 + a (r-1)^2 / (2 (r_max - 1)) on the shell; h''' = 0."""
+
+    family = "quadratic"
 
     def __post_init__(self):
         object.__setattr__(self, "h_triple_nonneg_up_to", self.r_max)
@@ -172,14 +180,12 @@ class QuadraticProfile(RadialProfile):
     def _piece_dh_inv(self, T):
         return np.asarray(T, dtype=float) * self._w / self.slope
 
-    def to_json(self):
-        return {"family": "quadratic", "slope": self.slope,
-                "r_max": self.r_max, "c0": self.c0}
-
 
 @dataclass(frozen=True)
 class CubicProfile(RadialProfile):
     """h' = (1-theta) a x / w + theta a x^2 / w^2; h''' = 2 theta a / w^2 > 0."""
+
+    family = "cubic"
 
     theta: float = 0.5
 
@@ -206,14 +212,12 @@ class CubicProfile(RadialProfile):
         disc = np.sqrt((1 - th) ** 2 + 4 * th * np.asarray(T, dtype=float) / a)
         return w * (disc - (1 - th)) / (2 * th)
 
-    def to_json(self):
-        return {"family": "cubic", "slope": self.slope, "r_max": self.r_max,
-                "c0": self.c0, "theta": self.theta}
-
 
 @dataclass(frozen=True)
 class ExpProfile(RadialProfile):
     """h' = a (e^{beta x} - 1) / (e^{beta w} - 1); all higher derivatives > 0."""
+
+    family = "exp"
 
     beta: float = 2.0
 
@@ -241,10 +245,6 @@ class ExpProfile(RadialProfile):
     def _piece_dh_inv(self, T):
         return np.log1p(np.asarray(T, dtype=float) * self._den / self.slope) / self.beta
 
-    def to_json(self):
-        return {"family": "exp", "slope": self.slope, "r_max": self.r_max,
-                "c0": self.c0, "beta": self.beta}
-
 
 @dataclass(frozen=True)
 class SplineProfile(RadialProfile):
@@ -253,6 +253,8 @@ class SplineProfile(RadialProfile):
     knots[i] is h'' at r = 1 + i * w / (len(knots) - 1); h' and h are exact
     piecewise polynomials.  The slope is whatever the knots integrate to.
     """
+
+    family = "spline"
 
     knots: tuple = ()
 
@@ -318,17 +320,9 @@ class SplineProfile(RadialProfile):
             polished = np.clip(x - (self._piece_dh(x) - T) / d2, 0.0, self._w)
         return np.where(d2 > 0, polished, x)
 
-    def to_json(self):
-        return {"family": "spline", "slope": self.slope, "r_max": self.r_max,
-                "c0": self.c0, "knots": list(self.knots)}
 
-
-_FAMILIES = {
-    "quadratic": QuadraticProfile,
-    "cubic": CubicProfile,
-    "exp": ExpProfile,
-    "spline": SplineProfile,
-}
+_FAMILIES = {cls.family: cls for cls in (QuadraticProfile, CubicProfile, ExpProfile,
+                                         SplineProfile)}
 
 
 def spline_slope(knots: Sequence[float], r_max: float) -> float:
@@ -358,26 +352,20 @@ def build_profile(family: str = "quadratic", *, slope: float, r_max: float,
     return profile
 
 
-#: the parameter key of each family, beside family, slope, r_max and c0
-_FAMILY_PARAMS = {"quadratic": (), "cubic": ("theta",), "exp": ("beta",),
-                  "spline": ("knots",)}
-
-
 def profile_from_json(obj: dict) -> RadialProfile:
     """Raises MalformedInput on a missing or unknown key (another family's
     parameter counts as unknown) or a value of the wrong JSON type."""
     where = "hamiltonian"
     family = json_field(obj, "family", str, where)
-    json_object(obj, ("family", "slope", "r_max", "c0", *_FAMILY_PARAMS.get(family, ())),
-                where)
-    params = {key: json_field(obj, key, float, where)
-              for key in ("c0", "theta", "beta") if key in obj}
-    if family == "spline":
-        knots = json_field(obj, "knots", list, where) if "knots" in obj else ()
+    # an unknown family gets the shared keys here and its error from build_profile
+    keys = fields(_FAMILIES.get(family, RadialProfile))
+    json_object(obj, ("family", *(f.name for f in keys)), where)
+    params = {f.name: json_field(obj, f.name, float, where) for f in keys
+              if f.name != "knots" and (f.name in obj or f.default is MISSING)}
+    if "knots" in obj:
         params["knots"] = tuple(json_value(v, float, f"{where}: knots[{i}]")
-                                for i, v in enumerate(knots))
-    return build_profile(family, slope=json_field(obj, "slope", float, where),
-                         r_max=json_field(obj, "r_max", float, where), **params)
+                                for i, v in enumerate(json_field(obj, "knots", list, where)))
+    return build_profile(family, **params)
 
 
 def _certify(profile: RadialProfile, grid: int):
@@ -665,7 +653,7 @@ class CylinderTrace:
 
 
 @dataclass(frozen=True)
-class TraceReport:
+class TraceReport(JsonFields):
     max_principle_ok: bool
     monotonicity_ok: bool          # every slice rises to at least r_minus
     average_inequality_ok: bool    # discrete d/ds of the t-average of r
@@ -678,14 +666,7 @@ class TraceReport:
                 and self.average_inequality_ok and self.time_below_ok)
 
     def to_json(self) -> dict:
-        return {
-            "max_principle_ok": self.max_principle_ok,
-            "monotonicity_ok": self.monotonicity_ok,
-            "average_inequality_ok": self.average_inequality_ok,
-            "time_below_ok": self.time_below_ok,
-            "ok": self.ok,
-            "details": self.details,
-        }
+        return {**super().to_json(), "ok": self.ok}
 
 
 def check_cylinder_trace(trace: CylinderTrace, profile: RadialProfile, k: float,

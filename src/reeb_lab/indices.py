@@ -28,6 +28,7 @@ import numpy as np
 from .errors import (
     DegenerateEndpoint,
     DimensionMismatch,
+    JsonFields,
     MalformedInput,
     PathNotSplittable,
     SamplingTooCoarse,
@@ -66,9 +67,17 @@ class IterationProfile:
             raise ValueError(f"loop index must be even, got {self.loop_index}")
         object.__setattr__(self, "elliptic", tuple(self.elliptic))
         object.__setattr__(self, "hyperbolic", tuple(int(h) for h in self.hyperbolic))
-        for i, rho in enumerate(self.elliptic):
-            if not isinstance(rho, Fraction) and not math.isfinite(rho):
-                raise ValueError(f"profile has a non-finite rotation number elliptic[{i}] = {rho}")
+        entries = [("loop_index", self.loop_index),
+                   *((f"elliptic[{i}]", rho) for i, rho in enumerate(self.elliptic)),
+                   *((f"hyperbolic[{i}]", h) for i, h in enumerate(self.hyperbolic))]
+        for what, value in entries:
+            # the mean index is a float, so every entry must convert to one
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:
+                raise ValueError(f"profile entry {what} is too large for a float") from None
+            if not finite:
+                raise ValueError(f"profile has a non-finite rotation number {what} = {value}")
 
     @property
     def dim_half(self) -> int:
@@ -258,21 +267,12 @@ def _support_bounds(t: IndexTriple, n: int) -> tuple:
 
 
 @dataclass(frozen=True)
-class ConvexityReport:
+class ConvexityReport(JsonFields):
     ok: bool
     witnesses: tuple            # (orbit position, k, mu_minus) violating mu_- >= n+1
     weak_ok: bool               # mu_- >= max(3, 2 + nu_a) for every listed iterate
     weak_witnesses: tuple
     min_mu_minus: Optional[int]
-
-    def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "witnesses": [list(w) for w in self.witnesses],
-            "weak_ok": self.weak_ok,
-            "weak_witnesses": [list(w) for w in self.weak_witnesses],
-            "min_mu_minus": self.min_mu_minus,
-        }
 
 
 def check_dynamical_convexity(orbits: Sequence[tuple], n: int) -> ConvexityReport:

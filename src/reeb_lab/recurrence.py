@@ -42,7 +42,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import HypothesisFailed, IterateUnderflow
+from .errors import HypothesisFailed, IterateUnderflow, JsonFields
 from .indices import IterationProfile, _fits_int64, index_triple
 
 #: scanned_up_to reports the horizon in chunks of this many multiples of N
@@ -79,35 +79,25 @@ class RecurrenceQuery:
 
 
 @dataclass(frozen=True)
-class ConditionRecord:
+class ConditionRecord(JsonFields):
     name: str
     ok: bool
     detail: dict
 
-    def to_json(self) -> dict:
-        return {"name": self.name, "ok": self.ok, "detail": self.detail}
-
 
 @dataclass(frozen=True)
-class Certificate:
+class Certificate(JsonFields):
     ok: bool
     records: tuple      # ConditionRecord per profile and condition
 
-    def to_json(self) -> dict:
-        return {"ok": self.ok, "records": [r.to_json() for r in self.records]}
-
 
 @dataclass(frozen=True)
-class RecurrenceSolution:
+class RecurrenceSolution(JsonFields):
     d: int
     k: tuple
     eta: float
     ell0: int
     certificate: Certificate = field(compare=False)
-
-    def to_json(self) -> dict:
-        return {"d": self.d, "k": list(self.k), "eta": self.eta, "ell0": self.ell0,
-                "certificate": self.certificate.to_json()}
 
 
 def verify_recurrence(profiles: Sequence[IterationProfile], d: int,
@@ -186,15 +176,10 @@ class _Iterates:
 
 
 @dataclass(frozen=True)
-class SearchResult:
+class SearchResult(JsonFields):
     solutions: tuple
     horizon_exhausted: bool
     scanned_up_to: int
-
-    def to_json(self) -> dict:
-        return {"solutions": [s.to_json() for s in self.solutions],
-                "horizon_exhausted": self.horizon_exhausted,
-                "scanned_up_to": self.scanned_up_to}
 
 
 def recurrence_search(query: RecurrenceQuery, on_solution=None) -> SearchResult:

@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import (
     BorderlineSpectrum,
+    JsonFields,
     MalformedInput,
     NotSymplectic,
     NotUnipotent,
@@ -283,7 +284,7 @@ def _cluster_radius(A: np.ndarray, alg1: int, band: float) -> float:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class WilliamsonInvariants:
+class WilliamsonInvariants(JsonFields):
     """Block counts of a unipotent symplectic map.
 
     nu0 counts zero planes (including d = 1 odd chains, which coincide with
@@ -310,13 +311,6 @@ class WilliamsonInvariants:
             raise UnresolvedNormalForm(f"nu_a = {self.nu_a} outside [nu_g/2, m]")
         if self.nu_a < self.nu0 + self.b0 + self.b_plus + self.b_minus:
             raise UnresolvedNormalForm("nu_a < nu0 + b0 + b+ + b-")
-
-    def to_json(self) -> dict:
-        return {
-            "nu0": self.nu0, "b0": self.b0,
-            "b_plus": self.b_plus, "b_minus": self.b_minus,
-            "nu_g": self.nu_g, "nu_a": self.nu_a, "m": self.m,
-        }
 
     @classmethod
     def from_json(cls, obj: dict) -> "WilliamsonInvariants":

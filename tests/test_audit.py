@@ -1,7 +1,12 @@
+import dataclasses
+import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+
+import reeb_lab.audit as audit_module
 
 from reeb_lab.audit import (
     CASE_ALIGNED,
@@ -29,9 +34,9 @@ from reeb_lab.errors import (
     ShellMarginNotFound,
     SupportOutOfRange,
 )
-from reeb_lab.hamiltonian import build_profile
-from reeb_lab.indices import IterationProfile
-from reeb_lab.symplectic import WilliamsonInvariants
+from reeb_lab.hamiltonian import CylinderTrace, build_profile, check_cylinder_trace, spline_slope
+from reeb_lab.indices import IterationProfile, check_dynamical_convexity
+from reeb_lab.symplectic import WilliamsonInvariants, validate_symplectic, williamson_invariants
 from reeb_lab.recurrence import (
     Certificate,
     RecurrenceQuery,
@@ -73,6 +78,14 @@ def golden_system(**overrides):
     )
     kwargs.update(overrides)
     return OrbitSystem(**kwargs)
+
+
+#: the three criterion-10 flagship systems
+FLAGSHIPS = pytest.mark.parametrize("factory", [
+    sqrt2_system,
+    lambda **kw: sqrt2_system(mode="hyperbolic_lower", **kw),
+    golden_system,
+], ids=["hyperbolic", "hyperbolic_lower", "pseudo_rotation"])
 
 
 class TestConstruction:
@@ -365,10 +378,75 @@ class TestAuditRuns:
         with pytest.raises(AuditFailed):
             audit(sys_, solutions=[fake])
 
+    @FLAGSHIPS
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_every_pair_has_one_certificate(self, factory, swap):
+        rep = audit(swapped(factory) if swap else factory(), count=3)
+        for s in rep.solutions:
+            assert sum(s.counts.values()) == s.total_pairs
+        assert rep.certified_pairs == rep.total_pairs and rep.ok
+
+    def test_certified_pairs_counts_certificates(self, monkeypatch):
+        # a sweep that certifies one pair too few must not report ok
+        sweep = audit_module._audit_solution
+
+        def one_short(system, solution):
+            a = sweep(system, solution)
+            return dataclasses.replace(
+                a, counts={**a.counts, "index-gap": a.counts["index-gap"] - 1})
+
+        monkeypatch.setattr(audit_module, "_audit_solution", one_short)
+        rep = audit(sqrt2_system(), count=2)
+        assert rep.certified_pairs == rep.total_pairs - 2
+        assert not rep.ok and rep.to_json()["ok"] is False
+
     def test_text_summary_mentions_counts(self):
         rep = audit(sqrt2_system(), count=1)
         text = rep.text_summary()
         assert "pairs certified" in text and "min_div_gap" in text
+
+
+def _encoded_instances():
+    """An instance of every class whose to_json encodes its fields, and of
+    each profile family."""
+    system = sqrt2_system()
+    report = audit(system, count=3)
+    audited = report.solutions[0]
+    search = recurrence_search(RecurrenceQuery(
+        profiles=(IterationProfile(loop_index=2, elliptic=(Fraction(1, 3),)),
+                  IterationProfile(loop_index=2, elliptic=(Fraction(2, 5),))),
+        eta=0.1, ell0=2, k_bound=10 ** 5, count=2))
+    solution = search.solutions[0]
+    quadratic = build_profile("quadratic", slope=5.0, r_max=2.0)
+    trace = CylinderTrace(np.linspace(-1.0, 1.0, 9), np.linspace(0.0, 2.0, 8),
+                          np.full((9, 8), 1.5), r_plus=1.5, r_minus=1.5)
+    return [
+        report, audited, audited.aligned[0], audited.near[0], system.derived,
+        system.orbits[1], search, solution, solution.certificate,
+        solution.certificate.records[0],
+        check_dynamical_convexity([(IterationProfile(elliptic=(0.3,)), 5)], n=2),
+        williamson_invariants(validate_symplectic(np.array([[1.0, 1.0], [0.0, 1.0]]))),
+        check_cylinder_trace(trace, quadratic, 2.0),
+        quadratic,
+        build_profile("cubic", slope=5.0, r_max=2.0, theta=0.6),
+        build_profile("exp", slope=5.0, r_max=2.0, beta=1.5),
+        build_profile("spline", slope=spline_slope((1.0, 2.0), 2.0), r_max=2.0,
+                      knots=(1.0, 2.0)),
+    ]
+
+
+def test_to_json_is_plain_json():
+    # a tuple fails the comparison; a Fraction or a numpy integer or bool fails
+    # json.dumps
+    instances = _encoded_instances()
+    assert {type(x).__name__ for x in instances} == {
+        "AuditReport", "SolutionAudit", "ExclusionReason", "DerivedConstants",
+        "SystemOrbit", "SearchResult", "RecurrenceSolution", "Certificate",
+        "ConditionRecord", "ConvexityReport", "WilliamsonInvariants", "TraceReport",
+        "QuadraticProfile", "CubicProfile", "ExpProfile", "SplineProfile"}
+    for x in instances:
+        data = x.to_json()
+        assert json.loads(json.dumps(data)) == data, type(x).__name__
 
 
 def flagship_solutions(system, count):
@@ -403,11 +481,7 @@ def outcome(sweep, system, solution):
 class TestArraySweep:
     """_audit_solution against the pair-by-pair sweep it replaced."""
 
-    @pytest.mark.parametrize("factory", [
-        sqrt2_system,
-        lambda **kw: sqrt2_system(mode="hyperbolic_lower", **kw),
-        golden_system,
-    ], ids=["hyperbolic", "hyperbolic_lower", "pseudo_rotation"])
+    @FLAGSHIPS
     @pytest.mark.parametrize("swap", [False, True])
     def test_reports_equal_the_oracle(self, factory, swap):
         system = swapped(factory) if swap else factory()

@@ -179,7 +179,9 @@ class TestSubcommands:
             "--trace-r-minus", "1.5", "--trace-k", "2",
             "--out", str(out_file)], capsys)
         assert code == 0
-        assert json.loads(out_file.read_text())["trace"]["ok"] is True
+        payload = json.loads(out_file.read_text())
+        validate("cli_reports.schema.json", payload, pointer="definitions/hamiltonian")
+        assert payload["trace"]["ok"] is True
 
     def test_recurrence_search_streams_jsonl(self, capsys, tmp_path):
         out_file = tmp_path / "sols.jsonl"
@@ -412,6 +414,19 @@ class TestConfigAndErrors:
          ["recurrence-search", "--profiles", "p.json", "--eta", "0.01", "--ell0", "1",
           "--divisor", str(2 ** 22), "--k-bound", str(2 ** 40), "--count", "3"],
          "indices of iterate 4194305 leave int64"),
+        # entries whose float conversion overflows, as the mean index needs
+        ("rotation_too_large", {"p.json": {"elliptic": ["1" + "0" * 400]}},
+         ["iterate-indices", "--profile", "p.json"],
+         "profile entry elliptic[0] is too large for a float"),
+        ("search_rotation_too_large", {"p.json": [{"elliptic": ["1" + "0" * 400]}]},
+         ["recurrence-search", "--profiles", "p.json", "--eta", "0.1", "--ell0", "2"],
+         "profile entry elliptic[0] is too large for a float"),
+        ("search_hyperbolic_too_large", {"p.json": [{"hyperbolic": [10 ** 400]}]},
+         ["recurrence-search", "--profiles", "p.json", "--eta", "0.1", "--ell0", "2"],
+         "profile entry hyperbolic[0] is too large for a float"),
+        ("search_loop_index_too_large", {"p.json": [{"loop_index": 10 ** 400}]},
+         ["recurrence-search", "--profiles", "p.json", "--eta", "0.1", "--ell0", "2"],
+         "profile entry loop_index is too large for a float"),
     ])
     def test_invalid_input_exit_2(self, capsys, tmp_path, name, files, argv, message):
         for fname, blob in files.items():
