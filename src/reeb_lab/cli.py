@@ -89,6 +89,25 @@ def _load_array(path: str, depth: int, what: str) -> np.ndarray:
     return np.asarray(data, dtype=float)
 
 
+def _load_csv(path: str, header: tuple) -> np.ndarray:
+    """The CSV file at path as a float array with one column per header name,
+    skipping a first row equal to header; MalformedInput for a file with no
+    data rows, a row of another width or a value that is not a finite number."""
+    rows = list(csv.reader(Path(path).read_text().strip().splitlines()))
+    if rows and rows[0] == list(header):
+        rows = rows[1:]
+    if not rows or any(len(row) != len(header) for row in rows):
+        raise MalformedInput(f"{path}: expected one or more rows {','.join(header)} "
+                             f"of {len(header)} values each")
+    try:
+        data = np.array([[float(v) for v in row] for row in rows])
+    except ValueError as exc:
+        raise MalformedInput(f"{path}: {exc}") from None
+    if not np.all(np.isfinite(data)):
+        raise MalformedInput(f"{path}: every value must be finite")
+    return data
+
+
 def _positive(name: str, value: float):
     if value is not None and not value > 0:
         raise ReebLabError(f"{name} must be positive, got {value}")
@@ -181,9 +200,8 @@ def cmd_hamiltonian(args) -> int:
     if args.trace:
         if args.trace_r_plus is None or args.trace_r_minus is None or args.trace_k is None:
             raise ReebLabError("--trace needs --trace-r-plus, --trace-r-minus, --trace-k")
-        trace = CylinderTrace.from_csv(Path(args.trace).read_text(),
-                                       r_plus=args.trace_r_plus,
-                                       r_minus=args.trace_r_minus)
+        trace = CylinderTrace.from_samples(_load_csv(args.trace, ("s", "t", "r")),
+                                           args.trace_r_plus, args.trace_r_minus)
         report = check_cylinder_trace(trace, profile, args.trace_k)
         payload["trace"] = report.to_json()
         lines.append(f"trace checks ok: {report.ok}")
@@ -268,24 +286,11 @@ def cmd_audit_lemma(args) -> int:
 
 
 def cmd_fixed_point_index(args) -> int:
-    rows = list(csv.reader(Path(args.samples).read_text().strip().splitlines()))
-    if rows and not _is_number(rows[0][0]):
-        rows = rows[1:]
-    center = tuple(float(v) for v in args.center.split(",")) if args.center else (0.0, 0.0)
-    sample = PlanarMapSample.from_csv_rows(
-        [[float(v) for v in row] for row in rows], center=center, eps=args.eps)
-    index = brouwer_index(sample)
-    _emit(args, {"index": index, "samples": len(rows)},
+    data = _load_csv(args.samples, ("x", "y", "fx", "fy"))
+    index = brouwer_index(PlanarMapSample(data[:, :2], data[:, 2:], eps=args.eps))
+    _emit(args, {"index": index, "samples": len(data)},
           f"fixed point index {index}")
     return 0
-
-
-def _is_number(token: str) -> bool:
-    try:
-        float(token)
-        return True
-    except ValueError:
-        return False
 
 
 # -- wiring --------------------------------------------------------------------
@@ -381,7 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fixed-point-index", help="planar displacement winding")
     p.add_argument("--samples", required=True, help="CSV x,y,fx,fy")
-    p.add_argument("--center", help="x,y of the fixed point")
     p.add_argument("--eps", type=float, default=1.0)
     common(p)
 

@@ -71,8 +71,8 @@ class EllipsoidSpec:
 
     def __post_init__(self):
         w = tuple(float(v) for v in self.weights)
-        if not w or any(v <= 0 for v in w):
-            raise ValueError(f"weights must be positive, got {w}")
+        if not w or not all(0 < v < math.inf for v in w):
+            raise ValueError(f"weights must be positive and finite, got {w}")
         if any(b < a for a, b in zip(w, w[1:])):
             raise ValueError("weights must be sorted ascending")
         object.__setattr__(self, "weights", w)
@@ -145,8 +145,8 @@ class ActionSpectrum:
 
 def action_spectrum(spec: EllipsoidSpec, t_max: float) -> ActionSpectrum:
     """All orbit periods k * T_j in (0, t_max], sorted; ties ordered by (j, k)."""
-    if t_max <= 0:
-        raise ValueError(f"t_max must be positive, got {t_max}")
+    if not 0 < t_max < math.inf:
+        raise ValueError(f"t_max must be positive and finite, got {t_max}")
     entries = []
     for j, T in enumerate(ellipsoid_periods(spec), start=1):
         k = 1
@@ -159,6 +159,8 @@ def action_spectrum(spec: EllipsoidSpec, t_max: float) -> ActionSpectrum:
 
 def slope_valid(spec: EllipsoidSpec, slope: float, band: float = 1e-9) -> bool:
     """True iff the slope avoids the action spectrum within the guard band."""
+    if not math.isfinite(slope):
+        raise ValueError(f"slope must be finite, got {slope}")
     if slope <= 0:
         return False
     spectrum = action_spectrum(spec, slope * (1.0 + 2.0 * band) + band)

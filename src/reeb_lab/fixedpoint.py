@@ -11,10 +11,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import FixedPointOnCircle, SamplingTooCoarse
-
-#: adjacent displacement directions may differ by at most this angle before
-#: the winding count becomes uncertifiable
-_MAX_STEP = math.pi / 2.0
+from .indices import winding
 
 
 @dataclass(frozen=True)
@@ -23,7 +20,6 @@ class PlanarMapSample:
 
     points: np.ndarray     # (N, 2) samples on the circle
     images: np.ndarray     # (N, 2) their images
-    center: tuple = (0.0, 0.0)
     eps: float = 1.0
 
     def __post_init__(self):
@@ -41,30 +37,7 @@ class PlanarMapSample:
         pts = np.column_stack([center[0] + eps * np.cos(ts),
                                center[1] + eps * np.sin(ts)])
         ims = np.array([f(p) for p in pts], dtype=float)
-        return cls(points=pts, images=ims, center=tuple(center), eps=eps)
-
-    @classmethod
-    def from_csv_rows(cls, rows: Sequence[Sequence[float]], center=(0.0, 0.0),
-                      eps: float = 1.0) -> "PlanarMapSample":
-        arr = np.asarray([[float(v) for v in row] for row in rows])
-        return cls(points=arr[:, :2], images=arr[:, 2:4], center=center, eps=eps)
-
-
-def _winding(points: np.ndarray, images: np.ndarray, eps: float) -> int:
-    disp = images - points
-    norms = np.hypot(disp[:, 0], disp[:, 1])
-    if np.any(norms <= 1e-14 * max(1.0, eps)):
-        raise FixedPointOnCircle("the map fixes a sampled circle point")
-    ang = np.arctan2(disp[:, 1], disp[:, 0])
-    closed = np.append(ang, ang[0])
-    steps = np.diff(closed)
-    steps = (steps + math.pi) % (2.0 * math.pi) - math.pi
-    if np.any(np.abs(steps) >= _MAX_STEP):
-        raise SamplingTooCoarse(
-            f"displacement direction jumps by {float(np.abs(steps).max()):.3f} rad"
-        )
-    total = float(steps.sum())
-    return int(round(total / (2.0 * math.pi)))
+        return cls(points=pts, images=ims, eps=eps)
 
 
 def brouwer_index(sample: PlanarMapSample) -> int:
@@ -74,7 +47,12 @@ def brouwer_index(sample: PlanarMapSample) -> int:
     the lift is unambiguous.  Raises SamplingTooCoarse otherwise (use
     brouwer_index_of_map for adaptive refinement).
     """
-    return _winding(sample.points, sample.images, sample.eps)
+    disp = sample.images - sample.points
+    norms = np.hypot(disp[:, 0], disp[:, 1])
+    if np.any(norms <= 1e-14 * max(1.0, sample.eps)):
+        raise FixedPointOnCircle("the map fixes a sampled circle point")
+    angles = np.arctan2(disp[:, 1], disp[:, 0])
+    return int(round(winding(np.append(angles, angles[0]))))
 
 
 def brouwer_index_of_map(f: Callable, center=(0.0, 0.0), eps: float = 1e-3,

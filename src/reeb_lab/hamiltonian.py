@@ -15,8 +15,6 @@ a_{k H}(T) = k a_H(T / k).
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import MISSING, dataclass, fields
 from typing import ClassVar, Sequence
@@ -222,7 +220,7 @@ class ExpProfile(RadialProfile):
     beta: float = 2.0
 
     def __post_init__(self):
-        if self.beta <= 0:
+        if not 0 < self.beta < math.inf:
             raise ConvexityViolation(1.0, self.beta)
         object.__setattr__(self, "h_triple_nonneg_up_to", self.r_max)
 
@@ -280,7 +278,7 @@ class SplineProfile(RadialProfile):
         object.__setattr__(self, "_h_knots", np.asarray(hh))
         object.__setattr__(self, "_dx", dx)
         computed = dh[-1]
-        if abs(computed - self.slope) > 1e-9 * max(1.0, abs(self.slope)):
+        if not abs(computed - self.slope) <= 1e-9 * max(1.0, abs(self.slope)):
             raise SlopeMismatch(
                 f"knots integrate to slope {computed:.9g}, profile declares {self.slope:.9g}"
             )
@@ -341,12 +339,12 @@ def build_profile(family: str = "quadratic", *, slope: float, r_max: float,
     """
     if family not in _FAMILIES:
         raise ValueError(f"unknown profile family {family!r}")
-    if slope <= 0:
-        raise SlopeMismatch(f"slope must be positive, got {slope}")
-    if r_max <= 1.0:
-        raise BadGeometry(f"r_max must exceed 1, got {r_max}")
-    if c0 > 0:
-        raise JoinDiscontinuity(f"constant piece must be <= 0, got {c0}")
+    if not 0 < slope < math.inf:
+        raise SlopeMismatch(f"slope must be positive and finite, got {slope}")
+    if not 1.0 < r_max < math.inf:
+        raise BadGeometry(f"r_max must be finite and exceed 1, got {r_max}")
+    if not -math.inf < c0 <= 0:
+        raise JoinDiscontinuity(f"constant piece must be finite and <= 0, got {c0}")
     profile = _FAMILIES[family](slope=slope, r_max=r_max, c0=c0, **params)
     _certify(profile, grid)
     return profile
@@ -495,6 +493,8 @@ def transfer_map(profile: RadialProfile, k: float, lam: float,
     Asserts the sandwich tau - lam * h(r_max) <= f(tau) <= tau pointwise and
     monotonicity along the grid.
     """
+    if not (math.isfinite(k) and math.isfinite(lam)):
+        raise ValueError(f"k and lam must be finite, got k = {k}, lam = {lam}")
     if k < 1 or lam <= 0:
         raise ValueError("need k >= 1 and lam > 0")
     if profile.admissible:
@@ -544,7 +544,7 @@ def check_action_ratio_monotone(profile: RadialProfile, r0: float,
         raise UncertifiedRegion(
             f"h''' >= 0 certified only up to {profile.h_triple_nonneg_up_to:.6g} < {r0:.6g}"
         )
-    if r0 <= 1.0 or r0 > profile.r_max + 1e-12:
+    if not 1.0 < r0 <= profile.r_max + 1e-12:
         raise BadGeometry(f"r0 = {r0} outside (1, r_max]")
     rs = np.linspace(1.0, r0, grid)
     ratio = profile.action(rs) / rs
@@ -633,23 +633,21 @@ class CylinderTrace:
         object.__setattr__(self, "r_values", r)
 
     @classmethod
-    def from_csv(cls, text: str, r_plus: float, r_minus: float) -> "CylinderTrace":
-        rows = list(csv.reader(io.StringIO(text.strip())))
-        if rows and rows[0][:3] == ["s", "t", "r"]:
-            rows = rows[1:]
-        data = {}
-        for row in rows:
-            if len(row) != 3:
-                raise MalformedTrace(f"bad row {row}")
-            s, t, r = (float(v) for v in row)
-            data.setdefault(s, {})[t] = r
-        s_grid = sorted(data)
-        t_grid = sorted(data[s_grid[0]])
-        try:
-            r = np.array([[data[s][t] for t in t_grid] for s in s_grid])
-        except KeyError as exc:
-            raise MalformedTrace(f"ragged grid: missing {exc}") from exc
-        return cls(np.array(s_grid), np.array(t_grid), r, r_plus, r_minus)
+    def from_samples(cls, samples, r_plus: float, r_minus: float) -> "CylinderTrace":
+        """Trace from (s, t, r) rows in any order; MalformedTrace unless they
+        sample every (s, t) of the grid of their distinct s, t values once."""
+        s, t, r = np.asarray(samples, dtype=float).T
+        s_grid, i = np.unique(s, return_inverse=True)
+        t_grid, j = np.unique(t, return_inverse=True)
+        counts = np.zeros((s_grid.size, t_grid.size), dtype=int)
+        np.add.at(counts, (i, j), 1)
+        if np.any(counts != 1):
+            a, b = np.argwhere(counts != 1)[0]
+            raise MalformedTrace(f"(s, t) = ({s_grid[a]:g}, {t_grid[b]:g}) is sampled "
+                                 f"{counts[a, b]} times, not once")
+        grid = np.empty((s_grid.size, t_grid.size))
+        grid[i, j] = r
+        return cls(s_grid, t_grid, grid, r_plus, r_minus)
 
 
 @dataclass(frozen=True)

@@ -309,23 +309,15 @@ def check_dynamical_convexity(orbits: Sequence[tuple], n: int) -> ConvexityRepor
 # sampled paths
 # ---------------------------------------------------------------------------
 
-def _polar_angle(B: np.ndarray) -> float:
-    # rotation part of the polar decomposition of a 2x2 matrix with det > 0
-    return math.atan2(B[1, 0] - B[0, 1], B[0, 0] + B[1, 1])
-
-
-def _plane_winding(samples: np.ndarray) -> float:
-    """Accumulated polar angle along a sampled path of 2x2 blocks, in turns."""
-    angles = [_polar_angle(B) for B in samples]
-    total = 0.0
-    for a, b in zip(angles, angles[1:]):
-        step = (b - a + math.pi) % (2.0 * math.pi) - math.pi
-        if abs(step) >= math.pi / 2.0:
-            raise SamplingTooCoarse(
-                f"polar angle jumps by {step:.3f} rad between samples; refine the path"
-            )
-        total += step
-    return total / (2.0 * math.pi)
+def winding(angles) -> float:
+    """Turns swept by a sampled path of angles in radians, each step wrapped
+    into [-pi, pi).  The lift is certified only when every step is under a
+    quarter turn; SamplingTooCoarse otherwise."""
+    steps = (np.diff(angles) + math.pi) % (2.0 * math.pi) - math.pi
+    if np.any(np.abs(steps) >= math.pi / 2.0):
+        raise SamplingTooCoarse(f"angle jumps by {float(np.abs(steps).max()):.3f} rad "
+                                "between samples; refine the sampling")
+    return float(steps.sum()) / (2.0 * math.pi)
 
 
 def _block_index(samples: np.ndarray, tol: float) -> int:
@@ -338,7 +330,9 @@ def _block_index(samples: np.ndarray, tol: float) -> int:
     tr = float(np.trace(samples[-1]))
     if abs(2.0 - tr) <= tol:
         raise DegenerateEndpoint(f"endpoint has eigenvalue 1 (trace {tr:.12g})")
-    delta = _plane_winding(samples)
+    # rotation part of the polar decomposition of each sample (det > 0)
+    delta = winding(np.arctan2(samples[:, 1, 0] - samples[:, 0, 1],
+                               samples[:, 0, 0] + samples[:, 1, 1]))
     if abs(tr) < 2.0:
         return 2 * int(math.floor(delta)) + 1
     return int(round(2.0 * delta))
@@ -458,6 +452,8 @@ def cz_index_sampled(path, tol: float = 1e-9) -> int:
 
 def rotation_path(rho: float, n_samples: int = 0) -> np.ndarray:
     """Sampled path t -> rotation by 2*pi*rho*t on [0, 1]."""
+    if not math.isfinite(rho):
+        raise ValueError(f"rotation number must be finite, got {rho}")
     if n_samples <= 0:
         n_samples = max(64, int(16 * abs(rho) * 2 * math.pi) + 1)
     ts = np.linspace(0.0, 1.0, n_samples + 1)
@@ -470,6 +466,8 @@ def rotation_path(rho: float, n_samples: int = 0) -> np.ndarray:
 
 def stretch_path(lam: float, n_samples: int = 64) -> np.ndarray:
     """Sampled path t -> diag(lam^t, lam^-t), a hyperbolic block with index 0."""
+    if not 0 < lam < math.inf:
+        raise ValueError(f"stretch factor must be positive and finite, got {lam}")
     ts = np.linspace(0.0, 1.0, n_samples + 1)
     out = np.empty((n_samples + 1, 2, 2))
     for i, t in enumerate(ts):

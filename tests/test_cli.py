@@ -31,6 +31,13 @@ FAMILY_FLAGS = {"quadratic": [], "cubic": ["--theta", "0.6"], "exp": ["--beta", 
                 "spline": ["--slope", "1.5", "--knots", "1,2"]}
 
 
+# a valid cylinder trace on the grid s = 0, 1, 2 by t = 0, 1, 2, and the flags
+# that check it against the quadratic profile of slope 5
+TRACE = "s,t,r\n" + "".join(f"{s},{t},1.5\n" for s in range(3) for t in range(3))
+TRACE_ARGV = ["hamiltonian", "--slope", "5", "--r-max", "2", "--trace-r-plus", "1.5",
+              "--trace-r-minus", "1.5", "--trace-k", "2", "--trace"]
+
+
 def run_cli(args, capsys):
     code = main(args)
     out = capsys.readouterr()
@@ -295,25 +302,33 @@ class TestConfigAndErrors:
         code, _, err = run_cli(["williamson", "--matrix", str(matrix)], capsys)
         assert code == 2
 
-    def test_audit_failure_exit_3(self, capsys, tmp_path, sqrt2_system_file):
+    def test_resonant_companion_certified(self, capsys, tmp_path, sqrt2_system_file):
         blob = json.loads(sqrt2_system_file.read_text())
-        # resonant companion whose action gap exceeds sigma: not excludable
+        # a resonant companion: its action gap is 0, inside the a priori
+        # bound C * eta = 0.4 < sigma, so the short-action-gap reason holds
         blob["orbits"].append({
             "period": 4.0,
             "profile": {"loop_index": 0, "elliptic": [], "hyperbolic": [4],
                         "degenerate": None},
             "hyperbolic": True, "locally_maximal": False})
-        blob["constants"]["sigma"] = 0.45    # still above C * eta = 0.4
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(blob))
-        code, _, err = run_cli(["audit-lemma", "--system", str(bad),
-                                "--count", "1"], capsys)
-        # the resonant gap stays below C*eta < sigma, so this should PASS;
-        # to force a failure shrink sigma is not allowed by the constructor.
-        # Instead: failure via no solutions below a tiny horizon.
-        code2, _, err2 = run_cli(["audit-lemma", "--system", str(sqrt2_system_file),
-                                  "--k-bound", "10", "--count", "1"], capsys)
-        assert code2 == 3 and "audit failed" in err2
+        blob["constants"]["sigma"] = 0.45
+        system, out_file = tmp_path / "resonant.json", tmp_path / "audit.json"
+        system.write_text(json.dumps(blob))
+        code, out, _ = run_cli(["audit-lemma", "--system", str(system),
+                                "--count", "1", "--out", str(out_file)], capsys)
+        assert code == 0 and "743/743 pairs certified" in out
+        report = json.loads(out_file.read_text())
+        assert report["ok"] and report["certified_pairs"] == report["total_pairs"] == 743
+        companion = [a for a in report["solutions"][0]["aligned"] if a["i"] == 3]
+        assert len(companion) == 1 and companion[0]["kind"] == "short-action-gap"
+        assert companion[0]["numbers"]["resonance"] == "resonant"
+        assert companion[0]["numbers"]["apriori_ok"] is True
+
+    def test_audit_failure_exit_3(self, capsys, sqrt2_system_file):
+        # no recurrence solution below a tiny horizon
+        code, _, err = run_cli(["audit-lemma", "--system", str(sqrt2_system_file),
+                                "--k-bound", "10", "--count", "1"], capsys)
+        assert code == 3 and "audit failed" in err
 
     def test_malformed_system_exit_2(self, capsys, tmp_path, sqrt2_system_file):
         blob = json.loads(sqrt2_system_file.read_text())
@@ -427,16 +442,83 @@ class TestConfigAndErrors:
         ("search_loop_index_too_large", {"p.json": [{"loop_index": 10 ** 400}]},
          ["recurrence-search", "--profiles", "p.json", "--eta", "0.1", "--ell0", "2"],
          "profile entry loop_index is too large for a float"),
+        # a NaN or infinite parameter fails each certification guard
+        ("slope_nan", {}, ["hamiltonian", "--slope", "nan", "--r-max", "2"],
+         "slope must be positive and finite, got nan"),
+        ("c0_nan", {}, ["hamiltonian", "--slope", "5", "--r-max", "2", "--c0", "nan"],
+         "constant piece must be finite and <= 0, got nan"),
+        ("knot_nan", {}, ["hamiltonian", "--family", "spline", "--slope", "1.5",
+                          "--r-max", "2", "--knots", "nan,1"], "knots integrate to slope nan"),
+        ("beta_nan", {}, ["hamiltonian", "--family", "exp", "--beta", "nan",
+                          "--slope", "5", "--r-max", "2"], "h''(1) = nan"),
+        ("transfer_k_nan", {}, ["hamiltonian", "--slope", "5", "--r-max", "2",
+                                "--transfer", "nan,1"], "k and lam must be finite"),
+        ("transfer_lam_nan", {}, ["hamiltonian", "--slope", "5", "--r-max", "2",
+                                  "--transfer", "3,nan"], "k and lam must be finite"),
+        ("transfer_k_inf", {}, ["hamiltonian", "--slope", "5", "--r-max", "2",
+                                "--transfer", "inf,1"], "k and lam must be finite"),
+        ("ratio_r0_nan", {}, ["hamiltonian", "--slope", "5", "--r-max", "2",
+                              "--check-ratio-r0", "nan"], "r0 = nan outside (1, r_max]"),
+        ("weights_nan", {}, ["ellipsoid", "--weights", "nan"],
+         "weights must be positive and finite, got (nan,)"),
+        ("ellipsoid_slope_nan", {}, ["ellipsoid", "--weights", "1,2", "--slope", "nan"],
+         "slope must be finite, got nan"),
+        ("spectrum_nan", {}, ["ellipsoid", "--weights", "1,2", "--spectrum", "nan"],
+         "t_max must be positive and finite, got nan"),
+        ("rotation_inf", {}, ["cz-index", "--rotation", "inf"],
+         "rotation number must be finite, got inf"),
+        ("stretch_nan", {}, ["cz-index", "--stretch", "nan"],
+         "stretch factor must be positive and finite, got nan"),
+        # CSV inputs: every file fails in the one loader or the trace grid
+        ("samples_empty", {"m.csv": ""}, ["fixed-point-index", "--samples", "m.csv"],
+         "expected one or more rows x,y,fx,fy of 4 values each"),
+        ("samples_header_only", {"m.csv": "x,y,fx,fy\n"},
+         ["fixed-point-index", "--samples", "m.csv"],
+         "expected one or more rows x,y,fx,fy of 4 values each"),
+        ("samples_short_row", {"m.csv": "1,0,2,0\n0,1\n"},
+         ["fixed-point-index", "--samples", "m.csv"],
+         "expected one or more rows x,y,fx,fy of 4 values each"),
+        ("samples_not_a_number", {"m.csv": "x,y,fx,fy\n1,0,2,zero\n"},
+         ["fixed-point-index", "--samples", "m.csv"],
+         "m.csv: could not convert string to float: 'zero'"),
+        ("samples_nan", {"m.csv": "1,0,nan,0\n0,1,0,2\n"},
+         ["fixed-point-index", "--samples", "m.csv"], "every value must be finite"),
+        ("trace_empty", {"t.csv": ""}, [*TRACE_ARGV, "t.csv"],
+         "expected one or more rows s,t,r of 3 values each"),
+        ("trace_header_only", {"t.csv": "s,t,r\n"}, [*TRACE_ARGV, "t.csv"],
+         "expected one or more rows s,t,r of 3 values each"),
+        ("trace_wide_row", {"t.csv": TRACE + "1,2,1.5,0\n"}, [*TRACE_ARGV, "t.csv"],
+         "expected one or more rows s,t,r of 3 values each"),
+        # a t that the first s row lacks is missing from the others
+        ("trace_ragged", {"t.csv": TRACE + "1,0.5,1.5\n"}, [*TRACE_ARGV, "t.csv"],
+         "(s, t) = (0, 0.5) is sampled 0 times, not once"),
+        ("trace_duplicate", {"t.csv": TRACE + "1,2,9.0\n"}, [*TRACE_ARGV, "t.csv"],
+         "(s, t) = (1, 2) is sampled 2 times, not once"),
+        ("trace_not_a_number", {"t.csv": TRACE + "3,0,high\n"}, [*TRACE_ARGV, "t.csv"],
+         "t.csv: could not convert string to float: 'high'"),
+        ("trace_inf", {"t.csv": TRACE.replace("2,2,1.5", "2,2,inf")}, [*TRACE_ARGV, "t.csv"],
+         "every value must be finite"),
     ])
     def test_invalid_input_exit_2(self, capsys, tmp_path, name, files, argv, message):
         for fname, blob in files.items():
-            (tmp_path / fname).write_text(json.dumps(blob))
+            # a string is the file's text (CSV inputs); anything else is JSON
+            (tmp_path / fname).write_text(blob if isinstance(blob, str) else json.dumps(blob))
         argv = [str(tmp_path / a) if a in files else a for a in argv]
         code, _, err = run_cli(argv, capsys)
         assert code == 2 and message in err
         proc = subprocess.run([sys.executable, "-m", "reeb_lab.cli", *argv],
                               capture_output=True, text=True)
         assert proc.returncode == 2 and message in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("flag", ["--spectrum", "--slope"])
+    def test_infinite_spectrum_bound_exit_2(self, flag):
+        # out of process with a timeout: an unchecked infinite bound makes
+        # the spectrum enumeration run forever
+        proc = subprocess.run([sys.executable, "-m", "reeb_lab.cli", "ellipsoid",
+                               "--weights", "1,2", flag, "inf"],
+                              capture_output=True, text=True, timeout=5)
+        assert proc.returncode == 2 and "finite, got inf" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_config_values_take_the_flag_type(self, capsys, tmp_path):

@@ -143,6 +143,17 @@ class TestSpectrum:
             count = len(action_spectrum(spec, T).entries)
             assert count == pytest.approx(slope_density * T, abs=4)
 
+    @pytest.mark.parametrize("call", [
+        lambda: EllipsoidSpec((1.0, math.inf)),
+        lambda: EllipsoidSpec((math.nan,)),
+        # an infinite bound is tested out of process, in test_cli.py
+        lambda: action_spectrum(EllipsoidSpec((1.0, 2.0)), math.nan),
+        lambda: slope_valid(EllipsoidSpec((1.0, 2.0)), math.nan),
+    ])
+    def test_nonfinite_input_rejected(self, call):
+        with pytest.raises(ValueError, match="finite"):
+            call()
+
     def test_slope_validity(self):
         spec = EllipsoidSpec((1.0, math.sqrt(2.0)))
         assert not slope_valid(spec, math.pi)           # exactly a period

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from reeb_lab.cli import _load_csv
 from reeb_lab.errors import FixedPointOnCircle, SamplingTooCoarse
 from reeb_lab.fixedpoint import (
     PlanarMapSample,
@@ -77,15 +78,18 @@ class TestBrouwerIndex:
         with pytest.raises(SamplingTooCoarse):
             brouwer_index(sample)
 
-    def test_csv_rows(self):
+    def test_csv_rows(self, tmp_path):
         f = rotation_map(0.7)
         ts = np.linspace(0, 2 * math.pi, 64, endpoint=False)
-        rows = []
+        rows = ["x,y,fx,fy"]
         for t in ts:
             x, y = math.cos(t), math.sin(t)
-            fx, fy = f((x, y))
-            rows.append((x, y, fx, fy))
-        assert brouwer_index(PlanarMapSample.from_csv_rows(rows)) == 1
+            rows.append(",".join(repr(v) for v in (x, y, *f((x, y)))))
+        path = tmp_path / "map.csv"
+        path.write_text("\n".join(rows))
+        data = _load_csv(str(path), ("x", "y", "fx", "fy"))
+        assert data.shape == (64, 4)
+        assert brouwer_index(PlanarMapSample(data[:, :2], data[:, 2:])) == 1
 
 
 class TestLefschetz:

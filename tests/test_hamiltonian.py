@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from reeb_lab.cli import _load_csv
 from reeb_lab.errors import (
     ActionOutOfRange,
     BadGeometry,
     ConvexityViolation,
     EnergyAboveThreshold,
+    JoinDiscontinuity,
     MalformedTrace,
     NotDominated,
     PeriodOutOfRange,
@@ -77,6 +79,19 @@ class TestBuild:
         # knots integrate to slope 1, not the declared 2
         with pytest.raises(SlopeMismatch):
             make("spline", slope=2.0, r_max=2.0, knots=(1.0, 1.0))
+
+    @pytest.mark.parametrize("family, args, error", [
+        ("quadratic", {"slope": math.nan}, SlopeMismatch),
+        ("quadratic", {"slope": math.inf}, SlopeMismatch),
+        ("quadratic", {"r_max": math.nan}, BadGeometry),
+        ("quadratic", {"c0": math.nan}, JoinDiscontinuity),
+        ("spline", {"slope": 1.5, "knots": (math.nan, 1.0)}, SlopeMismatch),
+        ("exp", {"beta": math.nan}, ConvexityViolation),
+        ("exp", {"beta": math.inf}, ConvexityViolation),
+    ])
+    def test_nan_parameters_rejected(self, family, args, error):
+        with pytest.raises(error):
+            make(family, **args)
 
     def test_json_roundtrip(self):
         for family, params in FAMILIES:
@@ -339,6 +354,14 @@ RANGE_PROFILES = {
      PeriodOutOfRange, "T = -0.5 outside [0, 7.5]"),
     ("semi", lambda p: homotopy_action_derivative(p, 2.0, 2.0, 1.0, 20.5),
      PeriodOutOfRange, "T = 20.5 outside [0, 20]"),
+    ("semi", lambda p: transfer_map(p, math.nan, 1.0, [0.0]), ValueError,
+     "k and lam must be finite, got k = nan, lam = 1.0"),
+    ("semi", lambda p: transfer_map(p, 3.0, math.nan, [0.0]), ValueError,
+     "k and lam must be finite, got k = 3.0, lam = nan"),
+    ("semi", lambda p: transfer_map(p, math.inf, 1.0, [0.0]), ValueError,
+     "k and lam must be finite, got k = inf, lam = 1.0"),
+    ("semi", lambda p: check_action_ratio_monotone(p, math.nan), BadGeometry,
+     "r0 = nan outside (1, r_max]"),
 ])
 def test_out_of_range_inputs(profile, call, error, message):
     with pytest.raises(error) as err:
@@ -486,10 +509,30 @@ class TestCylinderTrace:
             CylinderTrace(np.array([0.0, 1.0]), np.array([0.0, 1.0]),
                           np.zeros((2, 2)) + 1.0, r_plus=1.0, r_minus=2.0)
 
-    def test_csv_roundtrip(self):
-        text = "s,t,r\n0,0,1.5\n0,1,1.5\n1,0,1.5\n1,1,1.5\n2,0,1.5\n2,1,1.5\n"
-        trace = CylinderTrace.from_csv(text, r_plus=1.5, r_minus=1.5)
+    def test_csv_roundtrip(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text("s,t,r\n0,0,1.5\n0,1,1.5\n1,0,1.5\n1,1,1.5\n2,0,1.5\n2,1,1.5\n")
+        trace = CylinderTrace.from_samples(_load_csv(str(path), ("s", "t", "r")),
+                                           r_plus=1.5, r_minus=1.5)
         assert trace.r_values.shape == (3, 2)
+
+    def test_samples_in_any_order(self):
+        s, t = np.meshgrid([0.0, 1.0, 2.0], [0.0, 0.5], indexing="ij")
+        rows = np.column_stack([s.ravel(), t.ravel(), 1.0 + s.ravel() + t.ravel()])
+        trace = CylinderTrace.from_samples(rows[::-1], r_plus=4.0, r_minus=1.0)
+        assert trace.s_grid.tolist() == [0.0, 1.0, 2.0]
+        assert trace.t_grid.tolist() == [0.0, 0.5]
+        assert np.array_equal(trace.r_values, 1.0 + s + t)
+
+    @pytest.mark.parametrize("extra, message", [
+        ((1.0, 0.5, 1.5), "(s, t) = (0, 0.5) is sampled 0 times, not once"),
+        ((1.0, 1.0, 9.0), "(s, t) = (1, 1) is sampled 2 times, not once"),
+    ])
+    def test_every_grid_point_sampled_once(self, extra, message):
+        rows = [(s, t, 1.5) for s in (0.0, 1.0, 2.0) for t in (0.0, 1.0)] + [extra]
+        with pytest.raises(MalformedTrace) as err:
+            CylinderTrace.from_samples(rows, r_plus=1.5, r_minus=1.5)
+        assert str(err.value) == message
 
 
 def test_action_tables_csv():

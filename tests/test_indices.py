@@ -23,6 +23,7 @@ from reeb_lab.indices import (
     rotation_path,
     stretch_path,
     support_interval,
+    winding,
 )
 from reeb_lab.symplectic import WilliamsonInvariants, direct_sum, rotation2
 
@@ -67,6 +68,29 @@ class TestSampledIndex:
     def test_coarse_sampling_rejected(self):
         with pytest.raises(SamplingTooCoarse):
             cz_index_sampled(rotation_path(1.7, n_samples=3))
+
+    def test_winding_lift(self):
+        # steps are wrapped across the branch cut at +-pi
+        assert winding([3.0, -3.0, -2.0]) == pytest.approx((2 * math.pi - 6.0 + 1.0)
+                                                           / (2 * math.pi))
+        turn = np.linspace(0.0, 2 * math.pi, 9)
+        assert winding(turn) == pytest.approx(1.0)
+        assert winding(-turn) == pytest.approx(-1.0)
+        # a quarter turn between samples is already too coarse
+        with pytest.raises(SamplingTooCoarse):
+            winding([0.0, math.pi / 2])
+        assert winding([0.0, math.pi / 2 - 1e-9]) == pytest.approx(0.25)
+
+    @pytest.mark.parametrize("path, value, message", [
+        (rotation_path, math.inf, "rotation number must be finite, got inf"),
+        (rotation_path, math.nan, "rotation number must be finite, got nan"),
+        (stretch_path, math.nan, "stretch factor must be positive and finite, got nan"),
+        (stretch_path, math.inf, "stretch factor must be positive and finite, got inf"),
+        (stretch_path, -2.0, "stretch factor must be positive and finite, got -2.0"),
+    ])
+    def test_nonfinite_path_parameter_rejected(self, path, value, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            path(value)
 
     def test_negative_hyperbolic_iterates_linear(self):
         # half-turn composed with a stretch: odd index, linear under iteration
