@@ -2,7 +2,7 @@
 
 Symplectic index arithmetic, unipotent normal-form invariants, radial
 Hamiltonian action functions, integer recurrence search for iterate indices,
-reduced Floer graphs with persistence barcodes, closed-form ellipsoid models
+persistence barcodes of filtered F2 complexes, closed-form ellipsoid models
 and the planar fixed-point bookkeeping, wired together by a batch CLI.
 """
 

@@ -46,7 +46,13 @@ from .errors import (
     json_object,
 )
 from .hamiltonian import RadialProfile, profile_from_json
-from .indices import IterationProfile, _support_bounds, index_triple, support_interval
+from .indices import (
+    IterationProfile,
+    SystemOrbit,
+    _support_bounds,
+    index_triple,
+    support_interval,
+)
 from .recurrence import (
     RecurrenceQuery,
     RecurrenceSolution,
@@ -71,14 +77,6 @@ def _nested(loader, obj, key: str, where: str):
         return loader(value)
     except MalformedInput as exc:
         raise MalformedInput(f"{where}: {exc}") from exc
-
-
-@dataclass(frozen=True)
-class SystemOrbit(JsonFields):
-    period: float
-    profile: IterationProfile
-    hyperbolic: bool = False
-    locally_maximal: bool = False
 
 
 def _orbit_from_json(obj: dict, where: str) -> SystemOrbit:

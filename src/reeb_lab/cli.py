@@ -277,9 +277,10 @@ def cmd_barcode(args) -> int:
 
 
 def cmd_audit_lemma(args) -> int:
-    system = OrbitSystem.from_json(_load_json(args.system))
-    if args.mode and args.mode != system.mode:
-        system = OrbitSystem.from_json({**system.to_json(), "mode": args.mode})
+    obj = json_value(_load_json(args.system), dict, "orbit system")
+    if args.mode:
+        obj = {**obj, "mode": args.mode}       # validated under the mode that runs
+    system = OrbitSystem.from_json(obj)
     report = audit(system, count=args.count, k_bound=args.k_bound)
     _emit(args, report.to_json(), report.text_summary())
     return 0

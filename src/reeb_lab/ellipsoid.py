@@ -19,9 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .audit import SystemOrbit
 from .errors import DegenerateEllipsoid, HypothesisFailed
-from .indices import IterationProfile, check_dynamical_convexity
+from .indices import IterationProfile, SystemOrbit, check_dynamical_convexity
 
 CONVENTION = "periods=pi*a_j; return-map angles 2*pi*a_j/a_i"
 
@@ -210,9 +209,4 @@ def pseudo_rotation_instance(spec: EllipsoidSpec, k_max: int = 100,
         raise HypothesisFailed(
             f"ellipsoid failed dynamical convexity: {report.witnesses[:3]}")
     return PseudoRotationSeed(orbits=tuple(orbits), n=n, convexity=report)
-
-
-def mean_index(spec: EllipsoidSpec, j: int) -> float:
-    """2 * sum_i a_j / a_i; matches the profile's mean index exactly."""
-    return 2.0 * sum(spec.weights[j - 1] / a for a in spec.weights)
 

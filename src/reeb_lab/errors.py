@@ -182,7 +182,7 @@ class DegenerateEllipsoid(ReebLabError):
     pass
 
 
-# -- graphs and barcodes ------------------------------------------------------
+# -- filtered complexes and barcodes ------------------------------------------
 
 class MalformedGraph(ReebLabError):
     pass

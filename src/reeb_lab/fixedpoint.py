@@ -13,6 +13,10 @@ import numpy as np
 from .errors import FixedPointOnCircle, SamplingTooCoarse
 from .indices import winding
 
+#: fewest samples of a closed circle whose winding can certify: a full turn
+#: in steps each under a quarter turn needs more than four of them
+_MIN_SAMPLES = 5
+
 
 @dataclass(frozen=True)
 class PlanarMapSample:
@@ -27,6 +31,8 @@ class PlanarMapSample:
         ims = np.asarray(self.images, dtype=float)
         if pts.shape != ims.shape or pts.ndim != 2 or pts.shape[1] != 2:
             raise ValueError(f"bad sample shapes {pts.shape} vs {ims.shape}")
+        if not 0 < self.eps < math.inf:
+            raise ValueError(f"eps must be positive and finite, got {self.eps}")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "images", ims)
 
@@ -44,10 +50,14 @@ def brouwer_index(sample: PlanarMapSample) -> int:
     """Winding number of y -> (f(y) - y) / |f(y) - y| around the circle.
 
     Certified integer: every angular increment is under a quarter turn, so
-    the lift is unambiguous.  Raises SamplingTooCoarse otherwise (use
-    brouwer_index_of_map for adaptive refinement).
+    the lift is unambiguous.  Raises SamplingTooCoarse otherwise, and below
+    five samples (use brouwer_index_of_map for adaptive refinement).
     """
     disp = sample.images - sample.points
+    if len(disp) < _MIN_SAMPLES:
+        raise SamplingTooCoarse(
+            f"{len(disp)} samples cannot certify a winding: a full turn passes the "
+            f"quarter-turn rule only in {_MIN_SAMPLES} or more steps")
     norms = np.hypot(disp[:, 0], disp[:, 1])
     if np.any(norms <= 1e-14 * max(1.0, sample.eps)):
         raise FixedPointOnCircle("the map fixes a sampled circle point")

@@ -1,16 +1,16 @@
-"""Reduced Floer graphs and persistence barcodes.
+"""Persistence barcodes of filtered chain complexes over the two-element field.
 
-Graphs are opaque inputs (differentials cannot be computed at this level);
-this module validates their structural constraints and measures bar lengths.
-Coefficients are fixed to the two-element field, so a boundary operator is a
-set of row indices per column and reduction is column XOR.
+A complex is given by its generators (id, action, degree) and a boundary
+operator that must be a differential respecting the filtration; since the
+field is F2, a boundary is a set of row indices per column and reduction is
+column XOR.  Bars are then measured against a length bound below a level.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import (
     FiltrationViolation,
@@ -22,85 +22,6 @@ from .errors import (
 )
 
 INF = math.inf
-
-
-@dataclass(frozen=True)
-class GraphVertex:
-    id: str
-    action: float
-    mu_hat: Optional[float] = None     # None for the domain vertex
-
-
-@dataclass(frozen=True)
-class GraphArrow:
-    source: str
-    target: str
-    length: float
-
-
-@dataclass(frozen=True)
-class ReducedFloerGraph:
-    vertices: tuple
-    arrows: tuple
-
-    def __post_init__(self):
-        ids = [v.id for v in self.vertices]
-        if len(set(ids)) != len(ids):
-            raise MalformedGraph("duplicate vertex ids")
-        object.__setattr__(self, "_by_id", {v.id: v for v in self.vertices})
-        for a in self.arrows:
-            if a.source not in self._by_id or a.target not in self._by_id:
-                raise MalformedGraph(f"arrow {a.source}->{a.target} references unknown vertex")
-            src, dst = self._by_id[a.source], self._by_id[a.target]
-            want = src.action - dst.action
-            if abs(a.length - want) > 1e-9 * max(1.0, abs(want)):
-                raise MalformedGraph(
-                    f"arrow {a.source}->{a.target} length {a.length} != action gap {want}"
-                )
-
-    def vertex(self, vid: str) -> GraphVertex:
-        return self._by_id[vid]
-
-
-@dataclass(frozen=True)
-class Violation:
-    rule: str          # "positivity" | "mean-gap" | "protected"
-    source: str
-    target: str
-    detail: str
-
-
-def validate_graph(graph: ReducedFloerGraph, n: int,
-                   protected: Optional[Dict[str, float]] = None) -> List[Violation]:
-    """List every structural violation; an empty list certifies the graph.
-
-    Rules: arrows strictly decrease action; no arrow may join vertices whose
-    mean indices differ by more than 2n; arrows touching a protected vertex
-    must be longer than its energy floor sigma.
-    """
-    protected = protected or {}
-    out = []
-    for a in graph.arrows:
-        if a.length <= 0:
-            out.append(Violation("positivity", a.source, a.target,
-                                 f"length {a.length} <= 0"))
-        src, dst = graph.vertex(a.source), graph.vertex(a.target)
-        if src.mu_hat is not None and dst.mu_hat is not None:
-            gap = abs(src.mu_hat - dst.mu_hat)
-            if gap > 2 * n:
-                out.append(Violation("mean-gap", a.source, a.target,
-                                     f"mean-index gap {gap:.6g} > 2n = {2 * n}"))
-        for vid in (a.source, a.target):
-            sigma = protected.get(vid)
-            if sigma is not None and a.length <= sigma:
-                out.append(Violation("protected", a.source, a.target,
-                                     f"length {a.length:.6g} <= sigma = {sigma:.6g}"))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# barcodes over the two-element field
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Bar:

@@ -626,6 +626,9 @@ class CylinderTrace:
             raise MalformedTrace("grids must be strictly increasing")
         if not (np.all(np.isfinite(r)) and np.all(r > 0)):
             raise MalformedTrace("r values must be finite and positive")
+        if not (math.isfinite(self.r_plus) and math.isfinite(self.r_minus)):
+            raise MalformedTrace(f"levels must be finite, got r_plus = {self.r_plus}, "
+                                 f"r_minus = {self.r_minus}")
         if self.r_plus < self.r_minus:
             raise MalformedTrace("r_plus < r_minus")
         object.__setattr__(self, "s_grid", s)
@@ -674,6 +677,8 @@ def check_cylinder_trace(trace: CylinderTrace, profile: RadialProfile, k: float,
     This is a data validator, not a solver: all derivatives are discrete and
     the tolerance absorbs the finite differencing error of smooth traces.
     """
+    if not math.isfinite(k):
+        raise MalformedTrace(f"iteration order k must be finite, got {k}")
     s, t, r = trace.s_grid, trace.t_grid, trace.r_values
     span = t[-1] - t[0]
     if abs(span - k) > 1e-9 * max(1.0, k):

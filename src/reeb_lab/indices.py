@@ -144,6 +144,17 @@ class IterationProfile:
 
 
 @dataclass(frozen=True)
+class SystemOrbit(JsonFields):
+    """A closed orbit of an orbit system: its period, the iteration profile
+    of its linearized flow, and the flags the audit modes read."""
+
+    period: float
+    profile: IterationProfile
+    hyperbolic: bool = False
+    locally_maximal: bool = False
+
+
+@dataclass(frozen=True)
 class IndexTriple:
     """Indices of one iterate, or int64 / float64 arrays of them when the
     iteration order was given as an array.  nu_a, half the algebraic

@@ -12,7 +12,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from reeb_lab.audit import OrbitSystem, SystemOrbit, audit
+from reeb_lab.audit import OrbitSystem, audit
 from reeb_lab.ellipsoid import EllipsoidSpec, ellipsoid_profile, pseudo_rotation_instance
 from reeb_lab.errors import UncertifiedRegion
 from reeb_lab.fixedpoint import brouwer_index_of_map, lefschetz_residuals, trace_nonneg_scan
@@ -25,7 +25,7 @@ from reeb_lab.hamiltonian import (
     spline_slope,
     transfer_map,
 )
-from reeb_lab.indices import IterationProfile, cz_index_sampled, index_triple
+from reeb_lab.indices import IterationProfile, SystemOrbit, cz_index_sampled, index_triple
 from reeb_lab.recurrence import RecurrenceQuery, convexity_gap_check, recurrence_search
 from reeb_lab.symplectic import WilliamsonInvariants, validate_symplectic, williamson_invariants
 from reeb_lab.symplectic import quadratic_flow

@@ -15,7 +15,6 @@ from reeb_lab.audit import (
     CASE_SAME,
     MODES,
     OrbitSystem,
-    SystemOrbit,
     _audit_solution,
     audit,
     case_classify,
@@ -35,7 +34,7 @@ from reeb_lab.errors import (
     SupportOutOfRange,
 )
 from reeb_lab.hamiltonian import CylinderTrace, build_profile, check_cylinder_trace, spline_slope
-from reeb_lab.indices import IterationProfile, check_dynamical_convexity
+from reeb_lab.indices import IterationProfile, SystemOrbit, check_dynamical_convexity
 from reeb_lab.symplectic import WilliamsonInvariants, validate_symplectic, williamson_invariants
 from reeb_lab.recurrence import (
     Certificate,

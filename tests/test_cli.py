@@ -36,6 +36,9 @@ FAMILY_FLAGS = {"quadratic": [], "cubic": ["--theta", "0.6"], "exp": ["--beta", 
 TRACE = "s,t,r\n" + "".join(f"{s},{t},1.5\n" for s in range(3) for t in range(3))
 TRACE_ARGV = ["hamiltonian", "--slope", "5", "--r-max", "2", "--trace-r-plus", "1.5",
               "--trace-r-minus", "1.5", "--trace-k", "2", "--trace"]
+# planar samples of a translation at the eight lattice points around the origin
+SAMPLES = "".join(f"{x},{y},{x + 1},{y}\n" for x, y in
+                  ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1)))
 
 
 def run_cli(args, capsys):
@@ -75,10 +78,10 @@ def validate(name, payload, pointer=None):
 
 def sqrt2_system_json():
     """The hyperbolic-mode system on the ellipsoid with weights 1, sqrt 2."""
-    from reeb_lab.audit import OrbitSystem, SystemOrbit
+    from reeb_lab.audit import OrbitSystem
     from reeb_lab.ellipsoid import EllipsoidSpec, ellipsoid_profile
     from reeb_lab.hamiltonian import build_profile
-    from reeb_lab.indices import IterationProfile
+    from reeb_lab.indices import IterationProfile, SystemOrbit
 
     spec = EllipsoidSpec((1.0, math.sqrt(2.0)))
     system = OrbitSystem(
@@ -97,9 +100,10 @@ def sqrt2_system_json():
 def golden_system_json():
     """The pseudo-rotation-mode system on the ellipsoid with weights 1, phi,
     under a cubic Hamiltonian."""
-    from reeb_lab.audit import OrbitSystem, SystemOrbit
+    from reeb_lab.audit import OrbitSystem
     from reeb_lab.ellipsoid import EllipsoidSpec, pseudo_rotation_instance
     from reeb_lab.hamiltonian import build_profile
+    from reeb_lab.indices import SystemOrbit
 
     seed = pseudo_rotation_instance(EllipsoidSpec((1.0, (1.0 + math.sqrt(5.0)) / 2.0)),
                                     k_max=30, locally_maximal=1)
@@ -244,6 +248,25 @@ class TestSubcommands:
         payload = json.loads(out_file.read_text())
         validate("audit_report.schema.json", payload)
         assert payload["ok"] and "pairs certified" in out
+
+    @pytest.mark.parametrize("file_mode", ["pseudo_rotation", "hyperbolic", None])
+    def test_audit_lemma_mode_flag_wins(self, capsys, tmp_path, file_mode):
+        # the system is checked under the flag's mode only, never under the
+        # file's mode (or its default) first
+        blob = golden_system_json()
+        del blob["mode"]
+        if file_mode:
+            blob["mode"] = file_mode
+        system = tmp_path / "golden.json"
+        system.write_text(json.dumps(blob))
+        code, out, _ = run_cli(["audit-lemma", "--system", str(system),
+                                "--mode", "pseudo_rotation", "--count", "1"], capsys)
+        assert code == 0 and "62/62 pairs certified" in out
+
+    def test_audit_lemma_mode_flag_checks_its_hypotheses(self, capsys, sqrt2_system_file):
+        code, _, err = run_cli(["audit-lemma", "--system", str(sqrt2_system_file),
+                                "--mode", "pseudo_rotation", "--count", "1"], capsys)
+        assert code == 2 and "the first orbit must be marked locally maximal" in err
 
     def test_fixed_point_index(self, capsys, tmp_path):
         rows = ["x,y,fx,fy"]
@@ -498,6 +521,24 @@ class TestConfigAndErrors:
          "t.csv: could not convert string to float: 'high'"),
         ("trace_inf", {"t.csv": TRACE.replace("2,2,1.5", "2,2,inf")}, [*TRACE_ARGV, "t.csv"],
          "every value must be finite"),
+        # too few planar samples, a circle radius that is not positive and
+        # finite, trace levels that are not finite
+        ("samples_one_row", {"m.csv": "1,0,2,0\n"}, ["fixed-point-index", "--samples", "m.csv"],
+         "1 samples cannot certify a winding"),
+        ("samples_four_rows", {"m.csv": "1,0,2,0\n0,1,1,1\n-1,0,0,0\n0,-1,1,-1\n"},
+         ["fixed-point-index", "--samples", "m.csv"], "4 samples cannot certify a winding"),
+        ("eps_nan", {"m.csv": SAMPLES}, ["fixed-point-index", "--samples", "m.csv",
+                                         "--eps", "nan"], "eps must be positive and finite"),
+        ("eps_negative", {"m.csv": SAMPLES}, ["fixed-point-index", "--samples", "m.csv",
+                                              "--eps", "-1"], "eps must be positive and finite"),
+        ("trace_k_nan", {"t.csv": TRACE}, [*TRACE_ARGV, "t.csv", "--trace-k", "nan"],
+         "iteration order k must be finite, got nan"),
+        ("trace_k_inf", {"t.csv": TRACE}, [*TRACE_ARGV, "t.csv", "--trace-k", "inf"],
+         "iteration order k must be finite, got inf"),
+        ("trace_r_plus_nan", {"t.csv": TRACE}, [*TRACE_ARGV, "t.csv", "--trace-r-plus", "nan"],
+         "levels must be finite, got r_plus = nan"),
+        ("trace_r_minus_nan", {"t.csv": TRACE}, [*TRACE_ARGV, "t.csv", "--trace-r-minus", "nan"],
+         "levels must be finite, got r_plus = 1.5, r_minus = nan"),
     ])
     def test_invalid_input_exit_2(self, capsys, tmp_path, name, files, argv, message):
         for fname, blob in files.items():
@@ -556,6 +597,22 @@ def test_package_exposes_modules_not_their_names():
                  "hamiltonian", "indices", "recurrence", "symplectic"):
         importlib.import_module(f"reeb_lab.{name}")
         assert inspect.ismodule(getattr(reeb_lab, name)), name
+
+
+@pytest.mark.parametrize("module, absent", [
+    # the ellipsoid models sit below the audit and its Hamiltonian and
+    # recurrence layers
+    ("reeb_lab.ellipsoid", ("reeb_lab.audit", "reeb_lab.hamiltonian", "reeb_lab.recurrence")),
+    # barcodes are pure Python
+    ("reeb_lab.floergraph", ("numpy",)),
+])
+def test_module_layering(module, absent):
+    # a fresh interpreter, so that no other test's imports count
+    probe = (f"import sys, {module}\n"
+             f"print(sorted(set({absent!r}) & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_fuzz_subcommand_removed(capsys):

@@ -4,19 +4,17 @@ import numpy as np
 import pytest
 
 import reeb_lab.ellipsoid as ellipsoid_module
-from reeb_lab.audit import SystemOrbit
 from reeb_lab.ellipsoid import (
     EllipsoidSpec,
     action_spectrum,
     detect_rational,
     ellipsoid_periods,
     ellipsoid_profile,
-    mean_index,
     pseudo_rotation_instance,
     slope_valid,
 )
 from reeb_lab.errors import DegenerateEllipsoid, HypothesisFailed
-from reeb_lab.indices import ConvexityReport, cz_index_sampled, index_triple
+from reeb_lab.indices import ConvexityReport, SystemOrbit, cz_index_sampled, index_triple
 from reeb_lab.symplectic import direct_sum, rotation2
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -107,7 +105,8 @@ class TestProfiles:
             spec = EllipsoidSpec(weights)
             for j in range(1, spec.n + 1):
                 p = ellipsoid_profile(spec, j)
-                assert p.mean_index(1) == pytest.approx(mean_index(spec, j), rel=1e-12)
+                closed_form = 2.0 * sum(spec.weights[j - 1] / a for a in spec.weights)
+                assert p.mean_index(1) == pytest.approx(closed_form, rel=1e-12)
                 t = index_triple(p, 1000)
                 assert t.mu_minus / 1000 == pytest.approx(p.mean_index(1), abs=5e-3)
 

@@ -26,6 +26,13 @@ def conjugated_rotation_map(theta, a=2.0):
                       s * p[0] / (a * a) + c * p[1])
 
 
+def monkey_saddle(p):
+    # z + i conj(z)^2: area-preserving to leading order, index -2
+    z = complex(p[0], p[1])
+    w = z + 1j * np.conj(z) ** 2
+    return (w.real, w.imag)
+
+
 def iterate(f, m):
     def g(p):
         for _ in range(m):
@@ -48,12 +55,7 @@ class TestBrouwerIndex:
             assert brouwer_index_of_map(iterate(f, m)) == 1
 
     def test_monkey_saddle_model(self):
-        # z + i conj(z)^2: area-preserving to leading order, index -2
-        def f(p):
-            z = complex(p[0], p[1])
-            w = z + 1j * np.conj(z) ** 2
-            return (w.real, w.imag)
-        assert brouwer_index_of_map(f, eps=1e-3) == -2
+        assert brouwer_index_of_map(monkey_saddle, eps=1e-3) == -2
 
     def test_translation_no_fixed_point(self):
         assert brouwer_index_of_map(lambda p: (p[0] + 1.0, p[1]), eps=0.5) == 0
@@ -73,10 +75,19 @@ class TestBrouwerIndex:
             brouwer_index(sample)
 
     def test_coarse_samples_rejected_without_map(self):
-        f = rotation_map(2.9)    # large steps around the circle
-        sample = PlanarMapSample.from_map(f, n_samples=4)
-        with pytest.raises(SamplingTooCoarse):
+        # the displacement turns twice per circle: steps of 4 pi / 6 > pi / 2
+        sample = PlanarMapSample.from_map(monkey_saddle, n_samples=6)
+        with pytest.raises(SamplingTooCoarse, match="refine the sampling"):
             brouwer_index(sample)
+
+    def test_too_few_samples_rejected(self):
+        # a translation's displacement never turns, so every step passes the
+        # quarter-turn rule; below five samples that certifies nothing
+        def translation(p):
+            return (p[0] + 1.0, p[1])
+        with pytest.raises(SamplingTooCoarse, match="only in 5 or more steps"):
+            brouwer_index(PlanarMapSample.from_map(translation, n_samples=4))
+        assert brouwer_index(PlanarMapSample.from_map(translation, n_samples=5)) == 0
 
     def test_csv_rows(self, tmp_path):
         f = rotation_map(0.7)

@@ -15,12 +15,8 @@ from reeb_lab.errors import (
 from reeb_lab.floergraph import (
     Bar,
     FilteredComplex,
-    GraphArrow,
-    GraphVertex,
-    ReducedFloerGraph,
     barcode,
     check_bar_lengths,
-    validate_graph,
 )
 
 from _oracles import (
@@ -31,51 +27,6 @@ from _oracles import (
 )
 
 INF = math.inf
-
-
-def _vertex(vid, action, mu_hat=None):
-    return GraphVertex(id=vid, action=action, mu_hat=mu_hat)
-
-
-class TestValidateGraph:
-    def test_empty_graph_clean(self):
-        g = ReducedFloerGraph(vertices=(), arrows=())
-        assert validate_graph(g, n=2) == []
-
-    def test_protected_vertex_violation(self):
-        g = ReducedFloerGraph(
-            vertices=(_vertex("zhat", 2.0, 4.0), _vertex("y", 1.8, 4.5)),
-            arrows=(GraphArrow("zhat", "y", 0.2),))
-        out = validate_graph(g, n=2, protected={"zhat": 0.5})
-        assert [v.rule for v in out] == ["protected"]
-        assert not validate_graph(g, n=2, protected={"zhat": 0.1})
-
-    def test_mean_gap_violation(self):
-        g = ReducedFloerGraph(
-            vertices=(_vertex("a", 3.0, 0.0), _vertex("b", 1.0, 2 * 2 + 3.0)),
-            arrows=(GraphArrow("b", "a", -2.0),))
-        rules = {v.rule for v in validate_graph(g, n=2)}
-        assert rules == {"positivity", "mean-gap"}
-
-    def test_length_must_match_action_difference(self):
-        with pytest.raises(MalformedGraph):
-            ReducedFloerGraph(
-                vertices=(_vertex("a", 3.0), _vertex("b", 1.0)),
-                arrows=(GraphArrow("a", "b", 1.0),))
-
-    def test_unknown_vertex(self):
-        with pytest.raises(MalformedGraph):
-            ReducedFloerGraph(vertices=(_vertex("a", 1.0),),
-                              arrows=(GraphArrow("a", "ghost", 1.0),))
-
-    def test_monotone_under_arrow_addition(self):
-        v = (_vertex("a", 3.0, 0.0), _vertex("b", 1.0, 1.0), _vertex("c", 0.5, 9.0))
-        base = (GraphArrow("a", "c", 2.5),)
-        g1 = ReducedFloerGraph(v, base)
-        g2 = ReducedFloerGraph(v, base + (GraphArrow("a", "b", 2.0),))
-        v1 = {(x.rule, x.source, x.target) for x in validate_graph(g1, n=2)}
-        v2 = {(x.rule, x.source, x.target) for x in validate_graph(g2, n=2)}
-        assert v1 <= v2
 
 
 class TestBarcode:
