@@ -37,6 +37,7 @@ from .errors import (
     AuditFailed,
     BadGeometry,
     HypothesisFailed,
+    InvalidParameter,
     JOutOfRange,
     JsonFields,
     MalformedInput,
@@ -117,9 +118,9 @@ class OrbitSystem:
 
     def __post_init__(self):
         if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
+            raise InvalidParameter(f"mode must be one of {MODES}")
         if not self.orbits:
-            raise ValueError("need at least one orbit")
+            raise InvalidParameter("need at least one orbit")
         if self.n < 2:
             raise BadGeometry(f"ambient half-dimension n = {self.n} < 2")
         if self.hamiltonian.admissible:

@@ -38,6 +38,7 @@ from .hamiltonian import (
     build_profile,
     check_action_ratio_monotone,
     check_cylinder_trace,
+    check_transfer_parameters,
     transfer_map,
 )
 from .indices import (
@@ -190,6 +191,7 @@ def cmd_hamiltonian(args) -> int:
         lines.append(f"A(r)/r nondecreasing on [1, {args.check_ratio_r0}]: {ok}")
     if args.transfer:
         k, lam = (float(v) for v in args.transfer.split(","))
+        check_transfer_parameters(k, lam)   # before the grid: numpy warns on an infinite end
         taus = np.linspace(0.0, k * profile.c, 101)
         res = transfer_map(profile, k, lam, taus)
         payload["transfer"] = {"k": k, "lam": lam,

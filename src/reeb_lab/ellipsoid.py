@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import DegenerateEllipsoid, HypothesisFailed
+from .errors import DegenerateEllipsoid, HypothesisFailed, InvalidParameter
 from .indices import IterationProfile, SystemOrbit, check_dynamical_convexity
 
 CONVENTION = "periods=pi*a_j; return-map angles 2*pi*a_j/a_i"
@@ -71,9 +71,9 @@ class EllipsoidSpec:
     def __post_init__(self):
         w = tuple(float(v) for v in self.weights)
         if not w or not all(0 < v < math.inf for v in w):
-            raise ValueError(f"weights must be positive and finite, got {w}")
+            raise InvalidParameter(f"weights must be positive and finite, got {w}")
         if any(b < a for a, b in zip(w, w[1:])):
-            raise ValueError("weights must be sorted ascending")
+            raise InvalidParameter("weights must be sorted ascending")
         object.__setattr__(self, "weights", w)
 
     @property

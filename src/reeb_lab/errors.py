@@ -18,6 +18,11 @@ class MalformedInput(ReebLabError):
     """A JSON input lacks a required key or holds a value of the wrong type."""
 
 
+class InvalidParameter(ReebLabError, ValueError):
+    """A constructor or a call got a value outside its domain.  It is also a
+    ValueError, which is what these checks raised before they were typed."""
+
+
 # JSON types accepted for each field type; integral floats pass as ints, as
 # JSON Schema's "integer" allows
 _JSON_TYPES = {float: (int, float), int: (int, float), str: (str,), dict: (dict,),

@@ -10,7 +10,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import FixedPointOnCircle, SamplingTooCoarse
+from .errors import FixedPointOnCircle, InvalidParameter, SamplingTooCoarse
 from .indices import winding
 
 #: fewest samples of a closed circle whose winding can certify: a full turn
@@ -30,9 +30,9 @@ class PlanarMapSample:
         pts = np.asarray(self.points, dtype=float)
         ims = np.asarray(self.images, dtype=float)
         if pts.shape != ims.shape or pts.ndim != 2 or pts.shape[1] != 2:
-            raise ValueError(f"bad sample shapes {pts.shape} vs {ims.shape}")
+            raise InvalidParameter(f"bad sample shapes {pts.shape} vs {ims.shape}")
         if not 0 < self.eps < math.inf:
-            raise ValueError(f"eps must be positive and finite, got {self.eps}")
+            raise InvalidParameter(f"eps must be positive and finite, got {self.eps}")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "images", ims)
 

@@ -26,6 +26,7 @@ from .errors import (
     BadGeometry,
     ConvexityViolation,
     EnergyAboveThreshold,
+    InvalidParameter,
     JoinDiscontinuity,
     JsonFields,
     MalformedTrace,
@@ -486,6 +487,14 @@ class TransferValues:
     upper_slack: float    # min over grid of tau - f(tau)
 
 
+def check_transfer_parameters(k: float, lam: float) -> None:
+    """InvalidParameter unless k >= 1 and lam > 0 are both finite."""
+    if not (math.isfinite(k) and math.isfinite(lam)):
+        raise InvalidParameter(f"k and lam must be finite, got k = {k}, lam = {lam}")
+    if k < 1 or lam <= 0:
+        raise InvalidParameter("need k >= 1 and lam > 0")
+
+
 def transfer_map(profile: RadialProfile, k: float, lam: float,
                  taus: Sequence[float], tol: float = 1e-9) -> TransferValues:
     """f = a_{(k+lam)H} o a_{kH}^{-1} on the given action grid.
@@ -493,10 +502,7 @@ def transfer_map(profile: RadialProfile, k: float, lam: float,
     Asserts the sandwich tau - lam * h(r_max) <= f(tau) <= tau pointwise and
     monotonicity along the grid.
     """
-    if not (math.isfinite(k) and math.isfinite(lam)):
-        raise ValueError(f"k and lam must be finite, got k = {k}, lam = {lam}")
-    if k < 1 or lam <= 0:
-        raise ValueError("need k >= 1 and lam > 0")
+    check_transfer_parameters(k, lam)
     if profile.admissible:
         raise ActionOutOfRange("the transfer sandwich is stated for semi-admissible profiles")
     taus = np.asarray(list(taus), dtype=float)

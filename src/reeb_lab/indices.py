@@ -28,6 +28,7 @@ import numpy as np
 from .errors import (
     DegenerateEndpoint,
     DimensionMismatch,
+    InvalidParameter,
     JsonFields,
     MalformedInput,
     PathNotSplittable,
@@ -64,7 +65,7 @@ class IterationProfile:
 
     def __post_init__(self):
         if self.loop_index % 2 != 0:
-            raise ValueError(f"loop index must be even, got {self.loop_index}")
+            raise InvalidParameter(f"loop index must be even, got {self.loop_index}")
         object.__setattr__(self, "elliptic", tuple(self.elliptic))
         object.__setattr__(self, "hyperbolic", tuple(int(h) for h in self.hyperbolic))
         entries = [("loop_index", self.loop_index),
@@ -75,9 +76,9 @@ class IterationProfile:
             try:
                 finite = math.isfinite(value)
             except OverflowError:
-                raise ValueError(f"profile entry {what} is too large for a float") from None
+                raise InvalidParameter(f"profile entry {what} is too large for a float") from None
             if not finite:
-                raise ValueError(f"profile has a non-finite rotation number {what} = {value}")
+                raise InvalidParameter(f"profile has a non-finite rotation number {what} = {value}")
 
     @property
     def dim_half(self) -> int:

@@ -7,8 +7,9 @@ The scalar index formulas, the per-ell recurrence check, the scalar
 action-calculus loops and the pair-by-pair audit sweep are the exception:
 they are the per-element paths the array code replaced, kept to check it bit
 for bit.  So are the scan over every k0 that the recurrence search's
-residue-class enumeration replaced, and the id-keyed filtered complex and
-barcode that the integer columns replaced.
+residue-class enumeration replaced, the id-keyed filtered complex and
+barcode that the integer columns replaced, and the frozenset columns over
+filtration positions that the bit columns replaced.
 """
 
 from __future__ import annotations
@@ -291,6 +292,77 @@ def id_keyed_barcode(generators, boundary) -> list:
             low_to_col[low] = j
             columns[j] = col
             pairs.append((low, j))
+    paired = {i for p in pairs for i in p}
+    bars = []
+    for i, j in pairs:
+        bars.append(Bar(birth=gens[i][1], death=gens[j][1], degree=gens[i][2]))
+    for i, (gid, a, d) in enumerate(gens):
+        if i not in paired:
+            bars.append(Bar(birth=a, death=INF, degree=d))
+    bars.sort(key=lambda b: (b.birth, b.death, b.degree))
+    return bars
+
+
+def frozenset_barcode(generators, boundary) -> list:
+    """FilteredComplex's construction and barcode on frozenset columns over
+    filtration positions, the code the bit columns over per-degree ranks
+    replaced: the same checks in the same order, with the same messages."""
+    gens = generators
+    ids = [g[0] for g in gens]
+    if len(set(ids)) != len(ids):
+        raise MalformedGraph("duplicate generator ids")
+    boundary = {k: frozenset(v) for k, v in boundary.items()}
+    for g in gens:
+        if not math.isfinite(float(g[1])):
+            raise FiltrationViolation(f"generator {g[0]} has action {float(g[1])}: "
+                                      f"actions must be finite")
+    order = sorted(range(len(gens)), key=lambda i: (gens[i][1], i))
+    pos = {ids[i]: p for p, i in enumerate(order)}
+    action = [float(gens[i][1]) for i in order]
+    degree = [int(gens[i][2]) for i in order]
+    columns = [frozenset()] * len(gens)
+    for col, rows in boundary.items():
+        j = pos.get(col)
+        if j is None:
+            raise MalformedGraph(f"boundary of unknown generator {col}")
+        column = []
+        for r in rows:
+            p = pos.get(r)
+            if p is None:
+                raise MalformedGraph(f"boundary hits unknown generator {r}")
+            if not action[p] < action[j]:
+                raise FiltrationViolation(
+                    f"boundary of {col} (action {action[j]}) hits {r} "
+                    f"(action {action[p]}): not strictly decreasing"
+                )
+            if degree[p] != degree[j] - 1:
+                raise MalformedGraph(
+                    f"boundary of {col} (degree {degree[j]}) hits {r} "
+                    f"(degree {degree[p]}): the degree must drop by one"
+                )
+            column.append(p)
+        columns[j] = frozenset(column)
+    for j, column in enumerate(columns):
+        acc: Set[int] = set()
+        for p in column:
+            acc ^= columns[p]
+        if acc:
+            raise NotADifferential(f"boundary of boundary of {ids[order[j]]} is "
+                                   f"{sorted(ids[order[p]] for p in acc)}")
+
+    gens = [gens[i] for i in order]
+    low_to_col: Dict[int, int] = {}
+    pairs: List[Tuple[int, int]] = []
+    for j, col in enumerate(columns):
+        while col:
+            low = max(col)
+            other = low_to_col.get(low)
+            if other is None:
+                low_to_col[low] = j
+                columns[j] = col
+                pairs.append((low, j))
+                break
+            col ^= columns[other]
     paired = {i for p in pairs for i in p}
     bars = []
     for i, j in pairs:

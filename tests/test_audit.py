@@ -27,13 +27,22 @@ from reeb_lab.errors import (
     AuditFailed,
     BadGeometry,
     HypothesisFailed,
+    InvalidParameter,
     JOutOfRange,
     MalformedInput,
     NotExcluded,
+    ReebLabError,
     ShellMarginNotFound,
     SupportOutOfRange,
 )
-from reeb_lab.hamiltonian import CylinderTrace, build_profile, check_cylinder_trace, spline_slope
+from reeb_lab.fixedpoint import PlanarMapSample
+from reeb_lab.hamiltonian import (
+    CylinderTrace,
+    build_profile,
+    check_cylinder_trace,
+    check_transfer_parameters,
+    spline_slope,
+)
 from reeb_lab.indices import IterationProfile, SystemOrbit, check_dynamical_convexity
 from reeb_lab.symplectic import WilliamsonInvariants, validate_symplectic, williamson_invariants
 from reeb_lab.recurrence import (
@@ -77,6 +86,32 @@ def golden_system(**overrides):
     )
     kwargs.update(overrides)
     return OrbitSystem(**kwargs)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: IterationProfile(loop_index=1), "loop index must be even, got 1"),
+    (lambda: IterationProfile(elliptic=(math.nan,)),
+     "profile has a non-finite rotation number elliptic[0] = nan"),
+    (lambda: IterationProfile(elliptic=(10 ** 400,)),
+     "profile entry elliptic[0] is too large for a float"),
+    (lambda: EllipsoidSpec((0.0, 1.0)), "weights must be positive and finite, got (0.0, 1.0)"),
+    (lambda: EllipsoidSpec((2.0, 1.0)), "weights must be sorted ascending"),
+    (lambda: PlanarMapSample(np.zeros((3, 2)), np.zeros((4, 2))),
+     "bad sample shapes (3, 2) vs (4, 2)"),
+    (lambda: PlanarMapSample(np.zeros((3, 2)), np.zeros((3, 2)), eps=-1.0),
+     "eps must be positive and finite, got -1.0"),
+    (lambda: sqrt2_system(mode="elliptic"), f"mode must be one of {MODES}"),
+    (lambda: sqrt2_system(orbits=()), "need at least one orbit"),
+    (lambda: check_transfer_parameters(math.inf, 1.0),
+     "k and lam must be finite, got k = inf, lam = 1.0"),
+    (lambda: check_transfer_parameters(0.5, 1.0), "need k >= 1 and lam > 0"),
+])
+def test_invalid_parameters_are_typed(build, message):
+    # a ReebLabError for a library caller, and still the ValueError it was
+    with pytest.raises(InvalidParameter) as exc:
+        build()
+    assert isinstance(exc.value, ReebLabError) and isinstance(exc.value, ValueError)
+    assert str(exc.value) == message
 
 
 #: the three criterion-10 flagship systems

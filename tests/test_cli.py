@@ -550,7 +550,7 @@ class TestConfigAndErrors:
         proc = subprocess.run([sys.executable, "-m", "reeb_lab.cli", *argv],
                               capture_output=True, text=True)
         assert proc.returncode == 2 and message in proc.stderr
-        assert "Traceback" not in proc.stderr
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
 
     @pytest.mark.parametrize("flag", ["--spectrum", "--slope"])
     def test_infinite_spectrum_bound_exit_2(self, flag):

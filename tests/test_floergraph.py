@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from reeb_lab.errors import (
@@ -21,6 +21,7 @@ from reeb_lab.floergraph import (
 
 from _oracles import (
     bars_betti,
+    frozenset_barcode,
     id_keyed_barcode,
     random_complex,
     sublevel_betti,
@@ -164,7 +165,7 @@ def _unknown_column(rng, gens, bnd):
 
 def _unknown_row(rng, gens, bnd):
     col = gens[int(rng.integers(len(gens)))][0]
-    bnd[col] = bnd.get(col, frozenset()) | {"ghost"}
+    bnd[col] = [*bnd.get(col, ()), "ghost"]
 
 
 def _pair(rng, gens, bnd, low, high):
@@ -187,6 +188,28 @@ def _not_a_differential(rng, gens, bnd):
     _pair(rng, gens, bnd, ("mid", 1.0, 1), ("hi", 2.0, 2))
     gens.insert(int(rng.integers(len(gens) + 1)), ("lo", 0.0, 0))
     bnd["hi"], bnd["mid"] = frozenset({"mid"}), frozenset({"lo"})
+
+
+def _many_bad_rows(rng, gens, bnd):
+    # one column whose rows break the checks in different ways: the row
+    # named is the first that its frozenset yields
+    gens.insert(int(rng.integers(len(gens) + 1)), ("hi", 5.0, 1))
+    rows = []
+    for k in range(int(rng.integers(2, 5))):
+        kind = int(rng.integers(3))
+        if kind:
+            bad = (5.0 + float(rng.integers(0, 2)), 0) if kind == 1 else \
+                  (1.0, int(rng.choice([-1, 1, 2])))
+            gens.insert(int(rng.integers(len(gens) + 1)), (f"lo{k}",) + bad)
+        rows.append(f"lo{k}")
+    bnd["hi"] = rows
+
+
+def _two_broken_columns(rng, gens, bnd):
+    # d^2 fails on both; the first in the filtration order is named
+    _not_a_differential(rng, gens, bnd)
+    gens.insert(int(rng.integers(len(gens) + 1)), ("top", float(rng.choice([2.0, 3.0])), 2))
+    bnd["top"] = frozenset({"mid"})
 
 
 FAULTS = (_duplicate_id, _non_finite_action, _unknown_column, _unknown_row,
@@ -224,6 +247,40 @@ class TestIdKeyedOracle:
                 assert got == want
         else:
             assert got == want
+
+
+class TestFrozensetOracle:
+    """The bit columns against the frozenset columns over filtration
+    positions that they replaced: the same bars, or the same exception with
+    the same message."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(0, 12), distinct=st.booleans(),
+           degrees=st.sampled_from([(0, 1, 2), (-2, -1, 0), (0, 2, 3, 5), (-3, -1, 0, 1, 4)]),
+           faults=st.lists(st.sampled_from(FAULTS + (_many_bad_rows, _two_broken_columns)),
+                           max_size=2))
+    @example(seed=0, n=0, distinct=True, degrees=(0, 1, 2), faults=[])
+    @example(seed=1, n=6, distinct=True, degrees=(0, 1, 2), faults=[_many_bad_rows])
+    def test_same_bars_or_same_error(self, seed, n, distinct, degrees, faults):
+        assume(n or not faults)
+        rng = np.random.default_rng(seed)
+        gens, bnd = random_complex(rng, n, degrees=degrees, distinct=distinct)
+        gens = [gens[i] for i in rng.permutation(n)]
+        # lists that repeat some rows: the frozenset keeps one of each
+        bnd = {col: list(rows) + [r for r in rows if rng.random() < 0.5]
+               for col, rows in bnd.items()}
+        for fault in faults:
+            fault(rng, gens, bnd)
+        got = _outcome(lambda: barcode(FilteredComplex(generators=tuple(gens), boundary=bnd)))
+        want = _outcome(lambda: frozenset_barcode(tuple(gens), bnd))
+        assert isinstance(want, tuple) == bool(faults)
+        assert got == want
+
+    def test_repeated_rows_are_one_row(self):
+        cx = FilteredComplex(generators=(("a", 0.0, 0), ("b", 0.0, 0), ("e", 1.0, 1)),
+                             boundary={"e": ["a", "b", "a"]})
+        assert barcode(cx) == frozenset_barcode(cx.generators, {"e": ["a", "b", "a"]}) == [
+            Bar(0.0, 1.0, 0), Bar(0.0, INF, 0)]
 
 
 class TestBarLengths:
