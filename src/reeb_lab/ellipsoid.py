@@ -39,7 +39,7 @@ def detect_rational(x: float, remainder_tol: float = _CF_REMAINDER,
     in which case "irrational" is a policy verdict, not a certainty.
     """
     if x <= 0:
-        raise ValueError(f"ratio must be positive, got {x}")
+        raise InvalidParameter(f"ratio must be positive, got {x}")
     coeffs = []
     y = x
     for _ in range(64):
@@ -109,7 +109,7 @@ def ellipsoid_profile(spec: EllipsoidSpec, j: int) -> IterationProfile:
     make iterate indices degenerate and are rejected.
     """
     if not 1 <= j <= spec.n:
-        raise ValueError(f"orbit index {j} outside 1..{spec.n}")
+        raise InvalidParameter(f"orbit index {j} outside 1..{spec.n}")
     angles = []
     for i in range(1, spec.n + 1):
         if i == j:
@@ -145,7 +145,7 @@ class ActionSpectrum:
 def action_spectrum(spec: EllipsoidSpec, t_max: float) -> ActionSpectrum:
     """All orbit periods k * T_j in (0, t_max], sorted; ties ordered by (j, k)."""
     if not 0 < t_max < math.inf:
-        raise ValueError(f"t_max must be positive and finite, got {t_max}")
+        raise InvalidParameter(f"t_max must be positive and finite, got {t_max}")
     entries = []
     for j, T in enumerate(ellipsoid_periods(spec), start=1):
         k = 1
@@ -157,13 +157,22 @@ def action_spectrum(spec: EllipsoidSpec, t_max: float) -> ActionSpectrum:
 
 
 def slope_valid(spec: EllipsoidSpec, slope: float, band: float = 1e-9) -> bool:
-    """True iff the slope avoids the action spectrum within the guard band."""
+    """True iff the slope avoids the action spectrum within the guard band.
+    If a period k * T_j lies in the band, the one nearest the slope does, so
+    only k = floor(slope / T_j) - 1 ... + 2 are checked, not the spectrum."""
     if not math.isfinite(slope):
-        raise ValueError(f"slope must be finite, got {slope}")
+        raise InvalidParameter(f"slope must be finite, got {slope}")
     if slope <= 0:
         return False
-    spectrum = action_spectrum(spec, slope * (1.0 + 2.0 * band) + band)
-    return all(abs(slope - v) > band * max(1.0, slope) for v in spectrum.values)
+    t_max = slope * (1.0 + 2.0 * band) + band
+    for T in ellipsoid_periods(spec):
+        if not slope / T < math.inf:
+            raise InvalidParameter(f"slope {slope} over the period {T} overflows a float")
+        near = math.floor(slope / T)
+        for k in range(max(1, near - 1), near + 3):
+            if k * T <= t_max and abs(slope - k * T) <= band * max(1.0, slope):
+                return False
+    return True
 
 
 @dataclass(frozen=True)

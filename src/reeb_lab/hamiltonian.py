@@ -223,6 +223,8 @@ class ExpProfile(RadialProfile):
     def __post_init__(self):
         if not 0 < self.beta < math.inf:
             raise ConvexityViolation(1.0, self.beta)
+        if not self.beta * self._w <= np.log(np.finfo(float).max):
+            raise InvalidParameter(f"expm1(beta * (r_max - 1)) overflows at beta = {self.beta}")
         object.__setattr__(self, "h_triple_nonneg_up_to", self.r_max)
 
     @property
@@ -339,7 +341,7 @@ def build_profile(family: str = "quadratic", *, slope: float, r_max: float,
     h'' >= 0 with h'' > 0 inside the shell, C^1 joins at r = 1 and r = r_max.
     """
     if family not in _FAMILIES:
-        raise ValueError(f"unknown profile family {family!r}")
+        raise InvalidParameter(f"unknown profile family {family!r}")
     if not 0 < slope < math.inf:
         raise SlopeMismatch(f"slope must be positive and finite, got {slope}")
     if not 1.0 < r_max < math.inf:
@@ -532,7 +534,7 @@ def homotopy_action_derivative(profile: RadialProfile, k: float, lam: float,
     Always in [-lam * h(r_max), 0] for semi-admissible profiles.
     """
     if not 0.0 <= s <= 1.0:
-        raise ValueError(f"s = {s} outside [0, 1]")
+        raise InvalidParameter(f"s = {s} outside [0, 1]")
     if profile.admissible:
         raise PeriodOutOfRange("the derivative identity is normalized for h(1) = 0")
     r = action_from_period(profile, T, k + s * lam)[1]

@@ -177,10 +177,10 @@ def index_triple(profile: IterationProfile, k) -> IndexTriple:
     k is an int, which gives two ints and a float, or an int64 array of
     iteration orders, which gives an IndexTriple of arrays; an int is computed
     as the array of length one.  Orders below 1, or so large that an index
-    leaves int64, raise ValueError.  The iterate formulas are those of Long,
-    *Index Theory for Symplectic Paths with Applications* (Birkhauser, 2002),
-    in the form used by the common index jump theorem of Long & Zhu, Ann. of
-    Math. 155 (2002) 317-368.
+    leaves int64, raise InvalidParameter.  The iterate formulas are those of
+    Long, *Index Theory for Symplectic Paths with Applications* (Birkhauser,
+    2002), in the form used by the common index jump theorem of Long & Zhu,
+    Ann. of Math. 155 (2002) 317-368.
     """
     ks = _orders(profile, k)
     hi = ks * (profile.loop_index + sum(profile.hyperbolic)) + len(profile.elliptic)
@@ -205,25 +205,26 @@ def index_triple(profile: IterationProfile, k) -> IndexTriple:
 
 def _orders(profile: IterationProfile, k) -> np.ndarray:
     """k as an int64 array of iteration orders (an int gives length one);
-    ValueError for an order below 1 or one whose indices leave int64."""
+    InvalidParameter for an order below 1 or one whose indices leave int64."""
     if isinstance(k, np.ndarray):
         ks = k.astype(np.int64, copy=False)
     else:
         try:
             ks = np.array([operator.index(k)], dtype=np.int64)
         except OverflowError:
-            raise ValueError(f"iteration order {k} outside int64") from None
+            raise InvalidParameter(f"iteration order {k} outside int64") from None
     if ks.size:
         if ks.min() < 1:
-            raise ValueError(f"iteration order must be >= 1, got {int(ks[np.argmax(ks < 1)])}")
+            raise InvalidParameter(
+                f"iteration order must be >= 1, got {int(ks[np.argmax(ks < 1)])}")
         if not _fits_int64(profile, int(ks.max())):
-            raise ValueError(f"indices of iterate {int(ks.max())} leave int64")
+            raise InvalidParameter(f"indices of iterate {int(ks.max())} leave int64")
     return ks
 
 
 def _fits_int64(profile: IterationProfile, k: int) -> bool:
     """Whether the indices of iterates 1..k stay inside int64 (index_triple
-    raises ValueError beyond)."""
+    raises InvalidParameter beyond)."""
     # every index and every floor(k rho) is at most k * growth in size
     growth = (abs(profile.loop_index) + sum(map(abs, profile.hyperbolic)) + 2 * profile.dim_half
               + sum(2.0 * abs(float(rho)) for rho in profile.elliptic))
@@ -291,7 +292,7 @@ def check_dynamical_convexity(orbits: Sequence[tuple], n: int) -> ConvexityRepor
     """Check mu_-(x^k) >= n + 1 for every (profile, k_max) pair given.
 
     Also evaluates the weaker threshold mu_- >= max(3, 2 + nu_a) per iterate,
-    reported separately.  A k_max below 1 raises ValueError: it would check
+    reported separately.  A k_max below 1 raises InvalidParameter: it would check
     no iterate at all.
     """
     witnesses = []
@@ -299,7 +300,7 @@ def check_dynamical_convexity(orbits: Sequence[tuple], n: int) -> ConvexityRepor
     min_mu = None
     for pos, (profile, k_max) in enumerate(orbits):
         if k_max < 1:
-            raise ValueError(f"k_max must be at least 1, got {k_max} for orbit {pos}")
+            raise InvalidParameter(f"k_max must be at least 1, got {k_max} for orbit {pos}")
         ks = np.arange(1, int(k_max) + 1, dtype=np.int64)
         t = index_triple(profile, ks)
         mu = t.mu_minus
@@ -458,14 +459,14 @@ def cz_index_sampled(path, tol: float = 1e-9) -> int:
     if path.shape[0] < 2:
         raise SamplingTooCoarse("need at least two samples")
     if float(np.abs(path[0] - np.eye(path.shape[1])).max()) > 1e-9:
-        raise ValueError("path must start at the identity")
+        raise InvalidParameter("path must start at the identity")
     return sum(_block_index(b, tol) for b in _split_planes(path, tol))
 
 
 def rotation_path(rho: float, n_samples: int = 0) -> np.ndarray:
     """Sampled path t -> rotation by 2*pi*rho*t on [0, 1]."""
     if not math.isfinite(rho):
-        raise ValueError(f"rotation number must be finite, got {rho}")
+        raise InvalidParameter(f"rotation number must be finite, got {rho}")
     if n_samples <= 0:
         n_samples = max(64, int(16 * abs(rho) * 2 * math.pi) + 1)
     ts = np.linspace(0.0, 1.0, n_samples + 1)
@@ -479,7 +480,7 @@ def rotation_path(rho: float, n_samples: int = 0) -> np.ndarray:
 def stretch_path(lam: float, n_samples: int = 64) -> np.ndarray:
     """Sampled path t -> diag(lam^t, lam^-t), a hyperbolic block with index 0."""
     if not 0 < lam < math.inf:
-        raise ValueError(f"stretch factor must be positive and finite, got {lam}")
+        raise InvalidParameter(f"stretch factor must be positive and finite, got {lam}")
     ts = np.linspace(0.0, 1.0, n_samples + 1)
     out = np.empty((n_samples + 1, 2, 2))
     for i, t in enumerate(ts):

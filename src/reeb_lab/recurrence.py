@@ -42,7 +42,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import HypothesisFailed, IterateUnderflow, JsonFields
+from .errors import HypothesisFailed, InvalidParameter, IterateUnderflow, JsonFields
 from .indices import IterationProfile, _fits_int64, index_triple
 
 #: scanned_up_to reports the horizon in chunks of this many multiples of N
@@ -66,16 +66,16 @@ class RecurrenceQuery:
     def __post_init__(self):
         object.__setattr__(self, "profiles", tuple(self.profiles))
         if not self.profiles:
-            raise ValueError("need at least one profile")
+            raise InvalidParameter("need at least one profile")
         for i, p in enumerate(self.profiles):
             mean = p.mean_index(1)
             if not math.isfinite(mean):
-                raise ValueError(f"profile {i} has mean index {mean}")
+                raise InvalidParameter(f"profile {i} has mean index {mean}")
             if mean <= 0:
                 raise HypothesisFailed(f"profile {i} has mean index {mean:.6g} <= 0")
         if (not 0 < self.eta < math.inf or self.ell0 < 1 or self.n_divisor < 1
                 or self.count < 1):
-            raise ValueError("finite eta > 0, ell0 >= 1, divisor >= 1, count >= 1 required")
+            raise InvalidParameter("finite eta > 0, ell0 >= 1, divisor >= 1, count >= 1 required")
 
 
 @dataclass(frozen=True)
@@ -106,7 +106,7 @@ def verify_recurrence(profiles: Sequence[IterationProfile], d: int,
     profiles = list(profiles)
     ks = [int(k) for k in ks]
     if len(ks) != len(profiles):
-        raise ValueError(f"{len(ks)} iteration orders for {len(profiles)} profiles")
+        raise InvalidParameter(f"{len(ks)} iteration orders for {len(profiles)} profiles")
     records = []
     for i, (p, k) in enumerate(zip(profiles, ks)):
         if k - ell0 < 1:
@@ -194,7 +194,7 @@ def recurrence_search(query: RecurrenceQuery, on_solution=None) -> SearchResult:
     stream).  scanned_up_to is the end of the chunk of _CHUNK multiples of N
     that holds the last solution, or the horizon when it is exhausted.
 
-    Raises ValueError, as index_triple does, when the horizon reaches a k_0
+    Raises InvalidParameter, as index_triple does, when the horizon reaches a k_0
     whose iterate k_0 + ell0 of profile 0 has indices outside int64 before
     the requested count is found: no k_0 from there on is tested.
     """
@@ -239,7 +239,7 @@ def recurrence_search(query: RecurrenceQuery, on_solution=None) -> SearchResult:
         size = min(2 * size, _BLOCK_MAX,
                    max(_CHUNK, int(_CHUNK / (2 * _window(eta / N, mean0, b)))))
     if len(found) < query.count and j_stop <= j_end:
-        raise ValueError(f"indices of iterate {N * j_stop + query.ell0} leave int64")
+        raise InvalidParameter(f"indices of iterate {N * j_stop + query.ell0} leave int64")
     start, span = N * j_start, _CHUNK * N
     last = found[-1].k[0] if len(found) >= query.count else N * j_end
     chunk_end = start + ((last - start) // span + 1) * span - N if last >= start else start - N

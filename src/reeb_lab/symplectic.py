@@ -13,9 +13,12 @@ index normalization used in :mod:`reeb_lab.indices`.
 A unipotent ``A`` (all eigenvalues 1) equals ``exp(K)`` for a nilpotent
 ``K = JHAT @ S`` with ``S`` symmetric.  The symmetric form decomposes
 symplectically into zero planes, odd chain pairs and signed even chains; the
-counts (nu0, b0, b_plus, b_minus) are complete invariants and are what
-:func:`williamson_invariants` extracts.  Zero planes and the d = 1 odd chain
-are the same object; they are counted under nu0.
+counts (nu0, b0, b_plus, b_minus) are complete invariants.
+:func:`williamson_invariants` reads them off ``N = A - I`` with no logarithm:
+K is N times an invertible power series in N, so the two share their Jordan
+chains, and on ker N^s the sign form S(K^(d-1) u, K^(d-1) v) of the chains of
+size s = 2d equals (-1)^(d-1) u^T J N^(s-1) v.  Zero planes and the d = 1 odd
+chain are the same object; they are counted under nu0.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import numpy as np
 
 from .errors import (
     BorderlineSpectrum,
+    InvalidParameter,
     JsonFields,
     MalformedInput,
     NotSymplectic,
@@ -123,8 +127,9 @@ class SymplecticMatrix:
 def validate_symplectic(M: np.ndarray, tol: float = DEFAULT_TOL) -> SymplecticMatrix:
     """Check M^T J M = J (and det M = 1) within tol and wrap the matrix.
 
-    Raises OddDimension for non-square or odd-dimensional input and
-    NotSymplectic with the max-norm residual otherwise.
+    Raises OddDimension for non-square or odd-dimensional input,
+    InvalidParameter for an entry that is not finite or whose square
+    overflows a float, and NotSymplectic with the max-norm residual otherwise.
     """
     M = np.array(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -133,7 +138,10 @@ def validate_symplectic(M: np.ndarray, tol: float = DEFAULT_TOL) -> SymplecticMa
         raise OddDimension(f"dimension {M.shape[0]} is odd")
     m = M.shape[0] // 2
     J = standard_form(m)
-    scale = max(1.0, float(np.abs(M).max())) ** 2
+    peak = float(np.abs(M).max())
+    if not peak <= np.sqrt(np.finfo(float).max):
+        raise InvalidParameter(f"matrix entries must square to a finite float, got {peak:.3e}")
+    scale = max(1.0, peak) ** 2
     residual = float(np.abs(M.T @ J @ M - J).max())
     if residual > tol * scale:
         raise NotSymplectic(residual, tol * scale)
@@ -165,11 +173,7 @@ class SpectralClassification:
 
 
 def _rank(A: np.ndarray, tol_scale: float) -> int:
-    if A.size == 0:
-        return 0
     s = np.linalg.svd(A, compute_uv=False)
-    if s.size == 0:
-        return 0
     cutoff = max(tol_scale, s[0] * 1e-12, 1e-300)
     return int(np.sum(s > cutoff))
 
@@ -340,61 +344,41 @@ class WilliamsonInvariants(JsonFields):
                    nu_g=nu_g, nu_a=m, m=m)
 
 
-def nilpotent_log(A: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """log(A) for unipotent A via the finite series in N = A - I.
-
-    Exact (up to rounding) because N is nilpotent; no branch issues.
-    """
-    n = A.shape[0]
-    N = A - np.eye(n)
-    # nilpotency check: N^n must vanish up to rounding of the power products
-    nm = max(1.0, float(np.linalg.norm(N, 2)))
-    P = N.copy()
-    for _ in range(n - 1):
-        P = P @ N
-    if float(np.abs(P).max()) > tol * nm ** n * n:
-        raise NotUnipotent(f"(A - I)^{n} has max entry {float(np.abs(P).max()):.3e}")
-    K = np.zeros_like(N)
-    term = np.eye(n)
-    for j in range(1, n + 1):
-        term = term @ N
-        if float(np.abs(term).max()) == 0.0:
-            break
-        K += ((-1) ** (j + 1)) * term / j
-    return K
-
-
 def williamson_invariants(A: SymplecticMatrix, tol: float = DEFAULT_TOL) -> WilliamsonInvariants:
     """Normal-form counts (nu0, b0, b_plus, b_minus) of a unipotent map.
 
-    The Jordan partition of K = log(A) fixes everything except the signs of
-    the even chains: size-1 blocks come two per zero plane, odd blocks >= 3
-    pair up into b0 chains, and each even block of size 2d carries a sign
-    read off from the quadratic form on its chain top, Q(K^{d-1} v).
+    The ranks of N^j, N = A - I, give the Jordan partition: size-1 blocks
+    come two per zero plane and odd blocks >= 3 pair up into b0 chains.  The
+    chains of size s = 2d are signed by the form (-1)^(d-1) u^T J N^(s-1) v
+    on ker N^s, whose radical is ker N^(s-1) + N ker N^(s+1) (Burgoyne &
+    Cushman, J. Algebra 44, 1977; Long 2002).  As K^T J = -J K for K = log A,
+    and K^(s-1) = N^(s-1) on ker N^s, it is the form S(K^(d-1) u, K^(d-1) v).
     """
-    M = A.entries
     n = A.dim
     m = A.dim_half
-    scale = max(1.0, float(np.abs(M).max()))
+    N = A.entries - np.eye(n)
+    powers = [np.eye(n), N]
+    with np.errstate(over="ignore"):    # an overflow to inf fails the bound below
+        while len(powers) <= n:
+            powers.append(powers[-1] @ N)
 
-    K = nilpotent_log(M, tol)
-    S = -flow_rotation(m) @ K          # K = JHAT S  =>  S = JHAT^-1 K = -JHAT K
-    sym_err = float(np.abs(S - S.T).max())
-    s_scale = max(1.0, float(np.abs(S).max()))
-    if sym_err > max(tol * s_scale, 1e-9 * s_scale):
-        raise UnresolvedNormalForm(f"generator form not symmetric: residual {sym_err:.3e}")
-    S = (S + S.T) / 2.0
+    # nilpotency: N^n must vanish up to the rounding of the power products,
+    # tol * n * |N|^n; dividing by |N| n times keeps the bound from overflowing
+    peak = float(np.abs(powers[n]).max())
+    nm = max(1.0, float(np.linalg.norm(N, 2)))
+    excess = peak
+    for _ in range(n):
+        excess /= nm
+    if not excess <= tol * n:
+        raise NotUnipotent(f"(A - I)^{n} has max entry {peak:.3e}")
 
-    rank_tol = max(tol, 1e-11) * max(s_scale, 1.0) * n
+    rank_tol = max(tol, 1e-11) * max(1.0, float(np.abs(N).max())) * n
 
-    # rank sequence of K^j and Jordan multiplicities
-    powers = [np.eye(n), K]
-    while len(powers) <= n:
-        powers.append(powers[-1] @ K)
-    ranks = [_rank(P, rank_tol) for P in powers]          # ranks[j] = rank K^j
+    # ranks[j] = rank N^j, with N^0 = I of full rank and N^(n+1) = 0
+    ranks = [n] + [_rank(P, rank_tol) for P in powers[1:]] + [0]
     mult = {}
     for s in range(1, n + 1):
-        c = ranks[s - 1] - 2 * ranks[s] + ranks[s + 1] if s + 1 <= n else ranks[s - 1] - 2 * ranks[s]
+        c = ranks[s - 1] - 2 * ranks[s] + ranks[s + 1]
         if c < 0:
             raise UnresolvedNormalForm(f"inconsistent rank sequence at power {s}")
         if c:
@@ -412,18 +396,16 @@ def williamson_invariants(A: SymplecticMatrix, tol: float = DEFAULT_TOL) -> Will
                 raise UnresolvedNormalForm(f"odd multiplicity {c} of odd Jordan size {s}")
             b0 += c // 2
 
+    J = standard_form(m)
     b_plus = b_minus = 0
     for s, c in sorted(mult.items()):
         if s % 2 != 0:
             continue
-        d = s // 2
-        tops = _chain_tops(K, powers, s, c, rank_tol)
-        Kd = powers[d - 1]
-        W = Kd @ tops                                     # K^{d-1} on the tops
-        beta = W.T @ S @ W
+        U = _null_basis(powers[s], rank_tol)
+        beta = (-1) ** (s // 2 - 1) * (U.T @ J @ powers[s - 1] @ U)
         beta = (beta + beta.T) / 2.0
         vals = np.linalg.eigvalsh(beta)
-        zero_cut = max(rank_tol, float(np.abs(vals).max()) * 1e-9) if vals.size else rank_tol
+        zero_cut = max(rank_tol, float(np.abs(vals).max()) * 1e-9)
         pos = int(np.sum(vals > zero_cut))
         neg = int(np.sum(vals < -zero_cut))
         if pos + neg != c:
@@ -443,39 +425,3 @@ def _null_basis(A: np.ndarray, tol: float) -> np.ndarray:
     cutoff = max(tol, (s[0] if s.size else 0.0) * 1e-12)
     rank = int(np.sum(s > cutoff))
     return vH[rank:].T.conj()
-
-
-def _orth_basis(A: np.ndarray, tol: float) -> np.ndarray:
-    """Orthonormal basis of the column span, rank-truncated (qr is not)."""
-    if A.shape[1] == 0:
-        return A
-    u, s, _vH = np.linalg.svd(A, full_matrices=False)
-    cutoff = max(tol, (s[0] if s.size else 0.0) * 1e-12)
-    return u[:, s > cutoff]
-
-
-def _chain_tops(K, powers, s, count, tol) -> np.ndarray:
-    """Representatives of the Jordan chains of size exactly s.
-
-    Returns a (n, count) matrix spanning ker K^s transverse to
-    ker K^{s-1} + K ker K^{s+1}.
-    """
-    n = K.shape[0]
-    U = _null_basis(powers[s], tol)
-    low_parts = [_null_basis(powers[s - 1], tol)]
-    if s + 1 <= n:
-        nxt = _null_basis(powers[s + 1], tol)
-        if nxt.shape[1]:
-            low_parts.append(K @ nxt)
-    L = np.hstack([p for p in low_parts if p.shape[1]]) if low_parts else np.zeros((n, 0))
-    if L.shape[1]:
-        Q = _orth_basis(L, tol)
-        resid = U - Q @ (Q.T @ U)
-    else:
-        resid = U
-    uu, ss, _ = np.linalg.svd(resid, full_matrices=False)
-    if ss.size < count or ss[count - 1] < tol:
-        raise UnresolvedNormalForm(
-            f"could not isolate {count} chain tops of size {s} (singular values {ss[:count]})"
-        )
-    return uu[:, :count]

@@ -8,8 +8,11 @@ action-calculus loops and the pair-by-pair audit sweep are the exception:
 they are the per-element paths the array code replaced, kept to check it bit
 for bit.  So are the scan over every k0 that the recurrence search's
 residue-class enumeration replaced, the id-keyed filtered complex and
-barcode that the integer columns replaced, and the frozenset columns over
-filtration positions that the bit columns replaced.
+barcode that the integer columns replaced, the frozenset columns over
+filtration positions that the bit columns replaced, the normal-form
+invariants read through the matrix logarithm that the form on ker (A - I)^s
+replaced, and the slope check over the whole action spectrum that the check
+of the multiples next to the slope replaced.
 """
 
 from __future__ import annotations
@@ -28,12 +31,16 @@ from reeb_lab.audit import (
     exclusion_certificate,
     j_range,
 )
+from reeb_lab.ellipsoid import action_spectrum
 from reeb_lab.errors import (
     FiltrationViolation,
+    InvalidParameter,
     IterateUnderflow,
     MalformedGraph,
     NotADifferential,
+    NotUnipotent,
     SupportOutOfRange,
+    UnresolvedNormalForm,
 )
 from reeb_lab.floergraph import INF, Bar
 from reeb_lab.hamiltonian import action_from_period
@@ -45,7 +52,16 @@ from reeb_lab.recurrence import (
     SearchResult,
     _Iterates,
 )
-from reeb_lab.symplectic import flow_rotation, standard_form, _expm
+from reeb_lab.symplectic import (
+    DEFAULT_TOL,
+    SymplecticMatrix,
+    WilliamsonInvariants,
+    _expm,
+    _null_basis,
+    _rank,
+    flow_rotation,
+    standard_form,
+)
 
 
 def flow_path(S: np.ndarray, n_samples: int = 400, t_end: float = 1.0) -> np.ndarray:
@@ -400,7 +416,7 @@ def scalar_nu_a(profile, k: int) -> int:
 def scalar_index_triple(profile, k: int) -> IndexTriple:
     """Exact (mu_minus, mu_plus, mu_hat) of the k-th iterate in Python ints."""
     if k < 1:
-        raise ValueError(f"iteration order must be >= 1, got {k}")
+        raise InvalidParameter(f"iteration order must be >= 1, got {k}")
     lo = hi = k * profile.loop_index
     for rho in profile.elliptic:
         t = _times(rho, k)
@@ -439,7 +455,7 @@ def scalar_verify_recurrence(profiles, d: int, ks, eta: float, ell0: int) -> Cer
     profiles = list(profiles)
     ks = [int(k) for k in ks]
     if len(ks) != len(profiles):
-        raise ValueError(f"{len(ks)} iteration orders for {len(profiles)} profiles")
+        raise InvalidParameter(f"{len(ks)} iteration orders for {len(profiles)} profiles")
     records = []
     ok = True
     for i, (p, k) in enumerate(zip(profiles, ks)):
@@ -497,7 +513,7 @@ def scan_recurrence_search(query, on_solution=None) -> SearchResult:
 
     Two things differ from the replaced code: a chunk ends at hi + 1, not
     hi + N, which let a k_bound that is not a multiple of N admit one k_0
-    above it; and the scan raises ValueError at the first k_0 whose iterate
+    above it; and the scan raises InvalidParameter at the first k_0 whose iterate
     k_0 + ell0 of profile 0 leaves int64, where R1's test used to wrap."""
     p0 = query.profiles[0]
     mean0 = p0.mean_index(1)
@@ -542,7 +558,7 @@ def scan_recurrence_search(query, on_solution=None) -> SearchResult:
                 if len(found) >= query.count:
                     break
         if unfit and len(found) < query.count:
-            raise ValueError(f"indices of iterate {unfit[0] + query.ell0} leave int64")
+            raise InvalidParameter(f"indices of iterate {unfit[0] + query.ell0} leave int64")
         k0 = hi + N
     return SearchResult(
         solutions=tuple(found),
@@ -676,3 +692,153 @@ def scalar_audit_solution(system, solution) -> SolutionAudit:
 
 def finite_difference(f, x: float, h: float = 1e-6) -> float:
     return (f(x + h) - f(x - h)) / (2.0 * h)
+
+
+# ---------------------------------------------------------------------------
+# unipotent normal forms through the matrix logarithm
+# ---------------------------------------------------------------------------
+
+def nilpotent_log(A: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """log(A) for unipotent A via the finite series in N = A - I.
+
+    Exact (up to rounding) because N is nilpotent; no branch issues.
+    """
+    n = A.shape[0]
+    N = A - np.eye(n)
+    # nilpotency check: N^n must vanish up to rounding of the power products
+    nm = max(1.0, float(np.linalg.norm(N, 2)))
+    P = N.copy()
+    for _ in range(n - 1):
+        P = P @ N
+    if float(np.abs(P).max()) > tol * nm ** n * n:
+        raise NotUnipotent(f"(A - I)^{n} has max entry {float(np.abs(P).max()):.3e}")
+    K = np.zeros_like(N)
+    term = np.eye(n)
+    for j in range(1, n + 1):
+        term = term @ N
+        if float(np.abs(term).max()) == 0.0:
+            break
+        K += ((-1) ** (j + 1)) * term / j
+    return K
+
+
+def log_williamson_invariants(A: SymplecticMatrix, tol: float = DEFAULT_TOL) -> WilliamsonInvariants:
+    """Normal-form counts (nu0, b0, b_plus, b_minus) of a unipotent map.
+
+    The Jordan partition of K = log(A) fixes everything except the signs of
+    the even chains: size-1 blocks come two per zero plane, odd blocks >= 3
+    pair up into b0 chains, and each even block of size 2d carries a sign
+    read off from the quadratic form on its chain top, Q(K^{d-1} v).
+    """
+    M = A.entries
+    n = A.dim
+    m = A.dim_half
+    scale = max(1.0, float(np.abs(M).max()))
+
+    K = nilpotent_log(M, tol)
+    S = -flow_rotation(m) @ K          # K = JHAT S  =>  S = JHAT^-1 K = -JHAT K
+    sym_err = float(np.abs(S - S.T).max())
+    s_scale = max(1.0, float(np.abs(S).max()))
+    if sym_err > max(tol * s_scale, 1e-9 * s_scale):
+        raise UnresolvedNormalForm(f"generator form not symmetric: residual {sym_err:.3e}")
+    S = (S + S.T) / 2.0
+
+    rank_tol = max(tol, 1e-11) * max(s_scale, 1.0) * n
+
+    # rank sequence of K^j and Jordan multiplicities
+    powers = [np.eye(n), K]
+    while len(powers) <= n:
+        powers.append(powers[-1] @ K)
+    ranks = [_rank(P, rank_tol) for P in powers]          # ranks[j] = rank K^j
+    mult = {}
+    for s in range(1, n + 1):
+        c = ranks[s - 1] - 2 * ranks[s] + ranks[s + 1] if s + 1 <= n else ranks[s - 1] - 2 * ranks[s]
+        if c < 0:
+            raise UnresolvedNormalForm(f"inconsistent rank sequence at power {s}")
+        if c:
+            mult[s] = c
+    if sum(s * c for s, c in mult.items()) != n:
+        raise UnresolvedNormalForm(f"Jordan sizes {mult} do not fill dimension {n}")
+
+    if mult.get(1, 0) % 2 != 0:
+        raise UnresolvedNormalForm("odd number of size-1 blocks")
+    nu0 = mult.get(1, 0) // 2
+    b0 = 0
+    for s, c in mult.items():
+        if s >= 3 and s % 2 == 1:
+            if c % 2 != 0:
+                raise UnresolvedNormalForm(f"odd multiplicity {c} of odd Jordan size {s}")
+            b0 += c // 2
+
+    b_plus = b_minus = 0
+    for s, c in sorted(mult.items()):
+        if s % 2 != 0:
+            continue
+        d = s // 2
+        tops = _chain_tops(K, powers, s, c, rank_tol)
+        Kd = powers[d - 1]
+        W = Kd @ tops                                     # K^{d-1} on the tops
+        beta = W.T @ S @ W
+        beta = (beta + beta.T) / 2.0
+        vals = np.linalg.eigvalsh(beta)
+        zero_cut = max(rank_tol, float(np.abs(vals).max()) * 1e-9) if vals.size else rank_tol
+        pos = int(np.sum(vals > zero_cut))
+        neg = int(np.sum(vals < -zero_cut))
+        if pos + neg != c:
+            raise UnresolvedNormalForm(
+                f"sign form on even chains of size {s} is degenerate: spectrum {vals}"
+            )
+        b_plus += pos
+        b_minus += neg
+
+    nu_g = n - ranks[1]
+    return WilliamsonInvariants(nu0=nu0, b0=b0, b_plus=b_plus, b_minus=b_minus,
+                                nu_g=nu_g, nu_a=m, m=m)
+
+
+def _orth_basis(A: np.ndarray, tol: float) -> np.ndarray:
+    """Orthonormal basis of the column span, rank-truncated (qr is not)."""
+    if A.shape[1] == 0:
+        return A
+    u, s, _vH = np.linalg.svd(A, full_matrices=False)
+    cutoff = max(tol, (s[0] if s.size else 0.0) * 1e-12)
+    return u[:, s > cutoff]
+
+
+def _chain_tops(K, powers, s, count, tol) -> np.ndarray:
+    """Representatives of the Jordan chains of size exactly s.
+
+    Returns a (n, count) matrix spanning ker K^s transverse to
+    ker K^{s-1} + K ker K^{s+1}.
+    """
+    n = K.shape[0]
+    U = _null_basis(powers[s], tol)
+    low_parts = [_null_basis(powers[s - 1], tol)]
+    if s + 1 <= n:
+        nxt = _null_basis(powers[s + 1], tol)
+        if nxt.shape[1]:
+            low_parts.append(K @ nxt)
+    L = np.hstack([p for p in low_parts if p.shape[1]]) if low_parts else np.zeros((n, 0))
+    if L.shape[1]:
+        Q = _orth_basis(L, tol)
+        resid = U - Q @ (Q.T @ U)
+    else:
+        resid = U
+    uu, ss, _ = np.linalg.svd(resid, full_matrices=False)
+    if ss.size < count or ss[count - 1] < tol:
+        raise UnresolvedNormalForm(
+            f"could not isolate {count} chain tops of size {s} (singular values {ss[:count]})"
+        )
+    return uu[:, :count]
+
+
+# ---------------------------------------------------------------------------
+# the slope check over the whole action spectrum
+# ---------------------------------------------------------------------------
+
+def enumerated_slope_valid(spec, slope: float, band: float = 1e-9) -> bool:
+    """slope_valid over every period k * T_j up to the guard bound."""
+    if slope <= 0:
+        return False
+    spectrum = action_spectrum(spec, slope * (1.0 + 2.0 * band) + band)
+    return all(abs(slope - v) > band * max(1.0, slope) for v in spectrum.values)

@@ -22,7 +22,14 @@ from reeb_lab.audit import (
     j_range,
     resonance_classify,
 )
-from reeb_lab.ellipsoid import EllipsoidSpec, ellipsoid_profile, pseudo_rotation_instance
+from reeb_lab.ellipsoid import (
+    EllipsoidSpec,
+    action_spectrum,
+    detect_rational,
+    ellipsoid_profile,
+    pseudo_rotation_instance,
+    slope_valid,
+)
 from reeb_lab.errors import (
     AuditFailed,
     BadGeometry,
@@ -41,15 +48,25 @@ from reeb_lab.hamiltonian import (
     build_profile,
     check_cylinder_trace,
     check_transfer_parameters,
+    homotopy_action_derivative,
     spline_slope,
 )
-from reeb_lab.indices import IterationProfile, SystemOrbit, check_dynamical_convexity
+from reeb_lab.indices import (
+    IterationProfile,
+    SystemOrbit,
+    check_dynamical_convexity,
+    cz_index_sampled,
+    index_triple,
+    rotation_path,
+    stretch_path,
+)
 from reeb_lab.symplectic import WilliamsonInvariants, validate_symplectic, williamson_invariants
 from reeb_lab.recurrence import (
     Certificate,
     RecurrenceQuery,
     RecurrenceSolution,
     recurrence_search,
+    verify_recurrence,
 )
 
 from _oracles import scalar_audit_solution, scalar_index_triple, scalar_nu_a
@@ -105,6 +122,46 @@ def golden_system(**overrides):
     (lambda: check_transfer_parameters(math.inf, 1.0),
      "k and lam must be finite, got k = inf, lam = 1.0"),
     (lambda: check_transfer_parameters(0.5, 1.0), "need k >= 1 and lam > 0"),
+    (lambda: build_profile("exp", slope=5.0, r_max=2.0, beta=800.0),
+     "expm1(beta * (r_max - 1)) overflows at beta = 800.0"),
+    (lambda: validate_symplectic(np.array([[1.0, 1e200], [0.0, 1.0]])),
+     "matrix entries must square to a finite float, got 1.000e+200"),
+    # ellipsoid
+    (lambda: detect_rational(-1.0), "ratio must be positive, got -1.0"),
+    (lambda: ellipsoid_profile(EllipsoidSpec((1.0, 2.0)), 3), "orbit index 3 outside 1..2"),
+    (lambda: action_spectrum(EllipsoidSpec((1.0, 2.0)), 0.0),
+     "t_max must be positive and finite, got 0.0"),
+    (lambda: slope_valid(EllipsoidSpec((1.0, 2.0)), math.nan), "slope must be finite, got nan"),
+    (lambda: slope_valid(EllipsoidSpec((1e-310, 2.0)), 1.0),
+     "slope 1.0 over the period 3.1415926535898e-310 overflows a float"),
+    # hamiltonian
+    (lambda: build_profile("cosine", slope=1.0, r_max=2.0), "unknown profile family 'cosine'"),
+    (lambda: homotopy_action_derivative(build_profile("quadratic", slope=5.0, r_max=2.0),
+                                        1.0, 1.0, 2.0, 1.0), "s = 2.0 outside [0, 1]"),
+    # indices
+    (lambda: index_triple(IterationProfile(elliptic=(0.3,)), 2 ** 63),
+     "iteration order 9223372036854775808 outside int64"),
+    (lambda: index_triple(IterationProfile(elliptic=(0.3,)), 0),
+     "iteration order must be >= 1, got 0"),
+    (lambda: index_triple(IterationProfile(elliptic=(0.3,)), 2 ** 62),
+     "indices of iterate 4611686018427387904 leave int64"),
+    (lambda: check_dynamical_convexity([(IterationProfile(elliptic=(0.3,)), 0)], 2),
+     "k_max must be at least 1, got 0 for orbit 0"),
+    (lambda: cz_index_sampled(np.array([2.0 * np.eye(2), np.eye(2)])),
+     "path must start at the identity"),
+    (lambda: rotation_path(math.inf), "rotation number must be finite, got inf"),
+    (lambda: stretch_path(0.0), "stretch factor must be positive and finite, got 0.0"),
+    # recurrence
+    (lambda: RecurrenceQuery(profiles=(), eta=0.1, ell0=3), "need at least one profile"),
+    (lambda: RecurrenceQuery(profiles=(IterationProfile(elliptic=(1e308,)),), eta=0.1, ell0=3),
+     "profile 0 has mean index inf"),
+    (lambda: RecurrenceQuery(profiles=(IterationProfile(elliptic=(0.3,)),), eta=0.0, ell0=3),
+     "finite eta > 0, ell0 >= 1, divisor >= 1, count >= 1 required"),
+    (lambda: verify_recurrence([IterationProfile(elliptic=(0.3,))], 1, [4, 5], 0.1, 3),
+     "2 iteration orders for 1 profiles"),
+    (lambda: recurrence_search(RecurrenceQuery(
+        profiles=(IterationProfile(hyperbolic=(2 ** 58,)),), eta=0.1, ell0=2, k_bound=100,
+        count=12)), "indices of iterate 16 leave int64"),
 ])
 def test_invalid_parameters_are_typed(build, message):
     # a ReebLabError for a library caller, and still the ValueError it was

@@ -435,6 +435,13 @@ class TestConfigAndErrors:
          ["williamson", "--matrix", "m.json"], "--matrix[0][0] must be float, got \"1\""),
         ("matrix_of_booleans", {"m.json": [[True, True], [False, True]]},
          ["williamson", "--matrix", "m.json"], "--matrix[0][0] must be float, got true"),
+        # the squared scale of the symplectic check would overflow a float
+        ("matrix_entry_too_large", {"m.json": [[1.0, 1e200], [0.0, 1.0]]},
+         ["williamson", "--matrix", "m.json"],
+         "matrix entries must square to a finite float, got 1.000e+200"),
+        ("matrix_powers_overflow", {"m.json": [[1e100, 0, 0, 0], [0, 1, 0, 0],
+                                               [0, 0, 1e-100, 0], [0, 0, 0, 1]]},
+         ["williamson", "--matrix", "m.json"], "(A - I)^4 has max entry inf"),
         ("orbit_flag_not_a_bool", {"s.json": {**sqrt2_system_json(), "orbits": [
             {**sqrt2_system_json()["orbits"][0], "hyperbolic": "no"}]}},
          ["audit-lemma", "--system", "s.json"], "orbit 0: 'hyperbolic' must be bool"),
@@ -474,6 +481,9 @@ class TestConfigAndErrors:
                           "--r-max", "2", "--knots", "nan,1"], "knots integrate to slope nan"),
         ("beta_nan", {}, ["hamiltonian", "--family", "exp", "--beta", "nan",
                           "--slope", "5", "--r-max", "2"], "h''(1) = nan"),
+        ("beta_overflows_expm1", {}, ["hamiltonian", "--family", "exp", "--beta", "800",
+                                      "--slope", "5", "--r-max", "2"],
+         "expm1(beta * (r_max - 1)) overflows at beta = 800.0"),
         ("transfer_k_nan", {}, ["hamiltonian", "--slope", "5", "--r-max", "2",
                                 "--transfer", "nan,1"], "k and lam must be finite"),
         ("transfer_lam_nan", {}, ["hamiltonian", "--slope", "5", "--r-max", "2",
@@ -561,6 +571,25 @@ class TestConfigAndErrors:
                               capture_output=True, text=True, timeout=5)
         assert proc.returncode == 2 and "finite, got inf" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_large_slope_checks_only_the_nearest_periods(self):
+        # the whole spectrum below 1e12 would be about 5e11 periods
+        proc = subprocess.run([sys.executable, "-m", "reeb_lab.cli", "ellipsoid",
+                               "--weights", "1,2", "--slope", "1e12"],
+                              capture_output=True, text=True, timeout=5)
+        assert proc.returncode == 0 and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("shear", [1e9, 1e100])
+    def test_williamson_large_shear_plus_zero_plane(self, shear, tmp_path):
+        # out of process: the rank tolerance used to swallow the identity from
+        # a shear of 6e8 on, and |A - I|^4 in the unipotency bound to overflow
+        matrix = tmp_path / "m.json"
+        matrix.write_text(json.dumps([[1, 0, shear, 0], [0, 1, 0, 0],
+                                      [0, 0, 1, 0], [0, 0, 0, 1]]))
+        proc = subprocess.run([sys.executable, "-m", "reeb_lab.cli", "williamson",
+                               "--matrix", str(matrix)], capture_output=True, text=True)
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert '"b_minus": 1' in proc.stdout and '"nu0": 1' in proc.stdout
 
     def test_config_values_take_the_flag_type(self, capsys, tmp_path):
         # a JSON string is read as the flag's text would be

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import reeb_lab.ellipsoid as ellipsoid_module
 from reeb_lab.ellipsoid import (
@@ -16,6 +18,8 @@ from reeb_lab.ellipsoid import (
 from reeb_lab.errors import DegenerateEllipsoid, HypothesisFailed
 from reeb_lab.indices import ConvexityReport, SystemOrbit, cz_index_sampled, index_triple
 from reeb_lab.symplectic import direct_sum, rotation2
+
+from _oracles import enumerated_slope_valid
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -159,6 +163,34 @@ class TestSpectrum:
         assert not slope_valid(spec, 2 * math.pi)
         assert slope_valid(spec, 5.0)
         assert not slope_valid(spec, math.pi + 1e-12)   # inside the guard band
+        # about 5e11 periods lie below 1e12; only those next to it are checked
+        assert not slope_valid(spec, 1e12)              # a band 1000 wide, periods pi apart
+        assert slope_valid(spec, 1e12, band=1e-18)
+
+
+@st.composite
+def slopes_near_periods(draw):
+    """Sorted weights, a band, and a slope: anywhere below 1000, or within a
+    few band widths of a multiple k * T_j."""
+    weights = tuple(sorted(draw(st.lists(st.floats(0.05, 20.0), min_size=1, max_size=3))))
+    band = draw(st.sampled_from([1e-12, 1e-9, 1e-6, 1e-3, 0.1]))
+    if draw(st.booleans()):
+        return weights, draw(st.floats(-1.0, 1000.0)), band
+    value = draw(st.integers(1, 50)) * math.pi * draw(st.sampled_from(weights))
+    slope = value + draw(st.floats(-3.0, 3.0)) * band * max(1.0, value)
+    return weights, slope, band
+
+
+class TestSlopeValidity:
+    @settings(max_examples=400, deadline=None)
+    @given(case=slopes_near_periods())
+    @example(case=((1.0, math.sqrt(2.0)), math.pi + 1e-9, 1e-9))
+    @example(case=((1.0, 2.0), 2 * math.pi * (1 + 1e-9) + 1e-9, 1e-9))
+    @example(case=((0.05,), 0.5, 0.1))
+    def test_nearest_multiples_decide_as_the_spectrum_does(self, case):
+        weights, slope, band = case
+        spec = EllipsoidSpec(weights)
+        assert slope_valid(spec, slope, band) == enumerated_slope_valid(spec, slope, band)
 
 
 class TestPseudoRotation:

@@ -1,11 +1,18 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reeb_lab.errors import (
     BorderlineSpectrum,
+    InvalidParameter,
     NotSymplectic,
     NotUnipotent,
     OddDimension,
+    ReebLabError,
+    UnresolvedNormalForm,
 )
 from reeb_lab.symplectic import (
     direct_sum,
@@ -17,7 +24,7 @@ from reeb_lab.symplectic import (
     williamson_invariants,
 )
 
-from _oracles import flow_path
+from _oracles import flow_path, log_williamson_invariants
 from reeb_lab.indices import cz_index_sampled
 
 
@@ -41,6 +48,13 @@ def test_non_symplectic_rejected():
     with pytest.raises(NotSymplectic) as err:
         validate_symplectic(np.diag([2.0, 2.0, 0.5, 1.0 / 3.0]))
     assert err.value.residual > 0
+
+
+@pytest.mark.parametrize("entry", [1e200, np.nan, np.inf])
+def test_entries_beyond_the_squared_scale_rejected(entry):
+    # the residual is compared with tol * max|M|^2, which must be a finite float
+    with pytest.raises(InvalidParameter, match="must square to a finite float"):
+        validate_symplectic(np.array([[1.0, entry], [0.0, 1.0]]))
 
 
 def test_odd_dimension_rejected():
@@ -217,6 +231,119 @@ class TestWilliamson:
         runs = [williamson_invariants(validate_symplectic(A)).to_json()
                 for _ in range(3)]
         assert runs[0] == runs[1] == runs[2]
+
+
+def chain_form(d: int, sign: float) -> np.ndarray:
+    """Generator form p_1 q_2 + ... + p_(d-1) q_d + sign p_d^2 / 2 on R^(2d).
+
+    A nonzero sign gives one even chain of size 2d with that sign; sign 0
+    gives a zero plane for d = 1 and an odd chain pair of size d for d = 3.
+    """
+    S = np.zeros((2 * d, 2 * d))
+    for i in range(d - 1):
+        S[d + i, i + 1] = S[i + 1, d + i] = 1.0
+    S[2 * d - 1, 2 * d - 1] = sign
+    return S
+
+
+def symplectic_sum(forms) -> np.ndarray:
+    """Block sum of forms in split coordinates: each keeps its own q and p."""
+    m = sum(f.shape[0] // 2 for f in forms)
+    S = np.zeros((2 * m, 2 * m))
+    at = 0
+    for f in forms:
+        k = f.shape[0] // 2
+        idx = np.r_[at:at + k, m + at:m + at + k]
+        S[np.ix_(idx, idx)] = f
+        at += k
+    return S
+
+
+#: (d, sign) of chain_form: zero plane, signed chains of sizes 2, 4, 6 and 8,
+#: and the odd chain pair of size 3
+NORMAL_FORMS = [(1, 0.0), (3, 0.0)] + [(d, sign) for d in (1, 2, 3, 4) for sign in (1.0, -1.0)]
+
+
+def _count_of(d: int, sign: float) -> str:
+    if sign:
+        return "b_plus" if sign > 0 else "b_minus"
+    return "nu0" if d == 1 else "b0"
+
+
+@st.composite
+def conjugated_normal_forms(draw, scales, spread, half_dim=4):
+    """A random direct sum of NORMAL_FORMS, each scaled by a factor in
+    scales, flowed for time one and conjugated by exp(JHAT B) for a random
+    symmetric B of entry scale at most spread; with the counts it carries."""
+    blocks, room = [], half_dim
+    while room and (not blocks or draw(st.booleans())):
+        blocks.append(draw(st.sampled_from([b for b in NORMAL_FORMS if b[0] <= room])))
+        room -= blocks[-1][0]
+    S = symplectic_sum([chain_form(d, sign) * draw(st.floats(*scales)) for d, sign in blocks])
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    B = rng.normal(size=S.shape) * draw(st.floats(0.0, spread))
+    C = quadratic_flow((B + B.T) / 2.0)
+    return np.linalg.inv(C) @ quadratic_flow(S) @ C, Counter(_count_of(*b) for b in blocks)
+
+
+def _invariants_or_error(williamson, A, tol):
+    try:
+        return williamson(validate_symplectic(A, tol=tol), tol=tol).to_json()
+    except ReebLabError as exc:
+        return type(exc)
+
+
+class TestWilliamsonFromNilpotentPart:
+    """The form on ker (A - I)^s against the logarithm of A it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=conjugated_normal_forms(scales=(0.5, 2.0), spread=0.5),
+           tol=st.sampled_from([1e-9, 1e-6]))
+    def test_matches_the_logarithm_oracle(self, case, tol):
+        # in this range the logarithm path resolves every draw; farther out it
+        # reports inconsistent ranks of K^8 where the nilpotent part reads the
+        # counts (test_never_misreads_a_normal_form)
+        A, _ = case
+        assert (_invariants_or_error(williamson_invariants, A, tol)
+                == _invariants_or_error(log_williamson_invariants, A, tol))
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=conjugated_normal_forms(scales=(0.25, 4.0), spread=0.3),
+           tol=st.sampled_from([1e-9, 1e-6]))
+    def test_never_misreads_a_normal_form(self, case, tol):
+        # an ill-conditioned draw may be refused, but never given wrong counts
+        A, counts = case
+        try:
+            inv = williamson_invariants(validate_symplectic(A, tol=tol), tol=tol)
+        except UnresolvedNormalForm:
+            return
+        assert (inv.nu0, inv.b0, inv.b_plus, inv.b_minus) == (
+            counts["nu0"], counts["b0"], counts["b_plus"], counts["b_minus"])
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_even_chain_signs(self, d, sign):
+        A = validate_symplectic(quadratic_flow(chain_form(d, sign)))
+        inv = williamson_invariants(A)
+        assert (inv.b_plus, inv.b_minus, inv.nu_g, inv.m) == (sign > 0, sign < 0, 1, d)
+        assert inv.to_json() == log_williamson_invariants(A).to_json()
+
+    @pytest.mark.parametrize("shear", [1e8, 1e9, 1e12, 1e100])
+    def test_large_shears(self, shear):
+        # the rank tolerance grows with max|A - I| and used to exceed 1, so
+        # that the identity came out of rank 0 from 6e8 on; and at 1e100 the
+        # bound tol * n * |A - I|^n of the 4x4 sum is 1e400, not a float, so
+        # it is taken factor by factor and neither raises nor becomes inf
+        inv = williamson_invariants(validate_symplectic(np.array([[1.0, shear], [0.0, 1.0]])))
+        assert (inv.nu0, inv.b0, inv.b_plus, inv.b_minus, inv.nu_g) == (0, 0, 0, 1, 1)
+        plane = np.eye(4)
+        plane[0, 2] = shear
+        inv = williamson_invariants(validate_symplectic(plane))
+        assert (inv.nu0, inv.b0, inv.b_plus, inv.b_minus, inv.nu_g) == (1, 0, 0, 1, 3)
+
+    def test_power_overflowing_to_inf_fails_the_unipotency_bound(self):
+        with pytest.raises(NotUnipotent, match=r"\(A - I\)\^4 has max entry inf"):
+            williamson_invariants(validate_symplectic(np.diag([1e100, 1.0, 1e-100, 1.0])))
 
 
 class TestPerturbationOracle:
