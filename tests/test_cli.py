@@ -435,13 +435,6 @@ class TestConfigAndErrors:
          ["williamson", "--matrix", "m.json"], "--matrix[0][0] must be float, got \"1\""),
         ("matrix_of_booleans", {"m.json": [[True, True], [False, True]]},
          ["williamson", "--matrix", "m.json"], "--matrix[0][0] must be float, got true"),
-        # the squared scale of the symplectic check would overflow a float
-        ("matrix_entry_too_large", {"m.json": [[1.0, 1e200], [0.0, 1.0]]},
-         ["williamson", "--matrix", "m.json"],
-         "matrix entries must square to a finite float, got 1.000e+200"),
-        ("matrix_powers_overflow", {"m.json": [[1e100, 0, 0, 0], [0, 1, 0, 0],
-                                               [0, 0, 1e-100, 0], [0, 0, 0, 1]]},
-         ["williamson", "--matrix", "m.json"], "(A - I)^4 has max entry inf"),
         ("orbit_flag_not_a_bool", {"s.json": {**sqrt2_system_json(), "orbits": [
             {**sqrt2_system_json()["orbits"][0], "hyperbolic": "no"}]}},
          ["audit-lemma", "--system", "s.json"], "orbit 0: 'hyperbolic' must be bool"),
@@ -481,9 +474,6 @@ class TestConfigAndErrors:
                           "--r-max", "2", "--knots", "nan,1"], "knots integrate to slope nan"),
         ("beta_nan", {}, ["hamiltonian", "--family", "exp", "--beta", "nan",
                           "--slope", "5", "--r-max", "2"], "h''(1) = nan"),
-        ("beta_overflows_expm1", {}, ["hamiltonian", "--family", "exp", "--beta", "800",
-                                      "--slope", "5", "--r-max", "2"],
-         "expm1(beta * (r_max - 1)) overflows at beta = 800.0"),
         ("transfer_k_nan", {}, ["hamiltonian", "--slope", "5", "--r-max", "2",
                                 "--transfer", "nan,1"], "k and lam must be finite"),
         ("transfer_lam_nan", {}, ["hamiltonian", "--slope", "5", "--r-max", "2",
@@ -549,6 +539,17 @@ class TestConfigAndErrors:
          "levels must be finite, got r_plus = nan"),
         ("trace_r_minus_nan", {"t.csv": TRACE}, [*TRACE_ARGV, "t.csv", "--trace-r-minus", "nan"],
          "levels must be finite, got r_plus = 1.5, r_minus = nan"),
+        # the squared scale of the symplectic check would overflow a float
+        ("matrix_entry_too_large", {"m.json": [[1.0, 1e200], [0.0, 1.0]]},
+         ["williamson", "--matrix", "m.json"],
+         "matrix entries must square to a finite float, got 1.000e+200"),
+        ("matrix_powers_overflow", {"m.json": [[1e100, 0, 0, 0], [0, 1, 0, 0],
+                                               [0, 0, 1e-100, 0], [0, 0, 0, 1]]},
+         ["williamson", "--matrix", "m.json"], "(A - I)^4 has max entry inf"),
+        # a beta whose exponential overflows a float
+        ("beta_overflows_expm1", {}, ["hamiltonian", "--family", "exp", "--beta", "800",
+                                      "--slope", "5", "--r-max", "2"],
+         "expm1(beta * (r_max - 1)) overflows at beta = 800.0"),
     ])
     def test_invalid_input_exit_2(self, capsys, tmp_path, name, files, argv, message):
         for fname, blob in files.items():
