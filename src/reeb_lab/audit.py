@@ -349,11 +349,6 @@ class ExclusionReason(JsonFields):
     numbers: dict = field(default_factory=dict)
 
 
-def _interval_gap(p: int, lo, hi):
-    """Distance from degree p to the interval [lo, hi], elementwise on arrays."""
-    return np.maximum(np.maximum(lo - p, p - hi), 0)
-
-
 def _protected_degree(system: OrbitSystem, solution: RecurrenceSolution) -> tuple:
     """(degree, which) of the protected generator of the distinguished iterate."""
     z = system.orbits[0]
@@ -371,65 +366,71 @@ def _protected_degree(system: OrbitSystem, solution: RecurrenceSolution) -> tupl
 
 def exclusion_certificate(system: OrbitSystem, solution: RecurrenceSolution,
                           i: int, j: int) -> ExclusionReason:
-    """Certify that the (i, j)-orbit cannot reach the protected generator.
+    """Certify that the (i, j)-orbit cannot reach the protected generator:
+    the audit's sweep at the one pair.
 
-    Raises NotExcluded with the full numeric context when no reason applies;
-    that failure is the audit's most informative output.
+    Raises JOutOfRange for a pair outside the solution, SupportOutOfRange when
+    the support escapes, and NotExcluded with the full numeric context when no
+    reason applies; that failure is the audit's most informative output.
     """
-    return _certify(system, solution, i, j, *_protected_degree(system, solution))
+    reasons, _ = _sweep(system, solution, i, np.array([j], dtype=np.int64), (j,),
+                        *_protected_degree(system, solution))
+    return reasons[0]
 
 
-def _certify(system: OrbitSystem, solution: RecurrenceSolution, i: int, j: int,
-             protected: int, which: str) -> ExclusionReason:
-    """exclusion_certificate, given the protected generator's degree and which."""
-    case = case_classify(system, solution, i, j)
-    if case == CASE_SAME and j == solution.k[0]:
-        return ExclusionReason(
-            kind="same-pair", case=case, i=i, j=j,
-            numbers={"degrees": [protected - 1, protected + 1], "which": which})
-    if case == CASE_ALIGNED:
-        return _aligned_certificate(system, solution, i, j)
+def _sweep(system: OrbitSystem, solution: RecurrenceSolution, i: int, js: np.ndarray,
+           listed: Sequence[int], protected: int, which: str) -> tuple:
+    """Certify the pairs (i, j) of orbit i for an int64 array js of consecutive j.
 
-    # other iterates: degree distance to the support, pure index arithmetic
+    One index_triple call gives the supports of every j but the centre (k_0 on
+    the distinguished orbit, the aligned k_i on a companion); one more over
+    iterates 1..ell0 gives the recurrence floors and ceilings of the near
+    pairs.  Returns the ExclusionReasons of the listed j (increasing, among
+    js) and the index gaps of the js but the centre.  The first pair that
+    fails raises SupportOutOfRange or NotExcluded, once every listed pair
+    before it is certified.
+    """
+    cases = [case_classify(system, solution, i, j) for j in listed]
     profile = system.orbits[i].profile
-    lo, hi = support_interval(profile, j, system.n)
-    gap = int(_interval_gap(protected, lo, hi))
-    if case == CASE_SAME:
-        if gap < 2:
-            raise NotExcluded(
-                f"iterate {j} of the distinguished orbit sits {gap} from "
-                f"the protected degree",
-                {"i": i, "j": j, "support": [lo, hi], "protected": protected})
-        return ExclusionReason(kind="index-gap", case=case, i=i, j=j,
-                               numbers={"support": [lo, hi], "protected": protected,
-                                        "gap": gap, "which": which})
-    if gap < 2:
-        raise NotExcluded(
-            f"support of orbit {i} iterate {j} is {gap} from the protected degree",
-            {"i": i, "j": j, "support": [lo, hi], "protected": protected,
-             "case": case, "d": solution.d})
-    l = j - solution.k[i]
-    base = ()
-    if case != CASE_FAR:
-        t = index_triple(profile, abs(l))
-        base = (t.mu_minus, t.nu_a)
-    return ExclusionReason(kind="index-gap", case=case, i=i, j=j, numbers=_index_gap_numbers(
-        solution.d, l, lo, hi, gap, protected, which, *base))
-
-
-def _index_gap_numbers(d: int, l: int, lo: int, hi: int, gap: int, protected: int,
-                       which: str, base_minus: Optional[int] = None, nu: int = 0) -> dict:
-    """numbers of the index-gap reason of companion iterate j = k_i + l, whose
-    support [lo, hi] is gap from the protected degree; for a near pair, mu_-
-    (base_minus) and nu_a (nu) of the |l|-th iterate bound that support."""
-    numbers = {"support": [lo, hi], "protected": protected, "gap": gap, "which": which, "l": l}
-    if base_minus is None:
-        return numbers
-    if l > 0:
-        numbers["recurrence_floor"] = d + base_minus
-    else:
-        numbers["recurrence_ceiling"] = d - base_minus + nu
-    return numbers
+    centre, first = solution.k[i], int(js[0])
+    others = js[js != centre]
+    lo, hi, escaped = _support_bounds(index_triple(profile, others), system.n)
+    gaps = np.maximum(np.maximum(lo - protected, protected - hi), 0)     # degree distance
+    bad = np.flatnonzero(escaped | (gaps < 2))
+    fail = int(others[bad[0]]) if bad.size else None
+    if CASE_NEAR in cases:
+        t = index_triple(profile, np.arange(1, system.ell0 + 1, dtype=np.int64))
+        floors, ceilings = solution.d + t.mu_minus, solution.d - t.mu_minus + t.nu_a
+    reasons = []
+    for j, case in zip(listed, cases):
+        if fail is not None and fail <= j:
+            break
+        if j == centre:
+            reasons.append(_aligned_certificate(system, solution, i, j) if i else
+                           ExclusionReason(kind="same-pair", case=case, i=i, j=j, numbers={
+                               "degrees": [protected - 1, protected + 1], "which": which}))
+            continue
+        at, l = j - first - (first <= centre < j), j - centre     # the position in others
+        numbers = {"support": [int(lo[at]), int(hi[at])], "protected": protected,
+                   "gap": int(gaps[at]), "which": which}
+        if i:
+            numbers["l"] = l
+        if case == CASE_NEAR and l > 0:
+            numbers["recurrence_floor"] = int(floors[l - 1])
+        elif case == CASE_NEAR:
+            numbers["recurrence_ceiling"] = int(ceilings[-l - 1])
+        reasons.append(ExclusionReason(kind="index-gap", case=case, i=i, j=j, numbers=numbers))
+    if fail is None:
+        return reasons, gaps
+    support_interval(profile, fail, system.n)       # raises SupportOutOfRange on escape
+    at = bad[0]
+    context = {"i": i, "j": fail, "support": [int(lo[at]), int(hi[at])], "protected": protected}
+    if not i:
+        raise NotExcluded(f"iterate {fail} of the distinguished orbit sits {gaps[at]} from "
+                          f"the protected degree", context)
+    raise NotExcluded(
+        f"support of orbit {i} iterate {fail} is {gaps[at]} from the protected degree",
+        {**context, "case": case_classify(system, solution, i, fail), "d": solution.d})
 
 
 def _aligned_certificate(system: OrbitSystem, solution: RecurrenceSolution,
@@ -570,15 +571,11 @@ def audit(system: OrbitSystem, solutions: Optional[Sequence[RecurrenceSolution]]
 
 
 def _audit_solution(system: OrbitSystem, solution: RecurrenceSolution) -> SolutionAudit:
-    """Certify every pair (i, j) of one solution, one orbit at a time.
-
-    One array index_triple call per orbit gives the supports of all its
-    iterates but the centre one (j = k_0 on the distinguished orbit, the
-    aligned j = k_i on a companion); one more over iterates 1..ell0 gives the
-    recurrence bounds of a companion's near pairs |j - k_i| <= ell0.  Only the
-    centre and the near pairs, which the report lists, get ExclusionReason
-    objects.  The first pair in (i, j) order that fails raises what a
-    pair-by-pair sweep would: SupportOutOfRange or NotExcluded.
+    """Certify every pair (i, j) of one solution: one _sweep per orbit over
+    j = 1..j_range, listing the centre and the near pairs |j - k_i| <= ell0,
+    whose certificates the report lists.  The first pair in (i, j) order that
+    fails raises what exclusion_certificate raises for it: SupportOutOfRange
+    or NotExcluded.
     """
     protected, which = _protected_degree(system, solution)
     counts = {"same-pair": 0, "index-gap": 0, "short-action-gap": 0,
@@ -588,48 +585,27 @@ def _audit_solution(system: OrbitSystem, solution: RecurrenceSolution) -> Soluti
     aligned = []
     near = []
     total = 0
-    ells = np.arange(1, system.ell0 + 1, dtype=np.int64)
-    for i, orbit in enumerate(system.orbits):
+    for i in range(len(system.orbits)):
         top = j_range(system, solution, i)
         total += top
-        centre = solution.k[i]
-        reach = system.ell0 if i else 0
-        js = np.arange(1, top + 1, dtype=np.int64)
-        js = js[js != centre]
-        lo, hi, escaped = _support_bounds(index_triple(orbit.profile, js), system.n)
-        gaps = _interval_gap(protected, lo, hi)
-        counts["index-gap"] += int(js.size)
-        if js.size:
+        centre, reach = solution.k[i], system.ell0 if i else 0
+        reasons, gaps = _sweep(system, solution, i, np.arange(1, top + 1, dtype=np.int64),
+                               range(max(1, centre - reach), min(top, centre + reach) + 1),
+                               protected, which)
+        counts["index-gap"] += int(gaps.size)
+        if gaps.size:
             g = int(gaps.min())
             min_gap = g if min_gap is None else min(min_gap, g)
-        # the first pair whose support escapes or sits too close
-        bad = np.flatnonzero(escaped | (gaps < 2))
-        fail = int(js[bad[0]]) if bad.size else None
-        if reach:
-            t = index_triple(orbit.profile, ells)
-            base, nu = t.mu_minus, t.nu_a
-        for j in range(max(1, centre - reach), min(top, centre + reach) + 1):
-            if fail is not None and fail <= j:
-                break
-            if j != centre:
-                # a near pair: position j - 1 in js, or j - 2 past the centre
-                at, l = j - 1 - (j > centre), j - centre
-                near.append(ExclusionReason(
-                    kind="index-gap", case=CASE_NEAR, i=i, j=j,
-                    numbers=_index_gap_numbers(
-                        solution.d, l, int(lo[at]), int(hi[at]), int(gaps[at]), protected, which,
-                        int(base[abs(l) - 1]), int(nu[abs(l) - 1]))))
+        for reason in reasons:
+            if reason.case == CASE_NEAR:
+                near.append(reason)
                 continue
-            reason = _certify(system, solution, i, j, protected, which)
             counts[reason.kind] += 1
             if reason.kind == "diverging-action-gap":
                 b = reason.numbers["lower_bound"]
                 min_div = b if min_div is None else min(min_div, b)
             if reason.case == CASE_ALIGNED:
                 aligned.append(reason)
-        if fail is not None:
-            # raises SupportOutOfRange or NotExcluded
-            _certify(system, solution, i, fail, protected, which)
 
     return SolutionAudit(
         d=solution.d, k=solution.k, counts=counts,

@@ -225,6 +225,11 @@ class ExpProfile(RadialProfile):
             raise ConvexityViolation(1.0, self.beta)
         if not self.beta * self._w <= np.log(np.finfo(float).max):
             raise InvalidParameter(f"expm1(beta * (r_max - 1)) overflows at beta = {self.beta}")
+        # the pieces multiply the slope by up to beta e^{beta x} before dividing by _den
+        scale = math.log(max(1.0, self.beta)) + self.beta * self._w
+        if self.slope and not scale + math.log(abs(self.slope)) <= np.log(np.finfo(float).max):
+            raise InvalidParameter(f"slope * max(1, beta) * e^(beta * (r_max - 1)) overflows "
+                                   f"at slope = {self.slope}, beta = {self.beta}")
         object.__setattr__(self, "h_triple_nonneg_up_to", self.r_max)
 
     @property
@@ -382,17 +387,15 @@ def _certify(profile: RadialProfile, grid: int):
     dh = profile.dh(rs)
     if np.any(np.diff(dh) < -1e-12 * profile.slope):
         raise ConvexityViolation(float(rs[int(np.argmin(np.diff(dh)))]), float(np.min(np.diff(dh))))
-    if abs(float(profile.dh(1.0))) > 1e-9 * profile.slope:
-        raise JoinDiscontinuity(f"h'(1) = {float(profile.dh(1.0)):.3e} != 0")
-    if abs(float(profile.dh(profile.r_max)) - profile.slope) > 1e-9 * profile.slope:
-        raise SlopeMismatch(
-            f"h'(r_max) = {float(profile.dh(profile.r_max)):.9g} != slope {profile.slope:.9g}"
-        )
-    if abs(float(profile.h(1.0)) - profile.c0) > 1e-9 * max(1.0, abs(profile.c0)):
+    # the joins, probed on the shell piece: dh and h take their values at and
+    # beyond the ends from the constant and linear pieces, which start there
+    dh_1, dh_r_max = (float(profile._piece_dh(x)) for x in (0.0, profile._w))
+    if abs(dh_1) > 1e-9 * profile.slope:
+        raise JoinDiscontinuity(f"h'(1) = {dh_1:.3e} != 0")
+    if abs(dh_r_max - profile.slope) > 1e-9 * profile.slope:
+        raise SlopeMismatch(f"h'(r_max) = {dh_r_max:.9g} != slope {profile.slope:.9g}")
+    if abs(float(profile._piece_h(0.0))) > 1e-9 * max(1.0, abs(profile.c0)):
         raise JoinDiscontinuity("h(1) does not meet the constant piece")
-    gap = float(profile.h(profile.r_max + 1e-9) - profile.h(profile.r_max))
-    if abs(gap - profile.slope * 1e-9) > 1e-9:
-        raise JoinDiscontinuity("linear piece does not join continuously")
 
 
 # ---------------------------------------------------------------------------

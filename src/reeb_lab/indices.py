@@ -464,11 +464,16 @@ def cz_index_sampled(path, tol: float = 1e-9) -> int:
 
 
 def rotation_path(rho: float, n_samples: int = 0) -> np.ndarray:
-    """Sampled path t -> rotation by 2*pi*rho*t on [0, 1]."""
+    """Sampled path t -> rotation by 2*pi*rho*t on [0, 1]; n_samples <= 0
+    picks the sampling.  SamplingTooCoarse when a given n_samples makes steps
+    of a quarter turn or more, which the wrapped winding would alias."""
     if not math.isfinite(rho):
         raise InvalidParameter(f"rotation number must be finite, got {rho}")
     if n_samples <= 0:
         n_samples = max(64, int(16 * abs(rho) * 2 * math.pi) + 1)
+    elif 4 * abs(rho) >= n_samples:
+        raise SamplingTooCoarse(f"steps of {rho / n_samples:.3g} turns reach a quarter turn "
+                                "and alias the rotation; refine the sampling")
     ts = np.linspace(0.0, 1.0, n_samples + 1)
     out = np.empty((n_samples + 1, 2, 2))
     for i, t in enumerate(ts):

@@ -2,17 +2,17 @@
 
 These deliberately avoid the library's computation paths: the path index is
 recomputed from crossing contributions, sublevel homology ranks by brute
-force over the two-element field, and derivatives by finite differences.
-The scalar index formulas, the per-ell recurrence check, the scalar
-action-calculus loops and the pair-by-pair audit sweep are the exception:
-they are the per-element paths the array code replaced, kept to check it bit
-for bit.  So are the scan over every k0 that the recurrence search's
-residue-class enumeration replaced, the id-keyed filtered complex and
-barcode that the integer columns replaced, the frozenset columns over
-filtration positions that the bit columns replaced, the normal-form
-invariants read through the matrix logarithm that the form on ker (A - I)^s
-replaced, and the slope check over the whole action spectrum that the check
-of the multiples next to the slope replaced.
+force over the two-element field, and derivatives by finite differences. The
+scalar index formulas, the per-ell recurrence check, the scalar
+action-calculus loops, the scalar exclusion certificate and the pair-by-pair
+audit sweep over it are the exception: they are the per-element paths the
+array code replaced, kept to check it bit for bit. So are the scan over
+every k0 that the recurrence search's residue-class enumeration replaced,
+the id-keyed filtered complex and barcode that the integer columns replaced,
+the frozenset columns over filtration positions that the bit columns
+replaced, the normal-form invariants read through the matrix logarithm that
+the form on ker (A - I)^s replaced, and the slope check over the whole
+action spectrum that the check of the multiples next to the slope replaced.
 """
 
 from __future__ import annotations
@@ -24,11 +24,16 @@ from typing import Dict, List, Set, Tuple
 import numpy as np
 
 from reeb_lab.audit import (
+    CASE_ALIGNED,
+    CASE_FAR,
     CASE_NEAR,
+    CASE_SAME,
+    ExclusionReason,
     SolutionAudit,
+    _aligned_certificate,
     _contradiction,
     _protected_degree,
-    exclusion_certificate,
+    case_classify,
     j_range,
 )
 from reeb_lab.ellipsoid import action_spectrum
@@ -38,13 +43,20 @@ from reeb_lab.errors import (
     IterateUnderflow,
     MalformedGraph,
     NotADifferential,
+    NotExcluded,
     NotUnipotent,
     SupportOutOfRange,
     UnresolvedNormalForm,
 )
 from reeb_lab.floergraph import INF, Bar
 from reeb_lab.hamiltonian import action_from_period
-from reeb_lab.indices import INTEGER_BAND, IndexTriple, _fits_int64
+from reeb_lab.indices import (
+    INTEGER_BAND,
+    IndexTriple,
+    _fits_int64,
+    index_triple,
+    support_interval,
+)
 from reeb_lab.recurrence import (
     Certificate,
     ConditionRecord,
@@ -650,9 +662,76 @@ def scalar_spline_dh_inv(profile, T) -> np.ndarray:
 # the exclusion sweep, one pair at a time
 # ---------------------------------------------------------------------------
 
+def scalar_exclusion_certificate(system, solution, i: int, j: int) -> ExclusionReason:
+    """Certify that the (i, j)-orbit cannot reach the protected generator.
+
+    Raises NotExcluded with the full numeric context when no reason applies;
+    that failure is the audit's most informative output.
+    """
+    return _certify(system, solution, i, j, *_protected_degree(system, solution))
+
+
+def _interval_gap(p: int, lo, hi):
+    """Distance from degree p to the interval [lo, hi], elementwise on arrays."""
+    return np.maximum(np.maximum(lo - p, p - hi), 0)
+
+
+def _certify(system, solution, i: int, j: int,
+             protected: int, which: str) -> ExclusionReason:
+    """scalar_exclusion_certificate, given the protected generator's degree and which."""
+    case = case_classify(system, solution, i, j)
+    if case == CASE_SAME and j == solution.k[0]:
+        return ExclusionReason(
+            kind="same-pair", case=case, i=i, j=j,
+            numbers={"degrees": [protected - 1, protected + 1], "which": which})
+    if case == CASE_ALIGNED:
+        return _aligned_certificate(system, solution, i, j)
+
+    # other iterates: degree distance to the support, pure index arithmetic
+    profile = system.orbits[i].profile
+    lo, hi = support_interval(profile, j, system.n)
+    gap = int(_interval_gap(protected, lo, hi))
+    if case == CASE_SAME:
+        if gap < 2:
+            raise NotExcluded(
+                f"iterate {j} of the distinguished orbit sits {gap} from "
+                f"the protected degree",
+                {"i": i, "j": j, "support": [lo, hi], "protected": protected})
+        return ExclusionReason(kind="index-gap", case=case, i=i, j=j,
+                               numbers={"support": [lo, hi], "protected": protected,
+                                        "gap": gap, "which": which})
+    if gap < 2:
+        raise NotExcluded(
+            f"support of orbit {i} iterate {j} is {gap} from the protected degree",
+            {"i": i, "j": j, "support": [lo, hi], "protected": protected,
+             "case": case, "d": solution.d})
+    l = j - solution.k[i]
+    base = ()
+    if case != CASE_FAR:
+        t = index_triple(profile, abs(l))
+        base = (t.mu_minus, t.nu_a)
+    return ExclusionReason(kind="index-gap", case=case, i=i, j=j, numbers=_index_gap_numbers(
+        solution.d, l, lo, hi, gap, protected, which, *base))
+
+
+def _index_gap_numbers(d: int, l: int, lo: int, hi: int, gap: int, protected: int,
+                       which: str, base_minus=None, nu: int = 0) -> dict:
+    """numbers of the index-gap reason of companion iterate j = k_i + l, whose
+    support [lo, hi] is gap from the protected degree; for a near pair, mu_-
+    (base_minus) and nu_a (nu) of the |l|-th iterate bound that support."""
+    numbers = {"support": [lo, hi], "protected": protected, "gap": gap, "which": which, "l": l}
+    if base_minus is None:
+        return numbers
+    if l > 0:
+        numbers["recurrence_floor"] = d + base_minus
+    else:
+        numbers["recurrence_ceiling"] = d - base_minus + nu
+    return numbers
+
+
 def scalar_audit_solution(system, solution) -> SolutionAudit:
-    """One exclusion_certificate call per pair (i, j), in (i, j) order; the
-    first NotExcluded propagates."""
+    """One scalar_exclusion_certificate call per pair (i, j), in (i, j) order;
+    the first NotExcluded propagates."""
     counts = {"same-pair": 0, "index-gap": 0, "short-action-gap": 0,
               "diverging-action-gap": 0}
     min_gap = None
@@ -663,7 +742,7 @@ def scalar_audit_solution(system, solution) -> SolutionAudit:
     for i in range(len(system.orbits)):
         top = j_range(system, solution, i)
         for j in range(1, top + 1):
-            reason = exclusion_certificate(system, solution, i, j)
+            reason = scalar_exclusion_certificate(system, solution, i, j)
             total += 1
             counts[reason.kind] += 1
             if reason.kind == "index-gap":

@@ -69,7 +69,12 @@ from reeb_lab.recurrence import (
     verify_recurrence,
 )
 
-from _oracles import scalar_audit_solution, scalar_index_triple, scalar_nu_a
+from _oracles import (
+    scalar_audit_solution,
+    scalar_exclusion_certificate,
+    scalar_index_triple,
+    scalar_nu_a,
+)
 
 SQRT2 = math.sqrt(2.0)
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -643,6 +648,54 @@ class TestArraySweep:
             fails.append(got)
         assert fails[1]["context"]["j"] == 35
         assert "distinguished orbit" in fails[1]["failed"]
+
+
+def pair_outcomes(certify, system, solution):
+    """outcome of certify at every pair (i, j) of the solution, in (i, j) order."""
+    return [outcome(lambda sys_, sol: certify(sys_, sol, i, j), system, solution)
+            for i in range(len(system.orbits))
+            for j in range(1, j_range(system, solution, i) + 1)]
+
+
+def banded_sqrt2_system():
+    """The sqrt(2) system whose second companion has rotation number
+    140/99 - 0.75e-9/99, so that its iterate 99 sits inside the guard band."""
+    system = sqrt2_system()
+    return sqrt2_system(orbits=(*system.orbits[:2], SystemOrbit(
+        period=system.orbits[2].period,
+        profile=IterationProfile(loop_index=2, elliptic=(140 / 99 - 0.75e-9 / 99,)))))
+
+
+def degenerate_system():
+    """The sqrt(2) system with one companion of rotation number 1/2, whose
+    even iterates are degenerate: nu_a enters the near recurrence ceilings."""
+    companion = SystemOrbit(period=3.1, profile=IterationProfile(
+        loop_index=2, elliptic=(Fraction(1, 2),)))
+    return sqrt2_system(orbits=(sqrt2_system().orbits[0], companion))
+
+
+class TestSinglePairSweep:
+    """exclusion_certificate, the sweep at one pair, against the scalar
+    certifier it replaced, at every pair of real and fake solutions."""
+
+    @pytest.mark.parametrize("factory, solved, errors", [
+        (sqrt2_system, sqrt2_system, {"NotExcluded"}),
+        (golden_system, golden_system, {"NotExcluded"}),
+        (lambda: swapped(sqrt2_system), lambda: swapped(sqrt2_system), {"NotExcluded"}),
+        (degenerate_system, degenerate_system, {"NotExcluded"}),
+        (banded_sqrt2_system, sqrt2_system, {"NotExcluded", "SupportOutOfRange"}),
+    ], ids=["sqrt2", "golden", "sqrt2_swapped", "degenerate", "banded"])
+    def test_every_pair_equals_the_oracle(self, factory, solved, errors):
+        # the banded system runs on the solutions of the sqrt(2) system
+        system = factory()
+        kinds = set()
+        for s in flagship_solutions(solved(), 3):
+            for sol in (s, unverified(s, s.d, (*s.k[:-1], s.k[-1] + 1)),
+                        unverified(s, s.d + 2, s.k)):
+                got = pair_outcomes(exclusion_certificate, system, sol)
+                assert got == pair_outcomes(scalar_exclusion_certificate, system, sol)
+                kinds |= {r.get("error", r.get("kind")) for r in got}
+        assert errors | {"index-gap"} <= kinds
 
 
 class TestMalformedSystem:

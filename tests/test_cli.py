@@ -550,6 +550,13 @@ class TestConfigAndErrors:
         ("beta_overflows_expm1", {}, ["hamiltonian", "--family", "exp", "--beta", "800",
                                       "--slope", "5", "--r-max", "2"],
          "expm1(beta * (r_max - 1)) overflows at beta = 800.0"),
+        # expm1 is finite, but slope * beta * e^(beta * (r_max - 1)) in h'' is not
+        ("beta_708_overflows_pieces", {}, ["hamiltonian", "--family", "exp", "--beta", "708",
+                                           "--slope", "5", "--r-max", "2", "--tables"],
+         "overflows at slope = 5.0, beta = 708.0"),
+        ("beta_709_overflows_pieces", {}, ["hamiltonian", "--family", "exp", "--beta", "709",
+                                           "--slope", "5", "--r-max", "2"],
+         "overflows at slope = 5.0, beta = 709.0"),
     ])
     def test_invalid_input_exit_2(self, capsys, tmp_path, name, files, argv, message):
         for fname, blob in files.items():

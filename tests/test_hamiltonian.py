@@ -9,6 +9,7 @@ from reeb_lab.errors import (
     BadGeometry,
     ConvexityViolation,
     EnergyAboveThreshold,
+    InvalidParameter,
     JoinDiscontinuity,
     MalformedTrace,
     NotDominated,
@@ -20,6 +21,7 @@ from reeb_lab.errors import (
 )
 from reeb_lab.hamiltonian import (
     CylinderTrace,
+    ExpProfile,
     _pow,
     action_from_period,
     action_inverse,
@@ -62,6 +64,34 @@ class TestBuild:
         p = make("quadratic", slope=4.0, r_max=3.0)
         # c = a (r_max + 1) / 2 for the quadratic family
         assert p.c == pytest.approx(4.0 * (3.0 + 1.0) / 2.0)
+
+    @pytest.mark.parametrize("family, slope, r_max, c0", [
+        ("quadratic", 3e7, 2.0, 0.0),
+        ("quadratic", 5.0, 1e8, 0.0),
+        ("quadratic", 5.0, 2.0, -1e9),
+        ("cubic", 3e7, 2.0, 0.0),
+        ("exp", 3e7, 2.0, 0.0),
+    ])
+    def test_large_scales_build(self, family, slope, r_max, c0):
+        # c = r_max a - h(r_max), with the shell piece h(r_max) - c0 in closed
+        # form at the default theta = 0.5 and beta = 2
+        p = make(family, slope=slope, r_max=r_max, c0=c0)
+        w = r_max - 1.0
+        shell = {"quadratic": lambda: slope * w / 2.0,
+                 "cubic": lambda: slope * w * (0.5 / 2.0 + 0.5 / 3.0),
+                 "exp": lambda: slope * (math.expm1(2.0 * w) / 2.0 - w) / math.expm1(2.0 * w),
+                 }[family]()
+        assert p.c == pytest.approx(r_max * slope - c0 - shell, rel=1e-12)
+
+    @pytest.mark.parametrize("slope, beta, r_max", [(5.0, 708.0, 2.0), (5.0, 709.0, 2.0),
+                                                     (1e300, 300.0, 3.0)])
+    def test_exp_pieces_that_overflow_rejected(self, slope, beta, r_max):
+        with pytest.raises(InvalidParameter, match="overflows"):
+            make("exp", slope=slope, r_max=r_max, beta=beta)
+
+    @pytest.mark.parametrize("slope", [0.0, -5.0])
+    def test_exp_bound_takes_no_log_of_a_nonpositive_slope(self, slope):
+        ExpProfile(slope=slope, r_max=2.0, beta=2.0)
 
     def test_spline_roundtrip_and_certified_region(self):
         knots = (0.5, 1.0, 2.0, 1.5)   # h''' flips sign on the last piece

@@ -69,6 +69,14 @@ class TestSampledIndex:
         with pytest.raises(SamplingTooCoarse):
             cz_index_sampled(rotation_path(1.7, n_samples=3))
 
+    @pytest.mark.parametrize("rho, n_samples", [(1.2, 1), (2.1, 2), (-1.2, 1)])
+    def test_aliasing_sample_count_rejected(self, rho, n_samples):
+        # one step of 1.2 turns wraps to 0.2 turns, which the quarter-turn
+        # rule of the winding lift cannot tell apart
+        with pytest.raises(SamplingTooCoarse):
+            cz_index_sampled(rotation_path(rho, n_samples=n_samples))
+        assert cz_index_sampled(rotation_path(rho)) == rotation_index_closed_form(rho)
+
     def test_winding_lift(self):
         # steps are wrapped across the branch cut at +-pi
         assert winding([3.0, -3.0, -2.0]) == pytest.approx((2 * math.pi - 6.0 + 1.0)
