@@ -17,39 +17,11 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .audit import MODES, OrbitSystem, audit
-from .ellipsoid import (
-    EllipsoidSpec,
-    action_spectrum,
-    ellipsoid_periods,
-    ellipsoid_profile,
-    pseudo_rotation_instance,
-    slope_valid,
-)
 from .errors import AuditError, MalformedInput, ReebLabError, json_value
-from .fixedpoint import PlanarMapSample, brouwer_index
-from .floergraph import FilteredComplex, barcode
-from .hamiltonian import (
-    CylinderTrace,
-    action_tables,
-    build_profile,
-    check_action_ratio_monotone,
-    check_cylinder_trace,
-    check_transfer_parameters,
-    transfer_map,
-)
-from .indices import (
-    IterationProfile,
-    cz_index_sampled,
-    profile_table,
-    rotation_path,
-    stretch_path,
-)
-from .recurrence import RecurrenceQuery, recurrence_search
-from .symplectic import validate_symplectic, williamson_invariants
+
+# each subcommand imports the modules it runs, and numpy only where it builds
+# an array, so that no subcommand starts up the others
 
 USAGE_EXIT = 2
 AUDIT_EXIT = 3
@@ -76,9 +48,10 @@ def _load_json(path: str):
     return json.loads(Path(path).read_text())
 
 
-def _load_array(path: str, depth: int, what: str) -> np.ndarray:
+def _load_array(path: str, depth: int, what: str):
     """The JSON file at path as a float array: lists nested depth deep with
     numbers at the bottom, or MalformedInput."""
+    import numpy as np
     def check(value, level, where):
         if level == depth:
             json_value(value, float, where)
@@ -90,10 +63,11 @@ def _load_array(path: str, depth: int, what: str) -> np.ndarray:
     return np.asarray(data, dtype=float)
 
 
-def _load_csv(path: str, header: tuple) -> np.ndarray:
+def _load_csv(path: str, header: tuple):
     """The CSV file at path as a float array with one column per header name,
     skipping a first row equal to header; MalformedInput for a file with no
     data rows, a row of another width or a value that is not a finite number."""
+    import numpy as np
     rows = list(csv.reader(Path(path).read_text().strip().splitlines()))
     if rows and rows[0] == list(header):
         rows = rows[1:]
@@ -117,6 +91,7 @@ def _positive(name: str, value: float):
 # -- subcommand implementations ----------------------------------------------
 
 def cmd_cz_index(args) -> int:
+    from .indices import cz_index_sampled, rotation_path, stretch_path
     if args.rotation is not None:
         path = rotation_path(args.rotation, args.samples)
         source = f"rotation rho={args.rotation}"
@@ -135,6 +110,7 @@ def cmd_cz_index(args) -> int:
 
 
 def cmd_iterate_indices(args) -> int:
+    from .indices import IterationProfile, profile_table
     profile = IterationProfile.from_json(_load_json(args.profile))
     _positive("k_max", args.k_max)
     rows = profile_table(profile, args.k_max)
@@ -149,6 +125,7 @@ def cmd_iterate_indices(args) -> int:
 
 
 def cmd_williamson(args) -> int:
+    from .symplectic import validate_symplectic, williamson_invariants
     M = validate_symplectic(_load_array(args.matrix, 2, "--matrix"),
                             tol=args.tol)
     inv = williamson_invariants(M, tol=args.tol)
@@ -159,6 +136,7 @@ def cmd_williamson(args) -> int:
 
 
 def _profile_from_args(args):
+    from .hamiltonian import build_profile
     params = {}
     if args.family == "cubic":
         params["theta"] = args.theta
@@ -173,6 +151,8 @@ def _profile_from_args(args):
 
 
 def cmd_hamiltonian(args) -> int:
+    from .hamiltonian import (CylinderTrace, action_tables, check_action_ratio_monotone,
+                              check_cylinder_trace, check_transfer_parameters, transfer_map)
     profile = _profile_from_args(args)
     lines = [f"profile {args.family}: slope={profile.slope} r_max={profile.r_max} "
              f"c={profile.c:.6g} h'''>=0 up to {profile.h_triple_nonneg_up_to:.6g}"]
@@ -190,8 +170,11 @@ def cmd_hamiltonian(args) -> int:
         payload["action_ratio_monotone"] = ok
         lines.append(f"A(r)/r nondecreasing on [1, {args.check_ratio_r0}]: {ok}")
     if args.transfer:
+        if args.transfer.count(",") != 1:
+            raise ReebLabError(f"--transfer takes k,lam, got {args.transfer!r}")
         k, lam = (float(v) for v in args.transfer.split(","))
         check_transfer_parameters(k, lam)   # before the grid: numpy warns on an infinite end
+        import numpy as np
         taus = np.linspace(0.0, k * profile.c, 101)
         res = transfer_map(profile, k, lam, taus)
         payload["transfer"] = {"k": k, "lam": lam,
@@ -212,10 +195,13 @@ def cmd_hamiltonian(args) -> int:
 
 
 def cmd_recurrence_search(args) -> int:
+    from .indices import IterationProfile
+    from .recurrence import RecurrenceQuery, recurrence_search
     if args.profiles:
         profiles = tuple(IterationProfile.from_json(p) for p in
                          json_value(_load_json(args.profiles), list, "--profiles"))
     elif args.weights:
+        from .ellipsoid import EllipsoidSpec, ellipsoid_profile
         spec = EllipsoidSpec(tuple(float(w) for w in args.weights.split(",")))
         profiles = tuple(ellipsoid_profile(spec, j) for j in range(1, spec.n + 1))
     else:
@@ -240,6 +226,8 @@ def cmd_recurrence_search(args) -> int:
 
 
 def cmd_ellipsoid(args) -> int:
+    from .ellipsoid import (EllipsoidSpec, action_spectrum, ellipsoid_periods,
+                            pseudo_rotation_instance, slope_valid)
     spec = EllipsoidSpec(tuple(float(w) for w in args.weights.split(",")))
     payload = {"spec": spec.to_json(), "periods": ellipsoid_periods(spec),
                "irrational": spec.irrational}
@@ -266,6 +254,7 @@ def cmd_ellipsoid(args) -> int:
 
 
 def cmd_barcode(args) -> int:
+    from .floergraph import FilteredComplex, barcode
     complex_ = FilteredComplex.from_json(_load_json(args.complex))
     bars = barcode(complex_)
     rows = [b.to_row() for b in bars]
@@ -279,8 +268,9 @@ def cmd_barcode(args) -> int:
 
 
 def cmd_audit_lemma(args) -> int:
+    from .audit import OrbitSystem, audit
     obj = json_value(_load_json(args.system), dict, "orbit system")
-    if args.mode:
+    if args.mode is not None:
         obj = {**obj, "mode": args.mode}       # validated under the mode that runs
     system = OrbitSystem.from_json(obj)
     report = audit(system, count=args.count, k_bound=args.k_bound)
@@ -289,6 +279,7 @@ def cmd_audit_lemma(args) -> int:
 
 
 def cmd_fixed_point_index(args) -> int:
+    from .fixedpoint import PlanarMapSample, brouwer_index
     data = _load_csv(args.samples, ("x", "y", "fx", "fy"))
     index = brouwer_index(PlanarMapSample(data[:, :2], data[:, 2:], eps=args.eps))
     _emit(args, {"index": index, "samples": len(data)},
@@ -382,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("audit-lemma", help="orbit-system exclusion audit")
     p.add_argument("--system", required=True, help="orbit system JSON file")
-    p.add_argument("--mode", choices=MODES)
+    p.add_argument("--mode", help="replaces the file's mode")
     p.add_argument("--count", type=int, default=3)
     p.add_argument("--k-bound", type=int, default=10 ** 6)
     common(p)

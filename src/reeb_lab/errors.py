@@ -127,7 +127,8 @@ class ConvexityViolation(ReebLabError):
     def __init__(self, r: float, value: float):
         self.r = r
         self.value = value
-        super().__init__(f"h''({r:.6g}) = {value:.3e} < 0")
+        super().__init__(f"h''({r:.6g}) = {value:.3e} "
+                         + ("< 0" if value < 0 else "is not positive"))
 
 
 class SlopeMismatch(ReebLabError):

@@ -339,7 +339,7 @@ def spline_slope(knots: Sequence[float], r_max: float) -> float:
 
 
 def build_profile(family: str = "quadratic", *, slope: float, r_max: float,
-                  c0: float = 0.0, grid: int = GRID_POINTS, **params) -> RadialProfile:
+                  c0: float = 0.0, **params) -> RadialProfile:
     """Construct and certify a profile.
 
     All type invariants are checked numerically on a dense grid: h monotone,
@@ -354,7 +354,7 @@ def build_profile(family: str = "quadratic", *, slope: float, r_max: float,
     if not -math.inf < c0 <= 0:
         raise JoinDiscontinuity(f"constant piece must be finite and <= 0, got {c0}")
     profile = _FAMILIES[family](slope=slope, r_max=r_max, c0=c0, **params)
-    _certify(profile, grid)
+    _certify(profile)
     return profile
 
 
@@ -374,8 +374,8 @@ def profile_from_json(obj: dict) -> RadialProfile:
     return build_profile(family, **params)
 
 
-def _certify(profile: RadialProfile, grid: int):
-    rs = np.linspace(1.0, profile.r_max, grid)
+def _certify(profile: RadialProfile):
+    rs = np.linspace(1.0, profile.r_max, GRID_POINTS)
     d2 = profile.d2h(rs[1:-1])
     bad = np.where(d2 < -1e-12 * max(1.0, profile.slope))[0]
     if bad.size:
@@ -752,6 +752,10 @@ class ActionTables:
 
 
 def action_tables(profile: RadialProfile, grid: int = 256) -> ActionTables:
+    """Level and period rows on grid points each, from r = 1 to r_max and
+    from T = 0 to the slope; InvalidParameter for fewer than two points."""
+    if grid < 2:
+        raise InvalidParameter(f"grid must be at least 2, got {grid}")
     rs = np.linspace(1.0, profile.r_max, grid)
     r_rows = list(zip(rs.tolist(), profile.h(rs).tolist(), profile.dh(rs).tolist(),
                       profile.d2h(rs).tolist(), profile.action(rs).tolist()))

@@ -557,6 +557,24 @@ class TestConfigAndErrors:
         ("beta_709_overflows_pieces", {}, ["hamiltonian", "--family", "exp", "--beta", "709",
                                            "--slope", "5", "--r-max", "2"],
          "overflows at slope = 5.0, beta = 709.0"),
+        # a table reaches both ends of [1, r_max] and [0, slope]
+        ("tables_grid_zero", {}, ["hamiltonian", "--slope", "5", "--r-max", "2", "--tables",
+                                  "--grid", "0"], "grid must be at least 2, got 0"),
+        ("tables_grid_negative", {}, ["hamiltonian", "--slope", "5", "--r-max", "2",
+                                      "--tables", "--grid", "-3"],
+         "grid must be at least 2, got -3"),
+        ("transfer_one_value", {}, ["hamiltonian", "--slope", "5", "--r-max", "2",
+                                    "--transfer", "1"], "--transfer takes k,lam, got '1'"),
+        ("transfer_three_values", {}, ["hamiltonian", "--slope", "5", "--r-max", "2",
+                                       "--transfer", "1,2,3"],
+         "--transfer takes k,lam, got '1,2,3'"),
+        # h'' underflows to 0 inside the shell: not positive, and not negative
+        ("exp_h2_underflows", {}, ["hamiltonian", "--family", "exp", "--beta", "1e-28",
+                                   "--slope", "5", "--r-max", "7e30"],
+         "h''(1.7094e+27) = 0.000e+00 is not positive"),
+        # the system checks the mode; the parser lists no choices
+        ("mode_unknown", {"s.json": sqrt2_system_json()},
+         ["audit-lemma", "--system", "s.json", "--mode", "elliptic"], "mode must be one of"),
     ])
     def test_invalid_input_exit_2(self, capsys, tmp_path, name, files, argv, message):
         for fname, blob in files.items():
@@ -642,6 +660,10 @@ def test_package_exposes_modules_not_their_names():
     ("reeb_lab.ellipsoid", ("reeb_lab.audit", "reeb_lab.hamiltonian", "reeb_lab.recurrence")),
     # barcodes are pure Python
     ("reeb_lab.floergraph", ("numpy",)),
+    # each subcommand imports what it runs
+    ("reeb_lab.cli", ("numpy", "reeb_lab.audit", "reeb_lab.ellipsoid", "reeb_lab.fixedpoint",
+                      "reeb_lab.floergraph", "reeb_lab.hamiltonian", "reeb_lab.indices",
+                      "reeb_lab.recurrence", "reeb_lab.symplectic")),
 ])
 def test_module_layering(module, absent):
     # a fresh interpreter, so that no other test's imports count
@@ -650,6 +672,35 @@ def test_module_layering(module, absent):
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv, files, absent", [
+    (["barcode", "--complex", "c.json"],
+     {"c.json": {"generators": [{"id": "a", "action": 0.0, "degree": 0},
+                                {"id": "b", "action": 1.0, "degree": 1}],
+                 "boundary": {"b": ["a"]}}},
+     ("numpy",)),
+    (["hamiltonian", "--slope", "5", "--r-max", "2", "--tables", "--transfer", "3,2"], {},
+     ("reeb_lab.audit", "reeb_lab.recurrence", "reeb_lab.ellipsoid", "reeb_lab.floergraph")),
+    (["recurrence-search", "--profiles", "p.json", "--eta", "0.1", "--ell0", "3",
+      "--k-bound", "1000"],
+     {"p.json": [{"loop_index": 2, "elliptic": [0.7071067811865475]},
+                 {"loop_index": 2, "elliptic": [1.4142135623730951]}]},
+     ("reeb_lab.audit", "reeb_lab.hamiltonian", "reeb_lab.ellipsoid", "reeb_lab.floergraph")),
+    (["cz-index", "--rotation", "1.2"], {},
+     ("reeb_lab.audit", "reeb_lab.recurrence", "reeb_lab.hamiltonian", "reeb_lab.ellipsoid",
+      "reeb_lab.floergraph", "reeb_lab.fixedpoint")),
+], ids=["barcode", "hamiltonian", "recurrence-search", "cz-index"])
+def test_subcommand_imports_only_what_it_runs(tmp_path, argv, files, absent):
+    for fname, blob in files.items():
+        (tmp_path / fname).write_text(json.dumps(blob))
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    # a fresh interpreter, so that no other test's imports count
+    probe = (f"import sys\nfrom reeb_lab.cli import main\nassert main({argv!r}) == 0\n"
+             f"print(sorted(set({absent!r}) & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_fuzz_subcommand_removed(capsys):

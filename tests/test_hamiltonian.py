@@ -105,6 +105,21 @@ class TestBuild:
             make("spline", slope=spline_slope(knots, 2.0), r_max=2.0, knots=knots)
         assert 1.0 < err.value.r < 2.0
 
+    def test_certified_on_the_fixed_grid(self):
+        # a grid of two points had no interior point and certified this profile
+        knots = (1.0, -0.5, 1.0)
+        args = dict(slope=spline_slope(knots, 2.0), r_max=2.0, knots=knots)
+        with pytest.raises(TypeError):
+            build_profile("spline", grid=2, **args)
+        with pytest.raises(ConvexityViolation, match=r"^h''\(1.33358\) = -7.326e-04 < 0$"):
+            build_profile("spline", **args)
+
+    def test_convexity_violation_of_a_zero_h2_is_not_negative(self):
+        # h'' underflows to 0 in the middle of a very long shell
+        with pytest.raises(ConvexityViolation,
+                           match=r"^h''\(1.7094e\+27\) = 0.000e\+00 is not positive$"):
+            make("exp", beta=1e-28, slope=5.0, r_max=7e30)
+
     def test_spline_slope_mismatch(self):
         # knots integrate to slope 1, not the declared 2
         with pytest.raises(SlopeMismatch):
@@ -573,3 +588,13 @@ def test_action_tables_csv():
     assert len(rows) == 64 and all(len(row) == len(tables.CSV_HEADER) for row in rows)
     assert rows[0] == ("r", *tables.r_rows[0], "")
     assert rows[32] == ("T", tables.t_rows[0][0], "", "", "", *tables.t_rows[0][1:])
+
+
+@pytest.mark.parametrize("grid", [1, 0, -3])
+def test_action_tables_reach_both_ends(grid):
+    p = make()
+    with pytest.raises(InvalidParameter, match=f"^grid must be at least 2, got {grid}$"):
+        action_tables(p, grid=grid)
+    tables = action_tables(p, grid=2)
+    assert [row[0] for row in tables.r_rows] == [1.0, p.r_max]
+    assert [row[0] for row in tables.t_rows] == [0.0, p.slope]
