@@ -30,8 +30,7 @@ _CF_REMAINDER = 1e-10
 _CF_DENOMINATOR_CAP = 10 ** 6
 
 
-def detect_rational(x: float, remainder_tol: float = _CF_REMAINDER,
-                    max_denominator: int = _CF_DENOMINATOR_CAP):
+def detect_rational(x: float):
     """Continued-fraction expansion of x; returns (Fraction, capped_flag).
 
     The Fraction is None when no expansion with denominator below the cap
@@ -47,9 +46,9 @@ def detect_rational(x: float, remainder_tol: float = _CF_REMAINDER,
         coeffs.append(a)
         rem = y - a
         frac = _from_cf(coeffs)
-        if frac.denominator > max_denominator:
+        if frac.denominator > _CF_DENOMINATOR_CAP:
             return None, True
-        if rem < remainder_tol * max(1.0, abs(y)):
+        if rem < _CF_REMAINDER * max(1.0, abs(y)):
             return frac, False
         y = 1.0 / rem
     return None, True

@@ -87,10 +87,6 @@ class NotSymplectic(ReebLabError):
         super().__init__(f"form residual {residual:.3e} exceeds tol {tol:.1e}")
 
 
-class BorderlineSpectrum(ReebLabError):
-    """An eigenvalue sits in the ambiguous band around the unit circle."""
-
-
 class NotUnipotent(ReebLabError):
     pass
 
@@ -124,10 +120,13 @@ class SupportOutOfRange(ReebLabError):
 # -- Hamiltonian profiles and action functions --------------------------------
 
 class ConvexityViolation(ReebLabError):
-    def __init__(self, r: float, value: float):
+    """h''(r) = value is not positive, or, with a message, h' falls by
+    -value from r to the next point of the grid."""
+
+    def __init__(self, r: float, value: float, message: str | None = None):
         self.r = r
         self.value = value
-        super().__init__(f"h''({r:.6g}) = {value:.3e} "
+        super().__init__(message or f"h''({r:.6g}) = {value:.3e} "
                          + ("< 0" if value < 0 else "is not positive"))
 
 
@@ -157,10 +156,6 @@ class SandwichViolated(ReebLabError):
 
 
 class UncertifiedRegion(ReebLabError):
-    pass
-
-
-class EnergyAboveThreshold(ReebLabError):
     pass
 
 

@@ -128,12 +128,11 @@ def lefschetz_residuals(induced_maps: Sequence,
 @dataclass(frozen=True)
 class TraceScan:
     count: int            # how many m in 1..m_max have trace(L^m) >= 0
-    first_hits: tuple     # the first few such m
+    first_hits: tuple     # the first ten such m
     m_max: int
 
 
-def trace_nonneg_scan(L: np.ndarray, m_max: int = 1000,
-                      keep: int = 10) -> TraceScan:
+def trace_nonneg_scan(L: np.ndarray, m_max: int = 1000) -> TraceScan:
     """Scan trace(L^m) >= 0 for m = 1..m_max.
 
     Every real matrix has infinitely many such m; the scan exhibits them at
@@ -153,6 +152,6 @@ def trace_nonneg_scan(L: np.ndarray, m_max: int = 1000,
         P = P @ L
         if float(np.trace(P)) >= 0.0:
             count += 1
-            if len(hits) < keep:
+            if len(hits) < 10:
                 hits.append(m)
     return TraceScan(count=count, first_hits=tuple(hits), m_max=m_max)

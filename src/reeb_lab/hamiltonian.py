@@ -4,8 +4,8 @@ A profile is a function h(r): constant c0 <= 0 on (0, 1], strictly convex on
 [1, r_max], linear of slope a beyond.  Orbit levels solve h'(r) = T for a
 period T; the radial action is A_h(r) = r h'(r) - h(r) and the period-to-
 action transform is a_H(T) = A_h(r(T)).  Everything downstream (transfer
-maps, energy floors, trace validation, the orbit-system audit constants)
-is built from these two functions.
+maps, trace validation, the orbit-system audit constants) is built from
+these two functions.
 
 Three closed-form families (quadratic, cubic, exponential) are provided for
 exact oracles, plus a monotone-convex spline with piecewise-linear h''.
@@ -25,7 +25,6 @@ from .errors import (
     ActionOutOfRange,
     BadGeometry,
     ConvexityViolation,
-    EnergyAboveThreshold,
     InvalidParameter,
     JoinDiscontinuity,
     JsonFields,
@@ -190,7 +189,7 @@ class CubicProfile(RadialProfile):
 
     def __post_init__(self):
         if not (0.0 < self.theta < 1.0):
-            raise ConvexityViolation(1.0, self.theta)
+            raise InvalidParameter(f"theta must be in (0, 1), got {self.theta}")
         object.__setattr__(self, "h_triple_nonneg_up_to", self.r_max)
 
     def _piece_h(self, x):
@@ -222,7 +221,7 @@ class ExpProfile(RadialProfile):
 
     def __post_init__(self):
         if not 0 < self.beta < math.inf:
-            raise ConvexityViolation(1.0, self.beta)
+            raise InvalidParameter(f"beta must be positive and finite, got {self.beta}")
         if not self.beta * self._w <= np.log(np.finfo(float).max):
             raise InvalidParameter(f"expm1(beta * (r_max - 1)) overflows at beta = {self.beta}")
         # the pieces multiply the slope by up to beta e^{beta x} before dividing by _den
@@ -266,7 +265,7 @@ class SplineProfile(RadialProfile):
 
     def __post_init__(self):
         if len(self.knots) < 2:
-            raise ConvexityViolation(1.0, -1.0)
+            raise InvalidParameter(f"a spline needs at least 2 knots, got {len(self.knots)}")
         knots = tuple(float(v) for v in self.knots)
         object.__setattr__(self, "knots", knots)
         n = len(knots) - 1
@@ -384,9 +383,13 @@ def _certify(profile: RadialProfile):
     if np.any(d2 <= 0):
         i = int(np.argmin(d2)) + 1
         raise ConvexityViolation(float(rs[i]), float(np.min(d2)))
-    dh = profile.dh(rs)
-    if np.any(np.diff(dh) < -1e-12 * profile.slope):
-        raise ConvexityViolation(float(rs[int(np.argmin(np.diff(dh)))]), float(np.min(np.diff(dh))))
+    # h'' can dip below 0 between the grid points; h' then falls across them
+    step = np.diff(profile.dh(rs))
+    if np.any(step < -1e-12 * profile.slope):
+        i = int(np.argmin(step))
+        raise ConvexityViolation(float(rs[i]), float(step[i]),
+                                 f"h' falls by {-step[i]:.3e} from r = {rs[i]:.6g} "
+                                 f"to {rs[i + 1]:.6g}")
     # the joins, probed on the shell piece: dh and h take their values at and
     # beyond the ends from the constant and linear pieces, which start there
     dh_1, dh_r_max = (float(profile._piece_dh(x)) for x in (0.0, profile._w))
@@ -468,7 +471,7 @@ class DominationCertificate:
 
 
 def compare_action_functions(h0: RadialProfile, h1: RadialProfile,
-                             grid: int = 2048, tol: float = 1e-9) -> DominationCertificate:
+                             grid: int = 2048) -> DominationCertificate:
     """Certify a_{H1} <= a_{H0} on [0, slope(H0)] given H1 >= H0 pointwise."""
     if h1.slope < h0.slope - 1e-12:
         raise NotDominated(f"slope(H1) = {h1.slope} < slope(H0) = {h0.slope}")
@@ -476,12 +479,12 @@ def compare_action_functions(h0: RadialProfile, h1: RadialProfile,
     rs = np.linspace(1e-6, r_hi, grid)
     diff = h1.h(rs) - h0.h(rs)
     margin = float(np.min(diff))
-    if margin < -tol * max(1.0, h0.slope):
+    if margin < -1e-9 * max(1.0, h0.slope):
         raise NotDominated(f"H1 < H0 by {margin:.3e} at r = {float(rs[np.argmin(diff)]):.6g}")
     Ts = np.linspace(0.0, h0.slope, grid)
     viol = float(np.max(action_from_period(h1, Ts)[0] - action_from_period(h0, Ts)[0]))
     return DominationCertificate(dominated_margin=margin, max_violation=viol,
-                                 ok=viol <= tol * max(1.0, h0.c))
+                                 ok=viol <= 1e-9 * max(1.0, h0.c))
 
 
 @dataclass(frozen=True)
@@ -544,8 +547,7 @@ def homotopy_action_derivative(profile: RadialProfile, k: float, lam: float,
     return -lam * float(profile.h(r))
 
 
-def check_action_ratio_monotone(profile: RadialProfile, r0: float,
-                                grid: int = GRID_POINTS) -> bool:
+def check_action_ratio_monotone(profile: RadialProfile, r0: float) -> bool:
     """True iff A_h(r)/r is nondecreasing on [1, r0].
 
     Requires a certified h''' >= 0 region covering [1, r0]; with that
@@ -557,58 +559,9 @@ def check_action_ratio_monotone(profile: RadialProfile, r0: float,
         )
     if not 1.0 < r0 <= profile.r_max + 1e-12:
         raise BadGeometry(f"r0 = {r0} outside (1, r_max]")
-    rs = np.linspace(1.0, r0, grid)
+    rs = np.linspace(1.0, r0, GRID_POINTS)
     ratio = profile.action(rs) / rs
     return bool(np.all(np.diff(ratio) >= -1e-12 * max(1.0, profile.c)))
-
-
-@dataclass(frozen=True)
-class LevelBound:
-    """Curried lower-bound evaluator r_minus -> r_minus - defect."""
-
-    defect: float
-
-    def __call__(self, r_minus: float) -> float:
-        return r_minus - self.defect
-
-
-def min_level_bound(profile: RadialProfile, r_plus: float, energy: float,
-                    c_prime: float = 1.0, threshold: float = 1.0) -> LevelBound:
-    """Lower bound on the minimum level of a low-energy cylinder.
-
-    defect = sqrt(4 c') * r_plus^{3/4} * E^{5/8} / sqrt(A_h(r_plus)); the
-    constants c' (pointwise gradient bound) and the energy threshold are
-    configuration, not derivable at this level.
-    """
-    if energy < 0:
-        raise BadGeometry("negative energy")
-    if energy > threshold:
-        raise EnergyAboveThreshold(f"E = {energy:.6g} > threshold {threshold:.6g}")
-    if not (1.0 < r_plus <= profile.r_max + 1e-12):
-        raise BadGeometry(f"r_plus = {r_plus} outside (1, r_max]")
-    A = float(profile.action(r_plus))
-    if A <= 0:
-        raise BadGeometry(f"A_h(r_plus) = {A:.3e} <= 0")
-    defect = math.sqrt(4.0 * c_prime) * r_plus ** 0.75 * energy ** 0.625 / math.sqrt(A)
-    return LevelBound(defect=defect)
-
-
-def crossing_energy_floor(profile: RadialProfile, r_star: float, delta: float,
-                          eta: float, tau0: float, c_gronwall: float,
-                          c_prime: float) -> float:
-    """[eta h'(r_star - delta) e^{-C tau0} / C']^4: the uniform energy floor.
-
-    Strictly positive; rejects geometry with r_star - delta <= 1 where h'
-    vanishes and the floor degenerates.
-    """
-    if min(eta, tau0, c_gronwall, c_prime) <= 0 or delta <= 0:
-        raise BadGeometry("all constants must be positive")
-    if r_star - delta <= 1.0:
-        raise BadGeometry(f"r_star - delta = {r_star - delta:.6g} <= 1")
-    if r_star + delta > profile.r_max:
-        raise BadGeometry("shell [r_star - delta, r_star + delta] escapes the profile")
-    base = eta * float(profile.dh(r_star - delta)) * math.exp(-c_gronwall * tau0) / c_prime
-    return base ** 4
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Symplectic linear algebra: validation, spectrum classification and the
-normal-form invariants of unipotent symplectic maps.
+"""Symplectic linear algebra: validation and the normal-form invariants of
+unipotent symplectic maps.
 
 Conventions
 -----------
@@ -29,7 +29,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
-    BorderlineSpectrum,
     InvalidParameter,
     JsonFields,
     MalformedInput,
@@ -42,13 +41,6 @@ from .errors import (
 )
 
 DEFAULT_TOL = 1e-9
-
-# Anything within tol * _SNAP_RATIO of the unit circle is treated as exactly
-# on it (floored by plain floating-point noise), so classifications survive
-# perturbations well inside tol.  The annulus between that band and tol is
-# reported as ambiguous instead of being classified.
-_SNAP_RATIO = 1e-2
-_MACHINE_BAND = 1e-12
 
 
 def standard_form(m: int) -> np.ndarray:
@@ -64,12 +56,11 @@ def flow_rotation(m: int) -> np.ndarray:
     return -standard_form(m)
 
 
-def quadratic_flow(S: np.ndarray, t: float = 1.0) -> np.ndarray:
-    """Time-t flow map of the quadratic Hamiltonian with Hessian S."""
+def quadratic_flow(S: np.ndarray) -> np.ndarray:
+    """Time-1 flow map of the quadratic Hamiltonian with Hessian S."""
     S = np.asarray(S, dtype=float)
     m = S.shape[0] // 2
-    K = flow_rotation(m) @ S
-    return _expm(K * t)
+    return _expm(flow_rotation(m) @ S)
 
 
 def _expm(K: np.ndarray) -> np.ndarray:
@@ -149,138 +140,6 @@ def validate_symplectic(M: np.ndarray, tol: float = DEFAULT_TOL) -> SymplecticMa
     if det_err > max(tol * scale, 1e-6):
         raise NotSymplectic(det_err, tol * scale)
     return SymplecticMatrix(dim_half=m, entries=M)
-
-
-# ---------------------------------------------------------------------------
-# spectrum classification
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SpectralBlock:
-    kind: str                 # "elliptic" | "hyperbolic" | "unipotent" | "other"
-    eigenvalues: tuple        # representative eigenvalues, one per pair/quadruple
-    multiplicity: int         # real dimension accounted for by this block
-
-
-@dataclass(frozen=True)
-class SpectralClassification:
-    blocks: tuple
-    nu_a: int                 # half the algebraic multiplicity of eigenvalue 1
-
-    @property
-    def kinds(self) -> tuple:
-        return tuple(b.kind for b in self.blocks)
-
-
-def _rank(A: np.ndarray, tol_scale: float) -> int:
-    s = np.linalg.svd(A, compute_uv=False)
-    cutoff = max(tol_scale, s[0] * 1e-12, 1e-300)
-    return int(np.sum(s > cutoff))
-
-
-def _eig1_algebraic_multiplicity(M: np.ndarray, tol: float) -> int:
-    """Algebraic multiplicity of eigenvalue 1 via rank of (M - I)^dim.
-
-    Rank deficiency is far more robust than clustering eigenvalues: a Jordan
-    block of size s perturbs its eigenvalues by eps**(1/s).
-    """
-    n = M.shape[0]
-    N = M - np.eye(n)
-    P = np.eye(n)
-    norm = max(1.0, float(np.abs(N).max()))
-    for _ in range(n):
-        P = P @ (N / norm)
-    return n - _rank(P, tol)
-
-
-def spectral_classification(M: SymplecticMatrix, tol: float = DEFAULT_TOL) -> SpectralClassification:
-    """Group the spectrum into elliptic / hyperbolic / unipotent / other blocks.
-
-    Eigenvalues within the machine band of the unit circle are snapped onto
-    it; eigenvalues inside the annulus (machine band, tol] are refused with
-    BorderlineSpectrum rather than guessed.
-    """
-    A = M.entries
-    scale = max(1.0, float(np.abs(A).max()))
-    band = max(_MACHINE_BAND * scale * A.shape[0], tol * _SNAP_RATIO * scale)
-    eigs = np.linalg.eigvals(A)
-
-    alg1 = _eig1_algebraic_multiplicity(A, tol * scale)
-    if alg1 % 2 != 0:
-        raise UnresolvedNormalForm(f"odd algebraic multiplicity {alg1} at eigenvalue 1")
-    nu_a = alg1 // 2
-
-    blocks = []
-    if alg1:
-        blocks.append(SpectralBlock("unipotent", (1.0,), alg1))
-
-    # Work through the remaining spectrum, removing one pair/quadruple at a time.
-    remaining = [lam for lam in eigs if abs(lam - 1.0) > _cluster_radius(A, alg1, band)]
-    if len(remaining) != A.shape[0] - alg1:
-        raise UnresolvedNormalForm(
-            f"eigenvalue-1 cluster size {A.shape[0] - len(remaining)} disagrees "
-            f"with algebraic multiplicity {alg1}"
-        )
-    remaining.sort(key=lambda z: (-abs(z), np.angle(z)))
-    used = [False] * len(remaining)
-
-    def _claim_closest(target: complex, skip: set) -> int:
-        best, best_d = -1, np.inf
-        for idx, lam in enumerate(remaining):
-            if used[idx] or idx in skip:
-                continue
-            d = abs(lam - target)
-            if d < best_d:
-                best, best_d = idx, d
-        return best
-
-    for i, lam in enumerate(remaining):
-        if used[i]:
-            continue
-        used[i] = True
-        r = abs(lam)
-        off = abs(r - 1.0)
-        if off <= band:
-            # on the unit circle: elliptic pair (includes -1)
-            j = _claim_closest(np.conj(lam) if abs(lam.imag) > band else lam, {i})
-            if j < 0:
-                raise UnresolvedNormalForm("unpaired unit-circle eigenvalue")
-            used[j] = True
-            blocks.append(SpectralBlock("elliptic", (complex(lam),), 2))
-        elif off <= tol * scale:
-            raise BorderlineSpectrum(
-                f"|lambda| - 1 = {r - 1.0:.3e} for lambda = {lam:.6g}: "
-                f"inside the ambiguity band (tol {tol:.1e})"
-            )
-        elif abs(lam.imag) <= band * max(1.0, r):
-            # real, off circle: hyperbolic pair (lam, 1/lam)
-            j = _claim_closest(1.0 / lam.real, {i})
-            if j < 0:
-                raise UnresolvedNormalForm(f"eigenvalue {lam:.6g} lacks its 1/lambda partner")
-            used[j] = True
-            blocks.append(SpectralBlock("hyperbolic", (float(lam.real),), 2))
-        else:
-            # loxodromic quadruple lam, conj, 1/lam, 1/conj
-            partners = []
-            for target in (np.conj(lam), 1.0 / lam, 1.0 / np.conj(lam)):
-                j = _claim_closest(target, set(partners) | {i})
-                if j < 0:
-                    raise UnresolvedNormalForm(f"incomplete quadruple at {lam:.6g}")
-                partners.append(j)
-            for j in partners:
-                used[j] = True
-            blocks.append(SpectralBlock("other", (complex(lam),), 4))
-
-    return SpectralClassification(blocks=tuple(blocks), nu_a=nu_a)
-
-
-def _cluster_radius(A: np.ndarray, alg1: int, band: float) -> float:
-    # Eigenvalues of a Jordan-type cluster at 1 scatter like eps**(1/s); use
-    # the algebraic multiplicity to size the exclusion radius.
-    if alg1 == 0:
-        return band
-    s = max(1, alg1)
-    return max(band, (1e-13) ** (1.0 / s) * max(1.0, float(np.abs(A).max())))
 
 
 # ---------------------------------------------------------------------------
@@ -425,3 +284,9 @@ def _null_basis(A: np.ndarray, tol: float) -> np.ndarray:
     cutoff = max(tol, (s[0] if s.size else 0.0) * 1e-12)
     rank = int(np.sum(s > cutoff))
     return vH[rank:].T.conj()
+
+
+def _rank(A: np.ndarray, tol_scale: float) -> int:
+    s = np.linalg.svd(A, compute_uv=False)
+    cutoff = max(tol_scale, s[0] * 1e-12, 1e-300)
+    return int(np.sum(s > cutoff))

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import copy
 import csv
 import importlib
@@ -473,7 +474,8 @@ class TestConfigAndErrors:
         ("knot_nan", {}, ["hamiltonian", "--family", "spline", "--slope", "1.5",
                           "--r-max", "2", "--knots", "nan,1"], "knots integrate to slope nan"),
         ("beta_nan", {}, ["hamiltonian", "--family", "exp", "--beta", "nan",
-                          "--slope", "5", "--r-max", "2"], "h''(1) = nan"),
+                          "--slope", "5", "--r-max", "2"],
+         "beta must be positive and finite, got nan"),
         ("transfer_k_nan", {}, ["hamiltonian", "--slope", "5", "--r-max", "2",
                                 "--transfer", "nan,1"], "k and lam must be finite"),
         ("transfer_lam_nan", {}, ["hamiltonian", "--slope", "5", "--r-max", "2",
@@ -575,6 +577,13 @@ class TestConfigAndErrors:
         # the system checks the mode; the parser lists no choices
         ("mode_unknown", {"s.json": sqrt2_system_json()},
          ["audit-lemma", "--system", "s.json", "--mode", "elliptic"], "mode must be one of"),
+        # a family parameter is named as itself, not as a value of h''
+        ("theta_out_of_range", {}, ["hamiltonian", "--family", "cubic", "--theta", "1.5",
+                                    "--slope", "5", "--r-max", "2"],
+         "theta must be in (0, 1), got 1.5"),
+        ("spline_one_knot", {}, ["hamiltonian", "--family", "spline", "--knots", "1",
+                                 "--slope", "5", "--r-max", "2"],
+         "a spline needs at least 2 knots, got 1"),
     ])
     def test_invalid_input_exit_2(self, capsys, tmp_path, name, files, argv, message):
         for fname, blob in files.items():
@@ -672,6 +681,52 @@ def test_module_layering(module, absent):
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# Top-level names of the package that no other place in it names, and what
+# reaches each one instead; a definition that nothing reaches is deleted
+REACHED_FROM_OUTSIDE = {
+    "homotopy_action_derivative": "acceptance criterion 5",
+    "convexity_gap_check": "acceptance criterion 7",
+    "check_bar_lengths": "acceptance criterion 9",
+    "brouwer_index_of_map": "acceptance criterion 11",
+    "lefschetz_residuals": "acceptance criterion 11",
+    "trace_nonneg_scan": "acceptance criterion 11",
+    "compare_action_functions": "perfbench's action_calculus workload",
+    "spline_slope": "perfbench's action_calculus workload builds its spline with it",
+    "action_inverse": "the checked form of _action_inverse; the tests call it and "
+                      "perfbench's tracer names it",
+    "exclusion_certificate": "the audit's sweep at one pair, which the tests compare "
+                             "with the scalar oracle",
+    "direct_sum": "matrix builder of the tests",
+    "rotation2": "matrix builder of the tests",
+    "hyperbolic2": "matrix builder of the tests",
+    "quadratic_flow": "matrix builder of the tests and acceptance criterion 3",
+}
+
+
+def test_every_unnamed_definition_is_reached_from_outside():
+    trees = [ast.parse(path.read_text())
+             for path in Path(reeb_lab.__file__).parent.glob("*.py")]
+    defined = set()
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined |= {n.id for t in targets for n in ast.walk(t)
+                            if isinstance(n, ast.Name)}
+    named = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+    assert defined - named == set(REACHED_FROM_OUTSIDE)
 
 
 @pytest.mark.parametrize("argv, files, absent", [

@@ -8,7 +8,6 @@ from reeb_lab.errors import (
     ActionOutOfRange,
     BadGeometry,
     ConvexityViolation,
-    EnergyAboveThreshold,
     InvalidParameter,
     JoinDiscontinuity,
     MalformedTrace,
@@ -30,9 +29,7 @@ from reeb_lab.hamiltonian import (
     check_action_ratio_monotone,
     check_cylinder_trace,
     compare_action_functions,
-    crossing_energy_floor,
     homotopy_action_derivative,
-    min_level_bound,
     profile_from_json,
     spline_slope,
     transfer_map,
@@ -120,6 +117,15 @@ class TestBuild:
                            match=r"^h''\(1.7094e\+27\) = 0.000e\+00 is not positive$"):
             make("exp", beta=1e-28, slope=5.0, r_max=7e30)
 
+    def test_falling_h1_between_grid_points_reported_as_h1(self):
+        # knots twice as dense as the certification grid: h'' is 1 at every
+        # grid point and dips to -1000 at one knot between two of them
+        knots = [1.0] * 8191
+        knots[201] = -1000.0
+        with pytest.raises(ConvexityViolation,
+                           match=r"^h' falls by 1.220e-01 from r = 1.02442 to 1.02466$"):
+            make("spline", slope=spline_slope(knots, 2.0), r_max=2.0, knots=tuple(knots))
+
     def test_spline_slope_mismatch(self):
         # knots integrate to slope 1, not the declared 2
         with pytest.raises(SlopeMismatch):
@@ -131,8 +137,8 @@ class TestBuild:
         ("quadratic", {"r_max": math.nan}, BadGeometry),
         ("quadratic", {"c0": math.nan}, JoinDiscontinuity),
         ("spline", {"slope": 1.5, "knots": (math.nan, 1.0)}, SlopeMismatch),
-        ("exp", {"beta": math.nan}, ConvexityViolation),
-        ("exp", {"beta": math.inf}, ConvexityViolation),
+        ("exp", {"beta": math.nan}, InvalidParameter),
+        ("exp", {"beta": math.inf}, InvalidParameter),
     ])
     def test_nan_parameters_rejected(self, family, args, error):
         with pytest.raises(error):
@@ -462,47 +468,6 @@ class TestRatioMonotone:
         with pytest.raises(UncertifiedRegion):
             check_action_ratio_monotone(p, 2.0)
         assert check_action_ratio_monotone(p, p.h_triple_nonneg_up_to)
-
-
-class TestBounds:
-    def test_zero_energy_is_identity(self):
-        bound = min_level_bound(make(), 1.5, 0.0)
-        assert bound(1.4) == 1.4
-
-    def test_monotone_in_energy(self):
-        p = make()
-        defects = [min_level_bound(p, 1.5, e).defect
-                   for e in np.linspace(0.0, 0.9, 10)]
-        assert all(b >= a for a, b in zip(defects, defects[1:]))
-
-    def test_action_scaling_shrinks_defect(self):
-        p = make("quadratic", slope=5.0, r_max=2.0)
-        q = make("quadratic", slope=10.0, r_max=2.0)    # 2h: doubles A at fixed r
-        d_p = min_level_bound(p, 1.5, 0.5).defect
-        d_q = min_level_bound(q, 1.5, 0.5).defect
-        assert d_q == pytest.approx(d_p / math.sqrt(2.0))
-
-    def test_energy_threshold(self):
-        with pytest.raises(EnergyAboveThreshold):
-            min_level_bound(make(), 1.5, 2.0, threshold=1.0)
-
-    def test_floor_formula(self):
-        p = make()
-        floor = crossing_energy_floor(p, 1.5, 0.2, eta=0.3, tau0=1.0,
-                                      c_gronwall=0.5, c_prime=2.0)
-        expect = (0.3 * float(p.dh(1.3)) * math.exp(-0.5) / 2.0) ** 4
-        assert floor == pytest.approx(expect)
-        assert floor > 0
-
-    def test_floor_quartic_in_eta(self):
-        p = make()
-        f1 = crossing_energy_floor(p, 1.5, 0.2, 0.3, 1.0, 0.5, 2.0)
-        f2 = crossing_energy_floor(p, 1.5, 0.2, 0.6, 1.0, 0.5, 2.0)
-        assert f2 == pytest.approx(16.0 * f1)
-
-    def test_bad_geometry(self):
-        with pytest.raises(BadGeometry):
-            crossing_energy_floor(make(), 1.1, 0.2, 0.3, 1.0, 0.5, 2.0)
 
 
 def _constant_trace(profile, k=2.0, level=1.5, n_s=9, n_t=8):

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reeb_lab.errors import (
-    BorderlineSpectrum,
     InvalidParameter,
     NotSymplectic,
     NotUnipotent,
@@ -19,7 +18,6 @@ from reeb_lab.symplectic import (
     hyperbolic2,
     quadratic_flow,
     rotation2,
-    spectral_classification,
     validate_symplectic,
     williamson_invariants,
 )
@@ -42,6 +40,15 @@ def test_identity_accepted():
 def test_canonical_blocks_accepted():
     M = direct_sum([rotation2(0.7), hyperbolic2(2.0)])
     assert validate_symplectic(M, tol=1e-9).dim_half == 2
+    # a loxodromic block C on the q-plane with C^-T on the p-plane
+    C = 1.1 * rotation2(0.9)
+    M = np.block([[C, np.zeros((2, 2))], [np.zeros((2, 2)), np.linalg.inv(C).T]])
+    assert validate_symplectic(M, tol=1e-9).dim_half == 2
+    # noise well inside the tolerance
+    rng = np.random.default_rng(13)
+    for _ in range(10):
+        M = direct_sum([rotation2(1.0), hyperbolic2(3.0)]) + rng.normal(size=(4, 4)) * 1e-10
+        assert validate_symplectic(M, tol=1e-6).dim_half == 2
 
 
 def test_non_symplectic_rejected():
@@ -73,64 +80,6 @@ def test_eigenvalue_symmetry_fuzz():
         for lam in eigs:
             # 1/lambda must be present in the multiset
             assert np.min(np.abs(eigs - 1.0 / lam)) < 1e-6
-
-
-class TestSpectralClassification:
-    def test_elliptic_plus_hyperbolic(self):
-        M = validate_symplectic(direct_sum([rotation2(1.0), hyperbolic2(3.0)]))
-        cls = spectral_classification(M)
-        assert sorted(cls.kinds) == ["elliptic", "hyperbolic"]
-        assert cls.nu_a == 0
-
-    def test_identity_block(self):
-        cls = spectral_classification(validate_symplectic(np.eye(2)))
-        assert cls.kinds == ("unipotent",)
-        assert cls.nu_a == 1
-
-    def test_shear(self):
-        M = validate_symplectic(np.array([[1.0, 1.0], [0.0, 1.0]]))
-        cls = spectral_classification(M)
-        assert cls.kinds == ("unipotent",)
-        assert cls.nu_a == 1
-        # geometric multiplicity 1: rank(A - I) = 1
-        assert np.linalg.matrix_rank(M.entries - np.eye(2)) == 1
-
-    def test_negative_hyperbolic_counts_as_hyperbolic(self):
-        M = validate_symplectic(hyperbolic2(-2.0))
-        assert spectral_classification(M).kinds == ("hyperbolic",)
-
-    def test_borderline_reported(self):
-        # modulus 1 + 1e-7, angle well away from zero: inside the annulus
-        # (tol/100, tol], so neither "on the circle" nor confidently off it
-        C = (1.0 + 1e-7) * rotation2(0.9)
-        M = np.block([[C, np.zeros((2, 2))],
-                      [np.zeros((2, 2)), np.linalg.inv(C).T]])
-        with pytest.raises(BorderlineSpectrum):
-            spectral_classification(validate_symplectic(M), tol=1e-6)
-
-    def test_near_identity_absorbed_into_unipotent_cluster(self):
-        # within tol of the identity the hyperbolic/unipotent distinction is
-        # not decidable; the classifier reports the unipotent reading
-        M = validate_symplectic(hyperbolic2(1.0 + 1e-10))
-        cls = spectral_classification(M, tol=1e-6)
-        assert cls.kinds == ("unipotent",)
-
-    def test_stable_under_tol_perturbation(self):
-        rng = np.random.default_rng(13)
-        M0 = direct_sum([rotation2(1.0), hyperbolic2(3.0)])
-        base = spectral_classification(validate_symplectic(M0)).kinds
-        for _ in range(10):
-            noise = rng.normal(size=(4, 4)) * 1e-10
-            M = validate_symplectic(M0 + noise, tol=1e-6)
-            assert spectral_classification(M, tol=1e-6).kinds == base
-
-    def test_loxodromic_tagged_other(self):
-        C = 1.1 * rotation2(0.9)
-        M = np.block([[C, np.zeros((2, 2))],
-                      [np.zeros((2, 2)), np.linalg.inv(C).T]])
-        # reorder from (q1,q2,p1,p2) layout: the block form above already is
-        cls = spectral_classification(validate_symplectic(M))
-        assert cls.kinds == ("other",)
 
 
 def _deg(S):
