@@ -27,9 +27,10 @@ USAGE_EXIT = 2
 AUDIT_EXIT = 3
 
 
-def _emit(args, payload, human: str, csv_rows=None, csv_header=None):
+def _emit(args, payload, human: str, csv_rows=None, csv_header=None, encode=None):
     """Write the machine artifact to --out (JSON, or CSV when rows are given
-    and the path says .csv) and the human summary to stdout."""
+    and the path says .csv) and the human summary to stdout.  The JSON is
+    encode(payload), by default json.dumps(payload, indent=2, sort_keys=True)."""
     out = getattr(args, "out", None)
     if out:
         path = Path(out)
@@ -40,8 +41,41 @@ def _emit(args, payload, human: str, csv_rows=None, csv_header=None):
                     w.writerow(csv_header)
                 w.writerows(csv_rows)
         else:
-            path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+            text = (json.dumps(payload, indent=2, sort_keys=True) if encode is None
+                    else encode(payload))
+            path.write_text(text + "\n")
     print(human)
+
+
+_NUMBERS = (float, int)
+
+
+def _bars_json(bars) -> str:
+    """The barcode artifact {"bars": [[birth, death, degree], ...]}: the same
+    text as json.dumps({"bars": [list(b.to_row()) for b in bars]}, indent=2,
+    sort_keys=True), written row by row.
+
+    json.dumps runs its pure-Python encoder whenever it indents; here each
+    row is one f-string of the reprs json.dumps writes.  A birth is a finite
+    float or an int, a death one too or math.inf (written "inf"), a degree
+    an int; any other row raises ValueError, so neither NaN nor Infinity is
+    ever written.
+    """
+    rows = []
+    for birth, death, degree in bars:
+        if death == math.inf:
+            end = '"inf"'
+        elif type(death) in _NUMBERS and death - death == 0:
+            end = repr(death)
+        else:
+            raise ValueError(f"bar death {death!r} is not a finite number or math.inf")
+        if type(birth) not in _NUMBERS or birth - birth != 0 or type(degree) is not int:
+            raise ValueError(f"bar {(birth, death, degree)!r} needs a finite birth "
+                             f"and an int degree")
+        rows.append(f"    [\n      {birth!r},\n      {end},\n      {degree!r}\n    ]")
+    if not rows:
+        return '{\n  "bars": []\n}'
+    return '{\n  "bars": [\n' + ",\n".join(rows) + "\n  ]\n}"
 
 
 def _load_json(path: str):
@@ -257,13 +291,16 @@ def cmd_barcode(args) -> int:
     from .floergraph import FilteredComplex, barcode
     complex_ = FilteredComplex.from_json(_load_json(args.complex))
     bars = barcode(complex_)
-    rows = [b.to_row() for b in bars]
-    finite = [b for b in bars if not math.isinf(b.death)]
-    _emit(args, {"bars": [list(r) for r in rows]},
-          f"{len(bars)} bars ({len(finite)} finite); "
-          f"longest finite: "
-          f"{max((b.length for b in finite), default=0.0):.6g}",
-          csv_rows=rows, csv_header=("birth", "death", "degree"))
+    finite, longest = 0, 0.0
+    for birth, death, _ in bars:
+        if death != math.inf:
+            finite += 1
+            if death - birth > longest:
+                longest = death - birth
+    _emit(args, bars,
+          f"{len(bars)} bars ({finite} finite); longest finite: {longest:.6g}",
+          csv_rows=(b.to_row() for b in bars), csv_header=("birth", "death", "degree"),
+          encode=_bars_json)
     return 0
 
 

@@ -16,6 +16,10 @@ from .indices import winding
 #: fewest samples of a closed circle whose winding can certify: a full turn
 #: in steps each under a quarter turn needs more than four of them
 _MIN_SAMPLES = 5
+#: samples of a circle at brouwer_index_of_map's first try, and how many
+#: tries it makes, each with twice the samples of the one before
+_FIRST_SAMPLES = 64
+_TRIES = 12
 
 
 @dataclass(frozen=True)
@@ -37,11 +41,12 @@ class PlanarMapSample:
         object.__setattr__(self, "images", ims)
 
     @classmethod
-    def from_map(cls, f: Callable, center=(0.0, 0.0), eps: float = 1e-3,
-                 n_samples: int = 64) -> "PlanarMapSample":
+    def from_map(cls, f: Callable, eps: float = 1e-3,
+                 n_samples: int = _FIRST_SAMPLES) -> "PlanarMapSample":
+        """n_samples equally spaced points of the circle of radius eps around
+        the origin, where f has its fixed point, and their images under f."""
         ts = np.linspace(0.0, 2.0 * math.pi, n_samples, endpoint=False)
-        pts = np.column_stack([center[0] + eps * np.cos(ts),
-                               center[1] + eps * np.sin(ts)])
+        pts = np.column_stack([eps * np.cos(ts), eps * np.sin(ts)])
         ims = np.array([f(p) for p in pts], dtype=float)
         return cls(points=pts, images=ims, eps=eps)
 
@@ -65,13 +70,14 @@ def brouwer_index(sample: PlanarMapSample) -> int:
     return int(round(winding(np.append(angles, angles[0]))))
 
 
-def brouwer_index_of_map(f: Callable, center=(0.0, 0.0), eps: float = 1e-3,
-                         n_samples: int = 64, max_doublings: int = 12) -> int:
-    """Adaptive version: doubles the sample count until the winding certifies."""
-    n = n_samples
-    for _ in range(max_doublings):
+def brouwer_index_of_map(f: Callable, eps: float = 1e-3) -> int:
+    """Adaptive version for a fixed point at the origin: samples the circle
+    of radius eps at 64 points, then at twice as many, until the winding
+    certifies; SamplingTooCoarse after 12 tries."""
+    n = _FIRST_SAMPLES
+    for _ in range(_TRIES):
         try:
-            return brouwer_index(PlanarMapSample.from_map(f, center, eps, n))
+            return brouwer_index(PlanarMapSample.from_map(f, eps, n))
         except SamplingTooCoarse:
             n *= 2
     raise SamplingTooCoarse(f"no certified winding after {n} samples")

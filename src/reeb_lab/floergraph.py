@@ -125,6 +125,8 @@ class FilteredComplex:
         broken = []     # d^2 = 0: a column's rows' columns sum to zero
         for degree, cols in columns.items():
             below = columns.get(degree - 1)
+            if below is None or not any(below):
+                continue    # the columns below are zero, so every sum is zero
             for j, rest in enumerate(cols):
                 acc = 0
                 while rest:

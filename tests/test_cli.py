@@ -24,6 +24,7 @@ import reeb_lab
 import reeb_lab.cli as cli
 from reeb_lab.cli import build_parser, main
 from reeb_lab.errors import MalformedInput
+from reeb_lab.floergraph import Bar
 
 SCHEMA_DIR = Path(reeb_lab.__file__).parent / "schemas"
 SQRT2 = "1.4142135623730951"
@@ -240,6 +241,24 @@ class TestSubcommands:
         assert code == 0
         rows = list(csv.reader(out_file.read_text().splitlines()))
         assert rows[1] == ["0.0", "1.0", "3"]
+
+    @pytest.mark.parametrize("generators, boundary, bars, summary", [
+        ([{"id": "y", "action": 0.0, "degree": -3}, {"id": "x", "action": 1.0, "degree": -2},
+          {"id": "z", "action": 0.5, "degree": -2}], {"x": ["y"]},
+         [[0.0, 1.0, -3], [0.5, "inf", -2]], "2 bars (1 finite); longest finite: 1"),
+        ([], {}, [], "0 bars (0 finite); longest finite: 0"),
+    ], ids=["finite_and_essential", "empty"])
+    def test_barcode_json(self, capsys, tmp_path, generators, boundary, bars, summary):
+        cx = tmp_path / "cx.json"
+        cx.write_text(json.dumps({"generators": generators, "boundary": boundary}))
+        out_file = tmp_path / "bars.json"
+        code, out, _ = run_cli(["barcode", "--complex", str(cx),
+                                "--out", str(out_file)], capsys)
+        assert code == 0
+        assert out == summary + "\n"
+        text = out_file.read_bytes().decode()
+        assert text == json.dumps({"bars": bars}, indent=2, sort_keys=True) + "\n"
+        validate("cli_reports.schema.json", json.loads(text), pointer="definitions/barcode")
 
     def test_audit_lemma(self, capsys, tmp_path, sqrt2_system_file):
         out_file = tmp_path / "audit.json"
@@ -756,6 +775,35 @@ def test_subcommand_imports_only_what_it_runs(tmp_path, argv, files, absent):
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+# the barcode artifact's writer against json.dumps, its oracle: finite floats
+# (-0.0, subnormals, reprs with exponents), ints past 64 bits and deaths at math.inf
+_BAR_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False), st.integers(),
+    st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1.5e-7, -1e300,
+                     2 ** 63, -2 ** 63 - 1, 3 ** 90]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(bars=st.lists(st.tuples(_BAR_NUMBERS, st.one_of(_BAR_NUMBERS, st.just(math.inf)),
+                               st.one_of(st.integers(), st.sampled_from([2 ** 63, -2 ** 64])))
+                     .map(Bar._make)))
+@example(bars=[])
+@example(bars=[Bar._make((0.0, math.inf, 0))])
+def test_bars_json_is_json_dumps(bars):
+    want = json.dumps({"bars": [list(b.to_row()) for b in bars]}, indent=2, sort_keys=True)
+    assert cli._bars_json(bars) + "\n" == want + "\n"
+
+
+@pytest.mark.parametrize("row", [
+    (math.nan, 1.0, 0), (math.inf, math.inf, 0), (-math.inf, 1.0, 0),
+    (0.0, -math.inf, 0), (0.0, math.nan, 0), (0.0, "inf", 0), (0.0, 1.0, True),
+], ids=["nan_birth", "inf_birth", "minus_inf_birth", "minus_inf_death", "nan_death",
+        "str_death", "bool_degree"])
+def test_bars_json_rejects_rows_outside_its_domain(row):
+    with pytest.raises(ValueError):
+        cli._bars_json([Bar._make(row)])
 
 
 def test_fuzz_subcommand_removed(capsys):

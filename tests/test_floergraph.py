@@ -49,6 +49,21 @@ class TestBarcode:
                 generators=(("a", 0.0, 0), ("b", 1.0, 1), ("c", 2.0, 2)),
                 boundary={"c": {"b"}, "b": {"a"}})
 
+    def test_square_zero_skips_only_degrees_over_zero_columns(self):
+        # degree-2 boundaries on edges without boundaries: d^2 = 0 holds
+        # whatever their rows are
+        gens = (("a", 0.0, 0), ("b", 0.0, 0), ("e", 1.0, 1), ("f", 1.0, 1), ("t", 2.0, 2))
+        bnd = {"t": ["e", "f"]}
+        assert barcode(FilteredComplex(generators=gens, boundary=bnd)) == \
+            frozenset_barcode(gens, bnd) == [
+                Bar(0.0, INF, 0), Bar(0.0, INF, 0), Bar(1.0, 2.0, 1), Bar(1.0, INF, 1)]
+        # two broken degree-2 columns over a nonzero edge: both are checked,
+        # and the first in the filtration order is named
+        with pytest.raises(NotADifferential, match=r"^boundary of boundary of hi is \['lo'\]$"):
+            FilteredComplex(
+                generators=(("top", 3.0, 2), ("lo", 0.0, 0), ("mid", 1.0, 1), ("hi", 2.0, 2)),
+                boundary={"top": {"mid"}, "mid": {"lo"}, "hi": {"mid"}})
+
     def test_filtration_enforced(self):
         with pytest.raises(FiltrationViolation):
             FilteredComplex(
