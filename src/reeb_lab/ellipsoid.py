@@ -39,26 +39,18 @@ def detect_rational(x: float):
     """
     if x <= 0:
         raise InvalidParameter(f"ratio must be positive, got {x}")
-    coeffs = []
+    (p0, q0), (p1, q1) = (0, 1), (1, 0)     # the convergents -2 and -1
     y = x
     for _ in range(64):
         a = math.floor(y)
-        coeffs.append(a)
-        rem = y - a
-        frac = _from_cf(coeffs)
-        if frac.denominator > _CF_DENOMINATOR_CAP:
+        (p0, q0), (p1, q1) = (p1, q1), (a * p1 + p0, a * q1 + q0)
+        if q1 > _CF_DENOMINATOR_CAP:
             return None, True
+        rem = y - a
         if rem < _CF_REMAINDER * max(1.0, abs(y)):
-            return frac, False
+            return Fraction(p1, q1), False
         y = 1.0 / rem
     return None, True
-
-
-def _from_cf(coeffs) -> Fraction:
-    value = Fraction(coeffs[-1])
-    for a in reversed(coeffs[:-1]):
-        value = a + (1 / value if value else Fraction(0))
-    return value
 
 
 @dataclass(frozen=True)
@@ -181,12 +173,11 @@ class PseudoRotationSeed:
     orbits: tuple
     n: int
     convexity: object
-    convention: str = CONVENTION
 
     def to_json(self) -> dict:
         return {
             "n": self.n,
-            "convention": self.convention,
+            "convention": CONVENTION,
             # irrational weights: every iterate of every orbit is nondegenerate
             "orbits": [{**o.to_json(), "nondegenerate": True} for o in self.orbits],
             "convexity": self.convexity.to_json(),

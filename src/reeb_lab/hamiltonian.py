@@ -271,9 +271,7 @@ class SplineProfile(RadialProfile):
         n = len(knots) - 1
         dx = self._w / n
         # integrate h'' -> h' and h' -> h at the knot positions
-        dh = [0.0]
-        for i in range(n):
-            dh.append(dh[-1] + 0.5 * (knots[i] + knots[i + 1]) * dx)
+        dh = _dh_at_knots(knots, dx).tolist()
         hh = [0.0]
         for i in range(n):
             # exact integral of the quadratic h' over the piece
@@ -330,11 +328,16 @@ _FAMILIES = {cls.family: cls for cls in (QuadraticProfile, CubicProfile, ExpProf
                                          SplineProfile)}
 
 
+def _dh_at_knots(knots: Sequence[float], dx: float) -> np.ndarray:
+    """h' at the knots of a piecewise-linear h'' with spacing dx, h'(1) = 0:
+    the trapezoid areas summed in knot order (np.cumsum adds sequentially)."""
+    k = np.asarray(knots, dtype=float)
+    return np.concatenate([[0.0], np.cumsum(0.5 * (k[:-1] + k[1:]) * dx)])
+
+
 def spline_slope(knots: Sequence[float], r_max: float) -> float:
-    """Slope a spline profile with these h'' knots will have (trapezoid-exact)."""
-    knots = [float(v) for v in knots]
-    dx = (r_max - 1.0) / (len(knots) - 1)
-    return sum(0.5 * (a + b) * dx for a, b in zip(knots, knots[1:]))
+    """Slope a spline profile with these h'' knots will have: its h'(r_max)."""
+    return float(_dh_at_knots(knots, (r_max - 1.0) / (len(knots) - 1))[-1])
 
 
 def build_profile(family: str = "quadratic", *, slope: float, r_max: float,
@@ -450,12 +453,7 @@ def action_inverse(profile: RadialProfile, alpha, k: float = 1.0):
         raise ActionOutOfRange(
             f"action {float(alpha[outside].flat[0]):.6g} outside [0, {top:.6g}]"
         )
-    return _action_inverse(profile, np.clip(alpha, 0.0, top), k)
-
-
-def _action_inverse(profile: RadialProfile, alpha, k: float):
-    """action_inverse without the checks, for a semi-admissible profile and
-    alpha in [0, k c]."""
+    alpha = np.clip(alpha, 0.0, top)
     T_max = k * profile.slope
     T = _bisect(lambda T: _action_from_period(profile, T, k)[0], alpha, T_max, 80)
     val, r = _action_from_period(profile, T, k)
@@ -517,8 +515,8 @@ def transfer_map(profile: RadialProfile, k: float, lam: float,
     top = k * profile.c
     if np.any(taus < -1e-12) or np.any(taus > top * (1 + 1e-9)):
         raise ActionOutOfRange(f"tau grid escapes [0, {top:.6g}]")
-    T = _action_inverse(profile, np.clip(taus, 0.0, top), k)
-    values = _action_from_period(profile, T, k + lam)[0]
+    T = action_inverse(profile, np.clip(taus, 0.0, top), k)
+    values = action_from_period(profile, T, k + lam)[0]
     h_top = float(profile.h(profile.r_max))
     upper = float(np.min(taus - values))
     lower = float(np.min(values - (taus - lam * h_top)))

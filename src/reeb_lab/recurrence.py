@@ -45,10 +45,9 @@ import numpy as np
 from .errors import HypothesisFailed, InvalidParameter, IterateUnderflow, JsonFields
 from .indices import IterationProfile, _fits_int64, index_triple
 
-#: scanned_up_to reports the horizon in chunks of this many multiples of N
-_CHUNK = 1 << 16
 #: the first block of j; each next block doubles, up to _BLOCK_MAX and to
 #: about _CHUNK expected R1 candidates
+_CHUNK = 1 << 16
 _BLOCK = 1 << 11
 _BLOCK_MAX = 1 << 30
 _INT64_MAX = 2 ** 63 - 1
@@ -76,6 +75,8 @@ class RecurrenceQuery:
         if (not 0 < self.eta < math.inf or self.ell0 < 1 or self.n_divisor < 1
                 or self.count < 1):
             raise InvalidParameter("finite eta > 0, ell0 >= 1, divisor >= 1, count >= 1 required")
+        if self.k_bound < 0:
+            raise InvalidParameter(f"k_bound must be >= 0, got {self.k_bound}")
 
 
 @dataclass(frozen=True)
@@ -177,6 +178,9 @@ class _Iterates:
 
 @dataclass(frozen=True)
 class SearchResult(JsonFields):
+    """Solutions in increasing k_0; every k_0 <= scanned_up_to was tested
+    (the last solution's k_0, or k_bound when horizon_exhausted)."""
+
     solutions: tuple
     horizon_exhausted: bool
     scanned_up_to: int
@@ -191,8 +195,9 @@ def recurrence_search(query: RecurrenceQuery, on_solution=None) -> SearchResult:
     the module docstring).  Solutions are emitted with strictly increasing d,
     companions chosen as the smallest passing candidate.  on_solution, when
     given, is called with each solution as found (the CLI uses this to
-    stream).  scanned_up_to is the end of the chunk of _CHUNK multiples of N
-    that holds the last solution, or the horizon when it is exhausted.
+    stream).  Every multiple of N up to scanned_up_to was tested: it is the
+    k_0 of the last solution once count solutions are found, and k_bound
+    when the horizon is exhausted first.
 
     Raises InvalidParameter, as index_triple does, when the horizon reaches a k_0
     whose iterate k_0 + ell0 of profile 0 has indices outside int64 before
@@ -238,16 +243,11 @@ def recurrence_search(query: RecurrenceQuery, on_solution=None) -> SearchResult:
         a = b
         size = min(2 * size, _BLOCK_MAX,
                    max(_CHUNK, int(_CHUNK / (2 * _window(eta / N, mean0, b)))))
-    if len(found) < query.count and j_stop <= j_end:
+    exhausted = len(found) < query.count
+    if exhausted and j_stop <= j_end:
         raise InvalidParameter(f"indices of iterate {N * j_stop + query.ell0} leave int64")
-    start, span = N * j_start, _CHUNK * N
-    last = found[-1].k[0] if len(found) >= query.count else N * j_end
-    chunk_end = start + ((last - start) // span + 1) * span - N if last >= start else start - N
-    return SearchResult(
-        solutions=tuple(found),
-        horizon_exhausted=len(found) < query.count,
-        scanned_up_to=min(query.k_bound, chunk_end),
-    )
+    return SearchResult(solutions=tuple(found), horizon_exhausted=exhausted,
+                        scanned_up_to=query.k_bound if exhausted else found[-1].k[0])
 
 
 def _window(w: float, alpha: float, b: int) -> float:

@@ -11,8 +11,10 @@ every k0 that the recurrence search's residue-class enumeration replaced,
 the id-keyed filtered complex and barcode that the integer columns replaced,
 the frozenset columns over filtration positions that the bit columns
 replaced, the normal-form invariants read through the matrix logarithm that
-the form on ker (A - I)^s replaced, and the slope check over the whole
-action spectrum that the check of the multiples next to the slope replaced.
+the form on ker (A - I)^s replaced, the slope check over the whole
+action spectrum that the check of the multiples next to the slope replaced,
+and the rationality detection that re-folded each continued-fraction
+convergent, which the convergent recurrence replaced.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from reeb_lab.audit import (
     case_classify,
     j_range,
 )
-from reeb_lab.ellipsoid import action_spectrum
+from reeb_lab.ellipsoid import _CF_DENOMINATOR_CAP, _CF_REMAINDER, action_spectrum
 from reeb_lab.errors import (
     FiltrationViolation,
     InvalidParameter,
@@ -523,10 +525,12 @@ def scan_recurrence_search(query, on_solution=None) -> SearchResult:
     """Scan k_0 <= k_bound for solutions in chunks of _CHUNK multiples of N,
     with numpy prefilters; the search the residue-class enumeration replaced.
 
-    Two things differ from the replaced code: a chunk ends at hi + 1, not
+    Three things differ from the replaced code: a chunk ends at hi + 1, not
     hi + N, which let a k_bound that is not a multiple of N admit one k_0
-    above it; and the scan raises InvalidParameter at the first k_0 whose iterate
-    k_0 + ell0 of profile 0 leaves int64, where R1's test used to wrap."""
+    above it; the scan raises InvalidParameter at the first k_0 whose iterate
+    k_0 + ell0 of profile 0 leaves int64, where R1's test used to wrap; and
+    scanned_up_to is the k_0 of the last solution, or k_bound when the
+    horizon is exhausted, not the end of the last chunk."""
     p0 = query.profiles[0]
     mean0 = p0.mean_index(1)
     N = query.n_divisor
@@ -572,11 +576,9 @@ def scan_recurrence_search(query, on_solution=None) -> SearchResult:
         if unfit and len(found) < query.count:
             raise InvalidParameter(f"indices of iterate {unfit[0] + query.ell0} leave int64")
         k0 = hi + N
-    return SearchResult(
-        solutions=tuple(found),
-        horizon_exhausted=len(found) < query.count,
-        scanned_up_to=min(query.k_bound, k0 - N),
-    )
+    exhausted = len(found) < query.count
+    return SearchResult(solutions=tuple(found), horizon_exhausted=exhausted,
+                        scanned_up_to=query.k_bound if exhausted else found[-1].k[0])
 
 
 def _scan_assemble(query, k0: int, d: int):
@@ -921,3 +923,34 @@ def enumerated_slope_valid(spec, slope: float, band: float = 1e-9) -> bool:
         return False
     spectrum = action_spectrum(spec, slope * (1.0 + 2.0 * band) + band)
     return all(abs(slope - v) > band * max(1.0, slope) for v in spectrum.values)
+
+
+# ---------------------------------------------------------------------------
+# rationality detection, the continued fraction re-folded at every step
+# ---------------------------------------------------------------------------
+
+def refold_detect_rational(x: float):
+    """detect_rational with each convergent re-folded from the whole
+    coefficient list, as before the convergent recurrence."""
+    if x <= 0:
+        raise InvalidParameter(f"ratio must be positive, got {x}")
+    coeffs = []
+    y = x
+    for _ in range(64):
+        a = math.floor(y)
+        coeffs.append(a)
+        rem = y - a
+        frac = _from_cf(coeffs)
+        if frac.denominator > _CF_DENOMINATOR_CAP:
+            return None, True
+        if rem < _CF_REMAINDER * max(1.0, abs(y)):
+            return frac, False
+        y = 1.0 / rem
+    return None, True
+
+
+def _from_cf(coeffs) -> Fraction:
+    value = Fraction(coeffs[-1])
+    for a in reversed(coeffs[:-1]):
+        value = a + (1 / value if value else Fraction(0))
+    return value

@@ -162,6 +162,8 @@ def golden_system(**overrides):
      "profile 0 has mean index inf"),
     (lambda: RecurrenceQuery(profiles=(IterationProfile(elliptic=(0.3,)),), eta=0.0, ell0=3),
      "finite eta > 0, ell0 >= 1, divisor >= 1, count >= 1 required"),
+    (lambda: RecurrenceQuery(profiles=(IterationProfile(elliptic=(0.3,)),), eta=0.1, ell0=3,
+                             k_bound=-5), "k_bound must be >= 0, got -5"),
     (lambda: verify_recurrence([IterationProfile(elliptic=(0.3,))], 1, [4, 5], 0.1, 3),
      "2 iteration orders for 1 profiles"),
     (lambda: recurrence_search(RecurrenceQuery(

@@ -603,6 +603,13 @@ class TestConfigAndErrors:
         ("spline_one_knot", {}, ["hamiltonian", "--family", "spline", "--knots", "1",
                                  "--slope", "5", "--r-max", "2"],
          "a spline needs at least 2 knots, got 1"),
+        # a negative horizon is rejected, not reported as an empty search
+        ("recurrence_k_bound_negative", {}, ["recurrence-search", "--weights", "1,1.41421356",
+                                             "--eta", "0.1", "--ell0", "3", "--k-bound", "-5"],
+         "k_bound must be >= 0, got -5"),
+        ("audit_k_bound_negative", {"s.json": sqrt2_system_json()},
+         ["audit-lemma", "--system", "s.json", "--k-bound", "-5"],
+         "k_bound must be >= 0, got -5"),
     ])
     def test_invalid_input_exit_2(self, capsys, tmp_path, name, files, argv, message):
         for fname, blob in files.items():
@@ -713,8 +720,6 @@ REACHED_FROM_OUTSIDE = {
     "trace_nonneg_scan": "acceptance criterion 11",
     "compare_action_functions": "perfbench's action_calculus workload",
     "spline_slope": "perfbench's action_calculus workload builds its spline with it",
-    "action_inverse": "the checked form of _action_inverse; the tests call it and "
-                      "perfbench's tracer names it",
     "exclusion_certificate": "the audit's sweep at one pair, which the tests compare "
                              "with the scalar oracle",
     "direct_sum": "matrix builder of the tests",

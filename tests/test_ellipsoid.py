@@ -19,7 +19,7 @@ from reeb_lab.errors import DegenerateEllipsoid, HypothesisFailed
 from reeb_lab.indices import ConvexityReport, SystemOrbit, cz_index_sampled, index_triple
 from reeb_lab.symplectic import direct_sum, rotation2
 
-from _oracles import enumerated_slope_valid
+from _oracles import enumerated_slope_valid, refold_detect_rational
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -45,6 +45,23 @@ class TestRationalDetection:
         x = 1.0 + 1.0 / (10 ** 6 + 7)
         frac, capped = detect_rational(x)
         assert frac is None and capped
+
+
+    @settings(max_examples=500, deadline=None)
+    @given(x=st.one_of(
+        st.floats(0.0, 1e12, exclude_min=True),
+        st.fractions(0, 1000, max_denominator=2 * 10 ** 6).filter(bool).map(float),
+        st.floats(allow_nan=False)))
+    @example(x=1.0 + 1.0 / (10 ** 6 + 7))
+    @example(x=5e-324)
+    def test_convergent_recurrence_matches_refolding(self, x):
+        def outcome(detect):
+            try:
+                return detect(x)
+            except (ValueError, OverflowError) as exc:
+                return type(exc), str(exc)
+
+        assert outcome(detect_rational) == outcome(refold_detect_rational)
 
 
 class TestPeriods:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reeb_lab.cli import _load_csv
 from reeb_lab.errors import (
@@ -21,6 +23,7 @@ from reeb_lab.errors import (
 from reeb_lab.hamiltonian import (
     CylinderTrace,
     ExpProfile,
+    SplineProfile,
     _pow,
     action_from_period,
     action_inverse,
@@ -125,6 +128,19 @@ class TestBuild:
         with pytest.raises(ConvexityViolation,
                            match=r"^h' falls by 1.220e-01 from r = 1.02442 to 1.02466$"):
             make("spline", slope=spline_slope(knots, 2.0), r_max=2.0, knots=tuple(knots))
+
+    @settings(max_examples=200, deadline=None)
+    @given(knots=st.lists(st.floats(0.0, 1e3), min_size=2, max_size=40),
+           r_max=st.floats(1.001, 50.0))
+    def test_spline_slope_is_the_built_h1_at_r_max(self, knots, r_max):
+        # one integration of h'' for both, summed in knot order: Python's
+        # sum() of floats rounds differently from 3.12 on
+        slope = spline_slope(knots, r_max)
+        assert SplineProfile(slope=slope, r_max=r_max, knots=tuple(knots))._dh_knots[-1] == slope
+        dx, sequential = (r_max - 1.0) / (len(knots) - 1), 0.0
+        for a, b in zip(knots, knots[1:]):
+            sequential = sequential + 0.5 * (a + b) * dx
+        assert sequential == slope
 
     def test_spline_slope_mismatch(self):
         # knots integrate to slope 1, not the declared 2

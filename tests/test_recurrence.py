@@ -148,7 +148,19 @@ class TestSearch:
         res = recurrence_search(RecurrenceQuery(
             profiles=(p,), eta=0.01, ell0=3, k_bound=30, count=5))
         assert res.horizon_exhausted
-        assert res.scanned_up_to <= 30
+        assert res.scanned_up_to == 30
+
+    def test_scanned_up_to_is_the_last_tested_k0(self):
+        # the count is reached at k0 = 41; the next solution, at k0 = 58, is
+        # not tested
+        res = recurrence_search(RecurrenceQuery(
+            profiles=sqrt2_profiles(), eta=0.1, ell0=3, k_bound=10 ** 6, count=3))
+        assert [s.k[0] for s in res.solutions] == [17, 24, 41]
+        assert not res.horizon_exhausted and res.scanned_up_to == 41
+        for k_bound in (0, 57):
+            res = recurrence_search(RecurrenceQuery(
+                profiles=sqrt2_profiles(), eta=0.1, ell0=3, k_bound=k_bound, count=4))
+            assert res.horizon_exhausted and res.scanned_up_to == k_bound
 
     def test_streaming_callback(self):
         seen = []
@@ -317,6 +329,14 @@ class TestScanOracle:
              eta=0.1, ell0=2, n_divisor=1, k_bound=100, count=12)
     @example(profiles=[IterationProfile(hyperbolic=(2 ** 58,))],
              eta=0.1, ell0=2, n_divisor=1, k_bound=100, count=11)
+    # a companion's R1 window is wider than the divisor spacing, so the
+    # search's companion prefilter skips it
+    @example(profiles=[IterationProfile(loop_index=2, elliptic=(0.3,)),
+                       IterationProfile(hyperbolic=(1,))],
+             eta=2.5, ell0=1, n_divisor=1, k_bound=200, count=3)
+    # two R1 survivors propose the same d: the second is skipped
+    @example(profiles=[IterationProfile(elliptic=(0.15,))],
+             eta=0.4, ell0=1, n_divisor=1, k_bound=200, count=5)
     def test_same_result_and_stream(self, profiles, eta, ell0, n_divisor, k_bound, count):
         query = RecurrenceQuery(profiles=tuple(profiles), eta=eta, ell0=ell0,
                                 n_divisor=n_divisor, k_bound=k_bound, count=count)
