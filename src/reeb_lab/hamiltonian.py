@@ -46,17 +46,44 @@ GRID_POINTS = 4096
 #: array call disagree with the same call on a float
 _pow = np.float_power
 
+#: halvings of [0, top] within which no bisection bracket has adjacent float
+#: ends: after i of them its width is at least top (2^-i - 2^-52), since each
+#: rounded midpoint is off by at most ulp(top) / 2 <= top 2^-53, and floats
+#: in [0, top] lie at most top 2^-52 apart; two fewer than the 52 fraction
+#: bits leave a margin
+_UNSETTLED_HALVINGS = np.finfo(float).nmant - 2
+
 
 def _bisect(f, target, top: float, steps: int):
     """Midpoint of the bracket [0, top] of an increasing f around target,
     halved ``steps`` times: a midpoint where f(mid) < target becomes the
     lower end, any other the upper end.  Elementwise over the target array,
     with the same midpoints and decisions as one scalar bisection per
-    element."""
+    element.
+
+    ``steps`` is a cap: the loop stops at the first step that changes no
+    element's bracket, and returns what all ``steps`` halvings return.
+    Proof: f and target are fixed, so a step is a function of the arrays
+    (lo, hi) alone.  A step that maps (lo, hi) to itself therefore maps it
+    to itself again at every later step, and the final 0.5 * (lo + hi) is
+    the one the full count reaches.  The test compares with ``==``, which
+    here means equal bits: the ends stay in [+0, top], so no -0 arises,
+    and a NaN end compares unequal and only runs the loop to its cap.
+
+    In floats a bracket is a fixed point only once its ends are adjacent.
+    An interior one gets there after about 54 halvings of [0, top]; one
+    that halves toward 0 (target 0) never does and takes all ``steps``.
+    No bracket gets there within _UNSETTLED_HALVINGS, so the test starts
+    after them.  Where it starts changes no result, only where the loop
+    may stop: steps run past a fixed point leave it as it is.
+    """
     lo, hi = np.zeros_like(target), np.full_like(target, top)
-    for _ in range(steps):
+    for i in range(steps):
         mid = 0.5 * (lo + hi)
         below = f(mid) < target
+        # the step moves lo to mid where below and hi to mid elsewhere
+        if i >= _UNSETTLED_HALVINGS and (mid == np.where(below, lo, hi)).all():
+            break
         lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
     return 0.5 * (lo + hi)
 
@@ -134,9 +161,11 @@ class RadialProfile(JsonFields):
     def dh_inv(self, T):
         """Level r in [1, r_max] with h'(r) = T; exact for closed forms."""
         T = np.asarray(T, dtype=float)
-        if np.any(T < -1e-12) or np.any(T > self.slope * (1 + 1e-12)):
+        # "not inside" rather than "outside": NaN is inside no range
+        outside = ~((T >= -1e-12) & (T <= self.slope * (1 + 1e-12)))
+        if np.any(outside):
             raise PeriodOutOfRange(
-                f"period outside [0, {self.slope}]: {float(np.max(T)):.6g}"
+                f"period outside [0, {self.slope}]: {float(T[outside].flat[0]):.6g}"
             )
         return self._dh_inv(T)
 
@@ -315,7 +344,10 @@ class SplineProfile(RadialProfile):
                 + self._dk[i] * _pow(t, 3) / (6 * self._dx))
 
     def _piece_dh_inv(self, T):
-        # bisection on the monotone h', then one Newton polish where h'' > 0
+        """Bisection of [0, w] on the monotone h', then one Newton polish
+        where h'' > 0.  The bisection takes at most 64 halvings: it stops at
+        the first that moves no bracket, a fixed point of the halving step,
+        so the result is the 64-halving one bit for bit (``_bisect``)."""
         T = np.asarray(T, dtype=float)
         x = _bisect(self._piece_dh, T, self._w, 64)
         d2 = self._piece_d2h(x)
@@ -415,7 +447,7 @@ def action_from_period(profile: RadialProfile, T, k: float = 1.0) -> tuple:
     pair of arrays of its shape.
     """
     T = np.asarray(T, dtype=float)
-    outside = (T < 0) | (T > k * profile.slope * (1 + 1e-12))
+    outside = ~((T >= 0) & (T <= k * profile.slope * (1 + 1e-12)))
     if np.any(outside):
         raise PeriodOutOfRange(
             f"T = {float(T[outside].flat[0]):.6g} outside [0, {k * profile.slope:.6g}]"
@@ -435,11 +467,14 @@ def action_inverse(profile: RadialProfile, alpha, k: float = 1.0):
     Normalized for semi-admissible profiles, where a_{kH} maps [0, k slope]
     onto [0, k c].  alpha is a float (the result is a float) or an array,
     which is bisected as a whole: since a_{kH}'(T) = r(T) >= 1, a_{kH} is
-    strictly increasing, so every element keeps the single bracket that the
-    80 halvings narrow.  Each step takes the same midpoints and the same
-    ``<`` decision per element as one scalar bisection would, and the Newton
-    step is applied where r > 1, so every element is the scalar result bit
-    for bit.
+    strictly increasing, so every element keeps the single bracket that at
+    most 80 halvings narrow: the bisection stops at the first that moves no
+    bracket, a fixed point of the halving step, so the result is the
+    80-halving one (``_bisect``).  An alpha of 0 never settles, so an array
+    that holds it takes all 80.  Each step takes the same midpoints and the
+    same ``<`` decision per element as one scalar bisection would, and the
+    Newton step is applied where r > 1, so every element is the scalar
+    result bit for bit.
     """
     if profile.admissible:
         raise ActionOutOfRange(
@@ -448,7 +483,7 @@ def action_inverse(profile: RadialProfile, alpha, k: float = 1.0):
         )
     top = k * profile.c
     alpha = np.asarray(alpha, dtype=float)
-    outside = (alpha < -1e-12) | (alpha > top * (1 + 1e-12))
+    outside = ~((alpha >= -1e-12) & (alpha <= top * (1 + 1e-12)))
     if np.any(outside):
         raise ActionOutOfRange(
             f"action {float(alpha[outside].flat[0]):.6g} outside [0, {top:.6g}]"
@@ -506,14 +541,19 @@ def transfer_map(profile: RadialProfile, k: float, lam: float,
     """f = a_{(k+lam)H} o a_{kH}^{-1} on the given action grid.
 
     Asserts the sandwich tau - lam * h(r_max) <= f(tau) <= tau pointwise and
-    monotonicity along the grid.
+    monotonicity along the grid.  a_{kH}^{-1} is one ``action_inverse``
+    call over the grid.  Its bisections, at most 80 halvings over the
+    periods and, for a spline, 64 per level solve, each stop at their first
+    halving that moves no bracket, a fixed point of the halving step, so
+    the values are the full counts' bit for bit (``_bisect``).  A grid that
+    holds tau = 0 takes all 80.
     """
     check_transfer_parameters(k, lam)
     if profile.admissible:
         raise ActionOutOfRange("the transfer sandwich is stated for semi-admissible profiles")
     taus = np.asarray(list(taus), dtype=float)
     top = k * profile.c
-    if np.any(taus < -1e-12) or np.any(taus > top * (1 + 1e-9)):
+    if not np.all((taus >= -1e-12) & (taus <= top * (1 + 1e-9))):
         raise ActionOutOfRange(f"tau grid escapes [0, {top:.6g}]")
     T = action_inverse(profile, np.clip(taus, 0.0, top), k)
     values = action_from_period(profile, T, k + lam)[0]

@@ -619,20 +619,31 @@ def _scan_assemble(query, k0: int, d: int):
 # scalar action calculus, one element at a time
 # ---------------------------------------------------------------------------
 
+def scalar_action_from_period(profile, T: float, k: float = 1.0) -> tuple:
+    """(a_{kH}(T), r) for one period T in [0, k * slope]: action_from_period,
+    except that a spline's level comes from scalar_spline_dh_inv, so that no
+    bisection of the library takes part."""
+    if profile.family != "spline":
+        return action_from_period(profile, T, k)
+    period = min(max(T / k, 0.0), profile.slope)
+    r = min(max(float(scalar_spline_dh_inv(profile, period)[0]) + 1.0, 1.0), profile.r_max)
+    return profile.action(r, k), r
+
+
 def scalar_action_inverse(profile, alpha: float, k: float = 1.0) -> float:
-    """80-step bisection of a_{kH}(T) = alpha over scalar action_from_period
+    """80-step bisection of a_{kH}(T) = alpha over scalar_action_from_period
     calls, then one Newton step with a' = r."""
     top = k * profile.c
     alpha = min(max(alpha, 0.0), top)
     lo, hi = 0.0, k * profile.slope
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if action_from_period(profile, mid, k)[0] < alpha:
+        if scalar_action_from_period(profile, mid, k)[0] < alpha:
             lo = mid
         else:
             hi = mid
     T = 0.5 * (lo + hi)
-    val, r = action_from_period(profile, T, k)
+    val, r = scalar_action_from_period(profile, T, k)
     if r > 1.0:
         T = min(max(T - (val - alpha) / r, 0.0), k * profile.slope)
     return T

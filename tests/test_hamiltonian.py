@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reeb_lab import hamiltonian
 from reeb_lab.cli import _load_csv
 from reeb_lab.errors import (
     ActionOutOfRange,
@@ -24,6 +25,7 @@ from reeb_lab.hamiltonian import (
     CylinderTrace,
     ExpProfile,
     SplineProfile,
+    _bisect,
     _pow,
     action_from_period,
     action_inverse,
@@ -364,9 +366,78 @@ class TestArrayPath:
 
     @pytest.mark.parametrize("name", list(SPLINE_KNOTS))
     def test_spline_inverse_matches_scalar_loop(self, name):
-        p = array_profile(name)
-        targets = np.random.default_rng(57).uniform(0.0, p.slope, 40)
-        assert p._piece_dh_inv(targets).tolist() == scalar_spline_dh_inv(p, targets).tolist()
+        # random interior targets stop the bisection early; 0 never lets it
+        # stop; the slope and h' at the knots (with their neighbours) are
+        # the ends of the pieces; a tiny and a wide shell move the point
+        # at which the brackets settle
+        knots = SPLINE_KNOTS[name]
+        for r_max in (2.0, 1.0 + 1e-6, 40.0):
+            p = make("spline", slope=spline_slope(knots, r_max), r_max=r_max, knots=knots)
+            ends = np.concatenate([[0.0, p.slope], p._dh_knots])
+            targets = np.concatenate([
+                np.random.default_rng(57).uniform(0.0, p.slope, 40), ends,
+                np.nextafter(ends, -np.inf), np.nextafter(ends, np.inf)])
+            targets = np.clip(targets, 0.0, p.slope)
+            assert (p._piece_dh_inv(targets).tolist()
+                    == scalar_spline_dh_inv(p, targets).tolist()), r_max
+
+    @settings(max_examples=30, deadline=None)
+    @given(family=st.sampled_from(["quadratic", "cubic", "exp", "spline"]),
+           r_max=st.floats(1.0 + 1e-6, 40.0),
+           slope=st.floats(0.5, 20.0),
+           shape=st.floats(0.05, 0.95),
+           knots=st.lists(st.floats(0.1, 8.0), min_size=2, max_size=8),
+           k=st.floats(1.0, 5.0),
+           fractions=st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+                              min_size=1, max_size=3))
+    def test_action_inverse_matches_scalar_oracle(self, family, r_max, slope, shape,
+                                                  knots, k, fractions):
+        params = {"quadratic": {}, "cubic": {"theta": shape},
+                  "exp": {"beta": 3.0 * shape}, "spline": {"knots": tuple(knots)}}[family]
+        if family == "spline":
+            slope = spline_slope(knots, r_max)
+        p = make(family, slope=slope, r_max=r_max, **params)
+        taus = np.asarray(fractions) * (k * p.c)
+        assert (action_inverse(p, taus, k).tolist()
+                == [scalar_action_inverse(p, float(a), k) for a in taus])
+
+
+class TestBisectionStop:
+    """_bisect stops at its fixed point: counted evaluations of f, which do
+    not depend on the machine, stand in for the time that saves."""
+
+    @staticmethod
+    def counted(f):
+        calls = []
+
+        def g(*args):
+            calls.append(args)
+            return f(*args)
+        return g, calls
+
+    def test_interior_spline_level_stops_well_before_64(self):
+        p = array_profile("spline")
+        f, calls = self.counted(p._piece_dh)
+        _bisect(f, np.array([0.3 * p.slope, 0.7 * p.slope]), p._w, 64)
+        assert len(calls) <= 58
+
+    @pytest.mark.parametrize("targets", [[0.0], [0.0, 1.0]])
+    def test_target_zero_takes_all_64(self, targets):
+        p = array_profile("spline")
+        f, calls = self.counted(p._piece_dh)
+        _bisect(f, np.array(targets), p._w, 64)
+        assert len(calls) == 64
+
+    def test_action_inverse_stops_before_80(self, monkeypatch):
+        p, k = array_profile("spline"), 3.0
+        f, calls = self.counted(hamiltonian._action_from_period)
+        monkeypatch.setattr(hamiltonian, "_action_from_period", f)
+        # one call per midpoint, then one for the Newton step
+        action_inverse(p, np.array([0.3, 0.6]) * k * p.c, k)
+        assert len(calls) - 1 <= 60
+        calls.clear()
+        action_inverse(p, np.array([0.0, 0.6]) * k * p.c, k)
+        assert len(calls) - 1 == 80
 
 
 RANGE_PROFILES = {
@@ -429,6 +500,17 @@ RANGE_PROFILES = {
      "k and lam must be finite, got k = inf, lam = 1.0"),
     ("semi", lambda p: check_action_ratio_monotone(p, math.nan), BadGeometry,
      "r0 = nan outside (1, r_max]"),
+    # NaN is inside no range, and the first value outside is the one reported
+    ("semi", lambda p: action_inverse(p, math.nan), ActionOutOfRange,
+     "action nan outside [0, 7.5]"),
+    ("semi", lambda p: p.dh_inv([0.5, math.nan]), PeriodOutOfRange,
+     "period outside [0, 5.0]: nan"),
+    ("semi", lambda p: action_from_period(p, math.nan), PeriodOutOfRange,
+     "T = nan outside [0, 5]"),
+    ("semi", lambda p: transfer_map(p, 3.0, 1.0, [0.5, math.nan]), ActionOutOfRange,
+     "tau grid escapes [0, 22.5]"),
+    ("spline", lambda p: p.dh_inv([-1.0, 0.5]), PeriodOutOfRange,
+     "period outside [0, 2.0]: -1"),
 ])
 def test_out_of_range_inputs(profile, call, error, message):
     with pytest.raises(error) as err:
