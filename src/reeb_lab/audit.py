@@ -46,7 +46,7 @@ from .errors import (
     json_field,
     json_object,
 )
-from .hamiltonian import RadialProfile, profile_from_json
+from .hamiltonian import GRID_POINTS, RadialProfile, profile_from_json
 from .indices import (
     IterationProfile,
     SystemOrbit,
@@ -114,7 +114,6 @@ class OrbitSystem:
     cbar: float
     mode: str = "hyperbolic"
     b_level: Optional[float] = None
-    grid: int = 4096
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -210,6 +209,7 @@ class OrbitSystem:
             raise BadGeometry(
                 f"vanishing level b = {b:.6g} outside ({A_star:.6g}, {a:.6g})"
             )
+        object.__setattr__(self, "A_star", A_star)    # A_h(r_star), unserialised as b
         object.__setattr__(self, "b", b)
 
     # -- serialization --------------------------------------------------------
@@ -254,7 +254,7 @@ def _derive_constants(system: OrbitSystem) -> DerivedConstants:
     mean_z = z.profile.mean_index(1)
     T0 = system.norm_periods[0]            # equals mean_z by construction
 
-    rs = np.linspace(1.0, H.r_max, system.grid)
+    rs = np.linspace(1.0, H.r_max, GRID_POINTS)
     d2 = H.d2h_shell(rs)
     ah_prime = rs * d2
     C2 = float(np.max(np.abs(ah_prime)))
@@ -281,7 +281,7 @@ def _derive_constants(system: OrbitSystem) -> DerivedConstants:
             f"orbit levels {pts} touch the shell boundary [1, {H.r_max}]"
         )
     xi = 0.5 * xi_max
-    shell = np.linspace(1.0 + xi, H.r_max - xi, system.grid)
+    shell = np.linspace(1.0 + xi, H.r_max - xi, GRID_POINTS)
     c2 = float(np.min(shell * H.d2h_shell(shell)))
     if c2 <= 0:
         raise ShellMarginNotFound(f"|A'| minimum {c2:.3e} <= 0 on the margin shell")
@@ -440,7 +440,7 @@ def _aligned_certificate(system: OrbitSystem, solution: RecurrenceSolution,
     dc = system.derived
     kind, delta = resonance_classify(system, i)
     r_level = float(H.dh_inv(j * system.norm_periods[i] / k))
-    gap = k * abs(float(H.action(r_level)) - float(H.action(dc.r_star)))
+    gap = k * abs(float(H.action(r_level)) - system.A_star)
     numbers = {
         "r_level": r_level, "r_star": dc.r_star, "action_gap": gap,
         "sigma": system.sigma, "resonance": kind,
@@ -621,8 +621,8 @@ def _audit_solution(system: OrbitSystem, solution: RecurrenceSolution) -> Soluti
 
 def _contradiction(system: OrbitSystem, solution: RecurrenceSolution) -> dict:
     """Vanishing-window bookkeeping of one solution."""
-    A = solution.k[0] * float(system.hamiltonian.action(system.derived.r_star))
-    margin = system.b - float(system.hamiltonian.action(system.derived.r_star))
+    A = solution.k[0] * system.A_star
+    margin = system.b - system.A_star
     k_threshold = math.ceil(2.0 * system.cbar / margin) if margin > 0 else None
     return {
         "action": A,

@@ -100,17 +100,14 @@ def lefschetz_residuals(induced_maps: Sequence,
 
     induced_maps gives the data on degrees 0, 1, 2 of the quotient pair: a
     matrix (traces of its powers are used), a number (constant declared
-    trace for every m), a callable m -> trace, or an empty matrix/None for a
-    vanishing degree.  fixed_point_indices holds one integer or callable
-    m -> integer per fixed point of the quotient map.  Declared trace data
-    need not be realizable by a matrix; the residual just reports the
-    bookkeeping of the identity.
+    trace for every m), or an empty matrix/None for a vanishing degree.
+    fixed_point_indices holds one integer per fixed point of the quotient
+    map.  Declared trace data need not be realizable by a matrix; the
+    residual just reports the bookkeeping of the identity.
     """
     def trace_fn(entry):
         if entry is None:
             return lambda m: 0.0
-        if callable(entry):
-            return lambda m: float(entry(m))
         if isinstance(entry, (int, float)):
             return lambda m: float(entry)
         M = np.atleast_2d(np.asarray(entry, dtype=float))
@@ -121,12 +118,9 @@ def lefschetz_residuals(induced_maps: Sequence,
     fns = [trace_fn(e) for e in induced_maps]
     while len(fns) < 3:
         fns.append(lambda m: 0.0)
-    residuals = []
-    for m in range(1, m_max + 1):
-        alt = sum((-1) ** deg * fn(m) for deg, fn in enumerate(fns[:3]))
-        idx_sum = sum(float(idx(m)) if callable(idx) else float(idx)
-                      for idx in fixed_point_indices)
-        residuals.append(alt - idx_sum)
+    idx_sum = sum(float(idx) for idx in fixed_point_indices)
+    residuals = [sum((-1) ** deg * fn(m) for deg, fn in enumerate(fns[:3])) - idx_sum
+                 for m in range(1, m_max + 1)]
     return LefschetzReport(residuals=tuple(residuals),
                            max_abs_residual=float(np.max(np.abs(residuals))))
 

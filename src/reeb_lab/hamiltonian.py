@@ -61,29 +61,29 @@ def _bisect(f, target, top: float, steps: int):
     with the same midpoints and decisions as one scalar bisection per
     element.
 
-    ``steps`` is a cap: the loop stops at the first step that changes no
-    element's bracket, and returns what all ``steps`` halvings return.
-    Proof: f and target are fixed, so a step is a function of the arrays
-    (lo, hi) alone.  A step that maps (lo, hi) to itself therefore maps it
-    to itself again at every later step, and the final 0.5 * (lo + hi) is
-    the one the full count reaches.  The test compares with ``==``, which
-    here means equal bits: the ends stay in [+0, top], so no -0 arises,
-    and a NaN end compares unequal and only runs the loop to its cap.
+    ``steps`` is a cap: the loop stops at the first step whose midpoints
+    are all ends of their brackets, before f is evaluated there, and
+    returns them, which is what all ``steps`` halvings return.  Proof: a
+    step keeps a bracket whose midpoint is one of its ends or collapses it
+    onto that end, and the midpoint of either is that end again, so every
+    later step does the same.  The test compares with ``==``, which here
+    means equal bits: the ends stay in [+0, top], so no -0 arises, and a
+    NaN midpoint compares unequal and only runs the loop to its cap.
 
-    In floats a bracket is a fixed point only once its ends are adjacent.
-    An interior one gets there after about 54 halvings of [0, top]; one
+    In floats a midpoint is an end only once the ends are adjacent.  An
+    interior bracket gets there after about 54 halvings of [0, top]; one
     that halves toward 0 (target 0) never does and takes all ``steps``.
     No bracket gets there within _UNSETTLED_HALVINGS, so the test starts
-    after them.  Where it starts changes no result, only where the loop
-    may stop: steps run past a fixed point leave it as it is.
+    after them, and a one-element bisection never evaluates f twice at
+    one point.  Where the test starts changes no result, only where the
+    loop may stop.
     """
     lo, hi = np.zeros_like(target), np.full_like(target, top)
     for i in range(steps):
         mid = 0.5 * (lo + hi)
+        if i >= _UNSETTLED_HALVINGS and ((mid == lo) | (mid == hi)).all():
+            return mid
         below = f(mid) < target
-        # the step moves lo to mid where below and hi to mid elsewhere
-        if i >= _UNSETTLED_HALVINGS and (mid == np.where(below, lo, hi)).all():
-            break
         lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
     return 0.5 * (lo + hi)
 
@@ -346,8 +346,9 @@ class SplineProfile(RadialProfile):
     def _piece_dh_inv(self, T):
         """Bisection of [0, w] on the monotone h', then one Newton polish
         where h'' > 0.  The bisection takes at most 64 halvings: it stops at
-        the first that moves no bracket, a fixed point of the halving step,
-        so the result is the 64-halving one bit for bit (``_bisect``)."""
+        the first whose midpoints are all ends of their brackets, before
+        h' is evaluated there, so the result is the 64-halving one bit for
+        bit (``_bisect``)."""
         T = np.asarray(T, dtype=float)
         x = _bisect(self._piece_dh, T, self._w, 64)
         d2 = self._piece_d2h(x)
@@ -468,13 +469,13 @@ def action_inverse(profile: RadialProfile, alpha, k: float = 1.0):
     onto [0, k c].  alpha is a float (the result is a float) or an array,
     which is bisected as a whole: since a_{kH}'(T) = r(T) >= 1, a_{kH} is
     strictly increasing, so every element keeps the single bracket that at
-    most 80 halvings narrow: the bisection stops at the first that moves no
-    bracket, a fixed point of the halving step, so the result is the
-    80-halving one (``_bisect``).  An alpha of 0 never settles, so an array
-    that holds it takes all 80.  Each step takes the same midpoints and the
-    same ``<`` decision per element as one scalar bisection would, and the
-    Newton step is applied where r > 1, so every element is the scalar
-    result bit for bit.
+    most 80 halvings narrow: the bisection stops at the first whose
+    midpoints are all ends of their brackets, before a_{kH} is evaluated
+    there, so the result is the 80-halving one (``_bisect``).  An alpha of
+    0 never settles, so an array that holds it takes all 80.  Each step
+    takes the same midpoints and the same ``<`` decision per element as one
+    scalar bisection would, and the Newton step is applied where r > 1, so
+    every element is the scalar result bit for bit.
     """
     if profile.admissible:
         raise ActionOutOfRange(
@@ -544,9 +545,9 @@ def transfer_map(profile: RadialProfile, k: float, lam: float,
     monotonicity along the grid.  a_{kH}^{-1} is one ``action_inverse``
     call over the grid.  Its bisections, at most 80 halvings over the
     periods and, for a spline, 64 per level solve, each stop at their first
-    halving that moves no bracket, a fixed point of the halving step, so
-    the values are the full counts' bit for bit (``_bisect``).  A grid that
-    holds tau = 0 takes all 80.
+    halving whose midpoints are all ends of their brackets, before the
+    function is evaluated there, so the values are the full counts' bit
+    for bit (``_bisect``).  A grid that holds tau = 0 takes all 80.
     """
     check_transfer_parameters(k, lam)
     if profile.admissible:

@@ -103,17 +103,24 @@ class RecurrenceSolution(JsonFields):
 
 def verify_recurrence(profiles: Sequence[IterationProfile], d: int,
                       ks: Sequence[int], eta: float, ell0: int) -> Certificate:
-    """Exact per-condition verification; every computed value is recorded."""
+    """Exact per-condition verification; every computed value is recorded.
+    Every k_i is checked against ell0 before any index is computed."""
     profiles = list(profiles)
     ks = [int(k) for k in ks]
     if len(ks) != len(profiles):
         raise InvalidParameter(f"{len(ks)} iteration orders for {len(profiles)} profiles")
-    records = []
-    for i, (p, k) in enumerate(zip(profiles, ks)):
+    for i, k in enumerate(ks):
         if k - ell0 < 1:
             raise IterateUnderflow(f"profile {i}: k = {k} <= ell0 = {ell0}")
-        records += _Iterates(p, _one(d), _one(k), eta, ell0).records(i)
-    return Certificate(ok=all(r.ok for r in records), records=tuple(records))
+    return _certificate([(_Iterates(p, _one(d), _one(k), eta, ell0), 0)
+                         for p, k in zip(profiles, ks)])
+
+
+def _certificate(picked: Sequence) -> Certificate:
+    """The Certificate of (_Iterates, candidate) pairs, one per profile in
+    order: every record of each, ok when all of them hold."""
+    records = tuple(r for i, (it, c) in enumerate(picked) for r in it.records(i, c))
+    return Certificate(ok=all(r.ok for r in records), records=records)
 
 
 def _one(n: int) -> np.ndarray:
@@ -221,13 +228,11 @@ def recurrence_search(query: RecurrenceQuery, on_solution=None) -> SearchResult:
         means = k0s * mean0
         ds = np.rint(means / N).astype(np.int64) * N
         mask = (np.abs(means - ds) < eta) & (ds > last_d)
-        # companion feasibility prefilter: for each other profile there must
-        # be a multiple of N within the R1 window around d / mean_i; only
-        # sound when the window is narrower than the divisor spacing
+        # companion feasibility prefilter: for each other profile one of the
+        # two multiples of N next to d / mean_i must lie in its R1 window;
+        # when eta >= N mean_i one always does, as they are N mean_i apart
         for p in query.profiles[1:]:
             mi = p.mean_index(1)
-            if eta >= N * mi:
-                continue
             approx = ds / (N * mi)
             cand_lo = np.floor(approx).astype(np.int64) * N
             cand_hi = cand_lo + N
@@ -326,15 +331,13 @@ def _convergent(x: Fraction, q_max: int) -> tuple:
 
 def _solutions(query: RecurrenceQuery, k0s: np.ndarray, ds: np.ndarray, last_d: int):
     """Yield the solutions among R1 survivors (k0s, ds), increasing in k0,
-    each with d above the last one yielded (or above last_d).
+    each with d above the last one yielded; every d exceeds last_d.
 
-    Profile 0's R1-R3 run in one _Iterates over all survivors with d above
-    last_d.
+    Profile 0's R1-R3 run in one _Iterates over all survivors.
     """
     if not k0s.size:
         return
-    keep = ds > last_d
-    it0 = _Iterates(query.profiles[0], ds[keep], k0s[keep], query.eta, query.ell0)
+    it0 = _Iterates(query.profiles[0], ds, k0s, query.eta, query.ell0)
     for c in np.flatnonzero(it0.ok).tolist():
         if it0.d[c] <= last_d:
             continue
@@ -346,8 +349,9 @@ def _solutions(query: RecurrenceQuery, k0s: np.ndarray, ds: np.ndarray, last_d: 
 
 def _assemble(query: RecurrenceQuery, it0: _Iterates, c: int) -> Optional[RecurrenceSolution]:
     """The solution at candidate c of it0, which passes R1-R3 on profile 0,
-    or None: companions in order, each the smallest passing k in its R1
-    window, then every record, consequences included, must hold."""
+    or None: companions in order, each the smallest passing multiple of N in
+    its R1 window, tested in one _Iterates, then every record, consequences
+    included, must hold."""
     N, eta, ell0 = query.n_divisor, query.eta, query.ell0
     d = int(it0.d[c])
     picked = [(it0, c)]
@@ -355,20 +359,18 @@ def _assemble(query: RecurrenceQuery, it0: _Iterates, c: int) -> Optional[Recurr
         mi = p.mean_index(1)
         lo = int(np.floor((d - eta) / (N * mi))) * N
         hi = int(np.ceil((d + eta) / (N * mi))) * N
-        for k in range(max(N, lo), hi + N, N):
-            if k - ell0 < 1 or abs(k * mi - d) >= eta:
-                continue
-            it = _Iterates(p, _one(d), _one(k), eta, ell0)
-            if it.ok[0]:
-                picked.append((it, 0))   # smallest passing candidate wins
-                break
-        else:
+        ks = np.arange(max(N, lo), hi + N, N, dtype=np.int64)
+        ks = ks[(ks - ell0 >= 1) & (np.abs(ks * mi - d) < eta)]
+        it = _Iterates(p, np.full(ks.size, d, dtype=np.int64), ks, eta, ell0)
+        passing = np.flatnonzero(it.ok)
+        if not passing.size:
             return None
-    records = [r for i, (it, at) in enumerate(picked) for r in it.records(i, at)]
-    if not all(r.ok for r in records):
+        picked.append((it, int(passing[0])))   # the smallest passing k wins
+    cert = _certificate(picked)
+    if not cert.ok:
         return None
     return RecurrenceSolution(d=d, k=tuple(int(it.k[at]) for it, at in picked), eta=eta,
-                              ell0=ell0, certificate=Certificate(ok=True, records=tuple(records)))
+                              ell0=ell0, certificate=cert)
 
 
 @dataclass(frozen=True)

@@ -197,9 +197,11 @@ class TestConstruction:
         assert d.r_star == pytest.approx(1.6)
         assert d.c2 == pytest.approx((1.0 + d.xi) * 5.0)
 
-    def test_constants_stable_under_grid_refinement(self):
-        coarse = sqrt2_system(grid=4096).derived
-        fine = sqrt2_system(grid=8192).derived
+    def test_constants_stable_under_grid_refinement(self, monkeypatch):
+        monkeypatch.setattr(audit_module, "GRID_POINTS", 4096)
+        coarse = sqrt2_system().derived
+        monkeypatch.setattr(audit_module, "GRID_POINTS", 8192)
+        fine = sqrt2_system().derived
         for name in ("C1", "C2", "c1", "c2", "xi"):
             assert getattr(coarse, name) == pytest.approx(getattr(fine, name),
                                                           rel=1e-6)

@@ -421,6 +421,15 @@ class TestBisectionStop:
         _bisect(f, np.array([0.3 * p.slope, 0.7 * p.slope]), p._w, 64)
         assert len(calls) <= 58
 
+    def test_interior_spline_level_evaluates_each_point_once(self):
+        # the loop stops before f once every midpoint is an end of its
+        # bracket, an end where f was already evaluated
+        p = array_profile("spline")
+        f, calls = self.counted(p._piece_dh)
+        _bisect(f, np.array([0.3 * p.slope]), p._w, 64)
+        points = [float(mid[0]) for (mid,) in calls]
+        assert len(set(points)) == len(points)
+
     @pytest.mark.parametrize("targets", [[0.0], [0.0, 1.0]])
     def test_target_zero_takes_all_64(self, targets):
         p = array_profile("spline")
