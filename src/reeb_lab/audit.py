@@ -46,7 +46,7 @@ from .errors import (
     json_field,
     json_object,
 )
-from .hamiltonian import GRID_POINTS, RadialProfile, profile_from_json
+from .hamiltonian import RadialProfile, profile_from_json
 from .indices import (
     IterationProfile,
     SystemOrbit,
@@ -254,10 +254,9 @@ def _derive_constants(system: OrbitSystem) -> DerivedConstants:
     mean_z = z.profile.mean_index(1)
     T0 = system.norm_periods[0]            # equals mean_z by construction
 
-    rs = np.linspace(1.0, H.r_max, GRID_POINTS)
-    d2 = H.d2h_shell(rs)
-    ah_prime = rs * d2
-    C2 = float(np.max(np.abs(ah_prime)))
+    # h'' and |A_h'| = r h'' are >= 0 on the certified shell
+    rs, d2 = H.d2h_extremes(1.0, H.r_max)
+    C2 = float(np.max(rs * d2))
     d2_max = float(np.max(d2))
     if d2_max <= 0:
         raise ShellMarginNotFound("h'' vanishes on the whole shell")
@@ -281,8 +280,8 @@ def _derive_constants(system: OrbitSystem) -> DerivedConstants:
             f"orbit levels {pts} touch the shell boundary [1, {H.r_max}]"
         )
     xi = 0.5 * xi_max
-    shell = np.linspace(1.0 + xi, H.r_max - xi, GRID_POINTS)
-    c2 = float(np.min(shell * H.d2h_shell(shell)))
+    rs, d2 = H.d2h_extremes(1.0 + xi, H.r_max - xi)
+    c2 = float(np.min(rs * d2))
     if c2 <= 0:
         raise ShellMarginNotFound(f"|A'| minimum {c2:.3e} <= 0 on the margin shell")
 

@@ -120,13 +120,12 @@ class SupportOutOfRange(ReebLabError):
 # -- Hamiltonian profiles and action functions --------------------------------
 
 class ConvexityViolation(ReebLabError):
-    """h''(r) = value is not positive, or, with a message, h' falls by
-    -value from r to the next point of the grid."""
+    """h''(r) = value is not positive."""
 
-    def __init__(self, r: float, value: float, message: str | None = None):
+    def __init__(self, r: float, value: float):
         self.r = r
         self.value = value
-        super().__init__(message or f"h''({r:.6g}) = {value:.3e} "
+        super().__init__(f"h''({r:.6g}) = {value:.3e} "
                          + ("< 0" if value < 0 else "is not positive"))
 
 

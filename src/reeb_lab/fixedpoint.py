@@ -5,6 +5,7 @@ residuals for quotient-map iterates, and nonnegative-trace scans.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -99,8 +100,9 @@ def lefschetz_residuals(induced_maps: Sequence,
     """Residual of the alternating trace identity for iterates m = 1..m_max.
 
     induced_maps gives the data on degrees 0, 1, 2 of the quotient pair: a
-    matrix (traces of its powers are used), a number (constant declared
-    trace for every m), or an empty matrix/None for a vanishing degree.
+    matrix (traces of its powers are used), a real number, numpy scalars
+    included (constant declared trace for every m), or an empty matrix/None
+    for a vanishing degree.
     fixed_point_indices holds one integer per fixed point of the quotient
     map.  Declared trace data need not be realizable by a matrix; the
     residual just reports the bookkeeping of the identity.
@@ -108,7 +110,7 @@ def lefschetz_residuals(induced_maps: Sequence,
     def trace_fn(entry):
         if entry is None:
             return lambda m: 0.0
-        if isinstance(entry, (int, float)):
+        if isinstance(entry, numbers.Real):
             return lambda m: float(entry)
         M = np.atleast_2d(np.asarray(entry, dtype=float))
         if M.size == 0:

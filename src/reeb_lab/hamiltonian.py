@@ -39,8 +39,6 @@ from .errors import (
     json_value,
 )
 
-GRID_POINTS = 4096
-
 #: x ** n through libm's pow, elementwise: numpy's ``**`` on arrays takes a
 #: SIMD path that can differ from pow in the last bit, which would make an
 #: array call disagree with the same call on a float
@@ -154,9 +152,17 @@ class RadialProfile(JsonFields):
             (r > 1.0) & (r < self.r_max), self._piece_d2h(x), 0.0))
 
     def d2h_shell(self, r):
-        """Shell-piece h'' with one-sided boundary values; for bound constants
-        that must dominate the supremum over the closed shell."""
+        """h'' of the shell piece at r clipped to [1, r_max]: at the ends its
+        one-sided values, which d2h, 0 off the open shell, does not give."""
         return self._on_shell(r, lambda r, x: self._piece_d2h(x))
+
+    def d2h_extremes(self, a, b):
+        """(r, h''(r)) at every r in [a, b] where h'' or r h'' can take its
+        least or greatest value over [a, b], for 1 <= a <= b <= r_max: their
+        max and min over these r are those over all of [a, b].  A closed
+        form's h'' is nondecreasing, and so is r h'': the two ends."""
+        r = np.array([a, b], dtype=float)
+        return r, self.d2h_shell(r)
 
     def dh_inv(self, T):
         """Level r in [1, r_max] with h'(r) = T; exact for closed forms."""
@@ -324,6 +330,21 @@ class SplineProfile(RadialProfile):
                 break
         object.__setattr__(self, "h_triple_nonneg_up_to", r0)
 
+    def d2h_extremes(self, a, b):
+        """The ends, the knots inside [a, b] with their own values, and the
+        vertex of r h'' on each piece.  h'' is linear on a piece, so r h''
+        is quadratic there, with zeros at r = 0 and where the line of h''
+        crosses 0, and its vertex halfway between them."""
+        r = 1.0 + np.arange(len(self.knots)) * self._dx
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vertex = 0.5 * (r[:-1] - self._k[:-1] * self._dx / self._dk)
+        # a flat piece has no vertex: inf or NaN, which no comparison keeps
+        vertex = vertex[(vertex >= a) & (vertex <= b)]
+        inside = (r >= a) & (r <= b)
+        ends = np.array([a, b], dtype=float)
+        return (np.concatenate([ends, r[inside], vertex]),
+                np.concatenate([self.d2h_shell(ends), self._k[inside], self.d2h_shell(vertex)]))
+
     def _locate(self, x):
         x = np.asarray(x, dtype=float)
         # np.clip would look up the integer limits on every call
@@ -377,8 +398,13 @@ def build_profile(family: str = "quadratic", *, slope: float, r_max: float,
                   c0: float = 0.0, **params) -> RadialProfile:
     """Construct and certify a profile.
 
-    All type invariants are checked numerically on a dense grid: h monotone,
-    h'' >= 0 with h'' > 0 inside the shell, C^1 joins at r = 1 and r = r_max.
+    h'' >= 0 on the shell and > 0 inside it is decided exactly, so h'
+    rises.  A spline's h'' is linear between its knots: the inner knots
+    must be > 0 and the end knots >= 0.  A closed form's h'' is
+    nondecreasing: h''(1) must be > 0 as computed, so an h'' that
+    underflows to 0 is rejected.  ConvexityViolation names the first
+    offending (r, h'') in r order.  The C^1 joins at r = 1 and r = r_max
+    are probed on the shell piece.
     """
     if family not in _FAMILIES:
         raise InvalidParameter(f"unknown profile family {family!r}")
@@ -410,22 +436,15 @@ def profile_from_json(obj: dict) -> RadialProfile:
 
 
 def _certify(profile: RadialProfile):
-    rs = np.linspace(1.0, profile.r_max, GRID_POINTS)
-    d2 = profile.d2h(rs[1:-1])
-    bad = np.where(d2 < -1e-12 * max(1.0, profile.slope))[0]
-    if bad.size:
-        i = bad[0] + 1
-        raise ConvexityViolation(float(rs[i]), float(d2[bad[0]]))
-    if np.any(d2 <= 0):
-        i = int(np.argmin(d2)) + 1
-        raise ConvexityViolation(float(rs[i]), float(np.min(d2)))
-    # h'' can dip below 0 between the grid points; h' then falls across them
-    step = np.diff(profile.dh(rs))
-    if np.any(step < -1e-12 * profile.slope):
-        i = int(np.argmin(step))
-        raise ConvexityViolation(float(rs[i]), float(step[i]),
-                                 f"h' falls by {-step[i]:.3e} from r = {rs[i]:.6g} "
-                                 f"to {rs[i + 1]:.6g}")
+    if isinstance(profile, SplineProfile):
+        k = profile._k
+        bad = np.flatnonzero(np.concatenate([k[:1] < 0, k[1:-1] <= 0, k[-1:] < 0]))
+        if bad.size:
+            raise ConvexityViolation(float(1.0 + bad[0] * profile._dx), float(k[bad[0]]))
+    else:
+        d2_1 = float(profile._piece_d2h(0.0))
+        if not d2_1 > 0:
+            raise ConvexityViolation(1.0, d2_1)
     # the joins, probed on the shell piece: dh and h take their values at and
     # beyond the ends from the constant and linear pieces, which start there
     dh_1, dh_r_max = (float(profile._piece_dh(x)) for x in (0.0, profile._w))
@@ -587,10 +606,14 @@ def homotopy_action_derivative(profile: RadialProfile, k: float, lam: float,
 
 
 def check_action_ratio_monotone(profile: RadialProfile, r0: float) -> bool:
-    """True iff A_h(r)/r is nondecreasing on [1, r0].
+    """True iff A_h(r)/r is nondecreasing on [1, r0], decided as
+    h''(1) + c0 >= 0: h''(1) >= -c0 to a relative 1e-12, which absorbs the
+    rounding of h''(1) where the two are equal.
 
-    Requires a certified h''' >= 0 region covering [1, r0]; with that
-    hypothesis a False return signals a build error, not a profile property.
+    Requires a certified h''' >= 0 region covering [1, r0].  There
+    (A_h/r)' = g/r^2 with g = r^2 h'' - r h' + h, whose derivative
+    r h'' + r^2 h''' is >= 0, so g >= g(1) = h''(1) + c0: the ratio rises
+    if that is >= 0, and falls just past r = 1 if it is < 0.
     """
     if r0 > profile.h_triple_nonneg_up_to + 1e-12:
         raise UncertifiedRegion(
@@ -598,9 +621,7 @@ def check_action_ratio_monotone(profile: RadialProfile, r0: float) -> bool:
         )
     if not 1.0 < r0 <= profile.r_max + 1e-12:
         raise BadGeometry(f"r0 = {r0} outside (1, r_max]")
-    rs = np.linspace(1.0, r0, GRID_POINTS)
-    ratio = profile.action(rs) / rs
-    return bool(np.all(np.diff(ratio) >= -1e-12 * max(1.0, profile.c)))
+    return float(profile.d2h_shell(1.0)) >= -profile.c0 * (1.0 - 1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ chain are the same object; they are counted under nu0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -49,55 +48,6 @@ def standard_form(m: int) -> np.ndarray:
     J[:m, m:] = np.eye(m)
     J[m:, :m] = -np.eye(m)
     return J
-
-
-def flow_rotation(m: int) -> np.ndarray:
-    """JHAT = -J; the flow of z^T S z / 2 is exp(t * JHAT @ S)."""
-    return -standard_form(m)
-
-
-def quadratic_flow(S: np.ndarray) -> np.ndarray:
-    """Time-1 flow map of the quadratic Hamiltonian with Hessian S."""
-    S = np.asarray(S, dtype=float)
-    m = S.shape[0] // 2
-    return _expm(flow_rotation(m) @ S)
-
-
-def _expm(K: np.ndarray) -> np.ndarray:
-    # Scaling-and-squaring with a Taylor core; avoids a scipy dependency.
-    n = int(np.ceil(max(0.0, np.log2(max(1e-300, np.linalg.norm(K, 2))))) + 4)
-    A = K / (2.0 ** n)
-    out = np.eye(K.shape[0])
-    term = np.eye(K.shape[0])
-    for j in range(1, 24):
-        term = term @ A / j
-        out = out + term
-    for _ in range(n):
-        out = out @ out
-    return out
-
-
-def rotation2(theta: float) -> np.ndarray:
-    """Counterclockwise rotation; flow of the positive definite form at theta > 0."""
-    c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, -s], [s, c]])
-
-
-def hyperbolic2(lam: float) -> np.ndarray:
-    return np.diag([lam, 1.0 / lam])
-
-
-def direct_sum(blocks: Sequence[np.ndarray]) -> np.ndarray:
-    """Assemble 2x2 symplectic blocks into split coordinates.
-
-    Block i acts on the plane (q_i, p_i), i.e. rows/columns (i, m+i).
-    """
-    m = len(blocks)
-    M = np.eye(2 * m)
-    for i, B in enumerate(blocks):
-        idx = np.array([i, m + i])
-        M[np.ix_(idx, idx)] = B
-    return M
 
 
 @dataclass(frozen=True)

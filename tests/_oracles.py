@@ -70,12 +70,12 @@ from reeb_lab.symplectic import (
     DEFAULT_TOL,
     SymplecticMatrix,
     WilliamsonInvariants,
-    _expm,
     _null_basis,
     _rank,
-    flow_rotation,
     standard_form,
 )
+
+from _matrices import _expm, flow_rotation
 
 
 def flow_path(S: np.ndarray, n_samples: int = 400, t_end: float = 1.0) -> np.ndarray:

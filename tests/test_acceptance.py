@@ -28,8 +28,8 @@ from reeb_lab.hamiltonian import (
 from reeb_lab.indices import IterationProfile, SystemOrbit, cz_index_sampled, index_triple
 from reeb_lab.recurrence import RecurrenceQuery, convexity_gap_check, recurrence_search
 from reeb_lab.symplectic import WilliamsonInvariants, validate_symplectic, williamson_invariants
-from reeb_lab.symplectic import quadratic_flow
 
+from _matrices import quadratic_flow
 from _oracles import bars_betti, finite_difference, flow_path, random_complex, sublevel_betti
 
 SQRT2 = math.sqrt(2.0)

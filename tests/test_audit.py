@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reeb_lab.audit as audit_module
 
@@ -197,14 +199,28 @@ class TestConstruction:
         assert d.r_star == pytest.approx(1.6)
         assert d.c2 == pytest.approx((1.0 + d.xi) * 5.0)
 
-    def test_constants_stable_under_grid_refinement(self, monkeypatch):
-        monkeypatch.setattr(audit_module, "GRID_POINTS", 4096)
-        coarse = sqrt2_system().derived
-        monkeypatch.setattr(audit_module, "GRID_POINTS", 8192)
-        fine = sqrt2_system().derived
-        for name in ("C1", "C2", "c1", "c2", "xi"):
-            assert getattr(coarse, name) == pytest.approx(getattr(fine, name),
-                                                          rel=1e-6)
+    @pytest.mark.parametrize("family, params", [
+        ("quadratic", {}), ("cubic", {"theta": 0.6}), ("exp", {"beta": 1.5})])
+    @pytest.mark.parametrize("slope, r_max", [(5.0, 2.0), (8.0, 2.0), (8.0, 3.0)])
+    def test_closed_form_constants_are_endpoint_values(self, family, params, slope, r_max):
+        # h'' and r h'' are nondecreasing: each constant is its value at an
+        # end of its interval, bit for bit
+        H = build_profile(family, slope=slope, r_max=r_max, **params)
+        d = sqrt2_system(hamiltonian=H, sigma=100.0).derived
+        assert d.C2 == r_max * H.d2h_shell(r_max)
+        assert d.c1 == 1.0 / H.d2h_shell(r_max)
+        assert d.c2 == (1.0 + d.xi) * H.d2h_shell(1.0 + d.xi)
+
+    def test_tall_spline_knot_between_grid_points(self):
+        # h'' is 5 but for one knot of 1000 between two points of a
+        # 4096-point grid of the shell, which sit on knots of 5
+        knots = [5.0] * 8191
+        knots[201] = 1000.0
+        H = build_profile("spline", slope=spline_slope(knots, 2.0), r_max=2.0,
+                          knots=tuple(knots))
+        d = sqrt2_system(hamiltonian=H, sigma=100.0).derived
+        assert d.c1 == 1.0 / 1000.0
+        assert d.C2 == pytest.approx((1.0 + 201 / 8190) * 1000.0, rel=1e-15)
 
     def test_eta_budget_enforced(self):
         with pytest.raises(BadGeometry):
@@ -296,6 +312,40 @@ class TestConstruction:
         round_ = OrbitSystem.from_json(sys_.to_json())
         assert round_.derived.to_json() == sys_.derived.to_json()
         assert round_.norm_periods == sys_.norm_periods
+
+
+@st.composite
+def _profiles_and_intervals(draw):
+    """A built profile of any family and a subinterval [a, b] of its shell."""
+    family = draw(st.sampled_from(["quadratic", "cubic", "exp", "spline"]))
+    r_max = draw(st.floats(1.01, 10.0))
+    if family == "spline":
+        knots = tuple(draw(st.lists(st.floats(1e-3, 1e3), min_size=2, max_size=40)))
+        H = build_profile("spline", slope=spline_slope(knots, r_max), r_max=r_max, knots=knots)
+    else:
+        params = {"cubic": {"theta": draw(st.floats(0.05, 0.95))},
+                  "exp": {"beta": draw(st.floats(0.1, 5.0))}}.get(family, {})
+        H = build_profile(family, slope=draw(st.floats(0.1, 100.0)), r_max=r_max, **params)
+    u, v = sorted(draw(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0))))
+    w = r_max - 1.0
+    return H, 1.0 + u * w, 1.0 + v * w
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_profiles_and_intervals())
+def test_exact_shell_extremes_bound_a_dense_grid(case):
+    H, a, b = case
+    rs, d2 = H.d2h_extremes(a, b)
+    assert np.all((a <= rs) & (rs <= b))
+    grid = np.linspace(a, b, 20001)
+    d2_grid = H.d2h_shell(grid)
+    scale = float(np.max(d2_grid)) * b
+    # each extreme is a value of h'' on [a, b], up to rounding ...
+    assert np.all(np.abs(d2 - H.d2h_shell(rs)) <= 1e-9 * scale)
+    # ... and no sample of the grid lies beyond them, by more than rounding
+    for exact, sampled in ((d2, d2_grid), (rs * d2, grid * d2_grid)):
+        assert exact.max() >= sampled.max() - 1e-12 * scale
+        assert exact.min() <= sampled.min() + 1e-12 * scale
 
 
 def per_ell_hypothesis_failure(mode, orbits, ell0, n):

@@ -589,10 +589,10 @@ class TestConfigAndErrors:
         ("transfer_three_values", {}, ["hamiltonian", "--slope", "5", "--r-max", "2",
                                        "--transfer", "1,2,3"],
          "--transfer takes k,lam, got '1,2,3'"),
-        # h'' underflows to 0 inside the shell: not positive, and not negative
+        # h'' underflows to 0 at r = 1, its least value: not positive, and not negative
         ("exp_h2_underflows", {}, ["hamiltonian", "--family", "exp", "--beta", "1e-28",
                                    "--slope", "5", "--r-max", "7e30"],
-         "h''(1.7094e+27) = 0.000e+00 is not positive"),
+         "h''(1) = 0.000e+00 is not positive"),
         # the system checks the mode; the parser lists no choices
         ("mode_unknown", {"s.json": sqrt2_system_json()},
          ["audit-lemma", "--system", "s.json", "--mode", "elliptic"], "mode must be one of"),
@@ -722,10 +722,6 @@ REACHED_FROM_OUTSIDE = {
     "spline_slope": "perfbench's action_calculus workload builds its spline with it",
     "exclusion_certificate": "the audit's sweep at one pair, which the tests compare "
                              "with the scalar oracle",
-    "direct_sum": "matrix builder of the tests",
-    "rotation2": "matrix builder of the tests",
-    "hyperbolic2": "matrix builder of the tests",
-    "quadratic_flow": "matrix builder of the tests and acceptance criterion 3",
 }
 
 

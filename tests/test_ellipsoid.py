@@ -17,8 +17,8 @@ from reeb_lab.ellipsoid import (
 )
 from reeb_lab.errors import DegenerateEllipsoid, HypothesisFailed
 from reeb_lab.indices import ConvexityReport, SystemOrbit, cz_index_sampled, index_triple
-from reeb_lab.symplectic import direct_sum, rotation2
 
+from _matrices import direct_sum, rotation2
 from _oracles import enumerated_slope_valid, refold_detect_rational
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0

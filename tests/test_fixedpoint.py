@@ -116,6 +116,15 @@ class TestLefschetz:
         assert rep.ok
         assert rep.max_abs_residual == 0.0
 
+    @pytest.mark.parametrize("scalar", [np.int64, np.float64])
+    def test_numpy_scalar_is_a_declared_trace(self, scalar):
+        # a numpy scalar is a number, not a 1x1 matrix whose powers alternate
+        rep = lefschetz_residuals(
+            induced_maps=[scalar(1), scalar(-1), None],
+            fixed_point_indices=[1, 1],
+            m_max=4)
+        assert rep.residuals == (0.0, 0.0, 0.0, 0.0)
+
     def test_matrix_degree_one_breaks_from_second_iterate(self):
         # an actual matrix with trace -1 has trace +1 at even powers: the
         # residual surfaces exactly the impossibility the identity encodes

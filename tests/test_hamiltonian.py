@@ -108,28 +108,48 @@ class TestBuild:
         assert 1.0 < err.value.r < 2.0
 
     def test_certified_on_the_fixed_grid(self):
-        # a grid of two points had no interior point and certified this profile
+        # convexity is read from the knots, with no grid for a caller to
+        # coarsen: the negative inner knot is named at its own level
         knots = (1.0, -0.5, 1.0)
         args = dict(slope=spline_slope(knots, 2.0), r_max=2.0, knots=knots)
         with pytest.raises(TypeError):
             build_profile("spline", grid=2, **args)
-        with pytest.raises(ConvexityViolation, match=r"^h''\(1.33358\) = -7.326e-04 < 0$"):
+        with pytest.raises(ConvexityViolation, match=r"^h''\(1.5\) = -5.000e-01 < 0$"):
             build_profile("spline", **args)
 
     def test_convexity_violation_of_a_zero_h2_is_not_negative(self):
-        # h'' underflows to 0 in the middle of a very long shell
+        # h'' underflows to 0 at r = 1, the least value of a closed form's
+        # nondecreasing h'', on a very long shell
         with pytest.raises(ConvexityViolation,
-                           match=r"^h''\(1.7094e\+27\) = 0.000e\+00 is not positive$"):
+                           match=r"^h''\(1\) = 0.000e\+00 is not positive$"):
             make("exp", beta=1e-28, slope=5.0, r_max=7e30)
 
     def test_falling_h1_between_grid_points_reported_as_h1(self):
-        # knots twice as dense as the certification grid: h'' is 1 at every
-        # grid point and dips to -1000 at one knot between two of them
+        # knots twice as dense as the old 4096-point certification grid: h''
+        # was 1 at every grid point and dips to -1000 at one knot between two
+        # of them; the knot itself is reported
         knots = [1.0] * 8191
         knots[201] = -1000.0
         with pytest.raises(ConvexityViolation,
-                           match=r"^h' falls by 1.220e-01 from r = 1.02442 to 1.02466$"):
+                           match=r"^h''\(1.02454\) = -1.000e\+03 < 0$"):
             make("spline", slope=spline_slope(knots, 2.0), r_max=2.0, knots=tuple(knots))
+
+    @pytest.mark.parametrize("knots, message", [
+        ((-1.0, 1.0, 3.0), r"^h''\(1\) = -1.000e\+00 < 0$"),
+        ((1.0, 0.0, 1.0), r"^h''\(1.5\) = 0.000e\+00 is not positive$"),
+        ((1.0, 2.0, -0.5), r"^h''\(2\) = -5.000e-01 < 0$"),
+        # the first offending knot in r order, not the most negative
+        ((1.0, 0.0, -0.5, 3.0), r"^h''\(1.33333\) = 0.000e\+00 is not positive$"),
+    ])
+    def test_knots_decide_convexity(self, knots, message):
+        with pytest.raises(ConvexityViolation, match=message):
+            make("spline", slope=spline_slope(knots, 2.0), r_max=2.0, knots=knots)
+
+    @pytest.mark.parametrize("knots", [(0.0, 1.0), (1.0, 0.0), (0.0, 2.0, 0.0)])
+    def test_end_knots_of_zero_build(self, knots):
+        # h'' > 0 is asked of the open shell only
+        p = make("spline", slope=spline_slope(knots, 2.0), r_max=2.0, knots=knots)
+        assert p.d2h_shell(1.0) == knots[0] and p.d2h_shell(2.0) == knots[-1]
 
     @settings(max_examples=200, deadline=None)
     @given(knots=st.lists(st.floats(0.0, 1e3), min_size=2, max_size=40),
@@ -575,6 +595,26 @@ class TestRatioMonotone:
         with pytest.raises(UncertifiedRegion):
             check_action_ratio_monotone(p, 2.0)
         assert check_action_ratio_monotone(p, p.h_triple_nonneg_up_to)
+
+    def test_falls_where_c0_is_below_minus_h2_at_1(self):
+        # h''(1) + c0 = 5 - 6 < 0: A_h/r falls just past r = 1
+        p = make(c0=-6.0)
+        assert not check_action_ratio_monotone(p, p.r_max)
+        rs = np.linspace(1.0, 1.001, 3)
+        assert np.diff(p.action(rs) / rs)[0] < 0
+        assert check_action_ratio_monotone(make(c0=-5.0), p.r_max)    # = 0 rises
+        # h''(1) = 1 = -c0 computes to 1 - 2^-52, within the rounding allowed
+        q = make("cubic", theta=0.9, r_max=1.5, c0=-1.0)
+        assert float(q.d2h_shell(1.0)) < 1.0 and check_action_ratio_monotone(q, q.r_max)
+
+    @pytest.mark.parametrize("family,params", FAMILIES)
+    @pytest.mark.parametrize("c0", np.linspace(0.0, -20.0, 8).tolist())
+    def test_matches_a_dense_grid(self, family, params, c0):
+        p = make(family, c0=c0, **params)
+        rs = np.linspace(1.0, p.r_max, 4096)
+        ratio = p.action(rs) / rs
+        sampled = bool(np.all(np.diff(ratio) >= -1e-12 * max(1.0, p.c)))
+        assert check_action_ratio_monotone(p, p.r_max) == sampled
 
 
 def _constant_trace(profile, k=2.0, level=1.5, n_s=9, n_t=8):

@@ -25,7 +25,9 @@ from reeb_lab.indices import (
     support_interval,
     winding,
 )
-from reeb_lab.symplectic import WilliamsonInvariants, direct_sum, rotation2
+from reeb_lab.symplectic import WilliamsonInvariants
+
+from _matrices import direct_sum, rotation2
 
 from _oracles import (
     crossing_index,

@@ -13,15 +13,9 @@ from reeb_lab.errors import (
     ReebLabError,
     UnresolvedNormalForm,
 )
-from reeb_lab.symplectic import (
-    direct_sum,
-    hyperbolic2,
-    quadratic_flow,
-    rotation2,
-    validate_symplectic,
-    williamson_invariants,
-)
+from reeb_lab.symplectic import validate_symplectic, williamson_invariants
 
+from _matrices import direct_sum, hyperbolic2, quadratic_flow, rotation2
 from _oracles import flow_path, log_williamson_invariants
 from reeb_lab.indices import cz_index_sampled
 
