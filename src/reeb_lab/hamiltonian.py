@@ -51,39 +51,139 @@ _pow = np.float_power
 #: bits leave a margin
 _UNSETTLED_HALVINGS = np.finfo(float).nmant - 2
 
+#: points at which one call of f in _bisect may evaluate it, summed over the
+#: elements: a call takes the midpoints of the next K levels of every
+#: element's bracket, 2^K - 1 of them, for the largest K >= 1 whose points
+#: fit, so an array of more than a third of it keeps one level per call.
+#: Up to about this size a call of f costs numpy's fixed overhead per
+#: operation, not its length.  In-process transfer_map timings, interleaved
+#: on a shared 2-vCPU x86 VM with numpy 2.4: on a 2-tau spline transfer,
+#: whose outer bisection gets K = 6 and whose level solves then get K = 1,
+#: 128 took 10% less time than 64, and 256 more; the closed forms' 21-tau
+#: transfers (K = 2) took the same time at 64 and 128
+_NODE_BUDGET = 128
+
+
+class _BisectionTree:
+    """Buffers and views for ``levels`` levels of _bisect over every element
+    of ``ends`` (shape (2, size): the brackets' lower and upper ends) at
+    once, made once per _bisect call (twice when its last call of f takes
+    fewer levels) and refilled for each call of f.
+
+    Row r of the grid holds each element's point r / 2^levels of the way
+    from lo to hi as the halvings round it: rows 0 and 2^levels are the
+    ends (``ends`` views them), and ``build`` fills the rest, coarsest
+    level first, each as ``0.5 * (left + right)`` of the two rows that
+    bound it at its level.  f gets rows 1 .. 2^levels - 1 as one flat
+    array (``nodes``), and ``below`` receives ``f(nodes) < target``
+    (``target`` repeats the target once per row).
+
+    Level j of the descent holds each element's subtree, 2^(levels - j) + 1
+    points and their decisions, with its midpoint in the middle row.  It
+    copies into the next level's buffers the half that the decision at
+    that midpoint keeps: the upper half where f(mid) < target, else the
+    lower; the last level copies the bracket it keeps into _bisect's
+    ``ends``.  Every buffer is allocated here, so the descent allocates
+    nothing.
+    """
+
+    __slots__ = ("levels", "ends", "build", "nodes", "below", "target", "descent")
+
+    def __init__(self, levels: int, ends, repeated):
+        size = ends.shape[1]
+        n = 1 << levels
+        grid = np.empty((n + 1, size))
+        below = np.empty((n - 1, size), dtype=bool)
+        self.levels = levels
+        self.ends = grid[::n]
+        self.nodes = grid[1:-1].reshape(-1)
+        self.below = below.reshape(-1)
+        self.target = repeated[:self.below.size]
+        self.build = []
+        while n > 1:
+            self.build.append((grid[n // 2::n], grid[:-1:n], grid[n::n]))
+            n //= 2
+        self.descent = []
+        for j in range(levels):
+            c = len(grid) // 2
+            if j == levels - 1:
+                into, below_into = ends, None
+            else:
+                into = np.empty((c + 1, size))
+                below_into = np.empty((c - 1, size), dtype=bool)
+            self.descent.append((grid[c], grid[0], grid[-1], below[c - 1],
+                                 into, grid[:c + 1], grid[c:],
+                                 below_into, below[:c - 1], below[c:]))
+            grid, below = into, below_into
+
 
 def _bisect(f, target, top: float, steps: int):
     """Midpoint of the bracket [0, top] of an increasing f around target,
     halved ``steps`` times: a midpoint where f(mid) < target becomes the
     lower end, any other the upper end.  Elementwise over the target array,
-    with the same midpoints and decisions as one scalar bisection per
-    element.
+    of any shape, with the same midpoints and decisions as one scalar
+    bisection per element.
 
-    ``steps`` is a cap: the loop stops at the first step whose midpoints
-    are all ends of their brackets, before f is evaluated there, and
-    returns them, which is what all ``steps`` halvings return.  Proof: a
-    step keeps a bracket whose midpoint is one of its ends or collapses it
-    onto that end, and the midpoint of either is that end again, so every
-    later step does the same.  The test compares with ``==``, which here
-    means equal bits: the ends stay in [+0, top], so no -0 arises, and a
-    NaN midpoint compares unequal and only runs the loop to its cap.
+    One call of f covers several levels.  It evaluates f at the midpoints
+    of the next K levels of every element's bracket, the 2^K - 1 nodes of
+    its bisection tree, as one flat array; K comes from _NODE_BUDGET and
+    the target's size, and is smaller in the last call only if ``steps``
+    runs out.  The descent then walks those K levels with the stored
+    ``f(node) < target``.  The result is the one-level loop's bit for bit:
+    each node is ``0.5 * (lo + hi)`` of the two points that bound it in the
+    tree, so the node on an element's path at each level is the one-level
+    loop's midpoint, computed from the same lo and hi, and the path takes
+    the same ``<`` decision there.  The nodes off the path are evaluated
+    and decide nothing.  So f must be elementwise, but it need not
+    increase: its values steer only the path.
+
+    ``steps`` is a cap: the descent stops at the first level whose
+    midpoints are all ends of their brackets, and returns them, which is
+    what all ``steps`` halvings return.  Proof: a step keeps a bracket
+    whose midpoint is one of its ends or collapses it onto that end, and
+    the midpoint of either is that end again, so every later step does the
+    same.  The test compares with ``==``, which here means equal bits: the
+    ends stay in [+0, top], so no -0 arises, and a NaN midpoint compares
+    unequal and only runs the loop to its cap.
 
     In floats a midpoint is an end only once the ends are adjacent.  An
     interior bracket gets there after about 54 halvings of [0, top]; one
     that halves toward 0 (target 0) never does and takes all ``steps``.
     No bracket gets there within _UNSETTLED_HALVINGS, so the test starts
-    after them, and a one-element bisection never evaluates f twice at
-    one point.  Where the test starts changes no result, only where the
-    loop may stop.
+    after them.  Where the test starts changes no result, only where the
+    loop may stop.  A call of f whose first level would stop is never
+    made; a call that passes the stop has evaluated nodes past it, which
+    decide nothing.
     """
-    lo, hi = np.zeros_like(target), np.full_like(target, top)
-    for i in range(steps):
-        mid = 0.5 * (lo + hi)
-        if i >= _UNSETTLED_HALVINGS and ((mid == lo) | (mid == hi)).all():
-            return mid
-        below = f(mid) < target
-        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
+    target = np.asarray(target, dtype=float)
+    flat = target.reshape(-1)
+    depth = max(1, (_NODE_BUDGET // max(flat.size, 1) + 1).bit_length() - 1)
+    repeated = np.tile(flat, (1 << depth) - 1)
+    ends = np.empty((2, flat.size))
+    ends[0], ends[1] = 0.0, top
+    tree = _BisectionTree(min(depth, steps), ends, repeated)
+    i = 0
+    while i < steps:
+        if steps - i < tree.levels:
+            tree = _BisectionTree(steps - i, ends, repeated)
+        tree.ends[...] = ends
+        for mids, left, right in tree.build:
+            mids[...] = 0.5 * (left + right)
+        evaluated = False
+        for (mid, lo, hi, below, into, lower, upper,
+             below_into, below_lower, below_upper) in tree.descent:
+            if i >= _UNSETTLED_HALVINGS and ((mid == lo) | (mid == hi)).all():
+                return mid.reshape(target.shape)
+            if not evaluated:
+                np.less(f(tree.nodes), tree.target, out=tree.below)
+                evaluated = True
+            np.copyto(into, lower)
+            np.copyto(into, upper, where=below)
+            if below_into is not None:
+                np.copyto(below_into, below_lower)
+                np.copyto(below_into, below_upper, where=below)
+            i += 1
+    return (0.5 * (ends[0] + ends[1])).reshape(target.shape)
 
 
 @dataclass(frozen=True)
@@ -366,10 +466,13 @@ class SplineProfile(RadialProfile):
 
     def _piece_dh_inv(self, T):
         """Bisection of [0, w] on the monotone h', then one Newton polish
-        where h'' > 0.  The bisection takes at most 64 halvings: it stops at
-        the first whose midpoints are all ends of their brackets, before
-        h' is evaluated there, so the result is the 64-halving one bit for
-        bit (``_bisect``)."""
+        where h'' > 0.  The bisection takes at most 64 halvings, several
+        levels per evaluation of h' where T holds few elements (one level
+        for more than _NODE_BUDGET / 3), and stops at the first level whose
+        midpoints are all ends of their brackets, so the result is the
+        64-halving one-level loop's bit for bit (``_bisect``).  T may have
+        any shape: inside action_inverse it holds every node of the outer
+        bisection's tree."""
         T = np.asarray(T, dtype=float)
         x = _bisect(self._piece_dh, T, self._w, 64)
         d2 = self._piece_d2h(x)
@@ -488,13 +591,16 @@ def action_inverse(profile: RadialProfile, alpha, k: float = 1.0):
     onto [0, k c].  alpha is a float (the result is a float) or an array,
     which is bisected as a whole: since a_{kH}'(T) = r(T) >= 1, a_{kH} is
     strictly increasing, so every element keeps the single bracket that at
-    most 80 halvings narrow: the bisection stops at the first whose
-    midpoints are all ends of their brackets, before a_{kH} is evaluated
-    there, so the result is the 80-halving one (``_bisect``).  An alpha of
-    0 never settles, so an array that holds it takes all 80.  Each step
-    takes the same midpoints and the same ``<`` decision per element as one
-    scalar bisection would, and the Newton step is applied where r > 1, so
-    every element is the scalar result bit for bit.
+    most 80 halvings narrow.  One evaluation of a_{kH} covers several
+    levels of them: the midpoints of the next K levels of every element's
+    bracket, 2^K - 1 per element, within _NODE_BUDGET points (K = 1 for
+    more than _NODE_BUDGET / 3 elements).  The bisection stops at the first level
+    whose midpoints are all ends of their brackets, so the result is the
+    80-halving one (``_bisect``).  An alpha of 0 never settles, so an array
+    that holds it takes all 80.  Each level takes the same midpoints and
+    the same ``<`` decision per element as one scalar bisection would, and
+    the Newton step is applied where r > 1, so every element is the scalar
+    result bit for bit.
     """
     if profile.admissible:
         raise ActionOutOfRange(
@@ -561,17 +667,24 @@ def transfer_map(profile: RadialProfile, k: float, lam: float,
     """f = a_{(k+lam)H} o a_{kH}^{-1} on the given action grid.
 
     Asserts the sandwich tau - lam * h(r_max) <= f(tau) <= tau pointwise and
-    monotonicity along the grid.  a_{kH}^{-1} is one ``action_inverse``
+    monotonicity along the grid, which must be a nonempty 1-D sequence
+    (InvalidParameter otherwise).  a_{kH}^{-1} is one ``action_inverse``
     call over the grid.  Its bisections, at most 80 halvings over the
-    periods and, for a spline, 64 per level solve, each stop at their first
-    halving whose midpoints are all ends of their brackets, before the
-    function is evaluated there, so the values are the full counts' bit
-    for bit (``_bisect``).  A grid that holds tau = 0 takes all 80.
+    periods and, for a spline, 64 per level solve, evaluate several levels
+    per call where the array is small: a grid of 2 taus takes 6 levels of
+    the periods per call, and each level solve then gets the 126 periods
+    of that call's tree and takes one level per call, as does any grid of
+    more than _NODE_BUDGET / 3 taus.  Each bisection stops at its first
+    level whose midpoints are all ends of their brackets, so the values are
+    the full one-level counts' bit for bit (``_bisect``).  A grid that
+    holds tau = 0 takes all 80.
     """
     check_transfer_parameters(k, lam)
     if profile.admissible:
         raise ActionOutOfRange("the transfer sandwich is stated for semi-admissible profiles")
     taus = np.asarray(list(taus), dtype=float)
+    if taus.ndim != 1 or not taus.size:
+        raise InvalidParameter(f"tau grid must be a nonempty 1-D sequence, got shape {taus.shape}")
     top = k * profile.c
     if not np.all((taus >= -1e-12) & (taus <= top * (1 + 1e-9))):
         raise ActionOutOfRange(f"tau grid escapes [0, {top:.6g}]")

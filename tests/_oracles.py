@@ -10,7 +10,8 @@ array code replaced, kept to check it bit for bit. So are the scan over
 every k0 that the recurrence search's residue-class enumeration replaced,
 the id-keyed filtered complex and barcode that the integer columns replaced,
 the frozenset columns over filtration positions that the bit columns
-replaced, the normal-form invariants read through the matrix logarithm that
+replaced, the one-level bisection that the bisection of several levels
+per call replaced, the normal-form invariants read through the matrix logarithm that
 the form on ker (A - I)^s replaced, the slope check over the whole
 action spectrum that the check of the multiples next to the slope replaced,
 and the rationality detection that re-folded each continued-fraction
@@ -51,7 +52,7 @@ from reeb_lab.errors import (
     UnresolvedNormalForm,
 )
 from reeb_lab.floergraph import INF, Bar
-from reeb_lab.hamiltonian import action_from_period
+from reeb_lab.hamiltonian import _UNSETTLED_HALVINGS, action_from_period
 from reeb_lab.indices import (
     INTEGER_BAND,
     IndexTriple,
@@ -618,6 +619,21 @@ def _scan_assemble(query, k0: int, d: int):
 # ---------------------------------------------------------------------------
 # scalar action calculus, one element at a time
 # ---------------------------------------------------------------------------
+
+def scalar_bisect(f, target, top: float, steps: int):
+    """The bisection that _bisect's several levels per call of f replaced:
+    one level per call, elementwise over the target array, stopping at the
+    first step after _UNSETTLED_HALVINGS whose midpoints are all ends of
+    their brackets."""
+    lo, hi = np.zeros_like(target), np.full_like(target, top)
+    for i in range(steps):
+        mid = 0.5 * (lo + hi)
+        if i >= _UNSETTLED_HALVINGS and ((mid == lo) | (mid == hi)).all():
+            return mid
+        below = f(mid) < target
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
 
 def scalar_action_from_period(profile, T: float, k: float = 1.0) -> tuple:
     """(a_{kH}(T), r) for one period T in [0, k * slope]: action_from_period,

@@ -40,7 +40,12 @@ from reeb_lab.hamiltonian import (
     transfer_map,
 )
 
-from _oracles import finite_difference, scalar_action_inverse, scalar_spline_dh_inv
+from _oracles import (
+    finite_difference,
+    scalar_action_inverse,
+    scalar_bisect,
+    scalar_spline_dh_inv,
+)
 
 FAMILIES = [
     ("quadratic", {}),
@@ -422,51 +427,141 @@ class TestArrayPath:
                 == [scalar_action_inverse(p, float(a), k) for a in taus])
 
 
+def dipped(x):
+    """x, except 4 ulps lower on (0.5, 0.5 + 2^-30): increasing but for an
+    ulp-level dip, which a bisection toward 0.5 meets."""
+    x = np.asarray(x, dtype=float)
+    return np.where((x > 0.5) & (x < 0.5 + 2.0 ** -30), x - 4 * np.spacing(x), x)
+
+
+def bisection_case(name):
+    """(f, top, scale): f on [0, top], with targets drawn from [0, scale]."""
+    if name == "dipped":
+        return dipped, 1.0, 1.0
+    p = array_profile("spline" if name == "spline h'" else "spline-nonmonotone")
+    if name == "spline h'":
+        return p._piece_dh, p._w, p.slope
+    # h'' of knots that fall and rise again: an f that is not monotone
+    return p._piece_d2h, p._w, max(p.knots)
+
+
+class TestBisectLevels:
+    """_bisect covers several levels per call of f and returns what the
+    one-level loop (scalar_bisect) returns, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(["spline h'", "nonmonotone spline h''", "dipped"]),
+           size=st.sampled_from([0, 1, 2, 3]) | st.integers(0, 3 * hamiltonian._NODE_BUDGET),
+           rows=st.sampled_from([None, 1, 2, 3]),
+           steps=st.sampled_from([1, 2, 7, 51, 64, 80]),
+           at_ends=st.sampled_from([0.0, 0.1, 1.0]),
+           near_dip=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_equals_the_one_level_loop(self, name, size, rows, steps, at_ends, near_dip,
+                                       seed):
+        # sizes up to 3x the budget draw every depth, one level per call
+        # included; rows give 2-D targets; a share of the targets sits at 0
+        # and at the top of f's range
+        f, top, scale = bisection_case(name)
+        rng = np.random.default_rng(seed)
+        if near_dip:
+            targets = 0.5 + rng.integers(-8, 8, size) * np.spacing(0.5)
+        else:
+            targets = rng.uniform(0.0, scale, size)
+        at_end = rng.random(size) < at_ends
+        targets[at_end] = np.where(rng.random(size) < 0.5, 0.0, scale)[at_end]
+        if rows is not None:
+            targets = targets[:size - size % rows].reshape(rows, -1)
+        got = _bisect(f, targets, top, steps)
+        want = scalar_bisect(f, targets, top, steps)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert got.tolist() == want.tolist()
+
+
 class TestBisectionStop:
-    """_bisect stops at its fixed point: counted evaluations of f, which do
-    not depend on the machine, stand in for the time that saves."""
+    """_bisect stops at its fixed point, counted in levels of f's calls:
+    counts, which do not depend on the machine, stand in for the time that
+    saves."""
 
     @staticmethod
     def counted(f):
         calls = []
 
-        def g(*args):
-            calls.append(args)
-            return f(*args)
+        def g(x):
+            calls.append(np.array(x))
+            return f(x)
         return g, calls
+
+    @staticmethod
+    def levels(calls, size):
+        """Levels per call: a call takes the 2^K - 1 nodes of K levels of
+        each of ``size`` elements."""
+        return [(x.size // size + 1).bit_length() - 1 for x in calls]
 
     def test_interior_spline_level_stops_well_before_64(self):
         p = array_profile("spline")
         f, calls = self.counted(p._piece_dh)
         _bisect(f, np.array([0.3 * p.slope, 0.7 * p.slope]), p._w, 64)
-        assert len(calls) <= 58
+        # the one-level loop stopped within 58 levels; 2 elements take
+        # 6 levels per call
+        assert sum(self.levels(calls, 2)) <= 60
 
-    def test_interior_spline_level_evaluates_each_point_once(self):
-        # the loop stops before f once every midpoint is an end of its
-        # bracket, an end where f was already evaluated
+    def test_each_level_of_the_path_evaluated_once(self):
+        # the one-level loop decides at each point of the path once and
+        # stops before f once every midpoint is an end of its bracket; the
+        # calls cover those levels, each level in one call, and no call
+        # starts at the stop
         p = array_profile("spline")
+        target = np.array([0.3 * p.slope])
         f, calls = self.counted(p._piece_dh)
-        _bisect(f, np.array([0.3 * p.slope]), p._w, 64)
-        points = [float(mid[0]) for (mid,) in calls]
-        assert len(set(points)) == len(points)
+        _bisect(f, target, p._w, 64)
+        g, path = self.counted(p._piece_dh)
+        scalar_bisect(g, target, p._w, 64)
+        path = [float(x[0]) for x in path]
+        assert len(set(path)) == len(path)
+        levels = self.levels(calls, 1)
+        assert sum(levels[:-1]) < len(path) <= sum(levels)
+        starts = np.cumsum([0] + levels)
+        for level, point in enumerate(path):
+            call = int(np.searchsorted(starts, level, side="right")) - 1
+            assert point in calls[call].tolist()
 
     @pytest.mark.parametrize("targets", [[0.0], [0.0, 1.0]])
     def test_target_zero_takes_all_64(self, targets):
         p = array_profile("spline")
         f, calls = self.counted(p._piece_dh)
         _bisect(f, np.array(targets), p._w, 64)
-        assert len(calls) == 64
+        assert sum(self.levels(calls, len(targets))) == 64
 
     def test_action_inverse_stops_before_80(self, monkeypatch):
         p, k = array_profile("spline"), 3.0
-        f, calls = self.counted(hamiltonian._action_from_period)
-        monkeypatch.setattr(hamiltonian, "_action_from_period", f)
-        # one call per midpoint, then one for the Newton step
+        periods = []
+        original = hamiltonian._action_from_period
+
+        def recorded(profile, T, k):
+            periods.append(np.array(T))
+            return original(profile, T, k)
+        monkeypatch.setattr(hamiltonian, "_action_from_period", recorded)
+        # the bisection's calls, then one for the Newton step
         action_inverse(p, np.array([0.3, 0.6]) * k * p.c, k)
-        assert len(calls) - 1 <= 60
-        calls.clear()
+        assert sum(self.levels(periods[:-1], 2)) <= 60
+        periods.clear()
         action_inverse(p, np.array([0.0, 0.6]) * k * p.c, k)
-        assert len(calls) - 1 == 80
+        assert sum(self.levels(periods[:-1], 2)) == 80
+
+    @pytest.mark.parametrize("size", [hamiltonian._NODE_BUDGET // 3 + 1,
+                                      hamiltonian._NODE_BUDGET, 3 * hamiltonian._NODE_BUDGET])
+    def test_large_array_takes_one_level_per_call(self, size):
+        p = array_profile("spline")
+        f, calls = self.counted(p._piece_dh)
+        targets = np.random.default_rng(size).uniform(0.0, p.slope, size)
+        _bisect(f, targets, p._w, 64)
+        assert set(self.levels(calls, size)) == {1}
+        # the largest array below a third of the budget takes two
+        calls.clear()
+        _bisect(f, targets[:hamiltonian._NODE_BUDGET // 3], p._w, 64)
+        assert set(self.levels(calls, hamiltonian._NODE_BUDGET // 3)) == {2}
 
 
 RANGE_PROFILES = {
@@ -540,6 +635,11 @@ RANGE_PROFILES = {
      "tau grid escapes [0, 22.5]"),
     ("spline", lambda p: p.dh_inv([-1.0, 0.5]), PeriodOutOfRange,
      "period outside [0, 2.0]: -1"),
+    # a grid that is empty or not a line is a typed error, not numpy's
+    ("semi", lambda p: transfer_map(p, 3.0, 2.0, []), InvalidParameter,
+     "tau grid must be a nonempty 1-D sequence, got shape (0,)"),
+    ("semi", lambda p: transfer_map(p, 3.0, 2.0, [[0.1, 0.2]]), InvalidParameter,
+     "tau grid must be a nonempty 1-D sequence, got shape (1, 2)"),
 ])
 def test_out_of_range_inputs(profile, call, error, message):
     with pytest.raises(error) as err:
