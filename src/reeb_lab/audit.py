@@ -141,6 +141,7 @@ class OrbitSystem:
         z = self.orbits[0]
         mean_z = z.profile.mean_index(1)
         ells = np.arange(1, self.ell0 + 1, dtype=np.int64)
+        iterates = []       # each orbit's indices of its iterates 1..ell0, as checked
         if self.mode in ("hyperbolic", "hyperbolic_lower"):
             if not z.hyperbolic or z.profile.elliptic or z.profile.degenerate:
                 raise HypothesisFailed(
@@ -157,6 +158,7 @@ class OrbitSystem:
                 )
             for pos, o in enumerate(self.orbits):
                 t = index_triple(o.profile, ells)
+                iterates.append(t)
                 mu, nu = t.mu_minus, t.nu_a
                 need = 3 + nu if self.mode == "hyperbolic_lower" else np.maximum(3, 2 + nu)
                 if (mu < need).any():
@@ -172,6 +174,7 @@ class OrbitSystem:
                 if o.profile.degenerate is not None:
                     raise HypothesisFailed(f"orbit {pos} is degenerate")
                 t = index_triple(o.profile, ells)
+                iterates.append(t)
                 degenerate = t.nu_a > 0
                 bad = degenerate | (t.mu_minus < self.n + 1)
                 if bad.any():
@@ -181,6 +184,7 @@ class OrbitSystem:
             if self.ell0 != self.n + 1:
                 raise BadGeometry(f"pseudo-rotation mode fixes ell0 = n + 1 = {self.n + 1}")
 
+        object.__setattr__(self, "iterates", tuple(iterates))
         # normalization: rescale periods so the distinguished one equals its mean index
         scale = mean_z / z.period
         norm = tuple(o.period * scale for o in self.orbits)
@@ -382,12 +386,12 @@ def _sweep(system: OrbitSystem, solution: RecurrenceSolution, i: int, js: np.nda
     """Certify the pairs (i, j) of orbit i for an int64 array js of consecutive j.
 
     One index_triple call gives the supports of every j but the centre (k_0 on
-    the distinguished orbit, the aligned k_i on a companion); one more over
-    iterates 1..ell0 gives the recurrence floors and ceilings of the near
-    pairs.  Returns the ExclusionReasons of the listed j (increasing, among
-    js) and the index gaps of the js but the centre.  The first pair that
-    fails raises SupportOutOfRange or NotExcluded, once every listed pair
-    before it is certified.
+    the distinguished orbit, the aligned k_i on a companion); the system's
+    indices of iterates 1..ell0 give the recurrence floors and ceilings of
+    the near pairs.  Returns the ExclusionReasons of the listed j
+    (increasing, among js) and the index gaps of the js but the centre.  The
+    first pair that fails raises SupportOutOfRange or NotExcluded, once every
+    listed pair before it is certified.
     """
     cases = [case_classify(system, solution, i, j) for j in listed]
     profile = system.orbits[i].profile
@@ -398,7 +402,7 @@ def _sweep(system: OrbitSystem, solution: RecurrenceSolution, i: int, js: np.nda
     bad = np.flatnonzero(escaped | (gaps < 2))
     fail = int(others[bad[0]]) if bad.size else None
     if CASE_NEAR in cases:
-        t = index_triple(profile, np.arange(1, system.ell0 + 1, dtype=np.int64))
+        t = system.iterates[i]
         floors, ceilings = solution.d + t.mu_minus, solution.d - t.mu_minus + t.nu_a
     reasons = []
     for j, case in zip(listed, cases):
@@ -529,8 +533,9 @@ def audit(system: OrbitSystem, solutions: Optional[Sequence[RecurrenceSolution]]
           count: int = 3, k_bound: int = 10 ** 6) -> AuditReport:
     """Run the full exclusion sweep over recurrence solutions.
 
-    Searches for solutions when none are supplied.  Raises AuditFailed on the
-    first NotExcluded pair, with that NotExcluded as its first_failure.
+    Searches for solutions when none are supplied.  Raises AuditFailed when
+    there is no solution to audit, found or supplied, and on the first
+    NotExcluded pair, with that NotExcluded as its first_failure.
     """
     profiles = [o.profile for o in system.orbits]
     if solutions is None:
@@ -540,6 +545,8 @@ def audit(system: OrbitSystem, solutions: Optional[Sequence[RecurrenceSolution]]
         solutions = list(result.solutions)
         if not solutions:
             raise AuditFailed("no recurrence solutions below the horizon")
+    elif not solutions:
+        raise AuditFailed("no recurrence solutions supplied")
     else:
         for s in solutions:
             cert = verify_recurrence(profiles, s.d, s.k, s.eta, s.ell0)

@@ -71,19 +71,20 @@ class FilteredComplex:
     position), and _columns[d][r] is the boundary of the r-th of them, with
     bit s set when it hits the s-th generator of degree d - 1.  Every check
     runs while the columns are built, or on them, and names the generators
-    by id.
+    by id, the first bad row of a list in input order.  boundary is the
+    caller's dict as given, kept for reference only (do not change it after
+    construction; equality compares its rows as given, order and repeats
+    included); a row repeated in a list is one row, as a column ORs bits.
     """
 
     generators: tuple                  # (id, action, degree)
-    boundary: dict                     # id -> frozenset of ids
+    boundary: dict                     # id -> ids, as given
 
     def __post_init__(self):
         gens = self.generators
         ids = [g[0] for g in gens]
         if len(set(ids)) != len(ids):
             raise MalformedGraph("duplicate generator ids")
-        boundary = {k: frozenset(v) for k, v in self.boundary.items()}
-        object.__setattr__(self, "boundary", boundary)
         for g in gens:
             if not math.isfinite(float(g[1])):
                 raise FiltrationViolation(f"generator {g[0]} has action {float(g[1])}: "
@@ -99,7 +100,7 @@ class FilteredComplex:
             where[gid] = (float(action), degree, len(same))
             same.append(i)
         columns = {d: [0] * len(same) for d, same in ranked.items()}
-        for col, rows in boundary.items():
+        for col, rows in self.boundary.items():
             head = where.get(col)
             if head is None:
                 raise MalformedGraph(f"boundary of unknown generator {col}")

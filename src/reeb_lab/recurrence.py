@@ -198,13 +198,13 @@ def recurrence_search(query: RecurrenceQuery, on_solution=None) -> SearchResult:
     exhaustive below the horizon.
 
     k_0 runs over the R1 returns of profile 0 that _r1_candidates enumerates
-    block by block, each re-tested with the float expressions of R1 (see
-    the module docstring).  Solutions are emitted with strictly increasing d,
-    companions chosen as the smallest passing candidate.  on_solution, when
-    given, is called with each solution as found (the CLI uses this to
-    stream).  Every multiple of N up to scanned_up_to was tested: it is the
-    k_0 of the last solution once count solutions are found, and k_bound
-    when the horizon is exhausted first.
+    block by block, each re-tested with the float expressions of R1 (see the
+    module docstring), here and in _Iterates.  Solutions are emitted with
+    strictly increasing d, companions chosen as the smallest passing
+    candidate.  on_solution, when given, is called with each solution as
+    found (the CLI uses this to stream).  Every multiple of N up to
+    scanned_up_to was tested: it is the k_0 of the last solution once count
+    solutions are found, and k_bound when the horizon is exhausted first.
 
     Raises InvalidParameter, as index_triple does, when the horizon reaches a k_0
     whose iterate k_0 + ell0 of profile 0 has indices outside int64 before
@@ -227,6 +227,7 @@ def recurrence_search(query: RecurrenceQuery, on_solution=None) -> SearchResult:
         k0s = N * _r1_candidates(mean0, eta / N, a, b)
         means = k0s * mean0
         ds = np.rint(means / N).astype(np.int64) * N
+        # R1 here too: a single-profile query has no companion prefilter
         mask = (np.abs(means - ds) < eta) & (ds > last_d)
         # companion feasibility prefilter: for each other profile one of the
         # two multiples of N next to d / mean_i must lie in its R1 window;
@@ -238,13 +239,20 @@ def recurrence_search(query: RecurrenceQuery, on_solution=None) -> SearchResult:
             cand_hi = cand_lo + N
             ok_i = (np.abs(cand_lo * mi - ds) < eta) | (np.abs(cand_hi * mi - ds) < eta)
             mask &= ok_i
-        for sol in _solutions(query, k0s[mask], ds[mask], last_d):
-            found.append(sol)
-            last_d = sol.d
-            if on_solution is not None:
-                on_solution(sol)
-            if len(found) >= query.count:
-                break
+        if mask.any():     # profile 0's R1-R3 in one _Iterates over the survivors
+            it0 = _Iterates(query.profiles[0], ds[mask], k0s[mask], eta, query.ell0)
+            for c in np.flatnonzero(it0.ok).tolist():
+                if it0.d[c] <= last_d:
+                    continue
+                sol = _assemble(query, it0, c)
+                if sol is None:
+                    continue
+                found.append(sol)
+                last_d = sol.d
+                if on_solution is not None:
+                    on_solution(sol)
+                if len(found) >= query.count:
+                    break
         a = b
         size = min(2 * size, _BLOCK_MAX,
                    max(_CHUNK, int(_CHUNK / (2 * _window(eta / N, mean0, b)))))
@@ -329,24 +337,6 @@ def _convergent(x: Fraction, q_max: int) -> tuple:
     return p1, q1
 
 
-def _solutions(query: RecurrenceQuery, k0s: np.ndarray, ds: np.ndarray, last_d: int):
-    """Yield the solutions among R1 survivors (k0s, ds), increasing in k0,
-    each with d above the last one yielded; every d exceeds last_d.
-
-    Profile 0's R1-R3 run in one _Iterates over all survivors.
-    """
-    if not k0s.size:
-        return
-    it0 = _Iterates(query.profiles[0], ds, k0s, query.eta, query.ell0)
-    for c in np.flatnonzero(it0.ok).tolist():
-        if it0.d[c] <= last_d:
-            continue
-        sol = _assemble(query, it0, c)
-        if sol is not None:
-            last_d = sol.d
-            yield sol
-
-
 def _assemble(query: RecurrenceQuery, it0: _Iterates, c: int) -> Optional[RecurrenceSolution]:
     """The solution at candidate c of it0, which passes R1-R3 on profile 0,
     or None: companions in order, each the smallest passing multiple of N in
@@ -383,8 +373,12 @@ def convexity_gap_check(profiles: Sequence[IterationProfile],
                         solution: RecurrenceSolution, m: int) -> GapReport:
     """Check mu_+(Phi_i^{k_i - l}) <= d - 2 for 1 <= l <= ell0.
 
-    Requires the convexity hypothesis mu_-(Phi_i) >= m + 2 on every profile.
+    Requires the convexity hypothesis mu_-(Phi_i) >= m + 2 on every profile,
+    and one profile per order of the solution (InvalidParameter otherwise).
     """
+    if len(solution.k) != len(profiles):
+        raise InvalidParameter(
+            f"{len(solution.k)} iteration orders for {len(profiles)} profiles")
     ells = np.arange(1, solution.ell0 + 1, dtype=np.int64)
     # one call per profile: the first iterate, then k - ell for 1 <= ell <= ell0
     tables = [index_triple(p, np.concatenate([[1], k - ells]))

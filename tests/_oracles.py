@@ -259,11 +259,11 @@ def random_complex(rng, n_generators: int, degrees=(0, 1, 2), distinct: bool = T
 
 def id_keyed_complex(generators, boundary) -> dict:
     """FilteredComplex's construction checks on sets of ids, the code the
-    integer columns replaced; returns the boundary as frozensets of ids."""
+    integer columns replaced; returns the boundary as frozensets of ids.
+    The rows are checked in their given order."""
     ids = [g[0] for g in generators]
     if len(set(ids)) != len(ids):
         raise MalformedGraph("duplicate generator ids")
-    boundary = {k: frozenset(v) for k, v in boundary.items()}
     info = {g[0]: (float(g[1]), int(g[2])) for g in generators}
     if not all(map(math.isfinite, (a for a, _ in info.values()))):
         gid = next(g for g, (a, _) in info.items() if not math.isfinite(a))
@@ -287,6 +287,7 @@ def id_keyed_complex(generators, boundary) -> dict:
                     f"boundary of {col} (degree {degree}) hits {r} "
                     f"(degree {r_degree}): the degree must drop by one"
                 )
+    boundary = {k: frozenset(v) for k, v in boundary.items()}
     for col, rows in boundary.items():
         acc: Set = set()
         for r in rows:
@@ -342,7 +343,6 @@ def frozenset_barcode(generators, boundary) -> list:
     ids = [g[0] for g in gens]
     if len(set(ids)) != len(ids):
         raise MalformedGraph("duplicate generator ids")
-    boundary = {k: frozenset(v) for k, v in boundary.items()}
     for g in gens:
         if not math.isfinite(float(g[1])):
             raise FiltrationViolation(f"generator {g[0]} has action {float(g[1])}: "

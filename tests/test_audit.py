@@ -528,6 +528,11 @@ class TestAuditRuns:
         with pytest.raises(AuditFailed):
             audit(sys_, solutions=[fake])
 
+    def test_no_supplied_solution_fails(self):
+        # as a search that finds none does: 0 of 0 pairs certifies nothing
+        with pytest.raises(AuditFailed, match="^no recurrence solutions supplied$"):
+            audit(sqrt2_system(), solutions=[])
+
     @FLAGSHIPS
     @pytest.mark.parametrize("swap", [False, True])
     def test_every_pair_has_one_certificate(self, factory, swap):

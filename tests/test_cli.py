@@ -7,6 +7,7 @@ import inspect
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -622,6 +623,22 @@ class TestConfigAndErrors:
                               capture_output=True, text=True)
         assert proc.returncode == 2 and message in proc.stderr
         assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+
+    @pytest.mark.parametrize("hash_seed", ["0", "1"])
+    def test_barcode_error_names_the_first_bad_row(self, tmp_path, hash_seed):
+        # two unknown rows: the first in the list is named, whatever the
+        # string hash order of the interpreter
+        cx = tmp_path / "cx.json"
+        cx.write_text(json.dumps({
+            "generators": [{"id": "a", "action": 0.0, "degree": 0},
+                           {"id": "b", "action": 1.0, "degree": 1}],
+            "boundary": {"b": ["x", "y", "a"]}}))
+        proc = subprocess.run([sys.executable, "-m", "reeb_lab.cli", "barcode",
+                               "--complex", str(cx)], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONHASHSEED": hash_seed})
+        assert proc.returncode == 2
+        assert "boundary hits unknown generator x" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("flag", ["--spectrum", "--slope"])
     def test_infinite_spectrum_bound_exit_2(self, flag):

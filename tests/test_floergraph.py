@@ -110,7 +110,7 @@ class TestBarcode:
             "boundary": {"b": ["a"]}})
         assert cx.generators == (("a", 0.0, 0), ("b", 1.5, 1))
         assert [type(v) for v in cx.generators[0]] == [str, float, int]
-        assert cx.boundary == {"b": frozenset({"a"})}
+        assert cx.boundary == {"b": ["a"]}
         assert FilteredComplex.from_json({"generators": [], "boundary": None}).boundary == {}
 
     def test_interleaved_pairs(self):
@@ -207,7 +207,7 @@ def _not_a_differential(rng, gens, bnd):
 
 def _many_bad_rows(rng, gens, bnd):
     # one column whose rows break the checks in different ways: the row
-    # named is the first that its frozenset yields
+    # named is the first in its list
     gens.insert(int(rng.integers(len(gens) + 1)), ("hi", 5.0, 1))
     rows = []
     for k in range(int(rng.integers(2, 5))):
@@ -281,7 +281,7 @@ class TestFrozensetOracle:
         rng = np.random.default_rng(seed)
         gens, bnd = random_complex(rng, n, degrees=degrees, distinct=distinct)
         gens = [gens[i] for i in rng.permutation(n)]
-        # lists that repeat some rows: the frozenset keeps one of each
+        # lists that repeat some rows: a repeated row is one row
         bnd = {col: list(rows) + [r for r in rows if rng.random() < 0.5]
                for col, rows in bnd.items()}
         for fault in faults:

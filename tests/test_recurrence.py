@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reeb_lab.ellipsoid import EllipsoidSpec, ellipsoid_profile
-from reeb_lab.errors import HypothesisFailed, IterateUnderflow
+from reeb_lab.errors import HypothesisFailed, InvalidParameter, IterateUnderflow
 from reeb_lab.indices import INTEGER_BAND, IterationProfile
 from reeb_lab.recurrence import (
     RecurrenceQuery,
@@ -195,6 +195,16 @@ class TestConvexityGap:
             profiles=(p,), eta=0.4, ell0=2, k_bound=100, count=1))
         with pytest.raises(HypothesisFailed):
             convexity_gap_check((p,), res.solutions[0], m=1)
+
+    @pytest.mark.parametrize("take", [1, 4])
+    def test_one_profile_per_order(self, take):
+        # a two-orbit solution against one profile or four: none dropped
+        profiles = sqrt2_profiles()
+        s = recurrence_search(RecurrenceQuery(
+            profiles=profiles, eta=0.1, ell0=3, k_bound=10 ** 6, count=1)).solutions[0]
+        with pytest.raises(InvalidParameter,
+                           match=f"^2 iteration orders for {take} profiles$"):
+            convexity_gap_check((profiles * 2)[:take], s, m=1)
 
 
 def core_ok(p, d, k, eta, ell0) -> bool:
