@@ -38,6 +38,7 @@ from .errors import (
     BadGeometry,
     HypothesisFailed,
     InvalidParameter,
+    IterateUnderflow,
     JOutOfRange,
     JsonFields,
     MalformedInput,
@@ -534,8 +535,10 @@ def audit(system: OrbitSystem, solutions: Optional[Sequence[RecurrenceSolution]]
     """Run the full exclusion sweep over recurrence solutions.
 
     Searches for solutions when none are supplied.  Raises AuditFailed when
-    there is no solution to audit, found or supplied, and on the first
-    NotExcluded pair, with that NotExcluded as its first_failure.
+    there is no solution to audit, found or supplied, when a supplied
+    solution fails verify_recurrence at the system's eta and ell0 (the
+    constants every pair is audited at, whatever the solution's own), and
+    on the first NotExcluded pair, with that NotExcluded as its first_failure.
     """
     profiles = [o.profile for o in system.orbits]
     if solutions is None:
@@ -549,9 +552,13 @@ def audit(system: OrbitSystem, solutions: Optional[Sequence[RecurrenceSolution]]
         raise AuditFailed("no recurrence solutions supplied")
     else:
         for s in solutions:
-            cert = verify_recurrence(profiles, s.d, s.k, s.eta, s.ell0)
-            if not cert.ok:
-                raise AuditFailed(f"supplied solution d={s.d} fails verification")
+            try:
+                ok = verify_recurrence(profiles, s.d, s.k, system.eta, system.ell0).ok
+            except IterateUnderflow:     # some k_i <= the system's ell0
+                ok = False
+            if not ok:
+                raise AuditFailed(f"supplied solution d={s.d} fails verification at "
+                                  f"eta={system.eta}, ell0={system.ell0}")
 
     try:
         audits = [_audit_solution(system, s) for s in solutions]

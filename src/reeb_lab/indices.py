@@ -234,15 +234,17 @@ def _fits_int64(profile: IterationProfile, k: int) -> bool:
 def _floor_hits(rho, k: np.ndarray) -> tuple:
     """(floor(k rho), whether k rho is an integer) over an int64 array of k.
 
-    A Fraction rho is exact, in Python ints.  A float rho hits an integer
-    when k rho lies within INTEGER_BAND of it (rint rounds half to even, as
-    round does), and the floor of a hit is that integer.
+    A Fraction rho = p/q is exact: k p is floored by q in int64 while every
+    k p and q lie inside it, and in Python ints beyond; numpy's integer //
+    and % floor as Python's do, negative values included.  A float rho hits
+    an integer when k rho lies within INTEGER_BAND of it (rint rounds half
+    to even, as round does), and the floor of a hit is that integer.
     """
     if isinstance(rho, Fraction):
         p, q = rho.numerator, rho.denominator
-        kp = [kk * p for kk in k.tolist()]
-        return (np.array([v // q for v in kp], dtype=np.int64),
-                np.array([v % q == 0 for v in kp], dtype=bool))
+        fits = max(int(k.max(initial=0)) * abs(p), q) < 2 ** 63
+        kp = k.astype(np.int64 if fits else object) * p
+        return (kp // q).astype(np.int64, copy=False), kp % q == 0
     t = float(rho) * k
     nearest = np.rint(t)
     hit = np.abs(t - nearest) <= INTEGER_BAND

@@ -26,8 +26,10 @@ R1 is enumerated.  Each enumerated k_0 is then re-tested with that test's
 own float expressions.
 
 On the survivors the searcher proposes d as the nearest multiple of N to
-k_0 * mean(Phi_0), checks R1-R3 for profile 0 in one index call per batch,
-and locates each companion k_i in the unique window R1 allows.  An empty
+k_0 * mean(Phi_0) and checks R1-R3 for profile 0 in one index call per
+block.  It then locates each companion k_i in the window R1 allows, testing
+the windows of a batch of the candidates that passed profile 0 in one index
+call per companion.  An empty
 result therefore certifies that no solution exists below the horizon; a
 soft flag marks horizons exhausted before the requested solution count.
 """
@@ -38,7 +40,7 @@ import bisect
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -46,7 +48,8 @@ from .errors import HypothesisFailed, InvalidParameter, IterateUnderflow, JsonFi
 from .indices import IterationProfile, _fits_int64, index_triple
 
 #: the first block of j; each next block doubles, up to _BLOCK_MAX and to
-#: about _CHUNK expected R1 candidates
+#: about _CHUNK expected R1 candidates; a batch of companion windows holds
+#: at most _CHUNK multiples of N per companion, unless it is one window
 _CHUNK = 1 << 16
 _BLOCK = 1 << 11
 _BLOCK_MAX = 1 << 30
@@ -200,15 +203,24 @@ def recurrence_search(query: RecurrenceQuery, on_solution=None) -> SearchResult:
     k_0 runs over the R1 returns of profile 0 that _r1_candidates enumerates
     block by block, each re-tested with the float expressions of R1 (see the
     module docstring), here and in _Iterates.  Solutions are emitted with
-    strictly increasing d, companions chosen as the smallest passing
-    candidate.  on_solution, when given, is called with each solution as
-    found (the CLI uses this to stream).  Every multiple of N up to
-    scanned_up_to was tested: it is the k_0 of the last solution once count
-    solutions are found, and k_bound when the horizon is exhausted first.
+    strictly increasing d, each companion k_i the smallest passing multiple
+    of N in its R1 window.  The candidates of a block that pass profile 0
+    are taken in batches (_batch), and each companion is tested in one
+    _Iterates over the windows of a batch's candidates that passed the
+    companions before it (_companions).  on_solution, when given, is
+    called with each solution as found (the CLI uses this to stream).  Every
+    multiple of N up to scanned_up_to was tested: it is the k_0 of the last
+    solution once count solutions are found, and k_bound when the horizon
+    is exhausted first.
 
     Raises InvalidParameter, as index_triple does, when the horizon reaches a k_0
     whose iterate k_0 + ell0 of profile 0 has indices outside int64 before
-    the requested count is found: no k_0 from there on is tested.
+    the requested count is found: no k_0 from there on is tested.  It
+    raises it too, as index_triple does, at the first candidate tested whose
+    companion window holds an iterate outside int64, and at no candidate
+    past the count-th solution: a block's candidates are batched only while
+    their windows fit (_batch), and from the first that does not, each is
+    tested alone, in order, while the count is not reached.
     """
     mean0 = query.profiles[0].mean_index(1)
     N, eta = query.n_divisor, query.eta
@@ -241,18 +253,31 @@ def recurrence_search(query: RecurrenceQuery, on_solution=None) -> SearchResult:
             mask &= ok_i
         if mask.any():     # profile 0's R1-R3 in one _Iterates over the survivors
             it0 = _Iterates(query.profiles[0], ds[mask], k0s[mask], eta, query.ell0)
-            for c in np.flatnonzero(it0.ok).tolist():
-                if it0.d[c] <= last_d:
-                    continue
-                sol = _assemble(query, it0, c)
-                if sol is None:
-                    continue
-                found.append(sol)
-                last_d = sol.d
-                if on_solution is not None:
-                    on_solution(sol)
-                if len(found) >= query.count:
+            cands = np.flatnonzero(it0.ok)
+            while len(found) < query.count:
+                cands = cands[it0.d[cands] > last_d]
+                if not cands.size:
                     break
+                # the companions of a batch of candidates, one _Iterates each
+                n = _batch(query, it0.d[cands])
+                batch, cands = cands[:n], cands[n:]
+                its, picks = _companions(query, it0.d[batch])
+                for c, pick in zip(batch.tolist(), picks.T.tolist()):
+                    if it0.d[c] <= last_d or -1 in pick:
+                        continue
+                    picked = [(it0, c), *zip(its, pick)]
+                    cert = _certificate(picked)
+                    if not cert.ok:
+                        continue
+                    sol = RecurrenceSolution(d=int(it0.d[c]),
+                                             k=tuple(int(it.k[at]) for it, at in picked),
+                                             eta=eta, ell0=query.ell0, certificate=cert)
+                    found.append(sol)
+                    last_d = sol.d
+                    if on_solution is not None:
+                        on_solution(sol)
+                    if len(found) >= query.count:
+                        break
         a = b
         size = min(2 * size, _BLOCK_MAX,
                    max(_CHUNK, int(_CHUNK / (2 * _window(eta / N, mean0, b)))))
@@ -337,30 +362,53 @@ def _convergent(x: Fraction, q_max: int) -> tuple:
     return p1, q1
 
 
-def _assemble(query: RecurrenceQuery, it0: _Iterates, c: int) -> Optional[RecurrenceSolution]:
-    """The solution at candidate c of it0, which passes R1-R3 on profile 0,
-    or None: companions in order, each the smallest passing multiple of N in
-    its R1 window, tested in one _Iterates, then every record, consequences
-    included, must hold."""
+def _batch(query: RecurrenceQuery, d: np.ndarray) -> int:
+    """How many leading candidates, proposing d (nondecreasing), to test
+    together: at least one, and as many as have every companion window
+    inside int64 (every iterate of the window's top multiple of N, plus
+    ell0, fits; the top is nondecreasing in d, so they form a prefix) while
+    each companion's windows hold at most _CHUNK multiples of N in all."""
     N, eta, ell0 = query.n_divisor, query.eta, query.ell0
-    d = int(it0.d[c])
-    picked = [(it0, c)]
+    n = d.size
     for p in query.profiles[1:]:
         mi = p.mean_index(1)
-        lo = int(np.floor((d - eta) / (N * mi))) * N
-        hi = int(np.ceil((d + eta) / (N * mi))) * N
-        ks = np.arange(max(N, lo), hi + N, N, dtype=np.int64)
-        ks = ks[(ks - ell0 >= 1) & (np.abs(ks * mi - d) < eta)]
-        it = _Iterates(p, np.full(ks.size, d, dtype=np.int64), ks, eta, ell0)
-        passing = np.flatnonzero(it.ok)
-        if not passing.size:
-            return None
-        picked.append((it, int(passing[0])))   # the smallest passing k wins
-    cert = _certificate(picked)
-    if not cert.ok:
-        return None
-    return RecurrenceSolution(d=d, k=tuple(int(it.k[at]) for it, at in picked), eta=eta,
-                              ell0=ell0, certificate=cert)
+        top = np.ceil((d[:n] + eta) / (N * mi))
+        sizes = np.cumsum(top - np.floor((d[:n] - eta) / (N * mi)) + 1)
+        n = min(int(np.searchsorted(sizes, _CHUNK, side="right")),
+                bisect.bisect_left(range(n), True,
+                                   key=lambda c: not _fits_int64(p, int(top[c]) * N + ell0)))
+    return max(1, n)
+
+
+def _companions(query: RecurrenceQuery, d: np.ndarray) -> tuple:
+    """(its, picks) for candidates proposing d: per companion in order, one
+    _Iterates over the multiples of N in the R1 window of every candidate
+    still alive, and picks[i, c] the index in the i-th of candidate c's
+    smallest passing k, or -1.  A candidate stays alive while every earlier
+    companion has a passing k, and no _Iterates is made once none is."""
+    N, eta, ell0 = query.n_divisor, query.eta, query.ell0
+    picks = np.full((len(query.profiles) - 1, d.size), -1)
+    its = []
+    alive = np.arange(d.size)
+    for i, p in enumerate(query.profiles[1:]):
+        if not alive.size:
+            break
+        mi = p.mean_index(1)
+        lo = np.floor((d[alive] - eta) / (N * mi)).astype(np.int64) * N
+        hi = np.ceil((d[alive] + eta) / (N * mi)).astype(np.int64) * N
+        first = np.maximum(N, lo)
+        n = np.maximum((hi - first) // N + 1, 0)
+        owner = np.repeat(alive, n)
+        ks = np.repeat(first, n) + N * (np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n))
+        keep = (ks - ell0 >= 1) & (np.abs(ks * mi - d[owner]) < eta)
+        owner, ks = owner[keep], ks[keep]
+        its.append(_Iterates(p, d[owner], ks, eta, ell0))
+        passing = np.flatnonzero(its[-1].ok)
+        # ks rise within each owner, so its first passing index is its smallest k
+        smallest = passing[np.diff(owner[passing], prepend=-1) != 0]
+        picks[i, owner[smallest]] = smallest
+        alive = owner[smallest]
+    return its, picks
 
 
 @dataclass(frozen=True)

@@ -528,6 +528,23 @@ class TestAuditRuns:
         with pytest.raises(AuditFailed):
             audit(sys_, solutions=[fake])
 
+    def test_supplied_solutions_verified_at_the_system_constants(self):
+        # valid at their own eta 0.45 and ell0 1, not at the system's 0.1 and 3
+        sys_ = sqrt2_system()
+        sols = recurrence_search(RecurrenceQuery(
+            profiles=tuple(o.profile for o in sys_.orbits),
+            eta=0.45, ell0=1, k_bound=10 ** 6, count=2)).solutions
+        assert [s.d for s in sols] == [24, 48]
+        with pytest.raises(AuditFailed, match="^supplied solution d=24 fails verification"):
+            audit(sys_, solutions=sols)
+        with pytest.raises(AuditFailed, match="^supplied solution d=48 fails verification"):
+            audit(sys_, solutions=sols[1:])
+        # an order k_i <= 3 has no iterate k_i - ell0 at the system's ell0
+        short = RecurrenceSolution(d=6, k=(2, 2, 1), eta=0.45, ell0=1,
+                                   certificate=Certificate(ok=True, records=()))
+        with pytest.raises(AuditFailed, match="^supplied solution d=6 fails verification"):
+            audit(sys_, solutions=[short])
+
     def test_no_supplied_solution_fails(self):
         # as a search that finds none does: 0 of 0 pairs certifies nothing
         with pytest.raises(AuditFailed, match="^no recurrence solutions supplied$"):

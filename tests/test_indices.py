@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reeb_lab.errors import (
@@ -331,6 +331,27 @@ class TestArrayPath:
         assert int(ks.max()) * rho.numerator > np.iinfo(np.int64).max
         t = assert_matches_scalar(IterationProfile(elliptic=(rho,)), ks)
         assert int(t.mu_plus[-1]) == 2 * (10 ** 6 * (10 ** 13 + 1) // 7) + 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(p=st.integers(-2 ** 60, 2 ** 60), q=st.integers(1, 2 ** 60),
+           loop_index=st.sampled_from((-2, 0, 2)),
+           small=st.lists(st.integers(1, 1000), min_size=1, max_size=12),
+           large=st.lists(st.integers(1, 2 ** 62), max_size=12))
+    # max(k) |p| = 2^63 - 8 floors in int64, and 2^63 + 2^60 - 9 in Python ints
+    @example(p=2 ** 60 - 1, q=2 ** 60 + 1, loop_index=0, small=[1], large=[8])
+    @example(p=2 ** 60 - 1, q=2 ** 60 + 1, loop_index=0, small=[1], large=[9])
+    @example(p=-(2 ** 60 - 1), q=2 ** 60 + 1, loop_index=0, small=[1], large=[8])
+    @example(p=-(2 ** 60 - 1), q=2 ** 60 + 1, loop_index=0, small=[1], large=[9])
+    # a denominator beyond int64 takes Python ints, whatever k p
+    @example(p=3, q=2 ** 64 + 1, loop_index=0, small=[1], large=[2 ** 40])
+    def test_fraction_floors_match_scalar(self, p, q, loop_index, small, large):
+        # k p is floored in int64 while max(k) |p| < 2^63 and in Python ints
+        # beyond: small orders next to orders up to the int64 limit of the indices
+        profile = IterationProfile(loop_index=loop_index, elliptic=(Fraction(p, q),))
+        k_max = max(1, int(2 ** 61 / (abs(loop_index) + 2 + 2 * abs(p / q))))
+        ks = np.array([1 + (k - 1) % k_max for k in small + large], dtype=np.int64)
+        t = assert_matches_scalar(profile, ks)
+        assert t.nu_a.tolist() == [scalar_nu_a(profile, k) for k in ks.tolist()]
 
     def test_empty_array(self):
         t = index_triple(ARRAY_PROFILES["mixed"], np.arange(1, 1, dtype=np.int64))

@@ -10,7 +10,9 @@ from reeb_lab.ellipsoid import EllipsoidSpec, ellipsoid_profile
 from reeb_lab.errors import HypothesisFailed, InvalidParameter, IterateUnderflow
 from reeb_lab.indices import INTEGER_BAND, IterationProfile
 from reeb_lab.recurrence import (
+    _CHUNK,
     RecurrenceQuery,
+    _batch,
     _r1_candidates,
     convexity_gap_check,
     recurrence_search,
@@ -161,6 +163,16 @@ class TestSearch:
             res = recurrence_search(RecurrenceQuery(
                 profiles=sqrt2_profiles(), eta=0.1, ell0=3, k_bound=k_bound, count=4))
             assert res.horizon_exhausted and res.scanned_up_to == k_bound
+
+    def test_wide_windows_batched_by_size(self):
+        # eta 300 puts about 298 multiples of N in each companion window: a
+        # batch holds at most _CHUNK of them in all, not a whole block's
+        query = RecurrenceQuery(profiles=(IterationProfile(loop_index=2),
+                                          IterationProfile(loop_index=2, elliptic=(0.01,))),
+                                eta=300.0, ell0=1)
+        d = 2 * np.arange(2, 10_000, dtype=np.int64)
+        assert _CHUNK // 300 <= _batch(query, d) <= _CHUNK // 296
+        assert _batch(query, d[:5]) == 5
 
     def test_streaming_callback(self):
         seen = []
@@ -347,6 +359,19 @@ class TestScanOracle:
     # two R1 survivors propose the same d: the second is skipped
     @example(profiles=[IterationProfile(elliptic=(0.15,))],
              eta=0.4, ell0=1, n_divisor=1, k_bound=200, count=5)
+    # every k0 from 2 is a solution (k0, k0), in one block, and the
+    # companion's iterate 16 leaves int64: 13 solutions return before the
+    # candidate k0 = 15 is tested, and a 14th raises at it
+    @example(profiles=[IterationProfile(loop_index=2),
+                       IterationProfile(hyperbolic=(2 ** 57, 2 - 2 ** 57))],
+             eta=0.1, ell0=1, n_divisor=1, k_bound=100, count=13)
+    @example(profiles=[IterationProfile(loop_index=2),
+                       IterationProfile(hyperbolic=(2 ** 57, 2 - 2 ** 57))],
+             eta=0.1, ell0=1, n_divisor=1, k_bound=100, count=14)
+    # 50 solutions of two Fraction profiles inside the first block
+    @example(profiles=[IterationProfile(loop_index=2, elliptic=(Fraction(1, 4),)),
+                       IterationProfile(loop_index=2, elliptic=(Fraction(2, 5),))],
+             eta=0.3, ell0=1, n_divisor=1, k_bound=2000, count=50)
     def test_same_result_and_stream(self, profiles, eta, ell0, n_divisor, k_bound, count):
         query = RecurrenceQuery(profiles=tuple(profiles), eta=eta, ell0=ell0,
                                 n_divisor=n_divisor, k_bound=k_bound, count=count)
