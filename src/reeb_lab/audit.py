@@ -58,8 +58,8 @@ from .indices import (
 from .recurrence import (
     RecurrenceQuery,
     RecurrenceSolution,
+    _iterates_at,
     recurrence_search,
-    verify_recurrence,
 )
 
 MODES = ("hyperbolic", "hyperbolic_lower", "pseudo_rotation")
@@ -536,9 +536,11 @@ def audit(system: OrbitSystem, solutions: Optional[Sequence[RecurrenceSolution]]
 
     Searches for solutions when none are supplied.  Raises AuditFailed when
     there is no solution to audit, found or supplied, when a supplied
-    solution fails verify_recurrence at the system's eta and ell0 (the
-    constants every pair is audited at, whatever the solution's own), and
-    on the first NotExcluded pair, with that NotExcluded as its first_failure.
+    solution fails R1-R3 at the system's eta and ell0 (the constants every
+    pair is audited at, whatever the solution's own), and on the first
+    NotExcluded pair, with that NotExcluded as its first_failure.  R1-R3
+    are decided by _Iterates.ok, in the search and for supplied solutions
+    alike; no certificate records are built.
     """
     profiles = [o.profile for o in system.orbits]
     if solutions is None:
@@ -553,7 +555,8 @@ def audit(system: OrbitSystem, solutions: Optional[Sequence[RecurrenceSolution]]
     else:
         for s in solutions:
             try:
-                ok = verify_recurrence(profiles, s.d, s.k, system.eta, system.ell0).ok
+                ok = all(it.ok[0] for it in _iterates_at(profiles, s.d, s.k, system.eta,
+                                                          system.ell0))
             except IterateUnderflow:     # some k_i <= the system's ell0
                 ok = False
             if not ok:

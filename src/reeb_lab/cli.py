@@ -231,6 +231,9 @@ def cmd_hamiltonian(args) -> int:
 def cmd_recurrence_search(args) -> int:
     from .indices import IterationProfile
     from .recurrence import RecurrenceQuery, recurrence_search
+    if args.out and Path(args.out).suffix.lower() == ".json":
+        # before the search, so no empty file is left behind
+        raise ReebLabError(f"--out {args.out}: the stream is JSON Lines; name it .jsonl")
     if args.profiles:
         profiles = tuple(IterationProfile.from_json(p) for p in
                          json_value(_load_json(args.profiles), list, "--profiles"))

@@ -97,17 +97,41 @@ class Certificate(JsonFields):
 
 @dataclass(frozen=True)
 class RecurrenceSolution(JsonFields):
+    """(d, k) for the profiles it solves; its certificate is built when read."""
+
     d: int
     k: tuple
     eta: float
     ell0: int
-    certificate: Certificate = field(compare=False)
+    profiles: tuple = field(compare=False, repr=False)
+
+    @property
+    def certificate(self) -> Certificate:
+        """verify_recurrence of this solution, built anew on each read."""
+        return verify_recurrence(self.profiles, self.d, self.k, self.eta, self.ell0)
+
+    def to_json(self) -> dict:
+        return {"d": self.d, "k": list(self.k), "eta": self.eta, "ell0": self.ell0,
+                "certificate": self.certificate.to_json()}
 
 
 def verify_recurrence(profiles: Sequence[IterationProfile], d: int,
                       ks: Sequence[int], eta: float, ell0: int) -> Certificate:
     """Exact per-condition verification; every computed value is recorded.
-    Every k_i is checked against ell0 before any index is computed."""
+
+    ok is _Iterates.ok, the one decision of R1-R3, which the search and the
+    audit make too; the records are the ones _Iterates.records builds, here
+    and nowhere else, so a certificate costs its records only when asked
+    for.  Every k_i is checked against ell0 before any index is computed."""
+    its = _iterates_at(profiles, d, ks, eta, ell0)
+    return Certificate(ok=all(it.ok[0] for it in its),
+                       records=tuple(r for i, it in enumerate(its) for r in it.records(i)))
+
+
+def _iterates_at(profiles: Sequence, d: int, ks: Sequence, eta: float, ell0: int) -> list:
+    """One _Iterates of length one per profile, at (d, k_i).  Raises
+    InvalidParameter unless there is one k_i per profile, and
+    IterateUnderflow at the first k_i <= ell0, before any index is computed."""
     profiles = list(profiles)
     ks = [int(k) for k in ks]
     if len(ks) != len(profiles):
@@ -115,29 +139,20 @@ def verify_recurrence(profiles: Sequence[IterationProfile], d: int,
     for i, k in enumerate(ks):
         if k - ell0 < 1:
             raise IterateUnderflow(f"profile {i}: k = {k} <= ell0 = {ell0}")
-    return _certificate([(_Iterates(p, _one(d), _one(k), eta, ell0), 0)
-                         for p, k in zip(profiles, ks)])
-
-
-def _certificate(picked: Sequence) -> Certificate:
-    """The Certificate of (_Iterates, candidate) pairs, one per profile in
-    order: every record of each, ok when all of them hold."""
-    records = tuple(r for i, (it, c) in enumerate(picked) for r in it.records(i, c))
-    return Certificate(ok=all(r.ok for r in records), records=records)
-
-
-def _one(n: int) -> np.ndarray:
-    return np.array([n], dtype=np.int64)
+    return [_Iterates(p, np.full(1, d, dtype=np.int64), np.full(1, k, dtype=np.int64), eta,
+                      ell0) for p, k in zip(profiles, ks)]
 
 
 class _Iterates:
     """R1-R3 of one profile at candidate pairs (d[c], k[c]), int64 arrays of
     one length, read from one index_triple call over the iterates ell, then
-    k + ell and k - ell of every candidate, for 1 <= ell <= ell0."""
+    k + ell and k - ell of every candidate, for 1 <= ell <= ell0.  ok is the
+    one decision of R1-R3: the search, the audit and verify_recurrence read
+    it, and only verify_recurrence asks for records."""
 
     def __init__(self, p: IterationProfile, d: np.ndarray, k: np.ndarray, eta: float,
                  ell0: int):
-        self.p, self.d, self.k, self.ell0 = p, d, k, ell0
+        self.p, self.d, self.k = p, d, k
         ells = np.arange(1, ell0 + 1, dtype=np.int64)
         t = index_triple(p, np.concatenate(
             [ells, (k[:, None] + ells).ravel(), (k[:, None] - ells).ravel()]))
@@ -159,17 +174,33 @@ class _Iterates:
         self.r3 = self.hi[2] == self.want
         self.ok = self.r1 & self.r2.all(axis=1) & self.r3.all(axis=1)
 
-    def records(self, i: int, c: int = 0) -> list:
-        """ConditionRecords of R1-R3 for profile i at candidate c, with two
-        consequences of R3: the nu_a bound always, exact symmetry when the
-        ell-th and (k - ell)-th iterates are nondegenerate."""
-        d, corr, mean = int(self.d[c]), self.p.b_correction(), float(self.mean[c])
+    def records(self, i: int) -> list:
+        """ConditionRecords of R1-R3 for profile i at the one candidate of an
+        _Iterates of length one, with two consequences of R3: the nu_a bound
+        always, exact symmetry when the ell-th and (k - ell)-th iterates are
+        nondegenerate.
+
+        Both records hold whenever R3 does, so ok, which tests R1-R3 alone,
+        is also the conjunction of every record.  Write b = b_+ - b_- for
+        the profile's correction, 0 without a degenerate factor, and m for
+        that factor's half-dimension.  WilliamsonInvariants.__post_init__
+        makes every count >= 0 and nu_a(factor) >= nu0 + b0 + b_+ + b_-, with
+        nu_a(factor) <= m; index_triple adds m to the elliptic hits of every
+        iterate's nu_a.
+          R3-bound: b <= nu0 + b0 + b_+ + b_- <= nu_a(factor) <= m <=
+            nu_a(ell), so mu_+(k - ell) = d - mu_-(ell) + b is at most the
+            bound d - mu_-(ell) + nu_a(ell).
+          R3-nondeg: nu_a(ell) = 0 leaves no hit and m = 0, hence every count
+            0: mu_-(ell) = mu_+(ell) and b = 0, so R3 reads
+            mu_+(k - ell) = d - mu_+(ell), the symmetry the record checks.
+        """
+        d, corr, mean = int(self.d[0]), self.p.b_correction(), float(self.mean[0])
         base_lo, base_hi, base_nu = self.lo[0], self.hi[0], self.nu[0]
         columns = [a.tolist() for a in (
-            self.r2[c], self.lo[1][c], self.hi[1][c], self.expected[0][c], self.expected[1][c],
-            self.r3[c], self.hi[2][c], self.want[c], d - base_lo + base_nu,
-            (base_nu == 0) & (self.nu[2][c] == 0), d - base_hi)]
-        out = [ConditionRecord(f"R1[{i}]", bool(self.r1[c]),
+            self.r2[0], self.lo[1][0], self.hi[1][0], self.expected[0][0], self.expected[1][0],
+            self.r3[0], self.hi[2][0], self.want[0], d - base_lo + base_nu,
+            (base_nu == 0) & (self.nu[2][0] == 0), d - base_hi)]
+        out = [ConditionRecord(f"R1[{i}]", bool(self.r1[0]),
                                {"mean": mean, "d": d, "gap": abs(mean - d)})]
         for ell, (r2, up_lo, up_hi, exp_lo, exp_hi, r3, down, want, bound, nondeg,
                   sym) in enumerate(zip(*columns), start=1):
@@ -207,7 +238,9 @@ def recurrence_search(query: RecurrenceQuery, on_solution=None) -> SearchResult:
     of N in its R1 window.  The candidates of a block that pass profile 0
     are taken in batches (_batch), and each companion is tested in one
     _Iterates over the windows of a batch's candidates that passed the
-    companions before it (_companions).  on_solution, when given, is
+    companions before it (_companions).  _Iterates.ok alone decides R1-R3,
+    and no ConditionRecord is built: a solution's certificate is
+    verify_recurrence of it, built when read.  on_solution, when given, is
     called with each solution as found (the CLI uses this to stream).  Every
     multiple of N up to scanned_up_to was tested: it is the k_0 of the last
     solution once count solutions are found, and k_bound when the horizon
@@ -265,13 +298,8 @@ def recurrence_search(query: RecurrenceQuery, on_solution=None) -> SearchResult:
                 for c, pick in zip(batch.tolist(), picks.T.tolist()):
                     if it0.d[c] <= last_d or -1 in pick:
                         continue
-                    picked = [(it0, c), *zip(its, pick)]
-                    cert = _certificate(picked)
-                    if not cert.ok:
-                        continue
-                    sol = RecurrenceSolution(d=int(it0.d[c]),
-                                             k=tuple(int(it.k[at]) for it, at in picked),
-                                             eta=eta, ell0=query.ell0, certificate=cert)
+                    k = (int(it0.k[c]), *(int(it.k[at]) for it, at in zip(its, pick)))
+                    sol = RecurrenceSolution(int(it0.d[c]), k, eta, query.ell0, query.profiles)
                     found.append(sol)
                     last_d = sol.d
                     if on_solution is not None:

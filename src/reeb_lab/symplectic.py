@@ -115,6 +115,8 @@ class WilliamsonInvariants(JsonFields):
     m: int
 
     def __post_init__(self):
+        if min(self.nu0, self.b0, self.b_plus, self.b_minus) < 0:
+            raise InvalidParameter(f"negative block count in {self}")
         if self.nu_g != 2 * (self.b0 + self.nu0) + self.b_plus + self.b_minus:
             raise UnresolvedNormalForm(
                 f"nu_g = {self.nu_g} != 2(b0 + nu0) + b+ + b- "

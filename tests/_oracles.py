@@ -613,7 +613,7 @@ def _scan_assemble(query, k0: int, d: int):
     if not all(r.ok for r in records):
         return None
     return RecurrenceSolution(d=d, k=tuple(int(it.k[0]) for it in picked), eta=eta,
-                              ell0=ell0, certificate=Certificate(ok=True, records=tuple(records)))
+                              ell0=ell0, profiles=tuple(query.profiles))
 
 
 # ---------------------------------------------------------------------------

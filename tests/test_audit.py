@@ -64,9 +64,9 @@ from reeb_lab.indices import (
 )
 from reeb_lab.symplectic import WilliamsonInvariants, validate_symplectic, williamson_invariants
 from reeb_lab.recurrence import (
-    Certificate,
     RecurrenceQuery,
     RecurrenceSolution,
+    _Iterates,
     recurrence_search,
     verify_recurrence,
 )
@@ -158,6 +158,10 @@ def golden_system(**overrides):
      "path must start at the identity"),
     (lambda: rotation_path(math.inf), "rotation number must be finite, got inf"),
     (lambda: stretch_path(0.0), "stretch factor must be positive and finite, got 0.0"),
+    # a negative count would let R3 hold while its nu_a bound fails
+    (lambda: WilliamsonInvariants.from_counts(b_plus=1, b_minus=-1),
+     "negative block count in WilliamsonInvariants(nu0=0, b0=0, b_plus=1, b_minus=-1, "
+     "nu_g=0, nu_a=0, m=0)"),
     # recurrence
     (lambda: RecurrenceQuery(profiles=(), eta=0.1, ell0=3), "need at least one profile"),
     (lambda: RecurrenceQuery(profiles=(IterationProfile(elliptic=(1e308,)),), eta=0.1, ell0=3),
@@ -522,9 +526,9 @@ class TestAuditRuns:
         assert rep.ok and len(rep.solutions) == 2
         bad = sols[0].to_json()
         bad["d"] += 2
-        from reeb_lab.recurrence import RecurrenceSolution, Certificate
+        from reeb_lab.recurrence import RecurrenceSolution
         fake = RecurrenceSolution(d=bad["d"], k=tuple(bad["k"]), eta=0.1, ell0=3,
-                                  certificate=Certificate(ok=True, records=()))
+                                  profiles=sols[0].profiles)
         with pytest.raises(AuditFailed):
             audit(sys_, solutions=[fake])
 
@@ -541,7 +545,7 @@ class TestAuditRuns:
             audit(sys_, solutions=sols[1:])
         # an order k_i <= 3 has no iterate k_i - ell0 at the system's ell0
         short = RecurrenceSolution(d=6, k=(2, 2, 1), eta=0.45, ell0=1,
-                                   certificate=Certificate(ok=True, records=()))
+                                   profiles=sols[0].profiles)
         with pytest.raises(AuditFailed, match="^supplied solution d=6 fails verification"):
             audit(sys_, solutions=[short])
 
@@ -607,6 +611,31 @@ def _encoded_instances():
     ]
 
 
+def test_no_condition_records_on_the_hot_paths(monkeypatch):
+    # the search and the audit decide R1-R3 by _Iterates.ok alone; records
+    # are built only when a certificate is read
+    system = sqrt2_system()
+    query = RecurrenceQuery(profiles=tuple(o.profile for o in system.orbits),
+                            eta=system.eta, ell0=system.ell0, count=3)
+
+    def refuse(self, i):
+        raise AssertionError("ConditionRecords built on a hot path")
+
+    monkeypatch.setattr(_Iterates, "records", refuse)
+    solutions = recurrence_search(query).solutions
+    assert len(solutions) == 3
+    assert audit(system, count=3).ok
+    assert audit(system, solutions=solutions).ok
+    with pytest.raises(AssertionError, match="hot path"):
+        solutions[0].to_json()
+    monkeypatch.undo()
+    for s in solutions:
+        assert s.to_json() == {
+            "d": s.d, "k": list(s.k), "eta": s.eta, "ell0": s.ell0,
+            "certificate": verify_recurrence(query.profiles, s.d, s.k, s.eta,
+                                             s.ell0).to_json()}
+
+
 def test_to_json_is_plain_json():
     # a tuple fails the comparison; a Fraction or a numpy integer or bool fails
     # json.dumps
@@ -636,7 +665,7 @@ def swapped(system_factory):
 
 def unverified(solution, d, k):
     return RecurrenceSolution(d=d, k=tuple(k), eta=solution.eta, ell0=solution.ell0,
-                              certificate=Certificate(ok=True, records=()))
+                              profiles=solution.profiles)
 
 
 def outcome(sweep, system, solution):

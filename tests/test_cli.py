@@ -211,6 +211,24 @@ class TestSubcommands:
             validate("recurrence_solution.schema.json", sol)
         assert "3 solutions" in out
 
+    @pytest.mark.parametrize("name, via_config", [
+        ("sols.json", False), ("sols.JSON", False), ("sols.Json", True)])
+    def test_recurrence_search_rejects_a_json_out(self, capsys, tmp_path, name, via_config):
+        # the stream is JSON Lines, which json.load refuses: exit 2 before the
+        # search runs, and no file is left
+        out_file = tmp_path / name
+        argv = ["recurrence-search", "--weights", f"1,{SQRT2}", "--eta", "0.1", "--ell0", "3"]
+        if via_config:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"out": str(out_file)}))
+            argv += ["--config", str(cfg)]
+        else:
+            argv += ["--out", str(out_file)]
+        with mock.patch("reeb_lab.recurrence.recurrence_search", side_effect=AssertionError):
+            code, _, err = run_cli(argv, capsys)
+        assert code == 2 and ".jsonl" in err
+        assert not out_file.exists()
+
     def test_ellipsoid_convexity(self, capsys, tmp_path):
         out_file = tmp_path / "e.json"
         code, out, _ = run_cli([

@@ -305,6 +305,46 @@ class TestCertificateOracle:
             for i, (p, k) in enumerate(zip(profiles, s.k)) for ell in range(1, 4))
 
 
+ROTATIONS = st.one_of(st.floats(0.001, 1.999), st.fractions(0, 2, max_denominator=13))
+
+
+@st.composite
+def decision_profiles(draw):
+    """A profile with elliptic (float and Fraction), hyperbolic and
+    degenerate factors, each possibly absent."""
+    counts = draw(st.tuples(*[st.integers(0, 2)] * 4))
+    return IterationProfile(
+        loop_index=draw(st.sampled_from((0, 2))),
+        elliptic=tuple(draw(st.lists(ROTATIONS, max_size=2))),
+        hyperbolic=tuple(draw(st.lists(st.integers(1, 5), max_size=1))),
+        degenerate=WilliamsonInvariants.from_counts(*counts) if draw(st.booleans()) else None)
+
+
+class TestOneDecision:
+    """_Iterates.ok, which alone decides R1-R3, against every record."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(profiles=st.lists(decision_profiles(), min_size=1, max_size=3),
+           ell0=st.integers(1, 4), k0=st.integers(5, 200), d_shift=st.integers(-1, 1),
+           k_shifts=st.lists(st.integers(-1, 1), min_size=2, max_size=2),
+           eta=st.floats(0.01, 1.0))
+    @example(profiles=[FAILING_PROFILES["degenerate"]], ell0=3, k0=9, d_shift=0,
+             k_shifts=[0, 0], eta=0.5)
+    @example(profiles=[FAILING_PROFILES["degenerate"]], ell0=3, k0=9, d_shift=1,
+             k_shifts=[0, 0], eta=0.5)
+    # R1 and R2 hold, R3 fails at ell = 1
+    @example(profiles=[FAILING_PROFILES["fraction_hit"]], ell0=1, k0=4, d_shift=-1,
+             k_shifts=[0, 0], eta=1.0)
+    def test_ok_is_every_record(self, profiles, ell0, k0, d_shift, k_shifts, eta):
+        d = round(profiles[0].mean_index(k0)) + d_shift
+        # each companion near its R1 window, or at k0 when its mean index is 0
+        ks = [k0] + [max(ell0 + 1, (round(d / m) if (m := p.mean_index(1)) > 0 else k0) + t)
+                     for p, t in zip(profiles[1:], k_shifts)]
+        cert = verify_recurrence(profiles, d, ks, eta, ell0)
+        assert cert.ok == all(r.ok for r in cert.records) \
+            == scalar_verify_recurrence(profiles, d, ks, eta, ell0).ok
+
+
 def run_search(search, query):
     """(result or exception, streamed solutions) of one search, as JSON."""
     streamed = []
