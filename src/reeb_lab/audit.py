@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -49,6 +50,7 @@ from .errors import (
 )
 from .hamiltonian import RadialProfile, profile_from_json
 from .indices import (
+    IndexTriple,
     IterationProfile,
     SystemOrbit,
     _support_bounds,
@@ -58,7 +60,9 @@ from .indices import (
 from .recurrence import (
     RecurrenceQuery,
     RecurrenceSolution,
-    _iterates_at,
+    _Iterates,
+    _orders_at,
+    _r1,
     recurrence_search,
 )
 
@@ -142,7 +146,6 @@ class OrbitSystem:
         z = self.orbits[0]
         mean_z = z.profile.mean_index(1)
         ells = np.arange(1, self.ell0 + 1, dtype=np.int64)
-        iterates = []       # each orbit's indices of its iterates 1..ell0, as checked
         if self.mode in ("hyperbolic", "hyperbolic_lower"):
             if not z.hyperbolic or z.profile.elliptic or z.profile.degenerate:
                 raise HypothesisFailed(
@@ -159,7 +162,6 @@ class OrbitSystem:
                 )
             for pos, o in enumerate(self.orbits):
                 t = index_triple(o.profile, ells)
-                iterates.append(t)
                 mu, nu = t.mu_minus, t.nu_a
                 need = 3 + nu if self.mode == "hyperbolic_lower" else np.maximum(3, 2 + nu)
                 if (mu < need).any():
@@ -175,7 +177,6 @@ class OrbitSystem:
                 if o.profile.degenerate is not None:
                     raise HypothesisFailed(f"orbit {pos} is degenerate")
                 t = index_triple(o.profile, ells)
-                iterates.append(t)
                 degenerate = t.nu_a > 0
                 bad = degenerate | (t.mu_minus < self.n + 1)
                 if bad.any():
@@ -185,7 +186,6 @@ class OrbitSystem:
             if self.ell0 != self.n + 1:
                 raise BadGeometry(f"pseudo-rotation mode fixes ell0 = n + 1 = {self.n + 1}")
 
-        object.__setattr__(self, "iterates", tuple(iterates))
         # normalization: rescale periods so the distinguished one equals its mean index
         scale = mean_z / z.period
         norm = tuple(o.period * scale for o in self.orbits)
@@ -322,16 +322,25 @@ def resonance_classify(system: OrbitSystem, i: int):
 
 
 def j_range(system: OrbitSystem, solution: RecurrenceSolution, i: int) -> int:
-    """Largest admissible iterate j of companion i at Hamiltonian order k."""
+    """Largest admissible iterate j of companion i at Hamiltonian order k:
+    the floor of the exact quotient k * slope / T'_i.  Its float value
+    rounds two or three times (k past 2^53), so it lies within 3 ulps of
+    the exact one, and its floor is exact unless it lies within 4 ulps of an
+    integer; there the quotient is taken in Fractions."""
     k = solution.k[0]
-    return int(math.floor(k * system.hamiltonian.slope / system.norm_periods[i]))
+    slope, period = system.hamiltonian.slope, system.norm_periods[i]
+    q = k * slope / period
+    if abs(q - round(q)) > 4 * math.ulp(q):
+        return math.floor(q)
+    return math.floor(Fraction(k) * Fraction(slope) / Fraction(period))
 
 
 def case_classify(system: OrbitSystem, solution: RecurrenceSolution,
-                  i: int, j: int) -> str:
+                  i: int, j: int, top: int) -> str:
+    """The case of the pair (i, j); top is j_range(system, solution, i).
+    Raises JOutOfRange for an orbit or a j outside the solution."""
     if not 0 <= i < len(system.orbits):
         raise JOutOfRange(f"orbit index {i} out of range")
-    top = j_range(system, solution, i)
     if not 1 <= j <= top:
         raise JOutOfRange(f"j = {j} outside [1, {top}] for orbit {i}")
     if i == 0:
@@ -353,68 +362,107 @@ class ExclusionReason(JsonFields):
     numbers: dict = field(default_factory=dict)
 
 
-def _protected_degree(system: OrbitSystem, solution: RecurrenceSolution) -> tuple:
-    """(degree, which) of the protected generator of the distinguished iterate."""
-    z = system.orbits[0]
-    k = solution.k[0]
-    t = index_triple(z.profile, k)
+def _index_tables(system: OrbitSystem, solutions: Sequence[RecurrenceSolution]) -> list:
+    """One index_triple call per orbit i, over its iterates 1..N_i, N_i the
+    largest j_range and k_i + ell0 over the solutions: every index the
+    audit of these solutions reads, its supplied-solution check (k_i +- ell
+    and 1..ell0), its sweeps and the protected degree (k_0 <= N_0)."""
+    return [index_triple(o.profile, np.arange(1, max(
+        max(j_range(system, s, i), s.k[i] + system.ell0) for s in solutions) + 1,
+        dtype=np.int64)) for i, o in enumerate(system.orbits)]
+
+
+def _protected_degree(system: OrbitSystem, solution: RecurrenceSolution,
+                      mu_minus: int) -> tuple:
+    """(degree, which) of the protected generator of the distinguished
+    iterate, whose mu_- is mu_minus."""
     if system.mode == "hyperbolic":
-        return t.mu_minus + 1, "upper"
+        return mu_minus + 1, "upper"
     if system.mode == "hyperbolic_lower":
-        return t.mu_minus, "lower"
-    mean_k = z.profile.mean_index(k)
-    if solution.d <= mean_k:
-        return t.mu_minus, "lower"
-    return t.mu_minus + 1, "upper"
+        return mu_minus, "lower"
+    if solution.d <= system.orbits[0].profile.mean_index(solution.k[0]):
+        return mu_minus, "lower"
+    return mu_minus + 1, "upper"
+
+
+def _setup(system: OrbitSystem, solution: RecurrenceSolution, tables: list) -> tuple:
+    """(tops, generator, levels) of one solution, from index tables that
+    cover it (_index_tables): j_range per orbit, the (degree, which) of the
+    protected generator, and {i: (r, A_h(r))} over the companions i whose
+    aligned iterate k_i is at most tops[i], r = (h')^{-1}(k_i T'_i / k_0).
+    The levels take one dh_inv and one action call over all those
+    companions; both are elementwise, so each level is what a call on its
+    one period gives."""
+    k = solution.k[0]
+    tops = [j_range(system, solution, i) for i in range(len(system.orbits))]
+    generator = _protected_degree(system, solution, int(tables[0].mu_minus[k - 1]))
+    aligned = [i for i in range(1, len(tops)) if 1 <= solution.k[i] <= tops[i]]
+    levels = {}
+    if aligned:
+        H = system.hamiltonian
+        r = H.dh_inv(np.array([solution.k[i] * system.norm_periods[i] / k for i in aligned]))
+        levels = dict(zip(aligned, zip(r.tolist(), H.action(r).tolist())))
+    return tops, generator, levels
 
 
 def exclusion_certificate(system: OrbitSystem, solution: RecurrenceSolution,
                           i: int, j: int) -> ExclusionReason:
     """Certify that the (i, j)-orbit cannot reach the protected generator:
-    the audit's sweep at the one pair.
+    the audit's sweep at the one pair, on the index tables and aligned
+    levels of this one solution.
 
     Raises JOutOfRange for a pair outside the solution, SupportOutOfRange when
     the support escapes, and NotExcluded with the full numeric context when no
     reason applies; that failure is the audit's most informative output.
     """
-    reasons, _ = _sweep(system, solution, i, np.array([j], dtype=np.int64), (j,),
-                        *_protected_degree(system, solution))
+    if not 0 <= i < len(system.orbits):
+        raise JOutOfRange(f"orbit index {i} out of range")
+    tables = _index_tables(system, [solution])
+    tops, generator, levels = _setup(system, solution, tables)
+    reasons, _ = _sweep(system, solution, i, range(j, j + 1), (j,), tops[i], tables[i],
+                        generator, levels.get(i))
     return reasons[0]
 
 
-def _sweep(system: OrbitSystem, solution: RecurrenceSolution, i: int, js: np.ndarray,
-           listed: Sequence[int], protected: int, which: str) -> tuple:
-    """Certify the pairs (i, j) of orbit i for an int64 array js of consecutive j.
+def _sweep(system: OrbitSystem, solution: RecurrenceSolution, i: int, js: range,
+           listed: Sequence[int], top: int, table: IndexTriple, generator: tuple,
+           level: Optional[tuple]) -> tuple:
+    """Certify the pairs (i, j) of orbit i for a range js of j in 1..top.
 
-    One index_triple call gives the supports of every j but the centre (k_0 on
-    the distinguished orbit, the aligned k_i on a companion); the system's
-    indices of iterates 1..ell0 give the recurrence floors and ceilings of
-    the near pairs.  Returns the ExclusionReasons of the listed j
-    (increasing, among js) and the index gaps of the js but the centre.  The
-    first pair that fails raises SupportOutOfRange or NotExcluded, once every
-    listed pair before it is certified.
+    top is orbit i's j_range, table its index table (_index_tables): its
+    rows at js give the supports, of which every one but the centre's (k_0
+    on the distinguished orbit, the aligned k_i on a companion) is
+    certified, and its rows at 1..ell0 the recurrence floors and ceilings
+    of the near pairs.  generator is the (degree, which) of the protected
+    generator, level the aligned pair's (r, A) from _setup.
+    Returns the ExclusionReasons of the listed j (increasing, among js) and
+    the index gaps of the js but the centre.  The first pair that fails
+    raises SupportOutOfRange or NotExcluded, once every listed pair before
+    it is certified.
     """
-    cases = [case_classify(system, solution, i, j) for j in listed]
-    profile = system.orbits[i].profile
-    centre, first = solution.k[i], int(js[0])
-    others = js[js != centre]
-    lo, hi, escaped = _support_bounds(index_triple(profile, others), system.n)
+    cases = [case_classify(system, solution, i, j, top) for j in listed]
+    protected, which = generator
+    centre, first = solution.k[i], js.start
+    lo, hi, escaped = _support_bounds(table.rows(slice(first - 1, js.stop - 1)), system.n)
     gaps = np.maximum(np.maximum(lo - protected, protected - hi), 0)     # degree distance
-    bad = np.flatnonzero(escaped | (gaps < 2))
-    fail = int(others[bad[0]]) if bad.size else None
+    bad = escaped | (gaps < 2)
+    if centre in js:
+        bad[centre - first] = False
+    bad = np.flatnonzero(bad)
+    fail = first + int(bad[0]) if bad.size else None
     if CASE_NEAR in cases:
-        t = system.iterates[i]
-        floors, ceilings = solution.d + t.mu_minus, solution.d - t.mu_minus + t.nu_a
+        base, nu = table.mu_minus[:system.ell0], table.nu_a[:system.ell0]
+        floors, ceilings = solution.d + base, solution.d - base + nu
     reasons = []
     for j, case in zip(listed, cases):
         if fail is not None and fail <= j:
             break
         if j == centre:
-            reasons.append(_aligned_certificate(system, solution, i, j) if i else
+            reasons.append(_aligned_certificate(system, solution, i, j, level) if i else
                            ExclusionReason(kind="same-pair", case=case, i=i, j=j, numbers={
                                "degrees": [protected - 1, protected + 1], "which": which}))
             continue
-        at, l = j - first - (first <= centre < j), j - centre     # the position in others
+        at, l = j - first, j - centre
         numbers = {"support": [int(lo[at]), int(hi[at])], "protected": protected,
                    "gap": int(gaps[at]), "which": which}
         if i:
@@ -425,8 +473,10 @@ def _sweep(system: OrbitSystem, solution: RecurrenceSolution, i: int, js: np.nda
             numbers["recurrence_ceiling"] = int(ceilings[-l - 1])
         reasons.append(ExclusionReason(kind="index-gap", case=case, i=i, j=j, numbers=numbers))
     if fail is None:
-        return reasons, gaps
-    support_interval(profile, fail, system.n)       # raises SupportOutOfRange on escape
+        at = centre - first
+        return reasons, np.concatenate((gaps[:at], gaps[at + 1:])) if centre in js else gaps
+    # raises SupportOutOfRange on escape
+    support_interval(system.orbits[i].profile, fail, system.n)
     at = bad[0]
     context = {"i": i, "j": fail, "support": [int(lo[at]), int(hi[at])], "protected": protected}
     if not i:
@@ -434,17 +484,19 @@ def _sweep(system: OrbitSystem, solution: RecurrenceSolution, i: int, js: np.nda
                           f"the protected degree", context)
     raise NotExcluded(
         f"support of orbit {i} iterate {fail} is {gaps[at]} from the protected degree",
-        {**context, "case": case_classify(system, solution, i, fail), "d": solution.d})
+        {**context, "case": case_classify(system, solution, i, fail, top), "d": solution.d})
 
 
 def _aligned_certificate(system: OrbitSystem, solution: RecurrenceSolution,
-                         i: int, j: int) -> ExclusionReason:
+                         i: int, j: int, level: tuple) -> ExclusionReason:
+    """The certificate of the aligned pair (i, j), whose level r and action
+    A_h(r) are level (_setup)."""
     H = system.hamiltonian
     k = solution.k[0]
     dc = system.derived
     kind, delta = resonance_classify(system, i)
-    r_level = float(H.dh_inv(j * system.norm_periods[i] / k))
-    gap = k * abs(float(H.action(r_level)) - system.A_star)
+    r_level, action = level
+    gap = k * abs(action - system.A_star)
     numbers = {
         "r_level": r_level, "r_star": dc.r_star, "action_gap": gap,
         "sigma": system.sigma, "resonance": kind,
@@ -540,31 +592,25 @@ def audit(system: OrbitSystem, solutions: Optional[Sequence[RecurrenceSolution]]
     pair is audited at, whatever the solution's own), and on the first
     NotExcluded pair, with that NotExcluded as its first_failure.  R1-R3
     are decided by _Iterates.ok, in the search and for supplied solutions
-    alike; no certificate records are built.
+    alike; no certificate records are built.  Every index the audit reads
+    comes from one index_triple call per orbit (_index_tables), made once
+    the solutions are known and, when supplied, have passed R1.
     """
-    profiles = [o.profile for o in system.orbits]
     if solutions is None:
         result = recurrence_search(RecurrenceQuery(
-            profiles=tuple(profiles), eta=system.eta, ell0=system.ell0,
-            n_divisor=1, k_bound=k_bound, count=count))
+            profiles=tuple(o.profile for o in system.orbits), eta=system.eta,
+            ell0=system.ell0, n_divisor=1, k_bound=k_bound, count=count))
         solutions = list(result.solutions)
         if not solutions:
             raise AuditFailed("no recurrence solutions below the horizon")
+        tables = _index_tables(system, solutions)
     elif not solutions:
         raise AuditFailed("no recurrence solutions supplied")
     else:
-        for s in solutions:
-            try:
-                ok = all(it.ok[0] for it in _iterates_at(profiles, s.d, s.k, system.eta,
-                                                          system.ell0))
-            except IterateUnderflow:     # some k_i <= the system's ell0
-                ok = False
-            if not ok:
-                raise AuditFailed(f"supplied solution d={s.d} fails verification at "
-                                  f"eta={system.eta}, ell0={system.ell0}")
+        tables = _checked_tables(system, solutions)
 
     try:
-        audits = [_audit_solution(system, s) for s in solutions]
+        audits = [_audit_solution(system, s, tables) for s in solutions]
     except NotExcluded as exc:
         raise AuditFailed(f"audit failed: {exc}", first_failure=exc) from exc
 
@@ -586,28 +632,61 @@ def audit(system: OrbitSystem, solutions: Optional[Sequence[RecurrenceSolution]]
     return report
 
 
-def _audit_solution(system: OrbitSystem, solution: RecurrenceSolution) -> SolutionAudit:
+def _checked_tables(system: OrbitSystem, solutions: Sequence[RecurrenceSolution]) -> list:
+    """_index_tables of supplied solutions that pass R1-R3 at the system's
+    eta and ell0.  Before any index is computed, each solution in turn
+    needs one k_i per orbit (InvalidParameter) and every k_i > ell0 and R1
+    (AuditFailed); so no table is sized from a solution that fails R1.  On
+    the tables, one _Iterates per orbit over all the solutions decides
+    R2-R3, and the first solution that fails raises AuditFailed."""
+    profiles = [o.profile for o in system.orbits]
+    eta, ell0 = system.eta, system.ell0
+    for s in solutions:
+        try:
+            ks = _orders_at(profiles, s.k, ell0)
+            ok = all(_r1(p, s.d, k, eta)[1] for p, k in zip(profiles, ks))
+        except IterateUnderflow:     # some k_i <= the system's ell0
+            ok = False
+        if not ok:
+            raise _unverified(system, s)
+    tables = _index_tables(system, solutions)
+    d = np.array([s.d for s in solutions], dtype=np.int64)
+    ok = np.ones(d.size, dtype=bool)
+    for i, (p, t) in enumerate(zip(profiles, tables)):
+        ks = np.array([s.k[i] for s in solutions], dtype=np.int64)
+        ok &= _Iterates(p, d, ks, eta, ell0, t).ok
+    if not ok.all():
+        raise _unverified(system, solutions[int(np.argmin(ok))])
+    return tables
+
+
+def _unverified(system: OrbitSystem, solution: RecurrenceSolution) -> AuditFailed:
+    return AuditFailed(f"supplied solution d={solution.d} fails verification at "
+                       f"eta={system.eta}, ell0={system.ell0}")
+
+
+def _audit_solution(system: OrbitSystem, solution: RecurrenceSolution,
+                    tables: list) -> SolutionAudit:
     """Certify every pair (i, j) of one solution: one _sweep per orbit over
     j = 1..j_range, listing the centre and the near pairs |j - k_i| <= ell0,
-    whose certificates the report lists.  The first pair in (i, j) order that
+    whose certificates the report lists.  tables are _index_tables of
+    solutions that include this one.  The first pair in (i, j) order that
     fails raises what exclusion_certificate raises for it: SupportOutOfRange
     or NotExcluded.
     """
-    protected, which = _protected_degree(system, solution)
+    tops, generator, levels = _setup(system, solution, tables)
+    protected, which = generator
     counts = {"same-pair": 0, "index-gap": 0, "short-action-gap": 0,
               "diverging-action-gap": 0}
     min_gap = None
     min_div = None
     aligned = []
     near = []
-    total = 0
-    for i in range(len(system.orbits)):
-        top = j_range(system, solution, i)
-        total += top
+    for i, (top, table) in enumerate(zip(tops, tables)):
         centre, reach = solution.k[i], system.ell0 if i else 0
-        reasons, gaps = _sweep(system, solution, i, np.arange(1, top + 1, dtype=np.int64),
+        reasons, gaps = _sweep(system, solution, i, range(1, top + 1),
                                range(max(1, centre - reach), min(top, centre + reach) + 1),
-                               protected, which)
+                               top, table, generator, levels.get(i))
         counts["index-gap"] += int(gaps.size)
         if gaps.size:
             g = int(gaps.min())
@@ -631,7 +710,7 @@ def _audit_solution(system: OrbitSystem, solution: RecurrenceSolution) -> Soluti
         # the domain vertex carries degrees up to n; demand distance >= 2 from it
         w_vertex_gap_ok=protected - system.n >= 2,
         contradiction=_contradiction(system, solution),
-        total_pairs=total,
+        total_pairs=sum(tops),
     )
 
 

@@ -30,7 +30,7 @@ AUDIT_EXIT = 3
 def _emit(args, payload, human: str, csv_rows=None, csv_header=None, encode=None):
     """Write the machine artifact to --out (JSON, or CSV when rows are given
     and the path says .csv) and the human summary to stdout.  The JSON is
-    encode(payload), by default json.dumps(payload, indent=2, sort_keys=True)."""
+    encode(payload), by default _json_text(payload)."""
     out = getattr(args, "out", None)
     if out:
         path = Path(out)
@@ -41,10 +41,32 @@ def _emit(args, payload, human: str, csv_rows=None, csv_header=None, encode=None
                     w.writerow(csv_header)
                 w.writerows(csv_rows)
         else:
-            text = (json.dumps(payload, indent=2, sort_keys=True) if encode is None
-                    else encode(payload))
+            text = _json_text(payload) if encode is None else encode(payload)
             path.write_text(text + "\n")
     print(human)
+
+
+def _json_text(payload) -> str:
+    """json.dumps(payload, indent=2, sort_keys=True) as strict JSON: a
+    non-finite float is written as a string, "inf", "-inf" or "nan" (as
+    _bars_json writes an infinite death), never as Infinity or NaN.  A
+    payload of finite floats is encoded once, to the same bytes."""
+    try:
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:           # a non-finite float
+        return json.dumps(_finite(payload), indent=2, sort_keys=True, allow_nan=False)
+
+
+def _finite(obj):
+    """obj with each non-finite float in its dicts and lists replaced by its
+    repr as a float: "inf", "-inf" or "nan"."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else repr(float(obj))
+    if isinstance(obj, dict):
+        return {key: _finite(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(value) for value in obj]
+    return obj
 
 
 _NUMBERS = (float, int)

@@ -170,6 +170,12 @@ class IndexTriple:
     def __iter__(self):
         return iter((self.mu_minus, self.mu_plus, self.mu_hat))
 
+    def rows(self, at) -> "IndexTriple":
+        """The triple of arrays at ``at``, an index array or a slice: from a
+        table of iterates 1..N, the iterates at + 1."""
+        return IndexTriple(mu_minus=self.mu_minus[at], mu_plus=self.mu_plus[at],
+                           mu_hat=self.mu_hat[at], nu_a=self.nu_a[at])
+
 
 def index_triple(profile: IterationProfile, k) -> IndexTriple:
     """Exact (mu_minus, mu_plus, mu_hat) of the k-th iterate of a profile.

@@ -40,12 +40,12 @@ import bisect
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import HypothesisFailed, InvalidParameter, IterateUnderflow, JsonFields
-from .indices import IterationProfile, _fits_int64, index_triple
+from .indices import IndexTriple, IterationProfile, _fits_int64, index_triple
 
 #: the first block of j; each next block doubles, up to _BLOCK_MAX and to
 #: about _CHUNK expected R1 candidates; a batch of companion windows holds
@@ -123,39 +123,51 @@ def verify_recurrence(profiles: Sequence[IterationProfile], d: int,
     audit make too; the records are the ones _Iterates.records builds, here
     and nowhere else, so a certificate costs its records only when asked
     for.  Every k_i is checked against ell0 before any index is computed."""
-    its = _iterates_at(profiles, d, ks, eta, ell0)
+    profiles = list(profiles)
+    its = [_Iterates(p, np.full(1, d, dtype=np.int64), np.full(1, k, dtype=np.int64), eta,
+                     ell0) for p, k in zip(profiles, _orders_at(profiles, ks, ell0))]
     return Certificate(ok=all(it.ok[0] for it in its),
                        records=tuple(r for i, it in enumerate(its) for r in it.records(i)))
 
 
-def _iterates_at(profiles: Sequence, d: int, ks: Sequence, eta: float, ell0: int) -> list:
-    """One _Iterates of length one per profile, at (d, k_i).  Raises
-    InvalidParameter unless there is one k_i per profile, and
-    IterateUnderflow at the first k_i <= ell0, before any index is computed."""
-    profiles = list(profiles)
+def _orders_at(profiles: Sequence, ks: Sequence, ell0: int) -> list:
+    """ks as ints, one k_i per profile.  Raises InvalidParameter unless
+    there is one k_i per profile, and IterateUnderflow at the first
+    k_i <= ell0, whose iterate k_i - ell0 does not exist."""
     ks = [int(k) for k in ks]
     if len(ks) != len(profiles):
         raise InvalidParameter(f"{len(ks)} iteration orders for {len(profiles)} profiles")
     for i, k in enumerate(ks):
         if k - ell0 < 1:
             raise IterateUnderflow(f"profile {i}: k = {k} <= ell0 = {ell0}")
-    return [_Iterates(p, np.full(1, d, dtype=np.int64), np.full(1, k, dtype=np.int64), eta,
-                      ell0) for p, k in zip(profiles, ks)]
+    return ks
+
+
+def _r1(p: IterationProfile, d, k, eta: float) -> tuple:
+    """(mean, ok): the mean index mean = mean(p^k) and R1, |mean - d| < eta,
+    at d and k, ints or int64 arrays of candidates (elementwise).  _Iterates
+    decides R1 by it, and the audit tests supplied solutions by it before it
+    computes any index."""
+    mean = p.mean_index(k)
+    return mean, abs(mean - d) < eta
 
 
 class _Iterates:
     """R1-R3 of one profile at candidate pairs (d[c], k[c]), int64 arrays of
-    one length, read from one index_triple call over the iterates ell, then
-    k + ell and k - ell of every candidate, for 1 <= ell <= ell0.  ok is the
-    one decision of R1-R3: the search, the audit and verify_recurrence read
-    it, and only verify_recurrence asks for records."""
+    one length, read from the indices of the iterates ell, then k + ell and
+    k - ell of every candidate, for 1 <= ell <= ell0: from one index_triple
+    call over them, or, when a table is given, from its rows at them.  A
+    table is an IndexTriple of the profile's iterates 1..N, N >= max(k) +
+    ell0, as the audit builds once per orbit.  ok is the one decision of
+    R1-R3: the search, the audit and verify_recurrence read it, and only
+    verify_recurrence asks for records."""
 
     def __init__(self, p: IterationProfile, d: np.ndarray, k: np.ndarray, eta: float,
-                 ell0: int):
+                 ell0: int, table: Optional[IndexTriple] = None):
         self.p, self.d, self.k = p, d, k
         ells = np.arange(1, ell0 + 1, dtype=np.int64)
-        t = index_triple(p, np.concatenate(
-            [ells, (k[:, None] + ells).ravel(), (k[:, None] - ells).ravel()]))
+        orders = np.concatenate([ells, (k[:, None] + ells).ravel(), (k[:, None] - ells).ravel()])
+        t = index_triple(p, orders) if table is None else table.rows(orders - 1)
 
         def rows(a):
             # the iterates ell (base, shared), then per candidate k + ell (up)
@@ -163,8 +175,7 @@ class _Iterates:
             return (a[:ell0],) + tuple(a[ell0:].reshape(2, k.size, ell0))
 
         self.lo, self.hi, self.nu = rows(t.mu_minus), rows(t.mu_plus), rows(t.nu_a)
-        self.mean = p.mean_index(k)
-        self.r1 = np.abs(self.mean - d) < eta
+        self.mean, self.r1 = _r1(p, d, k, eta)
         self.expected = (d[:, None] + self.lo[0], d[:, None] + self.hi[0])
         self.r2 = (self.lo[1] == self.expected[0]) & (self.hi[1] == self.expected[1])
         # b_+ - b_- of the ell-th iterate: elliptic blocks hitting an integer

@@ -697,7 +697,13 @@ def scalar_exclusion_certificate(system, solution, i: int, j: int) -> ExclusionR
     Raises NotExcluded with the full numeric context when no reason applies;
     that failure is the audit's most informative output.
     """
-    return _certify(system, solution, i, j, *_protected_degree(system, solution))
+    return _certify(system, solution, i, j, *_protected(system, solution))
+
+
+def _protected(system, solution) -> tuple:
+    """_protected_degree at the mu_- of the distinguished orbit's k_0-th iterate."""
+    z = system.orbits[0]
+    return _protected_degree(system, solution, index_triple(z.profile, solution.k[0]).mu_minus)
 
 
 def _interval_gap(p: int, lo, hi):
@@ -708,13 +714,15 @@ def _interval_gap(p: int, lo, hi):
 def _certify(system, solution, i: int, j: int,
              protected: int, which: str) -> ExclusionReason:
     """scalar_exclusion_certificate, given the protected generator's degree and which."""
-    case = case_classify(system, solution, i, j)
+    case = case_classify(system, solution, i, j, j_range(system, solution, i))
     if case == CASE_SAME and j == solution.k[0]:
         return ExclusionReason(
             kind="same-pair", case=case, i=i, j=j,
             numbers={"degrees": [protected - 1, protected + 1], "which": which})
     if case == CASE_ALIGNED:
-        return _aligned_certificate(system, solution, i, j)
+        H = system.hamiltonian
+        r_level = float(H.dh_inv(j * system.norm_periods[i] / solution.k[0]))
+        return _aligned_certificate(system, solution, i, j, (r_level, float(H.action(r_level))))
 
     # other iterates: degree distance to the support, pure index arithmetic
     profile = system.orbits[i].profile
@@ -786,7 +794,7 @@ def scalar_audit_solution(system, solution) -> SolutionAudit:
             elif reason.kind == "short-action-gap":
                 aligned.append(reason)
 
-    protected, which = _protected_degree(system, solution)
+    protected, which = _protected(system, solution)
     return SolutionAudit(
         d=solution.d, k=solution.k, counts=counts,
         min_index_gap=min_gap, min_diverging_gap=min_div,

@@ -1,7 +1,9 @@
 import dataclasses
+import functools
 import json
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reeb_lab.audit as audit_module
+import reeb_lab.indices as indices_module
+import reeb_lab.recurrence as recurrence_module
 
 from reeb_lab.audit import (
     CASE_ALIGNED,
@@ -18,6 +22,7 @@ from reeb_lab.audit import (
     MODES,
     OrbitSystem,
     _audit_solution,
+    _index_tables,
     audit,
     case_classify,
     exclusion_certificate,
@@ -37,6 +42,7 @@ from reeb_lab.errors import (
     BadGeometry,
     HypothesisFailed,
     InvalidParameter,
+    IterateUnderflow,
     JOutOfRange,
     MalformedInput,
     NotExcluded,
@@ -401,7 +407,7 @@ class TestCasePartition:
         for i in range(len(sys_.orbits)):
             top = j_range(sys_, s, i)
             assert top >= 1
-            cases = [case_classify(sys_, s, i, j) for j in range(1, top + 1)]
+            cases = [case_classify(sys_, s, i, j, top) for j in range(1, top + 1)]
             if i == 0:
                 assert set(cases) == {CASE_SAME}
             else:
@@ -409,10 +415,11 @@ class TestCasePartition:
                 near = [c for c in cases if c == CASE_NEAR]
                 assert len(near) == 2 * sys_.ell0 or s.k[i] + sys_.ell0 > top
                 assert set(cases) <= {CASE_ALIGNED, CASE_NEAR, CASE_FAR}
+        top = j_range(sys_, s, 1)
         with pytest.raises(JOutOfRange):
-            case_classify(sys_, s, 1, 0)
+            case_classify(sys_, s, 1, 0, top)
         with pytest.raises(JOutOfRange):
-            case_classify(sys_, s, 1, j_range(sys_, s, 1) + 1)
+            case_classify(sys_, s, 1, top + 1, top)
 
 
 class TestCertificates:
@@ -566,8 +573,8 @@ class TestAuditRuns:
         # a sweep that certifies one pair too few must not report ok
         sweep = audit_module._audit_solution
 
-        def one_short(system, solution):
-            a = sweep(system, solution)
+        def one_short(system, solution, tables):
+            a = sweep(system, solution, tables)
             return dataclasses.replace(
                 a, counts={**a.counts, "index-gap": a.counts["index-gap"] - 1})
 
@@ -668,6 +675,11 @@ def unverified(solution, d, k):
                               profiles=solution.profiles)
 
 
+def audit_solution(system, solution):
+    """_audit_solution on the index tables of this one solution."""
+    return _audit_solution(system, solution, _index_tables(system, [solution]))
+
+
 def outcome(sweep, system, solution):
     """The report of one solution, or the error, message and context it fails
     with."""
@@ -687,7 +699,7 @@ class TestArraySweep:
     def test_reports_equal_the_oracle(self, factory, swap):
         system = swapped(factory) if swap else factory()
         for solution in flagship_solutions(system, 10):
-            assert (_audit_solution(system, solution).to_json()
+            assert (audit_solution(system, solution).to_json()
                     == scalar_audit_solution(system, solution).to_json())
 
     def test_degenerate_near_iterates_equal_the_oracle(self):
@@ -698,9 +710,9 @@ class TestArraySweep:
         system = sqrt2_system(orbits=(sqrt2_system().orbits[0], companion))
         solutions = flagship_solutions(system, 3)
         for s in solutions:
-            assert outcome(_audit_solution, system, s) == \
+            assert outcome(audit_solution, system, s) == \
                 outcome(scalar_audit_solution, system, s)
-        near = [r for s in solutions for r in _audit_solution(system, s).near]
+        near = [r for s in solutions for r in audit_solution(system, s).near]
         assert any(r.numbers["l"] == -2 for r in near)
 
     def test_hyperbolic_failure_equals_the_oracle(self):
@@ -708,7 +720,7 @@ class TestArraySweep:
         fails = []
         for s in flagship_solutions(system, 10):
             fake = unverified(s, s.d, (*s.k[:-1], s.k[-1] + 1))
-            got = outcome(_audit_solution, system, fake)
+            got = outcome(audit_solution, system, fake)
             assert got == outcome(scalar_audit_solution, system, fake)
             fails.append(got)
         assert fails[1]["context"]["j"] == 82
@@ -720,7 +732,7 @@ class TestArraySweep:
         system = sqrt2_system()
         s = flagship_solutions(system, 1)[0]
         fake = unverified(s, s.d, (s.k[0], s.k[1] + 4, s.k[2]))
-        got = outcome(_audit_solution, system, fake)
+        got = outcome(audit_solution, system, fake)
         assert got == outcome(scalar_audit_solution, system, fake)
         assert got["context"]["j"] == 58 and got["context"]["case"] == CASE_FAR
 
@@ -737,7 +749,7 @@ class TestArraySweep:
         got = []
         for s in flagship_solutions(system, 3):
             for sol in (s, unverified(s, s.d, (*s.k[:-1], s.k[-1] + 1))):
-                got.append(outcome(_audit_solution, banded, sol))
+                got.append(outcome(audit_solution, banded, sol))
                 assert got[-1] == outcome(scalar_audit_solution, banded, sol)
         assert got[2]["error"] == "SupportOutOfRange"
         assert got[2]["failed"].endswith("at k=99")
@@ -748,7 +760,7 @@ class TestArraySweep:
         fails = []
         for s in flagship_solutions(system, 10):
             fake = unverified(s, s.d + 2, s.k)
-            got = outcome(_audit_solution, system, fake)
+            got = outcome(audit_solution, system, fake)
             assert got == outcome(scalar_audit_solution, system, fake)
             fails.append(got)
         assert fails[1]["context"]["j"] == 35
@@ -801,6 +813,208 @@ class TestSinglePairSweep:
                 assert got == pair_outcomes(scalar_exclusion_certificate, system, sol)
                 kinds |= {r.get("error", r.get("kind")) for r in got}
         assert errors | {"index-gap"} <= kinds
+
+
+def tight_system():
+    """A hyperbolic system whose one companion, of rotation number sqrt 2 - 1,
+    has its resonant level 0.1% below the slope: each aligned iterate k_1
+    is the companion's last j, so k_1 + ell0 sizes its index table.  Its
+    supplied orders pass R1 where k_1 (sqrt 2 - 1) lies just below an
+    integer, and R2 fails there."""
+    rho = math.sqrt(2.0) - 1.0
+    companion = SystemOrbit(period=(2.0 + 2.0 * rho) * 5.0 / 3.0 * (1.0 - 1e-3),
+                            profile=IterationProfile(loop_index=2, elliptic=(rho,)))
+    return sqrt2_system(orbits=(sqrt2_system().orbits[0], companion))
+
+
+@functools.lru_cache(maxsize=None)
+def supplied_pool(name):
+    """(system, solutions) to supply to audit: found ones; fakes that fail
+    R1 (d + 2), that have an order k_i <= ell0, or one order too few; and,
+    for the tight system, orders that pass R1 and fail R2-R3."""
+    system = {"sqrt2": sqrt2_system, "golden": golden_system, "tight": tight_system,
+              "degenerate": degenerate_system, "banded": banded_sqrt2_system}[name]()
+    # the banded system is supplied the solutions of the sqrt(2) system
+    found = flagship_solutions(sqrt2_system() if name == "banded" else system, 3)
+    s = found[0]
+    pool = [*found, unverified(s, s.d + 2, s.k), unverified(s, s.d, (s.k[0], 3, *s.k[2:])),
+            unverified(s, s.d, s.k[:-1])]
+    if name == "tight":
+        pool += [unverified(s, d, k) for d, k in ((51, (17, 18)), (99, (33, 35)))]
+    return system, tuple(pool)
+
+
+def supplied_outcome(run, system, solutions):
+    """The solutions' reports of run(system, solutions), or the error, message
+    and first failure's context it raises."""
+    try:
+        return run(system, solutions)
+    except AuditFailed as exc:
+        first = exc.first_failure
+        return {"error": "AuditFailed", "failed": str(exc),
+                "context": None if first is None else first.context}
+    except (InvalidParameter, SupportOutOfRange) as exc:
+        return {"error": type(exc).__name__, "failed": str(exc)}
+
+
+def tabled_audit(system, solutions):
+    return audit(system, solutions=solutions).to_json()["solutions"]
+
+
+def scalar_audit(system, solutions):
+    """audit(system, solutions=solutions) from its parts before the index
+    tables: each solution's certificate from verify_recurrence at the
+    system's eta and ell0 (an order k_i <= ell0 fails R1).  The first
+    solution, in order, that fails R1 is reported, else the first that
+    fails R2-R3; then every pair is certified by scalar_audit_solution."""
+    profiles = [o.profile for o in system.orbits]
+
+    def unverified(s):
+        return AuditFailed(f"supplied solution d={s.d} fails verification at "
+                           f"eta={system.eta}, ell0={system.ell0}")
+
+    certificates = []
+    for s in solutions:
+        try:
+            cert = verify_recurrence(profiles, s.d, s.k, system.eta, system.ell0)
+        except IterateUnderflow:
+            raise unverified(s) from None
+        if not all(r.ok for r in cert.records if r.name.startswith("R1[")):
+            raise unverified(s)
+        certificates.append(cert)
+    for s, cert in zip(solutions, certificates):
+        if not cert.ok:
+            raise unverified(s)
+    try:
+        return [scalar_audit_solution(system, s).to_json() for s in solutions]
+    except NotExcluded as exc:
+        raise AuditFailed(f"audit failed: {exc}", first_failure=exc) from exc
+
+
+@st.composite
+def supplied(draw):
+    system, pool = supplied_pool(draw(st.sampled_from(
+        ["sqrt2", "golden", "tight", "degenerate", "banded"])))
+    return system, draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))
+
+
+class TestIndexTables:
+    """audit(system, solutions=...) reads every index from one table per
+    orbit: its reports and errors are those of the pair-by-pair oracle
+    after the table-free R1-R3 check."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(supplied())
+    def test_supplied_audit_equals_the_oracle(self, case):
+        system, solutions = case
+        assert (supplied_outcome(tabled_audit, system, solutions)
+                == supplied_outcome(scalar_audit, system, solutions))
+
+    @pytest.mark.parametrize("name, error", [
+        ("sqrt2", None), ("golden", None), ("degenerate", None),
+        ("tight", None), ("banded", "SupportOutOfRange")])
+    def test_every_pool_reaches_its_outcomes(self, name, error):
+        # the pools hold what the differential test needs: several passing
+        # solutions, each kind of rejected one, and the failures they reach
+        system, pool = supplied_pool(name)
+        found, r1, short, few = pool[:3], pool[3], pool[4], pool[5]
+        outcome = supplied_outcome(tabled_audit, system, list(found))
+        assert (outcome.get("error") if isinstance(outcome, dict) else None) == error
+        for fake in (r1, short):
+            assert supplied_outcome(tabled_audit, system, [fake])["error"] == "AuditFailed"
+        assert supplied_outcome(tabled_audit, system, [few])["error"] == "InvalidParameter"
+        if name == "tight":
+            # k_1 + ell0 beyond the companion's j_range, and R1 without R2-R3
+            assert all(s.k[1] + system.ell0 > j_range(system, s, 1) for s in found)
+            for fake in pool[6:]:
+                assert verify_recurrence([o.profile for o in system.orbits], fake.d, fake.k,
+                                         system.eta, system.ell0).records[0].ok
+                assert supplied_outcome(tabled_audit, system, [fake])["error"] == "AuditFailed"
+
+    @pytest.mark.parametrize("factory, count", [
+        (sqrt2_system, 1), (sqrt2_system, 3), (golden_system, 1), (golden_system, 3),
+        (tight_system, 2)])
+    def test_one_index_triple_call_per_orbit(self, monkeypatch, factory, count):
+        system = factory()
+        solutions = flagship_solutions(system, count)
+        calls = []
+
+        def counted(profile, k):
+            calls.append(profile)
+            return index_triple(profile, k)
+
+        for module in (audit_module, recurrence_module, indices_module):
+            monkeypatch.setattr(module, "index_triple", counted)
+        report = audit(system, solutions=solutions)
+        assert report.ok and len(report.solutions) == count
+        assert calls == [o.profile for o in system.orbits]
+
+    def test_a_solution_that_fails_r1_builds_no_table(self, monkeypatch):
+        system = sqrt2_system()
+        s = flagship_solutions(system, 1)[0]
+
+        def refuse(profile, k):
+            raise AssertionError("an index table was built")
+
+        for module in (audit_module, recurrence_module, indices_module):
+            monkeypatch.setattr(module, "index_triple", refuse)
+        # k_0 = 10^12 at the same d fails R1, and so does d + 2: each is
+        # rejected before any index is computed
+        for fake in (unverified(s, s.d, (10 ** 12, *s.k[1:])), unverified(s, s.d + 2, s.k)):
+            with pytest.raises(AuditFailed,
+                               match=f"^supplied solution d={fake.d} fails verification"):
+                audit(system, solutions=[fake])
+
+    def test_the_first_failing_solution_is_reported(self):
+        # the checks made before any index come first, in order: an R1
+        # failure is reported before an R2 failure ahead of it, an order
+        # too few behind an R1 failure is not reached, and the first of
+        # two R2 failures is reported
+        system, pool = supplied_pool("tight")
+        found, r1, few, r2, r2_later = pool[0], pool[3], pool[5], pool[6], pool[7]
+        for solutions, d in (([found, r2, r1], r1.d), ([r2_later, found, r2], r2_later.d),
+                             ([r1, few], r1.d), ([r2, found], r2.d)):
+            with pytest.raises(AuditFailed, match=f"^supplied solution d={d} fails"):
+                audit(system, solutions=solutions)
+        for solutions in ([found, few, r1], [r2, few]):
+            with pytest.raises(InvalidParameter, match="1 iteration orders for 2 profiles"):
+                audit(system, solutions=solutions)
+
+
+class TestJRange:
+    """j_range is the floor of the exact quotient k * slope / T'_i."""
+
+    @staticmethod
+    def j_range_at(k, slope, period):
+        system = SimpleNamespace(hamiltonian=SimpleNamespace(slope=slope),
+                                 norm_periods=(period,))
+        return j_range(system, SimpleNamespace(k=(k,)), 0)
+
+    @pytest.mark.parametrize("k, slope, m", [
+        (800877, 5.0, 1069838), (467024, 7.5, 479750), (984771, 2.964285714285714, 2879322)])
+    @pytest.mark.parametrize("ulps", [-1, 0, 1])
+    def test_an_integer_plus_or_minus_one_ulp(self, k, slope, m, ulps):
+        # the period k slope / m as a float, and one ulp either side: the
+        # quotient lies within about an ulp of the integer m.  At the float
+        # period it rounds up to m, while the exact quotient lies below m
+        period = k * slope / m
+        if ulps:
+            period = math.nextafter(period, math.inf if ulps > 0 else 0.0)
+        exact = math.floor(Fraction(k) * Fraction(slope) / Fraction(period))
+        assert self.j_range_at(k, slope, period) == exact
+        if not ulps:
+            assert math.floor(k * slope / period) == m == exact + 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(k=st.integers(1, 10 ** 12), m=st.integers(1, 10 ** 12),
+           slope=st.sampled_from([5.0, 6.0, 7.5, 2.964285714285714, 0.1]),
+           ulps=st.integers(-3, 3))
+    def test_is_the_fraction_floor(self, k, m, slope, ulps):
+        period = k * slope / m
+        for _ in range(abs(ulps)):
+            period = math.nextafter(period, math.inf if ulps > 0 else 0.0)
+        assert self.j_range_at(k, slope, period) == math.floor(
+            Fraction(k) * Fraction(slope) / Fraction(period))
 
 
 class TestMalformedSystem:

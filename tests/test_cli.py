@@ -288,6 +288,37 @@ class TestSubcommands:
         validate("audit_report.schema.json", payload)
         assert payload["ok"] and "pairs certified" in out
 
+    def test_audit_lemma_writes_strict_json(self, capsys, tmp_path):
+        # a spline with h''(1) = 0 and a raw distinguished period so small
+        # that its level rounds to 1: h'' vanishes there, so C_raw is inf
+        system, out_file = tmp_path / "system.json", tmp_path / "audit.json"
+        system.write_text(json.dumps({
+            "orbits": [{"period": 1e-40, "profile": {"hyperbolic": [3]}, "hyperbolic": True}],
+            "hamiltonian": {"family": "spline", "slope": 7.5, "r_max": 2.0,
+                            "knots": [0.0, 10.0, 10.0]},
+            "n": 2, "mode": "hyperbolic",
+            "constants": {"sigma": 0.6, "eta": 0.1, "ell0": 3, "cbar": 2.0, "b": None}}))
+        code, _, _ = run_cli(["audit-lemma", "--system", str(system), "--count", "2",
+                              "--out", str(out_file)], capsys)
+        assert code == 0
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        payload = json.loads(out_file.read_text(), parse_constant=refuse)
+        assert payload["constants"]["C_raw"] == "inf" and payload["ok"]
+        validate("audit_report.schema.json", payload)
+
+    def test_finite_artifact_bytes_unchanged(self, capsys, tmp_path, sqrt2_system_file):
+        from reeb_lab.audit import OrbitSystem, audit
+        out_file = tmp_path / "audit.json"
+        run_cli(["audit-lemma", "--system", str(sqrt2_system_file), "--count", "2",
+                 "--out", str(out_file)], capsys)
+        report = audit(OrbitSystem.from_json(json.loads(sqrt2_system_file.read_text())),
+                       count=2)
+        assert out_file.read_text() == \
+            json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
+
     @pytest.mark.parametrize("file_mode", ["pseudo_rotation", "hyperbolic", None])
     def test_audit_lemma_mode_flag_wins(self, capsys, tmp_path, file_mode):
         # the system is checked under the flag's mode only, never under the
@@ -840,6 +871,42 @@ def test_bars_json_is_json_dumps(bars):
 def test_bars_json_rejects_rows_outside_its_domain(row):
     with pytest.raises(ValueError):
         cli._bars_json([Bar._make(row)])
+
+
+_JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=4),
+              st.floats(allow_nan=True, allow_infinity=True)),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=12)
+
+
+def _encoded(value):
+    """value with each non-finite float as the string _json_text writes."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return "nan" if math.isnan(value) else ("inf" if value > 0 else "-inf")
+    if isinstance(value, list):
+        return [_encoded(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _encoded(v) for k, v in value.items()}
+    return value
+
+
+@settings(max_examples=200, deadline=None)
+@given(payload=_JSON_VALUES)
+@example(payload={"C_raw": math.inf, "levels": [-math.inf, math.nan, 1.5]})
+def test_json_text_is_strict_json(payload):
+    # json.dumps' bytes wherever every float is finite; otherwise each
+    # non-finite float becomes a string, and nothing outside JSON is written
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    text = cli._json_text(payload)
+    assert json.loads(text, parse_constant=refuse) == json.loads(
+        json.dumps(_encoded(payload)), parse_constant=refuse)
+    if _encoded(payload) == payload:
+        assert text == json.dumps(payload, indent=2, sort_keys=True)
 
 
 def test_fuzz_subcommand_removed(capsys):
