@@ -54,8 +54,8 @@ from .indices import (
     IterationProfile,
     SystemOrbit,
     _support_bounds,
+    _support_escape,
     index_triple,
-    support_interval,
 )
 from .recurrence import (
     RecurrenceQuery,
@@ -437,8 +437,8 @@ def _sweep(system: OrbitSystem, solution: RecurrenceSolution, i: int, js: range,
     generator, level the aligned pair's (r, A) from _setup.
     Returns the ExclusionReasons of the listed j (increasing, among js) and
     the index gaps of the js but the centre.  The first pair that fails
-    raises SupportOutOfRange or NotExcluded, once every listed pair before
-    it is certified.
+    raises SupportOutOfRange, when its support row escapes, or NotExcluded,
+    once every listed pair before it is certified.
     """
     cases = [case_classify(system, solution, i, j, top) for j in listed]
     protected, which = generator
@@ -475,9 +475,9 @@ def _sweep(system: OrbitSystem, solution: RecurrenceSolution, i: int, js: range,
     if fail is None:
         at = centre - first
         return reasons, np.concatenate((gaps[:at], gaps[at + 1:])) if centre in js else gaps
-    # raises SupportOutOfRange on escape
-    support_interval(system.orbits[i].profile, fail, system.n)
     at = bad[0]
+    if escaped[at]:
+        raise _support_escape(lo[at], hi[at], fail)
     context = {"i": i, "j": fail, "support": [int(lo[at]), int(hi[at])], "protected": protected}
     if not i:
         raise NotExcluded(f"iterate {fail} of the distinguished orbit sits {gaps[at]} from "
@@ -644,7 +644,7 @@ def _checked_tables(system: OrbitSystem, solutions: Sequence[RecurrenceSolution]
     for s in solutions:
         try:
             ks = _orders_at(profiles, s.k, ell0)
-            ok = all(_r1(p, s.d, k, eta)[1] for p, k in zip(profiles, ks))
+            ok = all(_r1(p.mean_index(k), s.d, eta) for p, k in zip(profiles, ks))
         except IterateUnderflow:     # some k_i <= the system's ell0
             ok = False
         if not ok:

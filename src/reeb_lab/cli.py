@@ -423,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ellipsoid", help="model flow data")
     p.add_argument("--weights", required=True, help="comma-separated weights")
-    p.add_argument("--spectrum", type=float, help="list periods up to this value")
+    p.add_argument("--spectrum", type=float, help="list periods up to this value, at most 10^6")
     p.add_argument("--slope", type=float, help="check a slope against the spectrum")
     p.add_argument("--convexity", action="store_true")
     p.add_argument("--k-max", type=int, default=100)

@@ -29,6 +29,13 @@ CONVENTION = "periods=pi*a_j; return-map angles 2*pi*a_j/a_i"
 _CF_REMAINDER = 1e-10
 _CF_DENOMINATOR_CAP = 10 ** 6
 
+#: the most periods action_spectrum lists, sum_j t_max / T_j
+_SPECTRUM_CAP = 10 ** 6
+
+#: slope_valid's guard band: a period within _SLOPE_BAND * max(1, slope) of
+#: the slope makes it invalid
+_SLOPE_BAND = 1e-9
+
 
 def detect_rational(x: float):
     """Continued-fraction expansion of x; returns (Fraction, capped_flag).
@@ -134,9 +141,13 @@ class ActionSpectrum:
 
 
 def action_spectrum(spec: EllipsoidSpec, t_max: float) -> ActionSpectrum:
-    """All orbit periods k * T_j in (0, t_max], sorted; ties ordered by (j, k)."""
+    """All orbit periods k * T_j in (0, t_max], sorted; ties ordered by (j, k).
+    A t_max with more than _SPECTRUM_CAP of them, sum_j t_max / T_j, raises
+    InvalidParameter before any is listed."""
     if not 0 < t_max < math.inf:
         raise InvalidParameter(f"t_max must be positive and finite, got {t_max}")
+    if not sum(t_max / T for T in ellipsoid_periods(spec)) <= _SPECTRUM_CAP:
+        raise InvalidParameter(f"spectrum below {t_max} holds more than {_SPECTRUM_CAP} periods")
     entries = []
     for j, T in enumerate(ellipsoid_periods(spec), start=1):
         k = 1
@@ -147,21 +158,22 @@ def action_spectrum(spec: EllipsoidSpec, t_max: float) -> ActionSpectrum:
     return ActionSpectrum(entries=tuple(entries), t_max=t_max)
 
 
-def slope_valid(spec: EllipsoidSpec, slope: float, band: float = 1e-9) -> bool:
-    """True iff the slope avoids the action spectrum within the guard band.
-    If a period k * T_j lies in the band, the one nearest the slope does, so
-    only k = floor(slope / T_j) - 1 ... + 2 are checked, not the spectrum."""
+def slope_valid(spec: EllipsoidSpec, slope: float) -> bool:
+    """True iff the slope avoids the action spectrum within the guard band
+    _SLOPE_BAND.  If a period k * T_j lies in the band, the one nearest the
+    slope does, so only k = floor(slope / T_j) - 1 ... + 2 are checked, not
+    the spectrum."""
     if not math.isfinite(slope):
         raise InvalidParameter(f"slope must be finite, got {slope}")
     if slope <= 0:
         return False
-    t_max = slope * (1.0 + 2.0 * band) + band
+    t_max = slope * (1.0 + 2.0 * _SLOPE_BAND) + _SLOPE_BAND
     for T in ellipsoid_periods(spec):
         if not slope / T < math.inf:
             raise InvalidParameter(f"slope {slope} over the period {T} overflows a float")
         near = math.floor(slope / T)
         for k in range(max(1, near - 1), near + 3):
-            if k * T <= t_max and abs(slope - k * T) <= band * max(1.0, slope):
+            if k * T <= t_max and abs(slope - k * T) <= _SLOPE_BAND * max(1.0, slope):
                 return False
     return True
 

@@ -63,6 +63,10 @@ _UNSETTLED_HALVINGS = np.finfo(float).nmant - 2
 #: transfers (K = 2) took the same time at 64 and 128
 _NODE_BUDGET = 128
 
+#: transfer_map's tolerance, relative to max(1, k c), on the sandwich slacks
+#: and on each step of monotonicity
+_TRANSFER_TOL = 1e-9
+
 
 class _BisectionTree:
     """Buffers and views for ``levels`` levels of _bisect over every element
@@ -663,21 +667,21 @@ def check_transfer_parameters(k: float, lam: float) -> None:
 
 
 def transfer_map(profile: RadialProfile, k: float, lam: float,
-                 taus: Sequence[float], tol: float = 1e-9) -> TransferValues:
+                 taus: Sequence[float]) -> TransferValues:
     """f = a_{(k+lam)H} o a_{kH}^{-1} on the given action grid.
 
     Asserts the sandwich tau - lam * h(r_max) <= f(tau) <= tau pointwise and
-    monotonicity along the grid, which must be a nonempty 1-D sequence
-    (InvalidParameter otherwise).  a_{kH}^{-1} is one ``action_inverse``
-    call over the grid.  Its bisections, at most 80 halvings over the
-    periods and, for a spline, 64 per level solve, evaluate several levels
-    per call where the array is small: a grid of 2 taus takes 6 levels of
-    the periods per call, and each level solve then gets the 126 periods
-    of that call's tree and takes one level per call, as does any grid of
-    more than _NODE_BUDGET / 3 taus.  Each bisection stops at its first
-    level whose midpoints are all ends of their brackets, so the values are
-    the full one-level counts' bit for bit (``_bisect``).  A grid that
-    holds tau = 0 takes all 80.
+    monotonicity along the grid, both within _TRANSFER_TOL; the grid must
+    be a nonempty 1-D sequence (InvalidParameter otherwise).  a_{kH}^{-1}
+    is one ``action_inverse`` call over the grid.  Its bisections, at most
+    80 halvings over the periods and, for a spline, 64 per level solve,
+    evaluate several levels per call where the array is small: a grid of 2
+    taus takes 6 levels of the periods per call, and each level solve then
+    gets the 126 periods of that call's tree and takes one level per call,
+    as does any grid of more than _NODE_BUDGET / 3 taus.  Each bisection
+    stops at its first level whose midpoints are all ends of their
+    brackets, so the values are the full one-level counts' bit for bit
+    (``_bisect``).  A grid that holds tau = 0 takes all 80.
     """
     check_transfer_parameters(k, lam)
     if profile.admissible:
@@ -693,7 +697,7 @@ def transfer_map(profile: RadialProfile, k: float, lam: float,
     h_top = float(profile.h(profile.r_max))
     upper = float(np.min(taus - values))
     lower = float(np.min(values - (taus - lam * h_top)))
-    scale = max(1.0, top)
+    tol, scale = _TRANSFER_TOL, max(1.0, top)
     if upper < -tol * scale or lower < -tol * scale:
         raise SandwichViolated(
             f"transfer sandwich violated: upper slack {upper:.3e}, lower slack {lower:.3e}"

@@ -86,6 +86,10 @@ class IterationProfile:
         return len(self.elliptic) + len(self.hyperbolic) + deg
 
     def mean_index(self, k: int = 1) -> float:
+        """The mean index of the k-th iterate: k times the float mean index
+        of the first, in one multiplication; k an int, or an int64 array
+        (elementwise).  Every mean index on which the recurrence search or
+        the audit decides is read from here."""
         rho_sum = sum(float(r) for r in self.elliptic)
         return k * (self.loop_index + 2.0 * rho_sum + sum(self.hyperbolic))
 
@@ -273,8 +277,7 @@ def support_interval(profile: IterationProfile, k, n: int) -> tuple:
     lo, hi, escaped = _support_bounds(index_triple(profile, ks), n)
     if escaped.any():
         at = int(np.argmax(escaped))
-        raise SupportOutOfRange(f"support [{lo[at]}, {hi[at]}] escapes "
-                                f"[mu_hat - n + 1, mu_hat + n] at k={ks[at]}")
+        raise _support_escape(lo[at], hi[at], ks[at])
     return (lo, hi) if isinstance(k, np.ndarray) else (int(lo[0]), int(hi[0]))
 
 
@@ -285,6 +288,12 @@ def _support_bounds(t: IndexTriple, n: int) -> tuple:
     lo, hi = t.mu_minus, t.mu_plus + 1
     escaped = (lo < t.mu_hat - n + 1 - 1e-9) | (hi > t.mu_hat + n + 1e-9)
     return lo, hi, escaped
+
+
+def _support_escape(lo, hi, k) -> SupportOutOfRange:
+    """The SupportOutOfRange of an escaped row [lo, hi] of _support_bounds
+    at the iterate k, as support_interval and the audit's sweep raise it."""
+    return SupportOutOfRange(f"support [{lo}, {hi}] escapes [mu_hat - n + 1, mu_hat + n] at k={k}")
 
 
 @dataclass(frozen=True)

@@ -22,15 +22,15 @@ interval.  This is the residue-class structure behind the three-distance
 theorem (Sos 1958; Swierczkowski 1959).  One numpy pass over the Q classes
 emits every interval.  The window is widened by a slack that bounds the
 float error of the enumeration and of the R1 test, so every k_0 that passes
-R1 is enumerated.  Each enumerated k_0 is then re-tested with that test's
-own float expressions.
+R1 is enumerated.  Each enumerated k_0 is then re-tested by that test, _r1,
+the one function that decides R1 on IterationProfile.mean_index(k).
 
 On the survivors the searcher proposes d as the nearest multiple of N to
 k_0 * mean(Phi_0) and checks R1-R3 for profile 0 in one index call per
-block.  It then locates each companion k_i in the window R1 allows, testing
-the windows of a batch of the candidates that passed profile 0 in one index
-call per companion.  An empty
-result therefore certifies that no solution exists below the horizon; a
+block.  It then locates each companion k_i in the window R1 allows
+(_companion_window), testing the windows of a batch of the candidates that
+passed profile 0 in one index call per companion.  An empty result
+therefore certifies that no solution exists below the horizon; a
 soft flag marks horizons exhausted before the requested solution count.
 """
 
@@ -143,13 +143,15 @@ def _orders_at(profiles: Sequence, ks: Sequence, ell0: int) -> list:
     return ks
 
 
-def _r1(p: IterationProfile, d, k, eta: float) -> tuple:
-    """(mean, ok): the mean index mean = mean(p^k) and R1, |mean - d| < eta,
-    at d and k, ints or int64 arrays of candidates (elementwise).  _Iterates
-    decides R1 by it, and the audit tests supplied solutions by it before it
-    computes any index."""
-    mean = p.mean_index(k)
-    return mean, abs(mean - d) < eta
+def _r1(mean, d, eta: float):
+    """R1, |mean - d| < eta, at the mean index mean = p.mean_index(k) of an
+    iterate k and the degree d: floats and ints, or arrays of candidates
+    (elementwise).  This is the one R1 test: _Iterates decides R1 by it,
+    the search's profile-0 mask and companion prefilter and _companions'
+    window filter drop candidates by it, and the audit tests supplied
+    solutions by it before it computes any index.  Its float error, with
+    that of p.mean_index(k), is what _window's slack bounds."""
+    return abs(mean - d) < eta
 
 
 class _Iterates:
@@ -175,7 +177,7 @@ class _Iterates:
             return (a[:ell0],) + tuple(a[ell0:].reshape(2, k.size, ell0))
 
         self.lo, self.hi, self.nu = rows(t.mu_minus), rows(t.mu_plus), rows(t.nu_a)
-        self.mean, self.r1 = _r1(p, d, k, eta)
+        self.r1 = _r1(p.mean_index(k), d, eta)
         self.expected = (d[:, None] + self.lo[0], d[:, None] + self.hi[0])
         self.r2 = (self.lo[1] == self.expected[0]) & (self.hi[1] == self.expected[1])
         # b_+ - b_- of the ell-th iterate: elliptic blocks hitting an integer
@@ -205,7 +207,7 @@ class _Iterates:
             0: mu_-(ell) = mu_+(ell) and b = 0, so R3 reads
             mu_+(k - ell) = d - mu_+(ell), the symmetry the record checks.
         """
-        d, corr, mean = int(self.d[0]), self.p.b_correction(), float(self.mean[0])
+        d, corr, mean = int(self.d[0]), self.p.b_correction(), float(self.p.mean_index(self.k)[0])
         base_lo, base_hi, base_nu = self.lo[0], self.hi[0], self.nu[0]
         columns = [a.tolist() for a in (
             self.r2[0], self.lo[1][0], self.hi[1][0], self.expected[0][0], self.expected[1][0],
@@ -243,13 +245,13 @@ def recurrence_search(query: RecurrenceQuery, on_solution=None) -> SearchResult:
     exhaustive below the horizon.
 
     k_0 runs over the R1 returns of profile 0 that _r1_candidates enumerates
-    block by block, each re-tested with the float expressions of R1 (see the
-    module docstring), here and in _Iterates.  Solutions are emitted with
-    strictly increasing d, each companion k_i the smallest passing multiple
-    of N in its R1 window.  The candidates of a block that pass profile 0
-    are taken in batches (_batch), and each companion is tested in one
-    _Iterates over the windows of a batch's candidates that passed the
-    companions before it (_companions).  _Iterates.ok alone decides R1-R3,
+    block by block, each re-tested by _r1 (see _window), here and in
+    _Iterates.  Solutions are emitted with strictly increasing d, each
+    companion k_i the smallest passing multiple of N in its R1 window
+    (_companion_window).  The candidates of a block that pass profile 0 are
+    taken in batches (_batch), and each companion is tested in one _Iterates
+    over the windows of a batch's candidates that passed the companions
+    before it (_companions).  _Iterates.ok alone decides R1-R3,
     and no ConditionRecord is built: a solution's certificate is
     verify_recurrence of it, built when read.  on_solution, when given, is
     called with each solution as found (the CLI uses this to stream).  Every
@@ -281,20 +283,16 @@ def recurrence_search(query: RecurrenceQuery, on_solution=None) -> SearchResult:
     while a < j_stop and len(found) < query.count:
         b = min(j_stop, a + size)
         k0s = N * _r1_candidates(mean0, eta / N, a, b)
-        means = k0s * mean0
+        means = query.profiles[0].mean_index(k0s)
         ds = np.rint(means / N).astype(np.int64) * N
         # R1 here too: a single-profile query has no companion prefilter
-        mask = (np.abs(means - ds) < eta) & (ds > last_d)
+        mask = _r1(means, ds, eta) & (ds > last_d)
         # companion feasibility prefilter: for each other profile one of the
-        # two multiples of N next to d / mean_i must lie in its R1 window;
-        # when eta >= N mean_i one always does, as they are N mean_i apart
+        # two multiples of N next to d / mean_i must pass R1; when
+        # eta >= N mean_i one always does, as they are N mean_i apart
         for p in query.profiles[1:]:
-            mi = p.mean_index(1)
-            approx = ds / (N * mi)
-            cand_lo = np.floor(approx).astype(np.int64) * N
-            cand_hi = cand_lo + N
-            ok_i = (np.abs(cand_lo * mi - ds) < eta) | (np.abs(cand_hi * mi - ds) < eta)
-            mask &= ok_i
+            cand_lo = np.floor(ds / (N * p.mean_index(1))).astype(np.int64) * N
+            mask &= _r1(p.mean_index(cand_lo), ds, eta) | _r1(p.mean_index(cand_lo + N), ds, eta)
         if mask.any():     # profile 0's R1-R3 in one _Iterates over the survivors
             it0 = _Iterates(query.profiles[0], ds[mask], k0s[mask], eta, query.ell0)
             cands = np.flatnonzero(it0.ok)
@@ -329,15 +327,18 @@ def recurrence_search(query: RecurrenceQuery, on_solution=None) -> SearchResult:
 
 def _window(w: float, alpha: float, b: int) -> float:
     """w widened by a slack that bounds, for every j < b, the float error
-    of both R1's test and _r1_candidates' arithmetic.
+    of both R1's test on profile 0 and _r1_candidates' arithmetic.
 
-    R1's test rounds k_0 * alpha, its quotient by N, N times its nearest
-    integer and the difference, and so decides ||j alpha|| < w up to an
-    error of about 5u j alpha + 4u w (u = 2^-53).  The enumeration rounds
-    each class's start, drift and window edges, which adds about
-    20u (b alpha + 1) (its eps is at most alpha).  The slack 64u (b alpha + 1)
-    exceeds their sum about threefold; once it reaches the window's cap of
-    1/2, every j is enumerated.
+    R1's test on profile 0 is the one float expression
+    _r1(mean, N rint(mean / N), eta) with mean = mean_index(k_0), as
+    recurrence_search and _Iterates evaluate it.  It rounds k_0 * alpha,
+    its quotient by N, N times its nearest integer and the difference, and
+    so decides ||j alpha|| < w up to an error of about 5u j alpha + 4u w
+    (u = 2^-53).  The enumeration rounds each class's start, drift and
+    window edges, which adds about 20u (b alpha + 1) (its eps is at most
+    alpha).  The slack 64u (b alpha + 1) exceeds their sum about
+    threefold; once it reaches the window's cap of 1/2, every j is
+    enumerated.
     """
     return w + 2.0 ** -47 * (b * alpha + 1.0)
 
@@ -410,13 +411,24 @@ def _batch(query: RecurrenceQuery, d: np.ndarray) -> int:
     N, eta, ell0 = query.n_divisor, query.eta, query.ell0
     n = d.size
     for p in query.profiles[1:]:
-        mi = p.mean_index(1)
-        top = np.ceil((d[:n] + eta) / (N * mi))
-        sizes = np.cumsum(top - np.floor((d[:n] - eta) / (N * mi)) + 1)
+        bottom, top = _companion_window(p, d[:n], eta, N)
+        sizes = np.cumsum(top - bottom + 1)
         n = min(int(np.searchsorted(sizes, _CHUNK, side="right")),
                 bisect.bisect_left(range(n), True,
                                    key=lambda c: not _fits_int64(p, int(top[c]) * N + ell0)))
     return max(1, n)
+
+
+def _companion_window(p: IterationProfile, d: np.ndarray, eta: float, N: int) -> tuple:
+    """(bottom, top), floats: floor((d - eta) / (N mean)) and
+    ceil((d + eta) / (N mean)), mean = p.mean_index(1), elementwise in d.
+    Every multiple N j of N whose mean index passes R1 at d (_r1) has
+    bottom <= j <= top: such a j lies between the two quotients up to a
+    few ulps of j, the rounding of R1's test and of the quotients, and
+    floor and ceil widen the interval to the next integers.  _batch sizes
+    and _companions enumerates the companion windows by it."""
+    step = N * p.mean_index(1)
+    return np.floor((d - eta) / step), np.ceil((d + eta) / step)
 
 
 def _companions(query: RecurrenceQuery, d: np.ndarray) -> tuple:
@@ -432,14 +444,12 @@ def _companions(query: RecurrenceQuery, d: np.ndarray) -> tuple:
     for i, p in enumerate(query.profiles[1:]):
         if not alive.size:
             break
-        mi = p.mean_index(1)
-        lo = np.floor((d[alive] - eta) / (N * mi)).astype(np.int64) * N
-        hi = np.ceil((d[alive] + eta) / (N * mi)).astype(np.int64) * N
+        lo, hi = (q.astype(np.int64) * N for q in _companion_window(p, d[alive], eta, N))
         first = np.maximum(N, lo)
         n = np.maximum((hi - first) // N + 1, 0)
         owner = np.repeat(alive, n)
         ks = np.repeat(first, n) + N * (np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n))
-        keep = (ks - ell0 >= 1) & (np.abs(ks * mi - d[owner]) < eta)
+        keep = (ks - ell0 >= 1) & _r1(p.mean_index(ks), d[owner], eta)
         owner, ks = owner[keep], ks[keep]
         its.append(_Iterates(p, d[owner], ks, eta, ell0))
         passing = np.flatnonzero(its[-1].ok)
@@ -461,15 +471,13 @@ def convexity_gap_check(profiles: Sequence[IterationProfile],
     """Check mu_+(Phi_i^{k_i - l}) <= d - 2 for 1 <= l <= ell0.
 
     Requires the convexity hypothesis mu_-(Phi_i) >= m + 2 on every profile,
-    and one profile per order of the solution (InvalidParameter otherwise).
+    one profile per order of the solution and every order above ell0, as
+    verify_recurrence does (_orders_at: InvalidParameter, IterateUnderflow).
     """
-    if len(solution.k) != len(profiles):
-        raise InvalidParameter(
-            f"{len(solution.k)} iteration orders for {len(profiles)} profiles")
     ells = np.arange(1, solution.ell0 + 1, dtype=np.int64)
     # one call per profile: the first iterate, then k - ell for 1 <= ell <= ell0
     tables = [index_triple(p, np.concatenate([[1], k - ells]))
-              for p, k in zip(profiles, solution.k)]
+              for p, k in zip(profiles, _orders_at(profiles, solution.k, solution.ell0))]
     for i, t in enumerate(tables):
         if t.mu_minus[0] < m + 2:
             raise HypothesisFailed(

@@ -67,6 +67,7 @@ from reeb_lab.indices import (
     index_triple,
     rotation_path,
     stretch_path,
+    support_interval,
 )
 from reeb_lab.symplectic import WilliamsonInvariants, validate_symplectic, williamson_invariants
 from reeb_lab.recurrence import (
@@ -781,6 +782,26 @@ def banded_sqrt2_system():
     return sqrt2_system(orbits=(*system.orbits[:2], SystemOrbit(
         period=system.orbits[2].period,
         profile=IterationProfile(loop_index=2, elliptic=(140 / 99 - 0.75e-9 / 99,)))))
+
+
+def test_banded_escape_is_read_from_the_tables(monkeypatch):
+    # the escape at k = 99 is the one support_interval raises, and it is read
+    # from the audit's one index table per orbit, not from another index call
+    system = banded_sqrt2_system()
+    with pytest.raises(SupportOutOfRange) as expected:
+        support_interval(system.orbits[2].profile, 99, system.n)
+    called = []
+
+    def counted(profile, k):
+        called.append(profile)
+        return index_triple(profile, k)
+    monkeypatch.setattr(audit_module, "index_triple", counted)
+    monkeypatch.setattr(indices_module, "index_triple", counted)
+    with pytest.raises(SupportOutOfRange) as got:
+        audit(system, count=3)
+    assert str(got.value) == str(expected.value)
+    assert str(got.value).startswith("support [477, 480] escapes")
+    assert called == [o.profile for o in system.orbits]
 
 
 def degenerate_system():

@@ -660,6 +660,9 @@ class TestConfigAndErrors:
         ("audit_k_bound_negative", {"s.json": sqrt2_system_json()},
          ["audit-lemma", "--system", "s.json", "--k-bound", "-5"],
          "k_bound must be >= 0, got -5"),
+        # a finite bound whose spectrum would outgrow memory before it is listed
+        ("spectrum_too_long", {}, ["ellipsoid", "--weights", "1,2", "--spectrum", "1e300"],
+         "holds more than 1000000 periods"),
     ])
     def test_invalid_input_exit_2(self, capsys, tmp_path, name, files, argv, message):
         for fname, blob in files.items():
@@ -788,6 +791,8 @@ REACHED_FROM_OUTSIDE = {
     "spline_slope": "perfbench's action_calculus workload builds its spline with it",
     "exclusion_certificate": "the audit's sweep at one pair, which the tests compare "
                              "with the scalar oracle",
+    "support_interval": "the degree range of an iterate's local homology, which the "
+                        "sweep's scalar oracle reads; the audit reads its rows from a table",
 }
 
 

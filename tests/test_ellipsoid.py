@@ -15,7 +15,7 @@ from reeb_lab.ellipsoid import (
     pseudo_rotation_instance,
     slope_valid,
 )
-from reeb_lab.errors import DegenerateEllipsoid, HypothesisFailed
+from reeb_lab.errors import DegenerateEllipsoid, HypothesisFailed, InvalidParameter
 from reeb_lab.indices import ConvexityReport, SystemOrbit, cz_index_sampled, index_triple
 
 from _matrices import direct_sum, rotation2
@@ -163,6 +163,15 @@ class TestSpectrum:
             count = len(action_spectrum(spec, T).entries)
             assert count == pytest.approx(slope_density * T, abs=4)
 
+    @pytest.mark.parametrize("weights, t_max", [
+        ((1.0, 2.0), 1e300),            # about 5e299 periods: never listed
+        ((1e-310, 2.0), 1.0),           # t_max / T_1 overflows to inf
+        ((1.0, 2.0), 2.1e6),            # about 1.003e6 periods, just above the cap
+    ])
+    def test_spectrum_above_the_cap_rejected(self, weights, t_max):
+        with pytest.raises(InvalidParameter, match="holds more than 1000000 periods"):
+            action_spectrum(EllipsoidSpec(weights), t_max)
+
     @pytest.mark.parametrize("call", [
         lambda: EllipsoidSpec((1.0, math.inf)),
         lambda: EllipsoidSpec((math.nan,)),
@@ -174,7 +183,7 @@ class TestSpectrum:
         with pytest.raises(ValueError, match="finite"):
             call()
 
-    def test_slope_validity(self):
+    def test_slope_validity(self, monkeypatch):
         spec = EllipsoidSpec((1.0, math.sqrt(2.0)))
         assert not slope_valid(spec, math.pi)           # exactly a period
         assert not slope_valid(spec, 2 * math.pi)
@@ -182,7 +191,8 @@ class TestSpectrum:
         assert not slope_valid(spec, math.pi + 1e-12)   # inside the guard band
         # about 5e11 periods lie below 1e12; only those next to it are checked
         assert not slope_valid(spec, 1e12)              # a band 1000 wide, periods pi apart
-        assert slope_valid(spec, 1e12, band=1e-18)
+        monkeypatch.setattr(ellipsoid_module, "_SLOPE_BAND", 1e-18)
+        assert slope_valid(spec, 1e12)
 
 
 @st.composite
@@ -207,7 +217,9 @@ class TestSlopeValidity:
     def test_nearest_multiples_decide_as_the_spectrum_does(self, case):
         weights, slope, band = case
         spec = EllipsoidSpec(weights)
-        assert slope_valid(spec, slope, band) == enumerated_slope_valid(spec, slope, band)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ellipsoid_module, "_SLOPE_BAND", band)
+            assert slope_valid(spec, slope) == enumerated_slope_valid(spec, slope, band)
 
 
 class TestPseudoRotation:

@@ -327,11 +327,12 @@ class TestTransfer:
         with pytest.raises(ActionOutOfRange):
             transfer_map(p, 2.0, 1.0, [2.0 * p.c + 1.0])
 
-    def test_sandwich_violation_is_typed(self):
+    def test_sandwich_violation_is_typed(self, monkeypatch):
         # a negative tolerance demands slack the map cannot have
+        monkeypatch.setattr(hamiltonian, "_TRANSFER_TOL", -1.0)
         p = make()
         with pytest.raises(SandwichViolated) as info:
-            transfer_map(p, 2.0, 1.5, np.linspace(0.0, 2.0 * p.c, 5), tol=-1.0)
+            transfer_map(p, 2.0, 1.5, np.linspace(0.0, 2.0 * p.c, 5))
         assert isinstance(info.value, ReebLabError)
 
 

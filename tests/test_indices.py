@@ -1,3 +1,4 @@
+import json
 import math
 import re
 from fractions import Fraction
@@ -7,10 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from reeb_lab.cli import main
 from reeb_lab.errors import (
     DegenerateEndpoint,
     DimensionMismatch,
     MalformedInput,
+    PathNotSplittable,
     SamplingTooCoarse,
     SupportOutOfRange,
 )
@@ -140,6 +143,27 @@ class TestSampledIndex:
         S[0, 1] = S[1, 0] = 0.03
         S[2, 3] = S[3, 2] = -0.02
         assert cz_index_sampled(flow_path(S)) == 2
+
+    def test_time_varying_splitting_not_splittable(self, tmp_path, capsys):
+        # two rotation planes conjugated by the shear S(t) = [[I, tB], [0, I]],
+        # symplectic for symmetric B: each sample splits, but into planes that
+        # move with t, so no constant change of basis splits the whole path
+        B = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+        def shear(s):
+            return np.block([[np.eye(2), s * B], [np.zeros((2, 2)), np.eye(2)]])
+        ts = np.linspace(0.0, 1.0, 201)
+        planes = np.array([direct_sum([rotation2(2 * math.pi * 0.3 * t),
+                                       rotation2(2 * math.pi * 0.7 * t)]) for t in ts])
+        # conjugated by one constant shear, the path still splits
+        assert cz_index_sampled(shear(1.0) @ planes @ shear(-1.0)) == 2
+        path = np.array([shear(t) @ m @ shear(-t) for t, m in zip(ts, planes)])
+        with pytest.raises(PathNotSplittable, match="common splitting"):
+            cz_index_sampled(path)
+        path_file = tmp_path / "path.json"
+        path_file.write_text(json.dumps(path.tolist()))
+        assert main(["cz-index", "--path-file", str(path_file)]) == 2
+        assert "common splitting" in capsys.readouterr().err
 
     def test_identity_start_required(self):
         path = rotation_path(0.3)

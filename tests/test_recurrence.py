@@ -12,7 +12,10 @@ from reeb_lab.indices import INTEGER_BAND, IterationProfile
 from reeb_lab.recurrence import (
     _CHUNK,
     RecurrenceQuery,
+    RecurrenceSolution,
     _batch,
+    _companion_window,
+    _r1,
     _r1_candidates,
     convexity_gap_check,
     recurrence_search,
@@ -208,6 +211,13 @@ class TestConvexityGap:
         with pytest.raises(HypothesisFailed):
             convexity_gap_check((p,), res.solutions[0], m=1)
 
+    def test_order_at_most_ell0_rejected(self):
+        # as in verify_recurrence: the iterate k - ell0 must exist
+        profiles = sqrt2_profiles()
+        s = RecurrenceSolution(d=6, k=(3, 2), eta=0.1, ell0=3, profiles=profiles)
+        with pytest.raises(IterateUnderflow, match="k = 3 <= ell0 = 3"):
+            convexity_gap_check(profiles, s, m=1)
+
     @pytest.mark.parametrize("take", [1, 4])
     def test_one_profile_per_order(self, take):
         # a two-orbit solution against one profile or four: none dropped
@@ -343,6 +353,25 @@ class TestOneDecision:
         cert = verify_recurrence(profiles, d, ks, eta, ell0)
         assert cert.ok == all(r.ok for r in cert.records) \
             == scalar_verify_recurrence(profiles, d, ks, eta, ell0).ok
+
+
+class TestCompanionWindow:
+    """_companion_window against a scan of every multiple of N through _r1."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(loop_index=st.sampled_from((0, 2)), rho=ROTATIONS.filter(lambda r: r > 0),
+           d=st.integers(0, 400),
+           eta=st.one_of(st.floats(1e-4, 0.49), st.sampled_from((0.5, 0.7, 2.5))),
+           N=st.sampled_from((1, 2, 3, 5)))
+    def test_window_holds_every_passing_multiple(self, loop_index, rho, d, eta, N):
+        p = IterationProfile(loop_index=loop_index, elliptic=(rho,))
+        (bottom,), (top,) = _companion_window(p, np.array([d]), eta, N)
+        # one multiple past (d + eta) / (N mean), beyond which none passes R1
+        j = np.arange(int((d + eta) / (N * p.mean_index(1))) + 2)
+        passing = j[_r1(p.mean_index(N * j), d, eta)]
+        assert np.all((bottom <= passing) & (passing <= top))
+        # and it is no wider than the R1 interval, widened to integers
+        assert top - bottom <= 2 * eta / (N * p.mean_index(1)) + 2
 
 
 def run_search(search, query):
