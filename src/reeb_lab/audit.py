@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -37,6 +37,7 @@ import numpy as np
 from .errors import (
     AuditFailed,
     BadGeometry,
+    Checked,
     HypothesisFailed,
     InvalidParameter,
     IterateUnderflow,
@@ -95,32 +96,29 @@ def _orbit_from_json(obj: dict, where: str) -> SystemOrbit:
                           in ("hyperbolic", "locally_maximal") if flag in obj})
 
 
-@dataclass(frozen=True)
-class DerivedConstants(JsonFields):
-    r_star: float          # level of the distinguished orbit, normalized units
-    C1: float              # 2 * d(h')^{-1}/dT at the distinguished period
-    C2: float              # max of |A_h'| = r h'' over [1, r_max]
-    c1: float              # min of |d(h')^{-1}/dT| over [0, slope]
-    c2: float              # min of |A_h'| over the margin shell
-    xi: float              # shell margin: all orbit levels in [1+xi, r_max-xi]
-    C: float               # C1 * C2 (normalized units, T0 = mean(z))
-    C_raw: float           # the same constant computed on raw periods
-    levels: tuple          # asymptotic aligned levels per companion orbit
+class DerivedConstants(JsonFields, namedtuple("DerivedConstants", [
+        "r_star",       # level of the distinguished orbit, normalized units
+        "C1",           # 2 * d(h')^{-1}/dT at the distinguished period
+        "C2",           # max of |A_h'| = r h'' over [1, r_max]
+        "c1",           # min of |d(h')^{-1}/dT| over [0, slope]
+        "c2",           # min of |A_h'| over the margin shell
+        "xi",           # shell margin: all orbit levels in [1+xi, r_max-xi]
+        "C",            # C1 * C2 (normalized units, T0 = mean(z))
+        "C_raw",        # the same constant computed on raw periods
+        "levels"])):    # asymptotic aligned levels per companion orbit
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class OrbitSystem:
-    orbits: tuple
-    hamiltonian: RadialProfile
-    n: int
-    sigma: float
-    eta: float
-    ell0: int
-    cbar: float
-    mode: str = "hyperbolic"
-    b_level: Optional[float] = None
+class OrbitSystem(Checked, namedtuple("OrbitSystem", [
+        "orbits", "hamiltonian", "n", "sigma", "eta", "ell0", "cbar",
+        "mode",             # one of MODES
+        "b_level"],         # the vanishing level as given, or None
+        defaults=("hyperbolic", None))):
+    """Orbits (SystemOrbit, the distinguished one first), a RadialProfile
+    and the audit's constants, checked.  Construction derives scale,
+    norm_periods, derived (DerivedConstants), A_star and b."""
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
         if self.mode not in MODES:
             raise InvalidParameter(f"mode must be one of {MODES}")
         if not self.orbits:
@@ -273,7 +271,7 @@ def _derive_constants(system: OrbitSystem) -> DerivedConstants:
         raise ShellMarginNotFound(f"h''(r_star) = {d2_star:.3e} <= 0")
     C1 = 2.0 / d2_star
 
-    # __post_init__ has put these level arguments and the raw period z.period
+    # OrbitSystem.__init__ has put these level arguments and the raw period z.period
     # below the slope
     levels = []
     for o, Tn in zip(system.orbits[1:], system.norm_periods[1:]):
@@ -353,13 +351,17 @@ def case_classify(system: OrbitSystem, solution: RecurrenceSolution,
     return CASE_NEAR
 
 
-@dataclass(frozen=True)
-class ExclusionReason(JsonFields):
-    kind: str           # same-pair | index-gap | short-action-gap | diverging-action-gap
-    case: str
-    i: int
-    j: int
-    numbers: dict = field(default_factory=dict)
+class ExclusionReason(JsonFields, namedtuple("ExclusionReason", [
+        "kind",     # same-pair | index-gap | short-action-gap | diverging-action-gap
+        "case", "i", "j",
+        "numbers"])):
+    """The reason one pair (i, j) is excluded; numbers defaults to a new
+    empty dict per instance."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, case: str, i: int, j: int, numbers=None):
+        return super().__new__(cls, kind, case, i, j, {} if numbers is None else numbers)
 
 
 def _index_tables(system: OrbitSystem, solutions: Sequence[RecurrenceSolution]) -> list:
@@ -531,31 +533,25 @@ def _aligned_certificate(system: OrbitSystem, solution: RecurrenceSolution,
 # the audit driver
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SolutionAudit(JsonFields):
-    d: int
-    k: tuple
-    counts: dict                   # kind -> number of pairs
-    min_index_gap: Optional[int]
-    min_diverging_gap: Optional[float]
-    aligned: tuple                 # explicit certificates for aligned pairs
-    near: tuple                    # explicit certificates for near pairs
-    protected: dict                # degree and which generator
-    w_vertex_gap_ok: bool
-    contradiction: dict            # vanishing-window bookkeeping
-    total_pairs: int
+class SolutionAudit(JsonFields, namedtuple("SolutionAudit", [
+        "d", "k",
+        "counts",               # kind -> number of pairs
+        "min_index_gap",        # an int, or None
+        "min_diverging_gap",    # a float, or None
+        "aligned",              # explicit certificates for aligned pairs
+        "near",                 # explicit certificates for near pairs
+        "protected",            # degree and which generator
+        "w_vertex_gap_ok",
+        "contradiction",        # vanishing-window bookkeeping
+        "total_pairs"])):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class AuditReport(JsonFields):
-    mode: str
-    n: int
-    constants: dict
-    normalization: dict
-    solutions: tuple               # SolutionAudit per recurrence solution
-    diverging_trend_ok: bool
-    certified_pairs: int
-    total_pairs: int
+class AuditReport(JsonFields, namedtuple("AuditReport", [
+        "mode", "n", "constants", "normalization",
+        "solutions",            # SolutionAudit per recurrence solution
+        "diverging_trend_ok", "certified_pairs", "total_pairs"])):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

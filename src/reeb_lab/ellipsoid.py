@@ -15,11 +15,11 @@ test suite rather than asserted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Optional
 
-from .errors import DegenerateEllipsoid, HypothesisFailed, InvalidParameter
+from .errors import Checked, DegenerateEllipsoid, HypothesisFailed, InvalidParameter
 from .indices import IterationProfile, SystemOrbit, check_dynamical_convexity
 
 CONVENTION = "periods=pi*a_j; return-map angles 2*pi*a_j/a_i"
@@ -60,19 +60,18 @@ def detect_rational(x: float):
     return None, True
 
 
-@dataclass(frozen=True)
-class EllipsoidSpec:
+class EllipsoidSpec(Checked, namedtuple("EllipsoidSpec", "weights")):
     """Sorted positive weights; ratio rationality decided by continued fractions."""
 
-    weights: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        w = tuple(float(v) for v in self.weights)
+    def __new__(cls, weights):
+        w = tuple(float(v) for v in weights)
         if not w or not all(0 < v < math.inf for v in w):
             raise InvalidParameter(f"weights must be positive and finite, got {w}")
         if any(b < a for a, b in zip(w, w[1:])):
             raise InvalidParameter("weights must be sorted ascending")
-        object.__setattr__(self, "weights", w)
+        return super().__new__(cls, w)
 
     @property
     def n(self) -> int:
@@ -120,30 +119,30 @@ def ellipsoid_profile(spec: EllipsoidSpec, j: int) -> IterationProfile:
     return IterationProfile(loop_index=2, elliptic=tuple(angles))
 
 
-@dataclass(frozen=True)
-class SpectrumEntry:
-    value: float
-    orbit: int      # 1-based orbit id
-    multiple: int   # iteration order k
+class SpectrumEntry(namedtuple("SpectrumEntry", [
+        "value",
+        "orbit",        # 1-based orbit id
+        "multiple"])):  # iteration order k
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ActionSpectrum:
-    entries: tuple
-    t_max: float
+class ActionSpectrum(namedtuple("ActionSpectrum", "entries t_max")):
+    __slots__ = ()
 
     @property
     def values(self) -> list:
         return [e.value for e in self.entries]
 
     def to_csv_rows(self) -> list:
-        return [(e.value, e.orbit, e.multiple) for e in self.entries]
+        """The entries, each a row (value, orbit, multiple)."""
+        return list(self.entries)
 
 
 def action_spectrum(spec: EllipsoidSpec, t_max: float) -> ActionSpectrum:
     """All orbit periods k * T_j in (0, t_max], sorted; ties ordered by (j, k).
     A t_max with more than _SPECTRUM_CAP of them, sum_j t_max / T_j, raises
-    InvalidParameter before any is listed."""
+    InvalidParameter before any is listed.  Each entry (k T_j, j, k) is
+    made once, and the entries sort as the tuples they are, in that order."""
     if not 0 < t_max < math.inf:
         raise InvalidParameter(f"t_max must be positive and finite, got {t_max}")
     if not sum(t_max / T for T in ellipsoid_periods(spec)) <= _SPECTRUM_CAP:
@@ -152,9 +151,9 @@ def action_spectrum(spec: EllipsoidSpec, t_max: float) -> ActionSpectrum:
     for j, T in enumerate(ellipsoid_periods(spec), start=1):
         k = 1
         while k * T <= t_max:
-            entries.append(SpectrumEntry(value=k * T, orbit=j, multiple=k))
+            entries.append(SpectrumEntry._make((k * T, j, k)))
             k += 1
-    entries.sort(key=lambda e: (e.value, e.orbit, e.multiple))
+    entries.sort()
     return ActionSpectrum(entries=tuple(entries), t_max=t_max)
 
 
@@ -178,13 +177,12 @@ def slope_valid(spec: EllipsoidSpec, slope: float) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PseudoRotationSeed:
+class PseudoRotationSeed(namedtuple("PseudoRotationSeed", [
+        "orbits", "n",
+        "convexity"])):     # a ConvexityReport
     """The finitely many simple orbits of an irrational ellipsoid, packaged."""
 
-    orbits: tuple
-    n: int
-    convexity: object
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {

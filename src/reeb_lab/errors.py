@@ -1,4 +1,5 @@
-"""Exception hierarchy and JSON helpers shared by all reeb_lab modules.
+"""Exception hierarchy, JSON helpers and record mixins shared by all
+reeb_lab modules.
 
 Every error raised on invalid input derives from ReebLabError so the CLI
 can map it to exit code 2; audit failures get their own branch (exit 3).
@@ -7,7 +8,6 @@ can map it to exit code 2; audit failures get their own branch (exit 3).
 from __future__ import annotations
 
 import json
-from dataclasses import fields
 
 
 class ReebLabError(Exception):
@@ -59,7 +59,8 @@ def json_object(obj, keys, where: str) -> dict:
 
 def _json_data(value):
     """value as JSON data: an object with to_json gives its own, a tuple or
-    list gives a list, and any other value passes through uncopied."""
+    list gives a list, and any other value passes through uncopied.  A
+    record is a named tuple, so the to_json test comes first."""
     if hasattr(value, "to_json"):
         return value.to_json()
     if isinstance(value, (tuple, list)):
@@ -68,10 +69,45 @@ def _json_data(value):
 
 
 class JsonFields:
-    """Mixin for a dataclass whose JSON object is its fields, by name."""
+    """Mixin for a named tuple whose JSON object is its fields, by name, in
+    field order.
+
+    Every record and validating type of this package is a subclass of a
+    collections.namedtuple, which is cheap to create at import.  Like any
+    tuple, a record compares equal to a plain tuple of the same values and
+    to another record of the same layout, unless its class says otherwise
+    (the profile families and RecurrenceSolution do).  Assigning a field
+    raises AttributeError.
+    """
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
-        return {f.name: _json_data(getattr(self, f.name)) for f in fields(self)}
+        return {name: _json_data(value) for name, value in zip(self._fields, self)}
+
+
+class Checked:
+    """Mixin for a named tuple that checks its fields: a validating type.
+
+    It checks them in __init__, when the tuple already holds them, or in
+    __new__ where a field is converted before the tuple is built (a tuple
+    of knots as floats, say).  _make, and so _replace, builds through the
+    constructor as well, so no instance skips the checks.  Values derived
+    from the fields are kept as attributes, set with object.__setattr__ (a
+    class that keeps some declares no __slots__); assigning or deleting any
+    attribute later raises AttributeError, as assigning a field does."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {type(self).__name__}.{name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {type(self).__name__}.{name}")
 
 
 # -- symplectic linear algebra ------------------------------------------------

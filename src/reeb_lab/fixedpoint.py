@@ -6,12 +6,12 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import FixedPointOnCircle, InvalidParameter, SamplingTooCoarse
+from .errors import Checked, FixedPointOnCircle, InvalidParameter, SamplingTooCoarse
 from .indices import winding
 
 #: fewest samples of a closed circle whose winding can certify: a full turn
@@ -23,23 +23,22 @@ _FIRST_SAMPLES = 64
 _TRIES = 12
 
 
-@dataclass(frozen=True)
-class PlanarMapSample:
+class PlanarMapSample(Checked, namedtuple("PlanarMapSample", [
+        "points",       # (N, 2) samples on the circle
+        "images",       # (N, 2) their images
+        "eps"])):
     """Images of a circle of radius eps around an isolated fixed point."""
 
-    points: np.ndarray     # (N, 2) samples on the circle
-    images: np.ndarray     # (N, 2) their images
-    eps: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        ims = np.asarray(self.images, dtype=float)
+    def __new__(cls, points, images, eps: float = 1.0):
+        pts = np.asarray(points, dtype=float)
+        ims = np.asarray(images, dtype=float)
         if pts.shape != ims.shape or pts.ndim != 2 or pts.shape[1] != 2:
             raise InvalidParameter(f"bad sample shapes {pts.shape} vs {ims.shape}")
-        if not 0 < self.eps < math.inf:
-            raise InvalidParameter(f"eps must be positive and finite, got {self.eps}")
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "images", ims)
+        if not 0 < eps < math.inf:
+            raise InvalidParameter(f"eps must be positive and finite, got {eps}")
+        return super().__new__(cls, pts, ims, eps)
 
     @classmethod
     def from_map(cls, f: Callable, eps: float = 1e-3,
@@ -84,10 +83,10 @@ def brouwer_index_of_map(f: Callable, eps: float = 1e-3) -> int:
     raise SamplingTooCoarse(f"no certified winding after {n} samples")
 
 
-@dataclass(frozen=True)
-class LefschetzReport:
-    residuals: tuple        # per m, trace alternation minus index sum
-    max_abs_residual: float
+class LefschetzReport(namedtuple("LefschetzReport", [
+        "residuals",        # per m, trace alternation minus index sum
+        "max_abs_residual"])):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -127,11 +126,11 @@ def lefschetz_residuals(induced_maps: Sequence,
                            max_abs_residual=float(np.max(np.abs(residuals))))
 
 
-@dataclass(frozen=True)
-class TraceScan:
-    count: int            # how many m in 1..m_max have trace(L^m) >= 0
-    first_hits: tuple     # the first ten such m
-    m_max: int
+class TraceScan(namedtuple("TraceScan", [
+        "count",            # how many m in 1..m_max have trace(L^m) >= 0
+        "first_hits",       # the first ten such m
+        "m_max"])):
+    __slots__ = ()
 
 
 def trace_nonneg_scan(L: np.ndarray, m_max: int = 1000) -> TraceScan:

@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import (
+    Checked,
     FiltrationViolation,
     MalformedGraph,
     MalformedInput,
@@ -40,7 +40,9 @@ INF = math.inf
 
 class Bar(namedtuple("Bar", "birth death degree")):
     """The bar [birth, death) of a class in a degree; death is math.inf for
-    an essential class.  Two bars with the same fields are equal.
+    an essential class.  Two bars with the same fields are equal, and a bar
+    equals the plain tuple (birth, death, degree), as every record of this
+    package equals the plain tuple of its fields.
 
     The constructor raises FiltrationViolation when death <= birth.
     `barcode` builds its bars with `Bar._make`, which skips that check: its
@@ -61,8 +63,9 @@ class Bar(namedtuple("Bar", "birth death degree")):
         return (self.birth, "inf" if self.death == INF else self.death, self.degree)
 
 
-@dataclass(frozen=True)
-class FilteredComplex:
+class FilteredComplex(Checked, namedtuple("FilteredComplex", [
+        "generators",       # (id, action, degree)
+        "boundary"])):      # id -> ids, as given
     """Generators (id, action, degree) and an F2 boundary by generator id.
 
     Construction resolves every id once, to its degree and its rank in that
@@ -77,10 +80,7 @@ class FilteredComplex:
     included); a row repeated in a list is one row, as a column ORs bits.
     """
 
-    generators: tuple                  # (id, action, degree)
-    boundary: dict                     # id -> ids, as given
-
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
         gens = self.generators
         ids = [g[0] for g in gens]
         if len(set(ids)) != len(ids):
@@ -215,10 +215,10 @@ def barcode(complex_: FilteredComplex) -> List[Bar]:
     return list(map(Bar._make, rows))
 
 
-@dataclass(frozen=True)
-class BarLengthReport:
-    ok: bool
-    witnesses: tuple    # bars ending at or below the level with length >= max_length
+class BarLengthReport(namedtuple("BarLengthReport", [
+        "ok",
+        "witnesses"])):     # bars ending at or below the level with length >= max_length
+    __slots__ = ()
 
 
 def check_bar_lengths(bars: Sequence[Bar], max_length: float,

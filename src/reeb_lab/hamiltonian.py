@@ -16,7 +16,7 @@ a_{k H}(T) = k a_H(T / k).
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, fields
+from collections import namedtuple
 from typing import ClassVar, Sequence
 
 import numpy as np
@@ -24,6 +24,7 @@ import numpy as np
 from .errors import (
     ActionOutOfRange,
     BadGeometry,
+    Checked,
     ConvexityViolation,
     InvalidParameter,
     JoinDiscontinuity,
@@ -190,19 +191,25 @@ def _bisect(f, target, top: float, steps: int):
     return (0.5 * (ends[0] + ends[1])).reshape(target.shape)
 
 
-@dataclass(frozen=True)
-class RadialProfile(JsonFields):
+class RadialProfile(Checked, JsonFields):
     """Base class; concrete families implement the _piece_* methods on [1, r_max].
 
-    Each family names itself in ``family`` and sets h_triple_nonneg_up_to,
-    the end of its certified h''' >= 0 region, in __post_init__.
+    A family is a named tuple of slope, r_max and c0 (default 0.0), then its
+    own parameters.  It names itself in ``family`` and sets
+    h_triple_nonneg_up_to, the end of its certified h''' >= 0 region, as
+    it checks its parameters.  Two profiles are equal only when they are of
+    one family: CubicProfile and ExpProfile both hold four floats.
     """
 
     family: ClassVar[str]
 
-    slope: float
-    r_max: float
-    c0: float = 0.0
+    def __eq__(self, other):
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
     @property
     def admissible(self) -> bool:
@@ -296,13 +303,13 @@ class RadialProfile(JsonFields):
         return {"family": self.family, **super().to_json()}
 
 
-@dataclass(frozen=True)
-class QuadraticProfile(RadialProfile):
+class QuadraticProfile(RadialProfile, namedtuple("QuadraticProfile", "slope r_max c0",
+                                                 defaults=(0.0,))):
     """h = c0 + a (r-1)^2 / (2 (r_max - 1)) on the shell; h''' = 0."""
 
     family = "quadratic"
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
         object.__setattr__(self, "h_triple_nonneg_up_to", self.r_max)
 
     def _piece_h(self, x):
@@ -318,15 +325,13 @@ class QuadraticProfile(RadialProfile):
         return np.asarray(T, dtype=float) * self._w / self.slope
 
 
-@dataclass(frozen=True)
-class CubicProfile(RadialProfile):
+class CubicProfile(RadialProfile, namedtuple("CubicProfile", "slope r_max c0 theta",
+                                             defaults=(0.0, 0.5))):
     """h' = (1-theta) a x / w + theta a x^2 / w^2; h''' = 2 theta a / w^2 > 0."""
 
     family = "cubic"
 
-    theta: float = 0.5
-
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
         if not (0.0 < self.theta < 1.0):
             raise InvalidParameter(f"theta must be in (0, 1), got {self.theta}")
         object.__setattr__(self, "h_triple_nonneg_up_to", self.r_max)
@@ -350,15 +355,13 @@ class CubicProfile(RadialProfile):
         return w * (disc - (1 - th)) / (2 * th)
 
 
-@dataclass(frozen=True)
-class ExpProfile(RadialProfile):
+class ExpProfile(RadialProfile, namedtuple("ExpProfile", "slope r_max c0 beta",
+                                           defaults=(0.0, 2.0))):
     """h' = a (e^{beta x} - 1) / (e^{beta w} - 1); all higher derivatives > 0."""
 
     family = "exp"
 
-    beta: float = 2.0
-
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
         if not 0 < self.beta < math.inf:
             raise InvalidParameter(f"beta must be positive and finite, got {self.beta}")
         if not self.beta * self._w <= np.log(np.finfo(float).max):
@@ -390,8 +393,8 @@ class ExpProfile(RadialProfile):
         return np.log1p(np.asarray(T, dtype=float) * self._den / self.slope) / self.beta
 
 
-@dataclass(frozen=True)
-class SplineProfile(RadialProfile):
+class SplineProfile(RadialProfile, namedtuple("SplineProfile", "slope r_max c0 knots",
+                                              defaults=(0.0, ()))):
     """Monotone-convex profile from piecewise-linear h'' knot values >= 0.
 
     knots[i] is h'' at r = 1 + i * w / (len(knots) - 1); h' and h are exact
@@ -400,13 +403,11 @@ class SplineProfile(RadialProfile):
 
     family = "spline"
 
-    knots: tuple = ()
-
-    def __post_init__(self):
-        if len(self.knots) < 2:
-            raise InvalidParameter(f"a spline needs at least 2 knots, got {len(self.knots)}")
-        knots = tuple(float(v) for v in self.knots)
-        object.__setattr__(self, "knots", knots)
+    def __new__(cls, slope, r_max, c0=0.0, knots=()):
+        if len(knots) < 2:
+            raise InvalidParameter(f"a spline needs at least 2 knots, got {len(knots)}")
+        knots = tuple(float(v) for v in knots)
+        self = super().__new__(cls, slope, r_max, c0, knots)
         n = len(knots) - 1
         dx = self._w / n
         # integrate h'' -> h' and h' -> h at the knot positions
@@ -433,6 +434,7 @@ class SplineProfile(RadialProfile):
                 r0 = 1.0 + i * dx
                 break
         object.__setattr__(self, "h_triple_nonneg_up_to", r0)
+        return self
 
     def d2h_extremes(self, a, b):
         """The ends, the knots inside [a, b] with their own values, and the
@@ -531,11 +533,12 @@ def profile_from_json(obj: dict) -> RadialProfile:
     parameter counts as unknown) or a value of the wrong JSON type."""
     where = "hamiltonian"
     family = json_field(obj, "family", str, where)
-    # an unknown family gets the shared keys here and its error from build_profile
-    keys = fields(_FAMILIES.get(family, RadialProfile))
-    json_object(obj, ("family", *(f.name for f in keys)), where)
-    params = {f.name: json_field(obj, f.name, float, where) for f in keys
-              if f.name != "knots" and (f.name in obj or f.default is MISSING)}
+    # an unknown family gets the shared keys, the quadratic's, here and its
+    # error from build_profile
+    cls = _FAMILIES.get(family, QuadraticProfile)
+    json_object(obj, ("family", *cls._fields), where)
+    params = {key: json_field(obj, key, float, where) for key in cls._fields
+              if key != "knots" and (key in obj or key not in cls._field_defaults)}
     if "knots" in obj:
         params["knots"] = tuple(json_value(v, float, f"{where}: knots[{i}]")
                                 for i, v in enumerate(json_field(obj, "knots", list, where)))
@@ -626,11 +629,11 @@ def action_inverse(profile: RadialProfile, alpha, k: float = 1.0):
     return T if T.ndim else float(T)
 
 
-@dataclass(frozen=True)
-class DominationCertificate:
-    dominated_margin: float      # min over r of H1 - H0 (>= 0 required)
-    max_violation: float         # max over T of a_{H1}(T) - a_{H0}(T)
-    ok: bool
+class DominationCertificate(namedtuple("DominationCertificate", [
+        "dominated_margin",     # min over r of H1 - H0 (>= 0 required)
+        "max_violation",        # max over T of a_{H1}(T) - a_{H0}(T)
+        "ok"])):
+    __slots__ = ()
 
 
 def compare_action_functions(h0: RadialProfile, h1: RadialProfile,
@@ -650,12 +653,11 @@ def compare_action_functions(h0: RadialProfile, h1: RadialProfile,
                                  ok=viol <= 1e-9 * max(1.0, h0.c))
 
 
-@dataclass(frozen=True)
-class TransferValues:
-    taus: np.ndarray
-    values: np.ndarray
-    lower_slack: float    # min over grid of f(tau) - (tau - lam * h(r_max))
-    upper_slack: float    # min over grid of tau - f(tau)
+class TransferValues(namedtuple("TransferValues", [
+        "taus", "values",       # arrays
+        "lower_slack",          # min over grid of f(tau) - (tau - lam * h(r_max))
+        "upper_slack"])):       # min over grid of tau - f(tau)
+    __slots__ = ()
 
 
 def check_transfer_parameters(k: float, lam: float) -> None:
@@ -745,20 +747,18 @@ def check_action_ratio_monotone(profile: RadialProfile, r0: float) -> bool:
 # cylinder traces
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CylinderTrace:
+class CylinderTrace(Checked, namedtuple("CylinderTrace", [
+        "s_grid", "t_grid",     # float arrays
+        "r_values",             # float array of shape (len(s_grid), len(t_grid))
+        "r_plus", "r_minus"])):
     """Sampled (s, t) -> r data with declared asymptotic levels."""
 
-    s_grid: np.ndarray
-    t_grid: np.ndarray
-    r_values: np.ndarray      # shape (len(s_grid), len(t_grid))
-    r_plus: float
-    r_minus: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        s = np.asarray(self.s_grid, dtype=float)
-        t = np.asarray(self.t_grid, dtype=float)
-        r = np.asarray(self.r_values, dtype=float)
+    def __new__(cls, s_grid, t_grid, r_values, r_plus, r_minus):
+        s = np.asarray(s_grid, dtype=float)
+        t = np.asarray(t_grid, dtype=float)
+        r = np.asarray(r_values, dtype=float)
         if r.shape != (s.size, t.size):
             raise MalformedTrace(f"r grid {r.shape} != ({s.size}, {t.size})")
         if s.size < 3 or t.size < 2:
@@ -767,14 +767,12 @@ class CylinderTrace:
             raise MalformedTrace("grids must be strictly increasing")
         if not (np.all(np.isfinite(r)) and np.all(r > 0)):
             raise MalformedTrace("r values must be finite and positive")
-        if not (math.isfinite(self.r_plus) and math.isfinite(self.r_minus)):
-            raise MalformedTrace(f"levels must be finite, got r_plus = {self.r_plus}, "
-                                 f"r_minus = {self.r_minus}")
-        if self.r_plus < self.r_minus:
+        if not (math.isfinite(r_plus) and math.isfinite(r_minus)):
+            raise MalformedTrace(f"levels must be finite, got r_plus = {r_plus}, "
+                                 f"r_minus = {r_minus}")
+        if r_plus < r_minus:
             raise MalformedTrace("r_plus < r_minus")
-        object.__setattr__(self, "s_grid", s)
-        object.__setattr__(self, "t_grid", t)
-        object.__setattr__(self, "r_values", r)
+        return super().__new__(cls, s, t, r, r_plus, r_minus)
 
     @classmethod
     def from_samples(cls, samples, r_plus: float, r_minus: float) -> "CylinderTrace":
@@ -794,13 +792,13 @@ class CylinderTrace:
         return cls(s_grid, t_grid, grid, r_plus, r_minus)
 
 
-@dataclass(frozen=True)
-class TraceReport(JsonFields):
-    max_principle_ok: bool
-    monotonicity_ok: bool          # every slice rises to at least r_minus
-    average_inequality_ok: bool    # discrete d/ds of the t-average of r
-    time_below_ok: bool            # mu(s, rho) * rho <= r_plus E / A(r_plus)
-    details: dict
+class TraceReport(JsonFields, namedtuple("TraceReport", [
+        "max_principle_ok",
+        "monotonicity_ok",          # every slice rises to at least r_minus
+        "average_inequality_ok",    # discrete d/ds of the t-average of r
+        "time_below_ok",            # mu(s, rho) * rho <= r_plus E / A(r_plus)
+        "details"])):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -866,10 +864,10 @@ def check_cylinder_trace(trace: CylinderTrace, profile: RadialProfile, k: float,
 # tables
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ActionTables:
-    r_rows: list     # (r, h, h', h'', A_h)
-    t_rows: list     # (T, a_H(T), r(T))
+class ActionTables(namedtuple("ActionTables", [
+        "r_rows",       # (r, h, h', h'', A_h)
+        "t_rows"])):    # (T, a_H(T), r(T))
+    __slots__ = ()
 
     CSV_HEADER = ("table", "x", "h", "dh", "d2h", "A", "level")
 

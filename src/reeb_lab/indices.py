@@ -19,13 +19,14 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import (
+    Checked,
     DegenerateEndpoint,
     DimensionMismatch,
     InvalidParameter,
@@ -48,27 +49,25 @@ _FRACTION = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
 INTEGER_BAND = 1e-9
 
 
-@dataclass(frozen=True)
-class IterationProfile:
+class IterationProfile(Checked, namedtuple("IterationProfile",
+                                           "loop_index elliptic hyperbolic degenerate")):
     """Block decomposition of the end behavior of a symplectic path.
 
     elliptic entries are rotation numbers in full turns (Fraction for exact
     arithmetic, float otherwise); hyperbolic entries are the integer indices
     of the primitive path; loop_index is the even index of the loop factor;
-    degenerate is the invariant data of a totally degenerate factor.
+    degenerate is the invariant data of a totally degenerate factor, a
+    WilliamsonInvariants, or None.
     """
 
-    loop_index: int = 0
-    elliptic: tuple = ()
-    hyperbolic: tuple = ()
-    degenerate: Optional[WilliamsonInvariants] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.loop_index % 2 != 0:
-            raise InvalidParameter(f"loop index must be even, got {self.loop_index}")
-        object.__setattr__(self, "elliptic", tuple(self.elliptic))
-        object.__setattr__(self, "hyperbolic", tuple(int(h) for h in self.hyperbolic))
-        entries = [("loop_index", self.loop_index),
+    def __new__(cls, loop_index: int = 0, elliptic=(), hyperbolic=(), degenerate=None):
+        if loop_index % 2 != 0:
+            raise InvalidParameter(f"loop index must be even, got {loop_index}")
+        self = super().__new__(cls, loop_index, tuple(elliptic),
+                               tuple(int(h) for h in hyperbolic), degenerate)
+        entries = [("loop_index", loop_index),
                    *((f"elliptic[{i}]", rho) for i, rho in enumerate(self.elliptic)),
                    *((f"hyperbolic[{i}]", h) for i, h in enumerate(self.hyperbolic))]
         for what, value in entries:
@@ -79,6 +78,7 @@ class IterationProfile:
                 raise InvalidParameter(f"profile entry {what} is too large for a float") from None
             if not finite:
                 raise InvalidParameter(f"profile has a non-finite rotation number {what} = {value}")
+        return self
 
     @property
     def dim_half(self) -> int:
@@ -148,28 +148,23 @@ class IterationProfile:
         )
 
 
-@dataclass(frozen=True)
-class SystemOrbit(JsonFields):
+class SystemOrbit(JsonFields, namedtuple("SystemOrbit",
+                                         "period profile hyperbolic locally_maximal",
+                                         defaults=(False, False))):
     """A closed orbit of an orbit system: its period, the iteration profile
     of its linearized flow, and the flags the audit modes read."""
 
-    period: float
-    profile: IterationProfile
-    hyperbolic: bool = False
-    locally_maximal: bool = False
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class IndexTriple:
+class IndexTriple(namedtuple("IndexTriple", "mu_minus mu_plus mu_hat nu_a")):
     """Indices of one iterate, or int64 / float64 arrays of them when the
     iteration order was given as an array.  nu_a, half the algebraic
     multiplicity of eigenvalue 1, comes from the same pass; iterating yields
-    the three indices only."""
+    the three indices only, so _replace and _asdict, which iterate, do not
+    apply."""
 
-    mu_minus: int
-    mu_plus: int
-    mu_hat: float
-    nu_a: int
+    __slots__ = ()
 
     def __iter__(self):
         return iter((self.mu_minus, self.mu_plus, self.mu_hat))
@@ -296,13 +291,13 @@ def _support_escape(lo, hi, k) -> SupportOutOfRange:
     return SupportOutOfRange(f"support [{lo}, {hi}] escapes [mu_hat - n + 1, mu_hat + n] at k={k}")
 
 
-@dataclass(frozen=True)
-class ConvexityReport(JsonFields):
-    ok: bool
-    witnesses: tuple            # (orbit position, k, mu_minus) violating mu_- >= n+1
-    weak_ok: bool               # mu_- >= max(3, 2 + nu_a) for every listed iterate
-    weak_witnesses: tuple
-    min_mu_minus: Optional[int]
+class ConvexityReport(JsonFields, namedtuple("ConvexityReport", [
+        "ok",
+        "witnesses",            # (orbit position, k, mu_minus) violating mu_- >= n+1
+        "weak_ok",              # mu_- >= max(3, 2 + nu_a) for every listed iterate
+        "weak_witnesses",
+        "min_mu_minus"])):      # an int, or None
+    __slots__ = ()
 
 
 def check_dynamical_convexity(orbits: Sequence[tuple], n: int) -> ConvexityReport:

@@ -38,13 +38,13 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import HypothesisFailed, InvalidParameter, IterateUnderflow, JsonFields
+from .errors import Checked, HypothesisFailed, InvalidParameter, IterateUnderflow, JsonFields
 from .indices import IndexTriple, IterationProfile, _fits_int64, index_triple
 
 #: the first block of j; each next block doubles, up to _BLOCK_MAX and to
@@ -56,17 +56,13 @@ _BLOCK_MAX = 1 << 30
 _INT64_MAX = 2 ** 63 - 1
 
 
-@dataclass(frozen=True)
-class RecurrenceQuery:
-    profiles: tuple
-    eta: float
-    ell0: int
-    n_divisor: int = 1
-    k_bound: int = 10 ** 6
-    count: int = 3
+class RecurrenceQuery(Checked, namedtuple("RecurrenceQuery",
+                                          "profiles eta ell0 n_divisor k_bound count")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "profiles", tuple(self.profiles))
+    def __new__(cls, profiles, eta: float, ell0: int, n_divisor: int = 1,
+                k_bound: int = 10 ** 6, count: int = 3):
+        self = super().__new__(cls, tuple(profiles), eta, ell0, n_divisor, k_bound, count)
         if not self.profiles:
             raise InvalidParameter("need at least one profile")
         for i, p in enumerate(self.profiles):
@@ -80,30 +76,38 @@ class RecurrenceQuery:
             raise InvalidParameter("finite eta > 0, ell0 >= 1, divisor >= 1, count >= 1 required")
         if self.k_bound < 0:
             raise InvalidParameter(f"k_bound must be >= 0, got {self.k_bound}")
+        return self
 
 
-@dataclass(frozen=True)
-class ConditionRecord(JsonFields):
-    name: str
-    ok: bool
-    detail: dict
+class ConditionRecord(JsonFields, namedtuple("ConditionRecord", "name ok detail")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Certificate(JsonFields):
-    ok: bool
-    records: tuple      # ConditionRecord per profile and condition
+class Certificate(JsonFields, namedtuple("Certificate", [
+        "ok",
+        "records"])):   # ConditionRecord per profile and condition
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RecurrenceSolution(JsonFields):
-    """(d, k) for the profiles it solves; its certificate is built when read."""
+class RecurrenceSolution(namedtuple("RecurrenceSolution", "d k eta ell0 profiles")):
+    """(d, k) for the profiles it solves; its certificate is built when read.
+    Equality, the hash and the repr leave profiles out: two solutions are
+    equal when their d, k, eta and ell0 are."""
 
-    d: int
-    k: tuple
-    eta: float
-    ell0: int
-    profiles: tuple = field(compare=False, repr=False)
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self[:4] == other[:4]
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self[:4])
+
+    def __repr__(self):
+        return (f"RecurrenceSolution(d={self.d!r}, k={self.k!r}, eta={self.eta!r}, "
+                f"ell0={self.ell0!r})")
 
     @property
     def certificate(self) -> Certificate:
@@ -196,7 +200,7 @@ class _Iterates:
         Both records hold whenever R3 does, so ok, which tests R1-R3 alone,
         is also the conjunction of every record.  Write b = b_+ - b_- for
         the profile's correction, 0 without a degenerate factor, and m for
-        that factor's half-dimension.  WilliamsonInvariants.__post_init__
+        that factor's half-dimension.  WilliamsonInvariants.__init__
         makes every count >= 0 and nu_a(factor) >= nu0 + b0 + b_+ + b_-, with
         nu_a(factor) <= m; index_triple adds m to the elliptic hits of every
         iterate's nu_a.
@@ -230,14 +234,12 @@ class _Iterates:
         return out
 
 
-@dataclass(frozen=True)
-class SearchResult(JsonFields):
+class SearchResult(JsonFields, namedtuple("SearchResult",
+                                          "solutions horizon_exhausted scanned_up_to")):
     """Solutions in increasing k_0; every k_0 <= scanned_up_to was tested
     (the last solution's k_0, or k_bound when horizon_exhausted)."""
 
-    solutions: tuple
-    horizon_exhausted: bool
-    scanned_up_to: int
+    __slots__ = ()
 
 
 def recurrence_search(query: RecurrenceQuery, on_solution=None) -> SearchResult:
@@ -460,10 +462,10 @@ def _companions(query: RecurrenceQuery, d: np.ndarray) -> tuple:
     return its, picks
 
 
-@dataclass(frozen=True)
-class GapReport:
-    ok: bool
-    rows: tuple      # (profile index, ell, mu_plus, bound d - 2)
+class GapReport(namedtuple("GapReport", [
+        "ok",
+        "rows"])):      # (profile index, ell, mu_plus, bound d - 2)
+    __slots__ = ()
 
 
 def convexity_gap_check(profiles: Sequence[IterationProfile],

@@ -23,11 +23,12 @@ chain are the same object; they are counted under nu0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
 from .errors import (
+    Checked,
     InvalidParameter,
     JsonFields,
     MalformedInput,
@@ -50,14 +51,12 @@ def standard_form(m: int) -> np.ndarray:
     return J
 
 
-@dataclass(frozen=True)
-class SymplecticMatrix:
-    """A validated element of Sp(2m)."""
+class SymplecticMatrix(Checked, namedtuple("SymplecticMatrix", "dim_half entries")):
+    """A validated element of Sp(2m): entries is a read-only float array."""
 
-    dim_half: int
-    entries: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
         self.entries.setflags(write=False)
 
     @property
@@ -96,8 +95,8 @@ def validate_symplectic(M: np.ndarray, tol: float = DEFAULT_TOL) -> SymplecticMa
 # unipotent invariants
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WilliamsonInvariants(JsonFields):
+class WilliamsonInvariants(Checked, JsonFields, namedtuple(
+        "WilliamsonInvariants", "nu0 b0 b_plus b_minus nu_g nu_a m")):
     """Block counts of a unipotent symplectic map.
 
     nu0 counts zero planes (including d = 1 odd chains, which coincide with
@@ -106,15 +105,9 @@ class WilliamsonInvariants(JsonFields):
     of eigenvalue 1; m is the half-dimension of the block.
     """
 
-    nu0: int
-    b0: int
-    b_plus: int
-    b_minus: int
-    nu_g: int
-    nu_a: int
-    m: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
         if min(self.nu0, self.b0, self.b_plus, self.b_minus) < 0:
             raise InvalidParameter(f"negative block count in {self}")
         if self.nu_g != 2 * (self.b0 + self.nu0) + self.b_plus + self.b_minus:

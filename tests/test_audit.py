@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import json
 import math
@@ -576,8 +575,7 @@ class TestAuditRuns:
 
         def one_short(system, solution, tables):
             a = sweep(system, solution, tables)
-            return dataclasses.replace(
-                a, counts={**a.counts, "index-gap": a.counts["index-gap"] - 1})
+            return a._replace(counts={**a.counts, "index-gap": a.counts["index-gap"] - 1})
 
         monkeypatch.setattr(audit_module, "_audit_solution", one_short)
         rep = audit(sqrt2_system(), count=2)
@@ -656,6 +654,64 @@ def test_to_json_is_plain_json():
     for x in instances:
         data = x.to_json()
         assert json.loads(json.dumps(data)) == data, type(x).__name__
+
+
+# the key order of every to_json that encodes its class's fields: the
+# field order, which a change of the class's machinery must keep
+_JSON_KEYS = {
+    "AuditReport": ["mode", "n", "constants", "normalization", "solutions",
+                    "diverging_trend_ok", "certified_pairs", "total_pairs", "ok"],
+    "SolutionAudit": ["d", "k", "counts", "min_index_gap", "min_diverging_gap", "aligned",
+                      "near", "protected", "w_vertex_gap_ok", "contradiction", "total_pairs"],
+    "ExclusionReason": ["kind", "case", "i", "j", "numbers"],
+    "DerivedConstants": ["r_star", "C1", "C2", "c1", "c2", "xi", "C", "C_raw", "levels"],
+    "SystemOrbit": ["period", "profile", "hyperbolic", "locally_maximal"],
+    "SearchResult": ["solutions", "horizon_exhausted", "scanned_up_to"],
+    "RecurrenceSolution": ["d", "k", "eta", "ell0", "certificate"],
+    "Certificate": ["ok", "records"],
+    "ConditionRecord": ["name", "ok", "detail"],
+    "ConvexityReport": ["ok", "witnesses", "weak_ok", "weak_witnesses", "min_mu_minus"],
+    "WilliamsonInvariants": ["nu0", "b0", "b_plus", "b_minus", "nu_g", "nu_a", "m"],
+    "TraceReport": ["max_principle_ok", "monotonicity_ok", "average_inequality_ok",
+                    "time_below_ok", "details", "ok"],
+    "QuadraticProfile": ["family", "slope", "r_max", "c0"],
+    "CubicProfile": ["family", "slope", "r_max", "c0", "theta"],
+    "ExpProfile": ["family", "slope", "r_max", "c0", "beta"],
+    "SplineProfile": ["family", "slope", "r_max", "c0", "knots"],
+}
+
+
+def test_named_tuple_semantics():
+    # records and validating types are named tuples; what a plain tuple
+    # would change is pinned here
+    cubic = build_profile("cubic", slope=5.0, r_max=2.0, theta=0.5)
+    exp = build_profile("exp", slope=5.0, r_max=2.0, beta=0.5)
+    assert tuple(cubic) == tuple(exp) and cubic != exp and not cubic == exp
+    assert cubic != (5.0, 2.0, 0.0, 0.5)
+    twin = build_profile("cubic", slope=5.0, r_max=2.0, theta=0.5)
+    assert cubic == twin and not cubic != twin and hash(cubic) == hash(twin)
+    assert IterationProfile.from_json({}) == IterationProfile()
+
+    profiles = (IterationProfile(loop_index=2, elliptic=(0.3,)),)
+    s = RecurrenceSolution(d=6, k=(3,), eta=0.1, ell0=2, profiles=profiles)
+    t = s._replace(profiles=(IterationProfile(loop_index=4),))
+    assert s == t and not s != t and hash(s) == hash(t) and repr(s) == repr(t)
+    assert "profiles" not in repr(s) and s != s._replace(d=7)
+
+    reason = audit_module.ExclusionReason(kind="same-pair", case=CASE_SAME, i=0, j=1)
+    assert reason.numbers == {} and reason.numbers is not audit_module.ExclusionReason(
+        kind="same-pair", case=CASE_SAME, i=0, j=1).numbers
+    system = sqrt2_system()
+    for obj, name in ((cubic, "theta"), (cubic, "h_triple_nonneg_up_to"), (reason, "i"),
+                      (system, "eta"), (system, "derived"), (profiles[0], "elliptic")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
+    # _replace builds through the checks of a validating type
+    with pytest.raises(InvalidParameter, match="theta"):
+        cubic._replace(theta=2.0)
+
+    for x in _encoded_instances():
+        assert list(x.to_json()) == _JSON_KEYS[type(x).__name__]
 
 
 def flagship_solutions(system, count):

@@ -825,17 +825,20 @@ def test_every_unnamed_definition_is_reached_from_outside():
      {"c.json": {"generators": [{"id": "a", "action": 0.0, "degree": 0},
                                 {"id": "b", "action": 1.0, "degree": 1}],
                  "boundary": {"b": ["a"]}}},
-     ("numpy",)),
+     # numpy imports inspect; without numpy nothing here does
+     ("numpy", "dataclasses", "inspect")),
     (["hamiltonian", "--slope", "5", "--r-max", "2", "--tables", "--transfer", "3,2"], {},
-     ("reeb_lab.audit", "reeb_lab.recurrence", "reeb_lab.ellipsoid", "reeb_lab.floergraph")),
+     ("reeb_lab.audit", "reeb_lab.recurrence", "reeb_lab.ellipsoid", "reeb_lab.floergraph",
+      "dataclasses")),
     (["recurrence-search", "--profiles", "p.json", "--eta", "0.1", "--ell0", "3",
       "--k-bound", "1000"],
      {"p.json": [{"loop_index": 2, "elliptic": [0.7071067811865475]},
                  {"loop_index": 2, "elliptic": [1.4142135623730951]}]},
-     ("reeb_lab.audit", "reeb_lab.hamiltonian", "reeb_lab.ellipsoid", "reeb_lab.floergraph")),
+     ("reeb_lab.audit", "reeb_lab.hamiltonian", "reeb_lab.ellipsoid", "reeb_lab.floergraph",
+      "dataclasses")),
     (["cz-index", "--rotation", "1.2"], {},
      ("reeb_lab.audit", "reeb_lab.recurrence", "reeb_lab.hamiltonian", "reeb_lab.ellipsoid",
-      "reeb_lab.floergraph", "reeb_lab.fixedpoint")),
+      "reeb_lab.floergraph", "reeb_lab.fixedpoint", "dataclasses")),
 ], ids=["barcode", "hamiltonian", "recurrence-search", "cz-index"])
 def test_subcommand_imports_only_what_it_runs(tmp_path, argv, files, absent):
     for fname, blob in files.items():
