@@ -90,9 +90,12 @@ class Checked:
     """Mixin for a named tuple that checks its fields: a validating type.
 
     It checks them in __init__, when the tuple already holds them, or in
-    __new__ where a field is converted before the tuple is built (a tuple
-    of knots as floats, say).  _make, and so _replace, builds through the
-    constructor as well, so no instance skips the checks.  Values derived
+    __new__ where a field is converted before the tuple is built.  A radial
+    profile converts a spline's knots to floats in __new__ and checks every
+    field in __init__, its own family's last.  _make, and so _replace,
+    builds through the constructor as well, so no instance skips the
+    checks: a profile built directly or by _replace meets every check of
+    build_profile, which only picks the family by name.  Values derived
     from the fields are kept as attributes, set with object.__setattr__ (a
     class that keeps some declares no __slots__); assigning or deleting any
     attribute later raises AttributeError, as assigning a field does."""

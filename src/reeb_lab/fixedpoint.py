@@ -73,13 +73,12 @@ def brouwer_index(sample: PlanarMapSample) -> int:
 def brouwer_index_of_map(f: Callable, eps: float = 1e-3) -> int:
     """Adaptive version for a fixed point at the origin: samples the circle
     of radius eps at 64 points, then at twice as many, until the winding
-    certifies; SamplingTooCoarse after 12 tries."""
-    n = _FIRST_SAMPLES
-    for _ in range(_TRIES):
+    certifies; SamplingTooCoarse after 12 tries, naming the last count tried."""
+    for n in (_FIRST_SAMPLES << i for i in range(_TRIES)):
         try:
             return brouwer_index(PlanarMapSample.from_map(f, eps, n))
         except SamplingTooCoarse:
-            n *= 2
+            pass
     raise SamplingTooCoarse(f"no certified winding after {n} samples")
 
 

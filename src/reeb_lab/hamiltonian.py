@@ -191,17 +191,61 @@ def _bisect(f, target, top: float, steps: int):
     return (0.5 * (ends[0] + ends[1])).reshape(target.shape)
 
 
+def _first_outside(x, lo: float, hi: float):
+    """The first element of the array x, in C order, that is not inside
+    [lo, hi], as a float, or None: NaN is inside no range."""
+    outside = ~((x >= lo) & (x <= hi))
+    return float(x[outside].flat[0]) if np.any(outside) else None
+
+
 class RadialProfile(Checked, JsonFields):
-    """Base class; concrete families implement the _piece_* methods on [1, r_max].
+    """Base class; each family implements _piece_h, _piece_dh and _piece_d2h,
+    its shell piece at x = r - 1 in [0, r_max - 1], and _piece_dh_inv, the x
+    where _piece_dh is T.
 
     A family is a named tuple of slope, r_max and c0 (default 0.0), then its
-    own parameters.  It names itself in ``family`` and sets
-    h_triple_nonneg_up_to, the end of its certified h''' >= 0 region, as
-    it checks its parameters.  Two profiles are equal only when they are of
-    one family: CubicProfile and ExpProfile both hold four floats.
+    own parameters.  It names itself in ``family``.  Every construction,
+    direct, through build_profile or through _replace, runs __init__'s
+    checks and sets h_triple_nonneg_up_to, the end of the certified
+    h''' >= 0 region.  Two profiles are equal only when they are of one
+    family: CubicProfile and ExpProfile both hold four floats.
     """
 
     family: ClassVar[str]
+
+    def __init__(self, *args, **kwargs):
+        """Check slope, r_max and c0, then the family's own parameters
+        (_check_parameters, which also sets derived values), then that h''
+        > 0 inside the shell (_check_convex) and the C^1 joins at r = 1 and
+        r = r_max: the first failed check raises."""
+        if not 0 < self.slope < math.inf:
+            raise SlopeMismatch(f"slope must be positive and finite, got {self.slope}")
+        if not 1.0 < self.r_max < math.inf:
+            raise BadGeometry(f"r_max must be finite and exceed 1, got {self.r_max}")
+        if not -math.inf < self.c0 <= 0:
+            raise JoinDiscontinuity(f"constant piece must be finite and <= 0, got {self.c0}")
+        object.__setattr__(self, "h_triple_nonneg_up_to", self.r_max)
+        self._check_parameters()
+        self._check_convex()
+        # the joins, probed on the shell piece: dh and h take their values at and
+        # beyond the ends from the constant and linear pieces, which start there
+        dh_1, dh_r_max = (float(self._piece_dh(x)) for x in (0.0, self._w))
+        if abs(dh_1) > 1e-9 * self.slope:
+            raise JoinDiscontinuity(f"h'(1) = {dh_1:.3e} != 0")
+        if abs(dh_r_max - self.slope) > 1e-9 * self.slope:
+            raise SlopeMismatch(f"h'(r_max) = {dh_r_max:.9g} != slope {self.slope:.9g}")
+        if abs(float(self._piece_h(0.0))) > 1e-9 * max(1.0, abs(self.c0)):
+            raise JoinDiscontinuity("h(1) does not meet the constant piece")
+
+    def _check_parameters(self):
+        """The family's own checks and derived values; the quadratic has none."""
+
+    def _check_convex(self):
+        """A closed form's h'' is nondecreasing: h''(1) must be > 0 as
+        computed, so an h'' that underflows to 0 is rejected."""
+        d2_1 = float(self._piece_d2h(0.0))
+        if not d2_1 > 0:
+            raise ConvexityViolation(1.0, d2_1)
 
     def __eq__(self, other):
         return type(other) is type(self) and tuple.__eq__(self, other)
@@ -224,20 +268,6 @@ class RadialProfile(Checked, JsonFields):
     def _w(self):
         """Shell width r_max - 1."""
         return self.r_max - 1.0
-
-    # -- piece implementations (x = r - 1 in [0, _w]) -------------------------
-
-    def _piece_h(self, x):
-        raise NotImplementedError
-
-    def _piece_dh(self, x):
-        raise NotImplementedError
-
-    def _piece_d2h(self, x):
-        raise NotImplementedError
-
-    def _piece_dh_inv(self, T):
-        raise NotImplementedError
 
     # -- assembled profile ----------------------------------------------------
 
@@ -278,12 +308,9 @@ class RadialProfile(Checked, JsonFields):
     def dh_inv(self, T):
         """Level r in [1, r_max] with h'(r) = T; exact for closed forms."""
         T = np.asarray(T, dtype=float)
-        # "not inside" rather than "outside": NaN is inside no range
-        outside = ~((T >= -1e-12) & (T <= self.slope * (1 + 1e-12)))
-        if np.any(outside):
-            raise PeriodOutOfRange(
-                f"period outside [0, {self.slope}]: {float(T[outside].flat[0]):.6g}"
-            )
+        bad = _first_outside(T, -1e-12, self.slope * (1 + 1e-12))
+        if bad is not None:
+            raise PeriodOutOfRange(f"period outside [0, {self.slope}]: {bad:.6g}")
         return self._dh_inv(T)
 
     def _dh_inv(self, T):
@@ -309,9 +336,6 @@ class QuadraticProfile(RadialProfile, namedtuple("QuadraticProfile", "slope r_ma
 
     family = "quadratic"
 
-    def __init__(self, *args, **kwargs):
-        object.__setattr__(self, "h_triple_nonneg_up_to", self.r_max)
-
     def _piece_h(self, x):
         return self.slope * x * x / (2.0 * self._w)
 
@@ -331,10 +355,9 @@ class CubicProfile(RadialProfile, namedtuple("CubicProfile", "slope r_max c0 the
 
     family = "cubic"
 
-    def __init__(self, *args, **kwargs):
+    def _check_parameters(self):
         if not (0.0 < self.theta < 1.0):
             raise InvalidParameter(f"theta must be in (0, 1), got {self.theta}")
-        object.__setattr__(self, "h_triple_nonneg_up_to", self.r_max)
 
     def _piece_h(self, x):
         a, w, th = self.slope, self._w, self.theta
@@ -361,17 +384,16 @@ class ExpProfile(RadialProfile, namedtuple("ExpProfile", "slope r_max c0 beta",
 
     family = "exp"
 
-    def __init__(self, *args, **kwargs):
+    def _check_parameters(self):
         if not 0 < self.beta < math.inf:
             raise InvalidParameter(f"beta must be positive and finite, got {self.beta}")
         if not self.beta * self._w <= np.log(np.finfo(float).max):
             raise InvalidParameter(f"expm1(beta * (r_max - 1)) overflows at beta = {self.beta}")
         # the pieces multiply the slope by up to beta e^{beta x} before dividing by _den
         scale = math.log(max(1.0, self.beta)) + self.beta * self._w
-        if self.slope and not scale + math.log(abs(self.slope)) <= np.log(np.finfo(float).max):
+        if not scale + math.log(self.slope) <= np.log(np.finfo(float).max):
             raise InvalidParameter(f"slope * max(1, beta) * e^(beta * (r_max - 1)) overflows "
                                    f"at slope = {self.slope}, beta = {self.beta}")
-        object.__setattr__(self, "h_triple_nonneg_up_to", self.r_max)
 
     @property
     def _den(self):
@@ -404,10 +426,12 @@ class SplineProfile(RadialProfile, namedtuple("SplineProfile", "slope r_max c0 k
     family = "spline"
 
     def __new__(cls, slope, r_max, c0=0.0, knots=()):
+        return super().__new__(cls, slope, r_max, c0, tuple(float(v) for v in knots))
+
+    def _check_parameters(self):
+        knots = self.knots
         if len(knots) < 2:
             raise InvalidParameter(f"a spline needs at least 2 knots, got {len(knots)}")
-        knots = tuple(float(v) for v in knots)
-        self = super().__new__(cls, slope, r_max, c0, knots)
         n = len(knots) - 1
         dx = self._w / n
         # integrate h'' -> h' and h' -> h at the knot positions
@@ -423,7 +447,7 @@ class SplineProfile(RadialProfile, namedtuple("SplineProfile", "slope r_max c0 k
         object.__setattr__(self, "_h_knots", np.asarray(hh))
         object.__setattr__(self, "_dx", dx)
         computed = dh[-1]
-        if not abs(computed - self.slope) <= 1e-9 * max(1.0, abs(self.slope)):
+        if not abs(computed - self.slope) <= 1e-9 * max(1.0, self.slope):
             raise SlopeMismatch(
                 f"knots integrate to slope {computed:.9g}, profile declares {self.slope:.9g}"
             )
@@ -434,7 +458,14 @@ class SplineProfile(RadialProfile, namedtuple("SplineProfile", "slope r_max c0 k
                 r0 = 1.0 + i * dx
                 break
         object.__setattr__(self, "h_triple_nonneg_up_to", r0)
-        return self
+
+    def _check_convex(self):
+        """h'' is linear between the knots: the inner knots must be > 0 and
+        the end knots >= 0; the first offending knot in r order is named."""
+        k = self._k
+        bad = np.flatnonzero(np.concatenate([k[:1] < 0, k[1:-1] <= 0, k[-1:] < 0]))
+        if bad.size:
+            raise ConvexityViolation(float(1.0 + bad[0] * self._dx), float(k[bad[0]]))
 
     def d2h_extremes(self, a, b):
         """The ends, the knots inside [a, b] with their own values, and the
@@ -505,27 +536,15 @@ def spline_slope(knots: Sequence[float], r_max: float) -> float:
 
 def build_profile(family: str = "quadratic", *, slope: float, r_max: float,
                   c0: float = 0.0, **params) -> RadialProfile:
-    """Construct and certify a profile.
+    """The profile of the named family with these parameters.
 
-    h'' >= 0 on the shell and > 0 inside it is decided exactly, so h'
-    rises.  A spline's h'' is linear between its knots: the inner knots
-    must be > 0 and the end knots >= 0.  A closed form's h'' is
-    nondecreasing: h''(1) must be > 0 as computed, so an h'' that
-    underflows to 0 is rejected.  ConvexityViolation names the first
-    offending (r, h'') in r order.  The C^1 joins at r = 1 and r = r_max
-    are probed on the shell piece.
+    The family's constructor checks them (RadialProfile.__init__): h'' >=
+    0 on the shell and > 0 inside it is decided exactly, so h' rises, and
+    ConvexityViolation names the first offending (r, h'') in r order.
     """
     if family not in _FAMILIES:
         raise InvalidParameter(f"unknown profile family {family!r}")
-    if not 0 < slope < math.inf:
-        raise SlopeMismatch(f"slope must be positive and finite, got {slope}")
-    if not 1.0 < r_max < math.inf:
-        raise BadGeometry(f"r_max must be finite and exceed 1, got {r_max}")
-    if not -math.inf < c0 <= 0:
-        raise JoinDiscontinuity(f"constant piece must be finite and <= 0, got {c0}")
-    profile = _FAMILIES[family](slope=slope, r_max=r_max, c0=c0, **params)
-    _certify(profile)
-    return profile
+    return _FAMILIES[family](slope=slope, r_max=r_max, c0=c0, **params)
 
 
 def profile_from_json(obj: dict) -> RadialProfile:
@@ -545,27 +564,6 @@ def profile_from_json(obj: dict) -> RadialProfile:
     return build_profile(family, **params)
 
 
-def _certify(profile: RadialProfile):
-    if isinstance(profile, SplineProfile):
-        k = profile._k
-        bad = np.flatnonzero(np.concatenate([k[:1] < 0, k[1:-1] <= 0, k[-1:] < 0]))
-        if bad.size:
-            raise ConvexityViolation(float(1.0 + bad[0] * profile._dx), float(k[bad[0]]))
-    else:
-        d2_1 = float(profile._piece_d2h(0.0))
-        if not d2_1 > 0:
-            raise ConvexityViolation(1.0, d2_1)
-    # the joins, probed on the shell piece: dh and h take their values at and
-    # beyond the ends from the constant and linear pieces, which start there
-    dh_1, dh_r_max = (float(profile._piece_dh(x)) for x in (0.0, profile._w))
-    if abs(dh_1) > 1e-9 * profile.slope:
-        raise JoinDiscontinuity(f"h'(1) = {dh_1:.3e} != 0")
-    if abs(dh_r_max - profile.slope) > 1e-9 * profile.slope:
-        raise SlopeMismatch(f"h'(r_max) = {dh_r_max:.9g} != slope {profile.slope:.9g}")
-    if abs(float(profile._piece_h(0.0))) > 1e-9 * max(1.0, abs(profile.c0)):
-        raise JoinDiscontinuity("h(1) does not meet the constant piece")
-
-
 # ---------------------------------------------------------------------------
 # action calculus
 # ---------------------------------------------------------------------------
@@ -577,11 +575,9 @@ def action_from_period(profile: RadialProfile, T, k: float = 1.0) -> tuple:
     pair of arrays of its shape.
     """
     T = np.asarray(T, dtype=float)
-    outside = ~((T >= 0) & (T <= k * profile.slope * (1 + 1e-12)))
-    if np.any(outside):
-        raise PeriodOutOfRange(
-            f"T = {float(T[outside].flat[0]):.6g} outside [0, {k * profile.slope:.6g}]"
-        )
+    bad = _first_outside(T, 0, k * profile.slope * (1 + 1e-12))
+    if bad is not None:
+        raise PeriodOutOfRange(f"T = {bad:.6g} outside [0, {k * profile.slope:.6g}]")
     return _action_from_period(profile, T, k)
 
 
@@ -616,11 +612,9 @@ def action_inverse(profile: RadialProfile, alpha, k: float = 1.0):
         )
     top = k * profile.c
     alpha = np.asarray(alpha, dtype=float)
-    outside = ~((alpha >= -1e-12) & (alpha <= top * (1 + 1e-12)))
-    if np.any(outside):
-        raise ActionOutOfRange(
-            f"action {float(alpha[outside].flat[0]):.6g} outside [0, {top:.6g}]"
-        )
+    bad = _first_outside(alpha, -1e-12, top * (1 + 1e-12))
+    if bad is not None:
+        raise ActionOutOfRange(f"action {bad:.6g} outside [0, {top:.6g}]")
     alpha = np.clip(alpha, 0.0, top)
     T_max = k * profile.slope
     T = _bisect(lambda T: _action_from_period(profile, T, k)[0], alpha, T_max, 80)
@@ -692,7 +686,7 @@ def transfer_map(profile: RadialProfile, k: float, lam: float,
     if taus.ndim != 1 or not taus.size:
         raise InvalidParameter(f"tau grid must be a nonempty 1-D sequence, got shape {taus.shape}")
     top = k * profile.c
-    if not np.all((taus >= -1e-12) & (taus <= top * (1 + 1e-9))):
+    if _first_outside(taus, -1e-12, top * (1 + 1e-9)) is not None:
         raise ActionOutOfRange(f"tau grid escapes [0, {top:.6g}]")
     T = action_inverse(profile, np.clip(taus, 0.0, top), k)
     values = action_from_period(profile, T, k + lam)[0]

@@ -93,17 +93,6 @@ class IterationProfile(Checked, namedtuple("IterationProfile",
         rho_sum = sum(float(r) for r in self.elliptic)
         return k * (self.loop_index + 2.0 * rho_sum + sum(self.hyperbolic))
 
-    def nu_a(self, k=1):
-        """Half the algebraic multiplicity of eigenvalue 1 of the k-th iterate.
-
-        k is an int, or an int64 array of iteration orders that gives an array;
-        the value is the one index_triple reports.
-        """
-        return index_triple(self, k).nu_a
-
-    def is_degenerate(self, k=1):
-        return self.nu_a(k) > 0
-
     def b_correction(self) -> int:
         """b_plus - b_minus of any iterate (stable under positive scaling)."""
         if self.degenerate is None:

@@ -133,20 +133,6 @@ class WilliamsonInvariants(Checked, JsonFields, namedtuple(
                 raise MalformedInput(f"{where}: {key!r} must be >= 0, got {value}")
         return cls(**counts)
 
-    @classmethod
-    def from_counts(cls, nu0: int = 0, b0: int = 0, b_plus: int = 0,
-                    b_minus: int = 0, m: int | None = None) -> "WilliamsonInvariants":
-        """Build invariants from block counts alone (nu_a = m, totally degenerate).
-
-        Without an explicit m, chains are assumed minimal: d = 3 for odd
-        chains, d = 1 for signed even chains.
-        """
-        if m is None:
-            m = nu0 + 3 * b0 + b_plus + b_minus
-        nu_g = 2 * (b0 + nu0) + b_plus + b_minus
-        return cls(nu0=nu0, b0=b0, b_plus=b_plus, b_minus=b_minus,
-                   nu_g=nu_g, nu_a=m, m=m)
-
 
 def williamson_invariants(A: SymplecticMatrix, tol: float = DEFAULT_TOL) -> WilliamsonInvariants:
     """Normal-form counts (nu0, b0, b_plus, b_minus) of a unipotent map.

@@ -1,5 +1,6 @@
 """Matrix builders of the tests: quadratic flows, 2x2 symplectic blocks and
-their direct sums in split coordinates (see :mod:`reeb_lab.symplectic`)."""
+their direct sums in split coordinates (see :mod:`reeb_lab.symplectic`),
+and Williamson invariants from block counts alone."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from reeb_lab.symplectic import standard_form
+from reeb_lab.symplectic import WilliamsonInvariants, standard_form
 
 
 def flow_rotation(m: int) -> np.ndarray:
@@ -57,3 +58,17 @@ def direct_sum(blocks: Sequence[np.ndarray]) -> np.ndarray:
         idx = np.array([i, m + i])
         M[np.ix_(idx, idx)] = B
     return M
+
+
+def williamson_from_counts(nu0: int = 0, b0: int = 0, b_plus: int = 0,
+                           b_minus: int = 0, m: int | None = None) -> WilliamsonInvariants:
+    """Invariants from block counts alone (nu_a = m, totally degenerate).
+
+    Without an explicit m, chains are assumed minimal: d = 3 for odd
+    chains, d = 1 for signed even chains.
+    """
+    if m is None:
+        m = nu0 + 3 * b0 + b_plus + b_minus
+    nu_g = 2 * (b0 + nu0) + b_plus + b_minus
+    return WilliamsonInvariants(nu0=nu0, b0=b0, b_plus=b_plus, b_minus=b_minus,
+                                nu_g=nu_g, nu_a=m, m=m)

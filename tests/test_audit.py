@@ -68,7 +68,7 @@ from reeb_lab.indices import (
     stretch_path,
     support_interval,
 )
-from reeb_lab.symplectic import WilliamsonInvariants, validate_symplectic, williamson_invariants
+from reeb_lab.symplectic import validate_symplectic, williamson_invariants
 from reeb_lab.recurrence import (
     RecurrenceQuery,
     RecurrenceSolution,
@@ -77,6 +77,7 @@ from reeb_lab.recurrence import (
     verify_recurrence,
 )
 
+from _matrices import williamson_from_counts
 from _oracles import (
     scalar_audit_solution,
     scalar_exclusion_certificate,
@@ -165,7 +166,7 @@ def golden_system(**overrides):
     (lambda: rotation_path(math.inf), "rotation number must be finite, got inf"),
     (lambda: stretch_path(0.0), "stretch factor must be positive and finite, got 0.0"),
     # a negative count would let R3 hold while its nu_a bound fails
-    (lambda: WilliamsonInvariants.from_counts(b_plus=1, b_minus=-1),
+    (lambda: williamson_from_counts(b_plus=1, b_minus=-1),
      "negative block count in WilliamsonInvariants(nu0=0, b0=0, b_plus=1, b_minus=-1, "
      "nu_g=0, nu_a=0, m=0)"),
     # recurrence
@@ -298,7 +299,7 @@ class TestConstruction:
             IterationProfile(loop_index=2, elliptic=(Fraction(1, 3),)),
             IterationProfile(elliptic=(Fraction(1),)),
             IterationProfile(loop_index=2,
-                             degenerate=WilliamsonInvariants.from_counts(b_plus=1)),
+                             degenerate=williamson_from_counts(b_plus=1)),
         ]
         z = SystemOrbit(period=3.0, profile=IterationProfile(hyperbolic=(3,)),
                         hyperbolic=True, locally_maximal=True)
@@ -555,6 +556,20 @@ class TestAuditRuns:
                                    profiles=sols[0].profiles)
         with pytest.raises(AuditFailed, match="^supplied solution d=6 fails verification"):
             audit(sys_, solutions=[short])
+
+    def test_a_pair_left_unexcluded_fails_the_audit(self, monkeypatch):
+        # no test system leaves a pair unexcluded, so one aligned pair is
+        # made to fail; the audit stops at it
+        failure = NotExcluded("companion 1 at j = 2 is not excluded", {"i": 1, "j": 2})
+
+        def fail(*args):
+            raise failure
+        monkeypatch.setattr(audit_module, "_aligned_certificate", fail)
+        with pytest.raises(AuditFailed) as err:
+            audit(sqrt2_system(), count=1)
+        assert err.value.first_failure is failure
+        assert err.value.first_failure.context == {"i": 1, "j": 2}
+        assert str(err.value) == "audit failed: companion 1 at j = 2 is not excluded"
 
     def test_no_supplied_solution_fails(self):
         # as a search that finds none does: 0 of 0 pairs certifies nothing

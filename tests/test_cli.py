@@ -24,7 +24,7 @@ from jsonschema import validators
 import reeb_lab
 import reeb_lab.cli as cli
 from reeb_lab.cli import build_parser, main
-from reeb_lab.errors import MalformedInput
+from reeb_lab.errors import MalformedInput, NotExcluded
 from reeb_lab.floergraph import Bar
 
 SCHEMA_DIR = Path(reeb_lab.__file__).parent / "schemas"
@@ -423,6 +423,14 @@ class TestConfigAndErrors:
                                 "--k-bound", "10", "--count", "1"], capsys)
         assert code == 3 and "audit failed" in err
 
+    def test_pair_failure_exit_3(self, capsys, monkeypatch, sqrt2_system_file):
+        def fail(*args):
+            raise NotExcluded("companion 1 at j = 2 is not excluded", {"i": 1, "j": 2})
+        monkeypatch.setattr("reeb_lab.audit._aligned_certificate", fail)
+        code, _, err = run_cli(["audit-lemma", "--system", str(sqrt2_system_file),
+                                "--count", "1"], capsys)
+        assert code == 3 and "companion 1 at j = 2 is not excluded" in err
+
     def test_malformed_system_exit_2(self, capsys, tmp_path, sqrt2_system_file):
         blob = json.loads(sqrt2_system_file.read_text())
         del blob["n"]
@@ -778,8 +786,9 @@ def test_module_layering(module, absent):
     assert proc.stdout.strip() == "[]"
 
 
-# Top-level names of the package that no other place in it names, and what
-# reaches each one instead; a definition that nothing reaches is deleted
+# Top-level names and methods of the package that no other place in it
+# names, and what reaches each one instead; a definition that nothing
+# reaches is deleted.  Dunder methods are called by Python itself
 REACHED_FROM_OUTSIDE = {
     "homotopy_action_derivative": "acceptance criterion 5",
     "convexity_gap_check": "acceptance criterion 7",
@@ -802,7 +811,13 @@ def test_every_unnamed_definition_is_reached_from_outside():
     defined = set()
     for tree in trees:
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if isinstance(node, ast.ClassDef):
+                # the class and its methods and properties
+                defined.add(node.name)
+                defined |= {item.name for item in node.body
+                            if isinstance(item, ast.FunctionDef)
+                            and not (item.name.startswith("__") and item.name.endswith("__"))}
+            elif isinstance(node, ast.FunctionDef):
                 defined.add(node.name)
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]

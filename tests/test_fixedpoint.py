@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import reeb_lab.fixedpoint as fixedpoint_module
 from reeb_lab.cli import _load_csv
 from reeb_lab.errors import FixedPointOnCircle, SamplingTooCoarse
 from reeb_lab.fixedpoint import (
@@ -31,6 +32,15 @@ def monkey_saddle(p):
     z = complex(p[0], p[1])
     w = z + 1j * np.conj(z) ** 2
     return (w.real, w.imag)
+
+
+def winding_map(w, eps=1e-3):
+    """A map whose displacement on the circle of radius eps turns w times:
+    at angle t it is eps (cos w t, sin w t)."""
+    def f(p):
+        t = math.atan2(p[1], p[0])
+        return (p[0] + eps * math.cos(w * t), p[1] + eps * math.sin(w * t))
+    return f
 
 
 def iterate(f, m):
@@ -62,6 +72,21 @@ class TestBrouwerIndex:
 
     def test_hyperbolic_saddle(self):
         assert brouwer_index_of_map(lambda p: (2.0 * p[0], 0.5 * p[1])) == -1
+
+    def test_samples_double_until_the_winding_certifies(self):
+        # winding 20 steps 20/64 of a turn at 64 samples, more than a
+        # quarter, and 20/128 at 128 (16 would sit on the edge at 64)
+        assert brouwer_index_of_map(winding_map(20)) == 20
+        with pytest.raises(SamplingTooCoarse):
+            brouwer_index(PlanarMapSample.from_map(winding_map(20), n_samples=64))
+
+    @pytest.mark.parametrize("tries, last", [(1, 64), (2, 128)])
+    def test_exhaustion_names_the_last_count_tried(self, monkeypatch, tries, last):
+        # winding 40 needs 256 samples
+        monkeypatch.setattr(fixedpoint_module, "_TRIES", tries)
+        with pytest.raises(SamplingTooCoarse) as err:
+            brouwer_index_of_map(winding_map(40))
+        assert str(err.value) == f"no certified winding after {last} samples"
 
     def test_radius_refinement_invariance(self):
         theta = 1.0

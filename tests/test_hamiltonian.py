@@ -98,7 +98,10 @@ class TestBuild:
 
     @pytest.mark.parametrize("slope", [0.0, -5.0])
     def test_exp_bound_takes_no_log_of_a_nonpositive_slope(self, slope):
-        ExpProfile(slope=slope, r_max=2.0, beta=2.0)
+        # the slope is checked before the overflow bound takes its log
+        with pytest.raises(SlopeMismatch) as err:
+            ExpProfile(slope=slope, r_max=2.0, beta=2.0)
+        assert str(err.value) == f"slope must be positive and finite, got {slope}"
 
     def test_spline_roundtrip_and_certified_region(self):
         knots = (0.5, 1.0, 2.0, 1.5)   # h''' flips sign on the last piece
@@ -157,11 +160,15 @@ class TestBuild:
         assert p.d2h_shell(1.0) == knots[0] and p.d2h_shell(2.0) == knots[-1]
 
     @settings(max_examples=200, deadline=None)
-    @given(knots=st.lists(st.floats(0.0, 1e3), min_size=2, max_size=40),
+    @given(ends=st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1e3)),
+                         min_size=2, max_size=2).filter(any),
+           inner=st.lists(st.floats(1e-3, 1e3), max_size=38),
            r_max=st.floats(1.001, 50.0))
-    def test_spline_slope_is_the_built_h1_at_r_max(self, knots, r_max):
+    def test_spline_slope_is_the_built_h1_at_r_max(self, ends, inner, r_max):
         # one integration of h'' for both, summed in knot order: Python's
-        # sum() of floats rounds differently from 3.12 on
+        # sum() of floats rounds differently from 3.12 on.  The knots are
+        # those of a convex spline: inner knots > 0, end knots >= 0
+        knots = [ends[0], *inner, ends[1]]
         slope = spline_slope(knots, r_max)
         assert SplineProfile(slope=slope, r_max=r_max, knots=tuple(knots))._dh_knots[-1] == slope
         dx, sequential = (r_max - 1.0) / (len(knots) - 1), 0.0
@@ -193,6 +200,203 @@ class TestBuild:
             q = profile_from_json(p.to_json())
             rs = np.linspace(1.0, p.r_max, 17)
             assert np.allclose(p.h(rs), q.h(rs))
+
+
+# a valid profile of each family, whose fields the rows below override
+VALID_ARGS = {
+    "quadratic": {"slope": 5.0, "r_max": 2.0},
+    "cubic": {"slope": 5.0, "r_max": 2.0, "theta": 0.5},
+    "exp": {"slope": 5.0, "r_max": 2.0, "beta": 2.0},
+    "spline": {"slope": 2.0, "r_max": 2.0, "knots": (1.0, 2.0, 3.0)},
+}
+
+# build_profile's refusals, one row per check and then rows with several
+# faults, where the first check in order names its own: slope, r_max, c0,
+# the family's parameters, convexity.  The joins at r = 1 and r_max are
+# checked too, but no profile that passes the checks before them misses a
+# join, so they have no row
+INVALID_PROFILES = [
+    ("quadratic", {"slope": 0.0}, SlopeMismatch,
+     "slope must be positive and finite, got 0.0"),
+    ("quadratic", {"slope": -1.0}, SlopeMismatch,
+     "slope must be positive and finite, got -1.0"),
+    ("quadratic", {"slope": math.nan}, SlopeMismatch,
+     "slope must be positive and finite, got nan"),
+    ("quadratic", {"slope": math.inf}, SlopeMismatch,
+     "slope must be positive and finite, got inf"),
+    ("quadratic", {"r_max": 1.0}, BadGeometry,
+     "r_max must be finite and exceed 1, got 1.0"),
+    ("quadratic", {"r_max": 0.5}, BadGeometry,
+     "r_max must be finite and exceed 1, got 0.5"),
+    ("quadratic", {"r_max": math.nan}, BadGeometry,
+     "r_max must be finite and exceed 1, got nan"),
+    ("quadratic", {"r_max": math.inf}, BadGeometry,
+     "r_max must be finite and exceed 1, got inf"),
+    ("quadratic", {"c0": 0.5}, JoinDiscontinuity,
+     "constant piece must be finite and <= 0, got 0.5"),
+    ("quadratic", {"c0": math.nan}, JoinDiscontinuity,
+     "constant piece must be finite and <= 0, got nan"),
+    ("quadratic", {"c0": -math.inf}, JoinDiscontinuity,
+     "constant piece must be finite and <= 0, got -inf"),
+    ("cubic", {"slope": 0.0}, SlopeMismatch,
+     "slope must be positive and finite, got 0.0"),
+    ("cubic", {"slope": -1.0}, SlopeMismatch,
+     "slope must be positive and finite, got -1.0"),
+    ("cubic", {"slope": math.nan}, SlopeMismatch,
+     "slope must be positive and finite, got nan"),
+    ("cubic", {"slope": math.inf}, SlopeMismatch,
+     "slope must be positive and finite, got inf"),
+    ("cubic", {"r_max": 1.0}, BadGeometry,
+     "r_max must be finite and exceed 1, got 1.0"),
+    ("cubic", {"r_max": 0.5}, BadGeometry,
+     "r_max must be finite and exceed 1, got 0.5"),
+    ("cubic", {"r_max": math.nan}, BadGeometry,
+     "r_max must be finite and exceed 1, got nan"),
+    ("cubic", {"r_max": math.inf}, BadGeometry,
+     "r_max must be finite and exceed 1, got inf"),
+    ("cubic", {"c0": 0.5}, JoinDiscontinuity,
+     "constant piece must be finite and <= 0, got 0.5"),
+    ("cubic", {"c0": math.nan}, JoinDiscontinuity,
+     "constant piece must be finite and <= 0, got nan"),
+    ("cubic", {"c0": -math.inf}, JoinDiscontinuity,
+     "constant piece must be finite and <= 0, got -inf"),
+    ("exp", {"slope": 0.0}, SlopeMismatch,
+     "slope must be positive and finite, got 0.0"),
+    ("exp", {"slope": -1.0}, SlopeMismatch,
+     "slope must be positive and finite, got -1.0"),
+    ("exp", {"slope": math.nan}, SlopeMismatch,
+     "slope must be positive and finite, got nan"),
+    ("exp", {"slope": math.inf}, SlopeMismatch,
+     "slope must be positive and finite, got inf"),
+    ("exp", {"r_max": 1.0}, BadGeometry,
+     "r_max must be finite and exceed 1, got 1.0"),
+    ("exp", {"r_max": 0.5}, BadGeometry,
+     "r_max must be finite and exceed 1, got 0.5"),
+    ("exp", {"r_max": math.nan}, BadGeometry,
+     "r_max must be finite and exceed 1, got nan"),
+    ("exp", {"r_max": math.inf}, BadGeometry,
+     "r_max must be finite and exceed 1, got inf"),
+    ("exp", {"c0": 0.5}, JoinDiscontinuity,
+     "constant piece must be finite and <= 0, got 0.5"),
+    ("exp", {"c0": math.nan}, JoinDiscontinuity,
+     "constant piece must be finite and <= 0, got nan"),
+    ("exp", {"c0": -math.inf}, JoinDiscontinuity,
+     "constant piece must be finite and <= 0, got -inf"),
+    ("spline", {"slope": 0.0}, SlopeMismatch,
+     "slope must be positive and finite, got 0.0"),
+    ("spline", {"slope": -1.0}, SlopeMismatch,
+     "slope must be positive and finite, got -1.0"),
+    ("spline", {"slope": math.nan}, SlopeMismatch,
+     "slope must be positive and finite, got nan"),
+    ("spline", {"slope": math.inf}, SlopeMismatch,
+     "slope must be positive and finite, got inf"),
+    ("spline", {"r_max": 1.0}, BadGeometry,
+     "r_max must be finite and exceed 1, got 1.0"),
+    ("spline", {"r_max": 0.5}, BadGeometry,
+     "r_max must be finite and exceed 1, got 0.5"),
+    ("spline", {"r_max": math.nan}, BadGeometry,
+     "r_max must be finite and exceed 1, got nan"),
+    ("spline", {"r_max": math.inf}, BadGeometry,
+     "r_max must be finite and exceed 1, got inf"),
+    ("spline", {"c0": 0.5}, JoinDiscontinuity,
+     "constant piece must be finite and <= 0, got 0.5"),
+    ("spline", {"c0": math.nan}, JoinDiscontinuity,
+     "constant piece must be finite and <= 0, got nan"),
+    ("spline", {"c0": -math.inf}, JoinDiscontinuity,
+     "constant piece must be finite and <= 0, got -inf"),
+    ("cubic", {"theta": 0.0}, InvalidParameter,
+     "theta must be in (0, 1), got 0.0"),
+    ("cubic", {"theta": 1.0}, InvalidParameter,
+     "theta must be in (0, 1), got 1.0"),
+    ("cubic", {"theta": -0.5}, InvalidParameter,
+     "theta must be in (0, 1), got -0.5"),
+    ("cubic", {"theta": 2.0}, InvalidParameter,
+     "theta must be in (0, 1), got 2.0"),
+    ("cubic", {"theta": math.nan}, InvalidParameter,
+     "theta must be in (0, 1), got nan"),
+    ("exp", {"beta": 0.0}, InvalidParameter,
+     "beta must be positive and finite, got 0.0"),
+    ("exp", {"beta": -1.0}, InvalidParameter,
+     "beta must be positive and finite, got -1.0"),
+    ("exp", {"beta": math.nan}, InvalidParameter,
+     "beta must be positive and finite, got nan"),
+    ("exp", {"beta": math.inf}, InvalidParameter,
+     "beta must be positive and finite, got inf"),
+    ("exp", {"beta": 709.0}, InvalidParameter,
+     "slope * max(1, beta) * e^(beta * (r_max - 1)) overflows at slope = 5.0, beta = 709.0"),
+    ("exp", {"slope": 1e+300, "r_max": 3.0, "beta": 300.0}, InvalidParameter,
+     "slope * max(1, beta) * e^(beta * (r_max - 1)) overflows at slope = 1e+300, beta = 300.0"),
+    ("exp", {"r_max": 7e+30, "beta": 1e-28}, ConvexityViolation,
+     "h''(1) = 0.000e+00 is not positive"),
+    ("spline", {"knots": ()}, InvalidParameter,
+     "a spline needs at least 2 knots, got 0"),
+    ("spline", {"knots": (1.0,)}, InvalidParameter,
+     "a spline needs at least 2 knots, got 1"),
+    ("spline", {"slope": 3.0}, SlopeMismatch,
+     "knots integrate to slope 2, profile declares 3"),
+    ("spline", {"knots": (math.nan, 1.0), "slope": 1.5}, SlopeMismatch,
+     "knots integrate to slope nan, profile declares 1.5"),
+    ("spline", {"knots": (1.0, -0.5, 1.0), "slope": 0.25}, ConvexityViolation,
+     "h''(1.5) = -5.000e-01 < 0"),
+    ("spline", {"knots": (2.0, -3.0, 10.0), "slope": 1.5}, ConvexityViolation,
+     "h''(1.5) = -3.000e+00 < 0"),
+    ("spline", {"knots": (1.0, 0.0, 1.0), "slope": 0.5}, ConvexityViolation,
+     "h''(1.5) = 0.000e+00 is not positive"),
+    ("spline", {"knots": (-1.0, 1.0, 3.0), "slope": 1.0}, ConvexityViolation,
+     "h''(1) = -1.000e+00 < 0"),
+    ("spline", {"knots": (1.0, 2.0, -0.5), "slope": 1.125}, ConvexityViolation,
+     "h''(2) = -5.000e-01 < 0"),
+    ("spline", {"r_max": math.nan, "knots": (1.0,)}, BadGeometry,
+     "r_max must be finite and exceed 1, got nan"),
+    ("spline", {"slope": -1.0, "knots": ()}, SlopeMismatch,
+     "slope must be positive and finite, got -1.0"),
+    ("spline", {"c0": math.nan, "knots": (1.0,)}, JoinDiscontinuity,
+     "constant piece must be finite and <= 0, got nan"),
+    ("spline", {"slope": 5.0, "knots": (1.0, -0.5, 1.0)}, SlopeMismatch,
+     "knots integrate to slope 0.25, profile declares 5"),
+    ("cubic", {"slope": math.nan, "theta": 2.0}, SlopeMismatch,
+     "slope must be positive and finite, got nan"),
+    ("cubic", {"r_max": 1.0, "theta": 0.0}, BadGeometry,
+     "r_max must be finite and exceed 1, got 1.0"),
+    ("cubic", {"c0": 1.0, "theta": math.nan}, JoinDiscontinuity,
+     "constant piece must be finite and <= 0, got 1.0"),
+    ("exp", {"slope": 0.0, "beta": math.nan}, SlopeMismatch,
+     "slope must be positive and finite, got 0.0"),
+    ("exp", {"slope": -5.0, "beta": 709.0}, SlopeMismatch,
+     "slope must be positive and finite, got -5.0"),
+    ("exp", {"r_max": math.nan, "beta": -1.0}, BadGeometry,
+     "r_max must be finite and exceed 1, got nan"),
+    ("exp", {"c0": 0.5, "beta": 709.0}, JoinDiscontinuity,
+     "constant piece must be finite and <= 0, got 0.5"),
+    ("quadratic", {"slope": math.nan, "r_max": math.nan, "c0": math.nan}, SlopeMismatch,
+     "slope must be positive and finite, got nan"),
+    ("quadratic", {"r_max": 0.5, "c0": 2.0}, BadGeometry,
+     "r_max must be finite and exceed 1, got 0.5"),
+    ("cubicc", {"slope": math.nan}, InvalidParameter,
+     "unknown profile family 'cubicc'"),
+]
+
+
+@pytest.mark.parametrize("family, args, error, message", INVALID_PROFILES)
+def test_build_profile_refusals(family, args, error, message):
+    with pytest.raises(error) as err:
+        # an unknown family gets the quadratic's valid fields
+        build_profile(family, **{**VALID_ARGS.get(family, VALID_ARGS["quadratic"]), **args})
+    assert type(err.value) is error and str(err.value) == message
+
+
+@pytest.mark.parametrize("family, args, error, message",
+                         [row for row in INVALID_PROFILES if row[0] in VALID_ARGS])
+def test_every_construction_refuses_what_build_profile_refuses(family, args, error, message):
+    # the family's constructor holds the checks, so a profile built directly
+    # or by _replace from a valid one meets them all, in the same order
+    valid = build_profile(family, **VALID_ARGS[family])
+    cls = type(valid)
+    for construct in (lambda: cls(**{**VALID_ARGS[family], **args}),
+                      lambda: valid._replace(**args)):
+        with pytest.raises(error) as err:
+            construct()
+        assert type(err.value) is error and str(err.value) == message
 
 
 class TestRadialAction:

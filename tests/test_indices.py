@@ -28,9 +28,8 @@ from reeb_lab.indices import (
     support_interval,
     winding,
 )
-from reeb_lab.symplectic import WilliamsonInvariants
 
-from _matrices import direct_sum, rotation2
+from _matrices import direct_sum, rotation2, williamson_from_counts
 
 from _oracles import (
     crossing_index,
@@ -186,7 +185,7 @@ class TestIndexTriple:
         assert (t.mu_minus, t.mu_plus, t.mu_hat) == (15, 15, 15.0)
 
     def test_degenerate_split(self):
-        deg = WilliamsonInvariants.from_counts(b_plus=1)
+        deg = williamson_from_counts(b_plus=1)
         t = index_triple(IterationProfile(degenerate=deg), 2)
         assert (t.mu_minus, t.mu_plus) == (0, 1)
         assert t.mu_hat == 0.0
@@ -228,11 +227,11 @@ def profiles(draw):
     hyperbolic = tuple(draw(st.integers(-5, 5)) for _ in range(n_h))
     degenerate = None
     if deg or (n_e + n_h == 0):
-        degenerate = WilliamsonInvariants.from_counts(
+        degenerate = williamson_from_counts(
             nu0=draw(st.integers(0, 1)), b_plus=draw(st.integers(0, 1)),
             b_minus=draw(st.integers(0, 1)))
         if degenerate.m == 0:
-            degenerate = WilliamsonInvariants.from_counts(nu0=1)
+            degenerate = williamson_from_counts(nu0=1)
     return IterationProfile(loop_index=2 * draw(st.integers(-2, 2)),
                             elliptic=elliptic, hyperbolic=hyperbolic,
                             degenerate=degenerate)
@@ -246,7 +245,7 @@ class TestMeanIndexSandwich:
         t = index_triple(profile, k)
         assert t.mu_hat * 1 == profile.mean_index(k)
         assert t.mu_hat - m <= t.mu_minus <= t.mu_plus <= t.mu_hat + m
-        if not profile.is_degenerate(k):
+        if not t.nu_a:
             assert t.mu_hat - m < t.mu_minus and t.mu_plus < t.mu_hat + m
 
     @settings(max_examples=150, deadline=None)
@@ -298,7 +297,7 @@ ARRAY_PROFILES = {
     "hyperbolic": IterationProfile(hyperbolic=(3,)),
     "loop": IterationProfile(loop_index=-4, elliptic=(2.6180339887498949,)),
     "degenerate": IterationProfile(
-        degenerate=WilliamsonInvariants.from_counts(b_plus=1, nu0=1)),
+        degenerate=williamson_from_counts(b_plus=1, nu0=1)),
 }
 
 # dense near both ends of 1..10**6, strided in between
@@ -400,10 +399,9 @@ class TestArrayPath:
     def test_nu_a_matches_scalar(self, name):
         p = ARRAY_PROFILES[name]
         ks = ARRAY_KS[:3000]
-        nu = p.nu_a(ks)
+        nu = index_triple(p, ks).nu_a
         assert nu.dtype == np.int64
         assert nu.tolist() == [scalar_nu_a(p, k) for k in ks.tolist()]
-        assert p.is_degenerate(ks).tolist() == [v > 0 for v in nu.tolist()]
 
     @pytest.mark.parametrize("name", sorted(ARRAY_PROFILES))
     def test_int_is_an_array_of_length_one(self, name):
@@ -415,9 +413,7 @@ class TestArrayPath:
             assert tuple(t) == tuple(scalar_index_triple(p, int(k)))
             a = index_triple(p, np.array([k], dtype=np.int64))
             assert tuple(t) == (a.mu_minus[0], a.mu_plus[0], a.mu_hat[0])
-            nu = p.nu_a(k)
-            assert type(nu) is int and nu == scalar_nu_a(p, int(k))
-            assert type(p.is_degenerate(k)) is bool
+            assert type(t.nu_a) is int and t.nu_a == scalar_nu_a(p, int(k))
         lo, hi = support_interval(ARRAY_PROFILES["float"], 5, 2)
         assert (type(lo), type(hi)) == (int, int)
 
@@ -430,7 +426,7 @@ class TestArrayPath:
             with pytest.raises(ValueError, match="leave int64"):
                 index_triple(hyp, k)
         with pytest.raises(ValueError, match="leave int64"):
-            ARRAY_PROFILES["float"].nu_a(2 ** 62)
+            index_triple(ARRAY_PROFILES["float"], 2 ** 62)
         with pytest.raises(ValueError, match=r"non-finite rotation number elliptic\[0\] = nan"):
             IterationProfile(elliptic=(float("nan"),))
         with pytest.raises(ValueError, match="got 0"):
@@ -461,7 +457,7 @@ class TestDynamicalConvexity:
         assert rep.ok  # mu_- stays >= 3
         # weak condition needs mu_- >= 2 + nu_a at the degenerate iterates
         t = index_triple(p, 2)
-        assert t.mu_minus >= max(3, 2 + p.nu_a(2)) or not rep.weak_ok
+        assert t.mu_minus >= max(3, 2 + t.nu_a) or not rep.weak_ok
 
 
 def per_k_convexity(orbits, n) -> dict:
@@ -491,7 +487,7 @@ def test_convexity_witnesses_match_per_k_loop(n):
 
 
 def test_profile_json_roundtrip():
-    deg = WilliamsonInvariants.from_counts(b_plus=1)
+    deg = williamson_from_counts(b_plus=1)
     p = IterationProfile(loop_index=2, elliptic=(0.3, Fraction(1, 3)),
                          hyperbolic=(4,), degenerate=deg)
     q = IterationProfile.from_json(p.to_json())
@@ -512,9 +508,9 @@ def test_profile_json_roundtrip():
     {"hyperbolic": [True]},
     {"degenerate": 5},
     {"degenerate": {}},
-    {"degenerate": {**WilliamsonInvariants.from_counts(b_plus=1).to_json(), "m": "1"}},
+    {"degenerate": {**williamson_from_counts(b_plus=1).to_json(), "m": "1"}},
     {"elliptic": [0.3], "Hyperbolic": [3]},
-    {"degenerate": {**WilliamsonInvariants.from_counts(b_plus=1).to_json(), "M": 1}},
+    {"degenerate": {**williamson_from_counts(b_plus=1).to_json(), "M": 1}},
     {"elliptic": ["1.5"]},
     {"elliptic": ["1/3 "]},
 ])

@@ -21,8 +21,8 @@ from reeb_lab.recurrence import (
     recurrence_search,
     verify_recurrence,
 )
-from reeb_lab.symplectic import WilliamsonInvariants
 
+from _matrices import williamson_from_counts
 from _oracles import scalar_index_triple, scalar_verify_recurrence, scan_recurrence_search
 
 SQRT2 = math.sqrt(2.0)
@@ -66,8 +66,7 @@ class TestVerify:
                             eta=0.1, ell0=1)
 
     def test_degenerate_correction_exercised(self):
-        from reeb_lab.symplectic import WilliamsonInvariants
-        deg = WilliamsonInvariants.from_counts(b_plus=1)
+        deg = williamson_from_counts(b_plus=1)
         p = IterationProfile(loop_index=2, degenerate=deg)
         # mu_pm(k) = 2k +- offsets; recurrences hold with d = 2k exactly
         k = 9
@@ -261,7 +260,7 @@ FAILING_PROFILES = {
     "fraction_hit": IterationProfile(loop_index=2, elliptic=(Fraction(1, 3),)),
     "band_edge": IterationProfile(loop_index=2, elliptic=(INTEGER_BAND,)),
     "float_third": IterationProfile(elliptic=(1.0 / 3.0, 0.25)),
-    "degenerate": IterationProfile(loop_index=2, degenerate=WilliamsonInvariants.from_counts(
+    "degenerate": IterationProfile(loop_index=2, degenerate=williamson_from_counts(
         b_plus=1)),
 }
 
@@ -327,7 +326,7 @@ def decision_profiles(draw):
         loop_index=draw(st.sampled_from((0, 2))),
         elliptic=tuple(draw(st.lists(ROTATIONS, max_size=2))),
         hyperbolic=tuple(draw(st.lists(st.integers(1, 5), max_size=1))),
-        degenerate=WilliamsonInvariants.from_counts(*counts) if draw(st.booleans()) else None)
+        degenerate=williamson_from_counts(*counts) if draw(st.booleans()) else None)
 
 
 class TestOneDecision:
@@ -392,7 +391,7 @@ PROFILE_FAMILIES = st.one_of(
     st.tuples(st.sampled_from((0, 2)), st.integers(1, 5)).map(
         lambda lh: IterationProfile(loop_index=lh[0], hyperbolic=(lh[1],))),
     st.integers(0, 1).map(lambda b: IterationProfile(
-        loop_index=2, degenerate=WilliamsonInvariants.from_counts(b_plus=b, b_minus=1 - b))),
+        loop_index=2, degenerate=williamson_from_counts(b_plus=b, b_minus=1 - b))),
 )
 
 
