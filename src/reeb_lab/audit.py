@@ -51,7 +51,6 @@ from .errors import (
 )
 from .hamiltonian import RadialProfile, profile_from_json
 from .indices import (
-    IndexTriple,
     IterationProfile,
     SystemOrbit,
     _support_bounds,
@@ -387,112 +386,10 @@ def _protected_degree(system: OrbitSystem, solution: RecurrenceSolution,
     return mu_minus + 1, "upper"
 
 
-def _setup(system: OrbitSystem, solution: RecurrenceSolution, tables: list) -> tuple:
-    """(tops, generator, levels) of one solution, from index tables that
-    cover it (_index_tables): j_range per orbit, the (degree, which) of the
-    protected generator, and {i: (r, A_h(r))} over the companions i whose
-    aligned iterate k_i is at most tops[i], r = (h')^{-1}(k_i T'_i / k_0).
-    The levels take one dh_inv and one action call over all those
-    companions; both are elementwise, so each level is what a call on its
-    one period gives."""
-    k = solution.k[0]
-    tops = [j_range(system, solution, i) for i in range(len(system.orbits))]
-    generator = _protected_degree(system, solution, int(tables[0].mu_minus[k - 1]))
-    aligned = [i for i in range(1, len(tops)) if 1 <= solution.k[i] <= tops[i]]
-    levels = {}
-    if aligned:
-        H = system.hamiltonian
-        r = H.dh_inv(np.array([solution.k[i] * system.norm_periods[i] / k for i in aligned]))
-        levels = dict(zip(aligned, zip(r.tolist(), H.action(r).tolist())))
-    return tops, generator, levels
-
-
-def exclusion_certificate(system: OrbitSystem, solution: RecurrenceSolution,
-                          i: int, j: int) -> ExclusionReason:
-    """Certify that the (i, j)-orbit cannot reach the protected generator:
-    the audit's sweep at the one pair, on the index tables and aligned
-    levels of this one solution.
-
-    Raises JOutOfRange for a pair outside the solution, SupportOutOfRange when
-    the support escapes, and NotExcluded with the full numeric context when no
-    reason applies; that failure is the audit's most informative output.
-    """
-    if not 0 <= i < len(system.orbits):
-        raise JOutOfRange(f"orbit index {i} out of range")
-    tables = _index_tables(system, [solution])
-    tops, generator, levels = _setup(system, solution, tables)
-    reasons, _ = _sweep(system, solution, i, range(j, j + 1), (j,), tops[i], tables[i],
-                        generator, levels.get(i))
-    return reasons[0]
-
-
-def _sweep(system: OrbitSystem, solution: RecurrenceSolution, i: int, js: range,
-           listed: Sequence[int], top: int, table: IndexTriple, generator: tuple,
-           level: Optional[tuple]) -> tuple:
-    """Certify the pairs (i, j) of orbit i for a range js of j in 1..top.
-
-    top is orbit i's j_range, table its index table (_index_tables): its
-    rows at js give the supports, of which every one but the centre's (k_0
-    on the distinguished orbit, the aligned k_i on a companion) is
-    certified, and its rows at 1..ell0 the recurrence floors and ceilings
-    of the near pairs.  generator is the (degree, which) of the protected
-    generator, level the aligned pair's (r, A) from _setup.
-    Returns the ExclusionReasons of the listed j (increasing, among js) and
-    the index gaps of the js but the centre.  The first pair that fails
-    raises SupportOutOfRange, when its support row escapes, or NotExcluded,
-    once every listed pair before it is certified.
-    """
-    cases = [case_classify(system, solution, i, j, top) for j in listed]
-    protected, which = generator
-    centre, first = solution.k[i], js.start
-    lo, hi, escaped = _support_bounds(table.rows(slice(first - 1, js.stop - 1)), system.n)
-    gaps = np.maximum(np.maximum(lo - protected, protected - hi), 0)     # degree distance
-    bad = escaped | (gaps < 2)
-    if centre in js:
-        bad[centre - first] = False
-    bad = np.flatnonzero(bad)
-    fail = first + int(bad[0]) if bad.size else None
-    if CASE_NEAR in cases:
-        base, nu = table.mu_minus[:system.ell0], table.nu_a[:system.ell0]
-        floors, ceilings = solution.d + base, solution.d - base + nu
-    reasons = []
-    for j, case in zip(listed, cases):
-        if fail is not None and fail <= j:
-            break
-        if j == centre:
-            reasons.append(_aligned_certificate(system, solution, i, j, level) if i else
-                           ExclusionReason(kind="same-pair", case=case, i=i, j=j, numbers={
-                               "degrees": [protected - 1, protected + 1], "which": which}))
-            continue
-        at, l = j - first, j - centre
-        numbers = {"support": [int(lo[at]), int(hi[at])], "protected": protected,
-                   "gap": int(gaps[at]), "which": which}
-        if i:
-            numbers["l"] = l
-        if case == CASE_NEAR and l > 0:
-            numbers["recurrence_floor"] = int(floors[l - 1])
-        elif case == CASE_NEAR:
-            numbers["recurrence_ceiling"] = int(ceilings[-l - 1])
-        reasons.append(ExclusionReason(kind="index-gap", case=case, i=i, j=j, numbers=numbers))
-    if fail is None:
-        at = centre - first
-        return reasons, np.concatenate((gaps[:at], gaps[at + 1:])) if centre in js else gaps
-    at = bad[0]
-    if escaped[at]:
-        raise _support_escape(lo[at], hi[at], fail)
-    context = {"i": i, "j": fail, "support": [int(lo[at]), int(hi[at])], "protected": protected}
-    if not i:
-        raise NotExcluded(f"iterate {fail} of the distinguished orbit sits {gaps[at]} from "
-                          f"the protected degree", context)
-    raise NotExcluded(
-        f"support of orbit {i} iterate {fail} is {gaps[at]} from the protected degree",
-        {**context, "case": case_classify(system, solution, i, fail, top), "d": solution.d})
-
-
 def _aligned_certificate(system: OrbitSystem, solution: RecurrenceSolution,
                          i: int, j: int, level: tuple) -> ExclusionReason:
     """The certificate of the aligned pair (i, j), whose level r and action
-    A_h(r) are level (_setup)."""
+    A_h(r) are level (_audit_solution)."""
     H = system.hamiltonian
     k = solution.k[0]
     dc = system.derived
@@ -580,13 +477,15 @@ class AuditReport(JsonFields, namedtuple("AuditReport", [
 
 def audit(system: OrbitSystem, solutions: Optional[Sequence[RecurrenceSolution]] = None,
           count: int = 3, k_bound: int = 10 ** 6) -> AuditReport:
-    """Run the full exclusion sweep over recurrence solutions.
+    """Run the full exclusion sweep over recurrence solutions: one
+    _audit_solution per solution, which certifies its every pair.
 
     Searches for solutions when none are supplied.  Raises AuditFailed when
     there is no solution to audit, found or supplied, when a supplied
     solution fails R1-R3 at the system's eta and ell0 (the constants every
     pair is audited at, whatever the solution's own), and on the first
-    NotExcluded pair, with that NotExcluded as its first_failure.  R1-R3
+    NotExcluded pair, with that NotExcluded as its first_failure and its
+    message as the AuditFailed's, with no prefix of its own.  R1-R3
     are decided by _Iterates.ok, in the search and for supplied solutions
     alike; no certificate records are built.  Every index the audit reads
     comes from one index_triple call per orbit (_index_tables), made once
@@ -608,7 +507,7 @@ def audit(system: OrbitSystem, solutions: Optional[Sequence[RecurrenceSolution]]
     try:
         audits = [_audit_solution(system, s, tables) for s in solutions]
     except NotExcluded as exc:
-        raise AuditFailed(f"audit failed: {exc}", first_failure=exc) from exc
+        raise AuditFailed(str(exc), first_failure=exc) from exc
 
     gaps = [a.min_diverging_gap for a in audits if a.min_diverging_gap is not None]
     trend_ok = all(b >= a - 1e-9 for a, b in zip(gaps, gaps[1:]))
@@ -663,15 +562,33 @@ def _unverified(system: OrbitSystem, solution: RecurrenceSolution) -> AuditFaile
 
 def _audit_solution(system: OrbitSystem, solution: RecurrenceSolution,
                     tables: list) -> SolutionAudit:
-    """Certify every pair (i, j) of one solution: one _sweep per orbit over
-    j = 1..j_range, listing the centre and the near pairs |j - k_i| <= ell0,
-    whose certificates the report lists.  tables are _index_tables of
-    solutions that include this one.  The first pair in (i, j) order that
-    fails raises what exclusion_certificate raises for it: SupportOutOfRange
-    or NotExcluded.
+    """Certify every pair (i, j) of one solution, j = 1..j_range of orbit i,
+    from index tables that cover it (_index_tables of solutions that
+    include this one).
+
+    The protected generator's degree comes from the distinguished orbit's
+    row k_0 (_protected_degree).  The aligned level of each companion i
+    whose k_i is at most its j_range, r = (h')^{-1}(k_i T'_i / k_0), and
+    its action A_h(r) take one dh_inv and one action call over all those
+    companions; both are elementwise, so each level is what a call on its
+    one period gives.  Then one sweep per orbit reads the support rows
+    1..j_range of its table.  Every pair but the centre (k_0 on the
+    distinguished orbit, the aligned k_i on a companion) is an index-gap
+    pair; the report lists the certificates of the aligned pairs and of
+    the near pairs 0 < |j - k_i| <= ell0, whose recurrence floors and
+    ceilings are read from the table's rows 1..ell0.  The first pair in
+    (i, j) order that fails raises SupportOutOfRange, when its support row
+    escapes, or NotExcluded, once every listed pair before it is certified.
     """
-    tops, generator, levels = _setup(system, solution, tables)
-    protected, which = generator
+    k = solution.k[0]
+    tops = [j_range(system, solution, i) for i in range(len(system.orbits))]
+    protected, which = _protected_degree(system, solution, int(tables[0].mu_minus[k - 1]))
+    levels = {}
+    placed = [i for i in range(1, len(tops)) if 1 <= solution.k[i] <= tops[i]]
+    if placed:
+        H = system.hamiltonian
+        r = H.dh_inv(np.array([solution.k[i] * system.norm_periods[i] / k for i in placed]))
+        levels = dict(zip(placed, zip(r.tolist(), H.action(r).tolist())))
     counts = {"same-pair": 0, "index-gap": 0, "short-action-gap": 0,
               "diverging-action-gap": 0}
     min_gap = None
@@ -680,23 +597,50 @@ def _audit_solution(system: OrbitSystem, solution: RecurrenceSolution,
     near = []
     for i, (top, table) in enumerate(zip(tops, tables)):
         centre, reach = solution.k[i], system.ell0 if i else 0
-        reasons, gaps = _sweep(system, solution, i, range(1, top + 1),
-                               range(max(1, centre - reach), min(top, centre + reach) + 1),
-                               top, table, generator, levels.get(i))
+        lo, hi, escaped = _support_bounds(table.rows(slice(0, top)), system.n)
+        gaps = np.maximum(np.maximum(lo - protected, protected - hi), 0)     # degree distance
+        others = np.arange(1, top + 1) != centre
+        bad = np.flatnonzero(others & (escaped | (gaps < 2)))
+        fail = int(bad[0]) + 1 if bad.size else top + 1      # the first j that fails
+        for j in range(max(1, centre - reach), min(top, centre + reach, fail - 1) + 1):
+            if j == centre and not i:
+                counts["same-pair"] += 1
+            elif j == centre:
+                reason = _aligned_certificate(system, solution, i, j, levels[i])
+                counts[reason.kind] += 1
+                aligned.append(reason)
+                if reason.kind == "diverging-action-gap":
+                    b = reason.numbers["lower_bound"]
+                    min_div = b if min_div is None else min(min_div, b)
+            else:
+                at, l = j - 1, j - centre
+                numbers = {"support": [int(lo[at]), int(hi[at])], "protected": protected,
+                           "gap": int(gaps[at]), "which": which, "l": l}
+                if l > 0:
+                    numbers["recurrence_floor"] = int(solution.d + table.mu_minus[l - 1])
+                else:
+                    numbers["recurrence_ceiling"] = int(
+                        solution.d - table.mu_minus[-l - 1] + table.nu_a[-l - 1])
+                near.append(ExclusionReason(kind="index-gap", case=CASE_NEAR, i=i, j=j,
+                                            numbers=numbers))
+        if fail <= top:
+            at = fail - 1
+            if escaped[at]:
+                raise _support_escape(lo[at], hi[at], fail)
+            context = {"i": i, "j": fail, "support": [int(lo[at]), int(hi[at])],
+                       "protected": protected}
+            if not i:
+                raise NotExcluded(f"iterate {fail} of the distinguished orbit sits {gaps[at]} "
+                                  f"from the protected degree", context)
+            raise NotExcluded(
+                f"support of orbit {i} iterate {fail} is {gaps[at]} from the protected degree",
+                {**context, "case": case_classify(system, solution, i, fail, top),
+                 "d": solution.d})
+        gaps = gaps[others]
         counts["index-gap"] += int(gaps.size)
         if gaps.size:
             g = int(gaps.min())
             min_gap = g if min_gap is None else min(min_gap, g)
-        for reason in reasons:
-            if reason.case == CASE_NEAR:
-                near.append(reason)
-                continue
-            counts[reason.kind] += 1
-            if reason.kind == "diverging-action-gap":
-                b = reason.numbers["lower_bound"]
-                min_div = b if min_div is None else min(min_div, b)
-            if reason.case == CASE_ALIGNED:
-                aligned.append(reason)
 
     return SolutionAudit(
         d=solution.d, k=solution.k, counts=counts,

@@ -293,10 +293,9 @@ def cmd_ellipsoid(args) -> int:
     lines = [f"ellipsoid weights={list(spec.weights)} irrational={spec.irrational}"]
     csv_rows = csv_header = None
     if args.spectrum is not None:
-        spectrum = action_spectrum(spec, args.spectrum)
-        csv_rows = spectrum.to_csv_rows()
+        csv_rows = action_spectrum(spec, args.spectrum)
         csv_header = ("value", "orbit", "multiple")
-        payload["spectrum"] = [list(r) for r in csv_rows]
+        payload["spectrum"] = csv_rows
         lines.append(f"spectrum: {len(csv_rows)} values up to {args.spectrum}")
     if args.slope is not None:
         ok = slope_valid(spec, args.slope)

@@ -119,42 +119,26 @@ def ellipsoid_profile(spec: EllipsoidSpec, j: int) -> IterationProfile:
     return IterationProfile(loop_index=2, elliptic=tuple(angles))
 
 
-class SpectrumEntry(namedtuple("SpectrumEntry", [
-        "value",
-        "orbit",        # 1-based orbit id
-        "multiple"])):  # iteration order k
-    __slots__ = ()
-
-
-class ActionSpectrum(namedtuple("ActionSpectrum", "entries t_max")):
-    __slots__ = ()
-
-    @property
-    def values(self) -> list:
-        return [e.value for e in self.entries]
-
-    def to_csv_rows(self) -> list:
-        """The entries, each a row (value, orbit, multiple)."""
-        return list(self.entries)
-
-
-def action_spectrum(spec: EllipsoidSpec, t_max: float) -> ActionSpectrum:
-    """All orbit periods k * T_j in (0, t_max], sorted; ties ordered by (j, k).
-    A t_max with more than _SPECTRUM_CAP of them, sum_j t_max / T_j, raises
-    InvalidParameter before any is listed.  Each entry (k T_j, j, k) is
-    made once, and the entries sort as the tuples they are, in that order."""
+def action_spectrum(spec: EllipsoidSpec, t_max: float) -> list:
+    """All orbit periods k * T_j in (0, t_max], as sorted rows (value, orbit,
+    multiple): the period k T_j of the 1-based orbit j's k-th iterate; ties
+    ordered by (j, k).  A t_max with more than _SPECTRUM_CAP of them, sum_j
+    t_max / T_j, raises InvalidParameter before any is listed.  Each row is
+    made once, and the rows sort as the tuples they are.  The cyclic garbage
+    collector stops tracking a plain tuple of atomic values the first time
+    it sees one, so later collections do not walk a long spectrum again."""
     if not 0 < t_max < math.inf:
         raise InvalidParameter(f"t_max must be positive and finite, got {t_max}")
     if not sum(t_max / T for T in ellipsoid_periods(spec)) <= _SPECTRUM_CAP:
         raise InvalidParameter(f"spectrum below {t_max} holds more than {_SPECTRUM_CAP} periods")
-    entries = []
+    rows = []
     for j, T in enumerate(ellipsoid_periods(spec), start=1):
         k = 1
         while k * T <= t_max:
-            entries.append(SpectrumEntry._make((k * T, j, k)))
+            rows.append((k * T, j, k))
             k += 1
-    entries.sort()
-    return ActionSpectrum(entries=tuple(entries), t_max=t_max)
+    rows.sort()
+    return rows
 
 
 def slope_valid(spec: EllipsoidSpec, slope: float) -> bool:

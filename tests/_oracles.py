@@ -957,7 +957,7 @@ def enumerated_slope_valid(spec, slope: float, band: float = 1e-9) -> bool:
     if slope <= 0:
         return False
     spectrum = action_spectrum(spec, slope * (1.0 + 2.0 * band) + band)
-    return all(abs(slope - v) > band * max(1.0, slope) for v in spectrum.values)
+    return all(abs(slope - v) > band * max(1.0, slope) for v, _, _ in spectrum)
 
 
 # ---------------------------------------------------------------------------

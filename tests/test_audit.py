@@ -24,7 +24,6 @@ from reeb_lab.audit import (
     _index_tables,
     audit,
     case_classify,
-    exclusion_certificate,
     j_range,
     resonance_classify,
 )
@@ -80,7 +79,6 @@ from reeb_lab.recurrence import (
 from _matrices import williamson_from_counts
 from _oracles import (
     scalar_audit_solution,
-    scalar_exclusion_certificate,
     scalar_index_triple,
     scalar_nu_a,
 )
@@ -424,27 +422,33 @@ class TestCasePartition:
 
 
 class TestCertificates:
+    """What each kind of certificate states, read from the audit report of
+    one solution of the sqrt(2) system."""
+
     def setup_method(self):
         self.sys = sqrt2_system()
         self.sol = recurrence_search(RecurrenceQuery(
             profiles=tuple(o.profile for o in self.sys.orbits),
             eta=0.1, ell0=3, k_bound=10 ** 6, count=1)).solutions[0]
+        self.rep = audit_solution(self.sys, self.sol)
 
     def test_same_pair(self):
-        r = exclusion_certificate(self.sys, self.sol, 0, self.sol.k[0])
-        assert r.kind == "same-pair"
+        assert self.rep.counts["same-pair"] == 1
 
     def test_same_orbit_gap_at_least_two(self):
-        k = self.sol.k[0]
-        top = j_range(self.sys, self.sol, 0)
-        for j in (1, k - 1, k + 1, top):
-            r = exclusion_certificate(self.sys, self.sol, 0, j)
-            assert r.kind == "index-gap" and r.numbers["gap"] >= 2
+        # the distinguished orbit alone: every iterate but k_0 is an index-gap
+        # pair at distance >= 2 from the protected degree
+        alone = sqrt2_system(orbits=self.sys.orbits[:1])
+        rep = audit_solution(alone, self.sol)
+        assert rep.counts == {"same-pair": 1, "index-gap": j_range(alone, self.sol, 0) - 1,
+                              "short-action-gap": 0, "diverging-action-gap": 0}
+        assert rep.min_index_gap >= 2
 
     def test_aligned_diverging(self):
-        for i in (1, 2):
-            r = exclusion_certificate(self.sys, self.sol, i, self.sol.k[i])
-            assert r.kind == "diverging-action-gap"
+        assert [r.i for r in self.rep.aligned] == [1, 2]
+        assert self.rep.counts["diverging-action-gap"] == 2
+        for r in self.rep.aligned:
+            assert r.kind == "diverging-action-gap" and r.j == self.sol.k[r.i]
             assert r.numbers["lower_bound"] > 0
             assert r.numbers["action_gap"] >= r.numbers["lower_bound"] - 1e-9
             assert r.numbers["level_in_shell"]
@@ -457,42 +461,45 @@ class TestCertificates:
             profiles=tuple(o.profile for o in sys_.orbits),
             eta=0.1, ell0=3, k_bound=10 ** 6, count=1)).solutions
         s = sols[0]
-        r = exclusion_certificate(sys_, s, 3, s.k[3])
-        assert r.kind == "short-action-gap"
+        rep = audit_solution(sys_, s)
+        [r] = [r for r in rep.aligned if r.i == 3]
+        assert r.kind == "short-action-gap" and r.j == s.k[3]
+        assert rep.counts["short-action-gap"] == 1
         assert r.numbers["action_gap"] < sys_.sigma
         assert r.numbers["apriori_ok"]
 
     def test_near_and_far_certificates(self):
         i = 1
-        k_i = self.sol.k[i]
-        near = exclusion_certificate(self.sys, self.sol, i, k_i + 2)
-        far = exclusion_certificate(self.sys, self.sol, i, k_i + self.sys.ell0 + 5)
-        assert near.kind == far.kind == "index-gap"
-        assert near.case == CASE_NEAR and far.case == CASE_FAR
-        assert "recurrence_floor" in near.numbers
-        below = exclusion_certificate(self.sys, self.sol, i, k_i - 2)
-        assert "recurrence_ceiling" in below.numbers
+        k_i, ell0 = self.sol.k[i], self.sys.ell0
+        top = j_range(self.sys, self.sol, i)
+        near = {r.j: r for r in self.rep.near if r.i == i}
+        assert sorted(near) == [k_i + l for l in range(-ell0, ell0 + 1) if l]
+        assert {(r.kind, r.case) for r in near.values()} == {("index-gap", CASE_NEAR)}
+        assert "recurrence_floor" in near[k_i + 2].numbers
+        assert "recurrence_ceiling" in near[k_i - 2].numbers
+        # a far pair is listed nowhere; it is one of the index-gap pairs,
+        # which are every pair but the three centres
+        far = k_i + ell0 + 5
+        assert case_classify(self.sys, self.sol, i, far, top) == CASE_FAR
+        assert far not in near
+        assert self.rep.counts["index-gap"] == self.rep.total_pairs - 3
 
     def test_index_gap_soundness_recomputed(self):
-        # every index-gap certificate's support recomputes to distance >= 2
-        from reeb_lab.indices import support_interval
-        protected = self.sol.d + 1
-        for i in (1, 2):
-            for j in range(max(1, self.sol.k[i] - 5), self.sol.k[i] + 6):
-                if j == self.sol.k[i]:
-                    continue
-                lo, hi = support_interval(self.sys.orbits[i].profile, j, self.sys.n)
-                gap = lo - protected if protected < lo else protected - hi
-                assert gap >= 2
+        # every near certificate's support recomputes to its distance >= 2
+        protected = self.rep.protected["degree"]
+        assert protected == self.sol.d + 1 and len(self.rep.near) == 4 * self.sys.ell0
+        for r in self.rep.near:
+            lo, hi = support_interval(self.sys.orbits[r.i].profile, r.j, self.sys.n)
+            gap = lo - protected if protected < lo else protected - hi
+            assert r.numbers["support"] == [lo, hi] and r.numbers["gap"] == gap >= 2
+        assert self.rep.min_index_gap >= 2
 
     def test_action_gap_arithmetic_within_claims(self):
         # direct action computation sits inside the certificate's claims
         H = self.sys.hamiltonian
         k = self.sol.k[0]
-        for i in (1, 2):
-            j = self.sol.k[i]
-            r = exclusion_certificate(self.sys, self.sol, i, j)
-            level = float(H.dh_inv(j * self.sys.norm_periods[i] / k))
+        for r in self.rep.aligned:
+            level = float(H.dh_inv(r.j * self.sys.norm_periods[r.i] / k))
             direct = abs(H.action(level, k=k) -
                          H.action(self.sys.derived.r_star, k=k))
             assert direct == pytest.approx(r.numbers["action_gap"], rel=1e-12)
@@ -569,7 +576,7 @@ class TestAuditRuns:
             audit(sqrt2_system(), count=1)
         assert err.value.first_failure is failure
         assert err.value.first_failure.context == {"i": 1, "j": 2}
-        assert str(err.value) == "audit failed: companion 1 at j = 2 is not excluded"
+        assert str(err.value) == "companion 1 at j = 2 is not excluded"
 
     def test_no_supplied_solution_fails(self):
         # as a search that finds none does: 0 of 0 pairs certifies nothing
@@ -763,6 +770,23 @@ def outcome(sweep, system, solution):
         return {"error": "SupportOutOfRange", "failed": str(exc)}
 
 
+def banded_sqrt2_system():
+    """The sqrt(2) system whose second companion has rotation number
+    140/99 - 0.75e-9/99, so that its iterate 99 sits inside the guard band."""
+    system = sqrt2_system()
+    return sqrt2_system(orbits=(*system.orbits[:2], SystemOrbit(
+        period=system.orbits[2].period,
+        profile=IterationProfile(loop_index=2, elliptic=(140 / 99 - 0.75e-9 / 99,)))))
+
+
+def degenerate_system():
+    """The sqrt(2) system with one companion of rotation number 1/2, whose
+    even iterates are degenerate: nu_a enters the near recurrence ceilings."""
+    companion = SystemOrbit(period=3.1, profile=IterationProfile(
+        loop_index=2, elliptic=(Fraction(1, 2),)))
+    return sqrt2_system(orbits=(sqrt2_system().orbits[0], companion))
+
+
 class TestArraySweep:
     """_audit_solution against the pair-by-pair sweep it replaced."""
 
@@ -838,21 +862,25 @@ class TestArraySweep:
         assert fails[1]["context"]["j"] == 35
         assert "distinguished orbit" in fails[1]["failed"]
 
-
-def pair_outcomes(certify, system, solution):
-    """outcome of certify at every pair (i, j) of the solution, in (i, j) order."""
-    return [outcome(lambda sys_, sol: certify(sys_, sol, i, j), system, solution)
-            for i in range(len(system.orbits))
-            for j in range(1, j_range(system, solution, i) + 1)]
-
-
-def banded_sqrt2_system():
-    """The sqrt(2) system whose second companion has rotation number
-    140/99 - 0.75e-9/99, so that its iterate 99 sits inside the guard band."""
-    system = sqrt2_system()
-    return sqrt2_system(orbits=(*system.orbits[:2], SystemOrbit(
-        period=system.orbits[2].period,
-        profile=IterationProfile(loop_index=2, elliptic=(140 / 99 - 0.75e-9 / 99,)))))
+    @pytest.mark.parametrize("factory, solved, errors", [
+        (sqrt2_system, sqrt2_system, {"NotExcluded"}),
+        (golden_system, golden_system, {"NotExcluded"}),
+        (lambda: swapped(sqrt2_system), lambda: swapped(sqrt2_system), {"NotExcluded"}),
+        (degenerate_system, degenerate_system, {"NotExcluded"}),
+        (banded_sqrt2_system, sqrt2_system, {"NotExcluded", "SupportOutOfRange"}),
+    ], ids=["sqrt2", "golden", "sqrt2_swapped", "degenerate", "banded"])
+    def test_every_pool_equals_the_oracle(self, factory, solved, errors):
+        # each system's solutions, their k[-1] + 1 fakes and their d + 2
+        # fakes; the banded system runs on the solutions of the sqrt(2) system
+        system = factory()
+        reached = set()
+        for s in flagship_solutions(solved(), 3):
+            for sol in (s, unverified(s, s.d, (*s.k[:-1], s.k[-1] + 1)),
+                        unverified(s, s.d + 2, s.k)):
+                got = outcome(audit_solution, system, sol)
+                assert got == outcome(scalar_audit_solution, system, sol)
+                reached.add(got.get("error", "report"))
+        assert reached == errors | {"report"}
 
 
 def test_banded_escape_is_read_from_the_tables(monkeypatch):
@@ -873,38 +901,6 @@ def test_banded_escape_is_read_from_the_tables(monkeypatch):
     assert str(got.value) == str(expected.value)
     assert str(got.value).startswith("support [477, 480] escapes")
     assert called == [o.profile for o in system.orbits]
-
-
-def degenerate_system():
-    """The sqrt(2) system with one companion of rotation number 1/2, whose
-    even iterates are degenerate: nu_a enters the near recurrence ceilings."""
-    companion = SystemOrbit(period=3.1, profile=IterationProfile(
-        loop_index=2, elliptic=(Fraction(1, 2),)))
-    return sqrt2_system(orbits=(sqrt2_system().orbits[0], companion))
-
-
-class TestSinglePairSweep:
-    """exclusion_certificate, the sweep at one pair, against the scalar
-    certifier it replaced, at every pair of real and fake solutions."""
-
-    @pytest.mark.parametrize("factory, solved, errors", [
-        (sqrt2_system, sqrt2_system, {"NotExcluded"}),
-        (golden_system, golden_system, {"NotExcluded"}),
-        (lambda: swapped(sqrt2_system), lambda: swapped(sqrt2_system), {"NotExcluded"}),
-        (degenerate_system, degenerate_system, {"NotExcluded"}),
-        (banded_sqrt2_system, sqrt2_system, {"NotExcluded", "SupportOutOfRange"}),
-    ], ids=["sqrt2", "golden", "sqrt2_swapped", "degenerate", "banded"])
-    def test_every_pair_equals_the_oracle(self, factory, solved, errors):
-        # the banded system runs on the solutions of the sqrt(2) system
-        system = factory()
-        kinds = set()
-        for s in flagship_solutions(solved(), 3):
-            for sol in (s, unverified(s, s.d, (*s.k[:-1], s.k[-1] + 1)),
-                        unverified(s, s.d + 2, s.k)):
-                got = pair_outcomes(exclusion_certificate, system, sol)
-                assert got == pair_outcomes(scalar_exclusion_certificate, system, sol)
-                kinds |= {r.get("error", r.get("kind")) for r in got}
-        assert errors | {"index-gap"} <= kinds
 
 
 def tight_system():
@@ -980,7 +976,7 @@ def scalar_audit(system, solutions):
     try:
         return [scalar_audit_solution(system, s).to_json() for s in solutions]
     except NotExcluded as exc:
-        raise AuditFailed(f"audit failed: {exc}", first_failure=exc) from exc
+        raise AuditFailed(str(exc), first_failure=exc) from exc
 
 
 @st.composite

@@ -429,7 +429,7 @@ class TestConfigAndErrors:
         monkeypatch.setattr("reeb_lab.audit._aligned_certificate", fail)
         code, _, err = run_cli(["audit-lemma", "--system", str(sqrt2_system_file),
                                 "--count", "1"], capsys)
-        assert code == 3 and "companion 1 at j = 2 is not excluded" in err
+        assert code == 3 and err == "audit failed: companion 1 at j = 2 is not excluded\n"
 
     def test_malformed_system_exit_2(self, capsys, tmp_path, sqrt2_system_file):
         blob = json.loads(sqrt2_system_file.read_text())
@@ -798,8 +798,6 @@ REACHED_FROM_OUTSIDE = {
     "trace_nonneg_scan": "acceptance criterion 11",
     "compare_action_functions": "perfbench's action_calculus workload",
     "spline_slope": "perfbench's action_calculus workload builds its spline with it",
-    "exclusion_certificate": "the audit's sweep at one pair, which the tests compare "
-                             "with the scalar oracle",
     "support_interval": "the degree range of an iterate's local homology, which the "
                         "sweep's scalar oracle reads; the audit reads its rows from a table",
 }
