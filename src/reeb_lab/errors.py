@@ -23,6 +23,12 @@ class InvalidParameter(ReebLabError, ValueError):
     ValueError, which is what these checks raised before they were typed."""
 
 
+class WrongType(ReebLabError, TypeError):
+    """A constructor or a call got an argument of the wrong type, or a
+    keyword it does not take.  It is also a TypeError, which is what these
+    checks raised before they were typed."""
+
+
 # JSON types accepted for each field type; integral floats pass as ints, as
 # JSON Schema's "integer" allows
 _JSON_TYPES = {float: (int, float), int: (int, float), str: (str,), dict: (dict,),

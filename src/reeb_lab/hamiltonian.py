@@ -35,6 +35,7 @@ from .errors import (
     SandwichViolated,
     SlopeMismatch,
     UncertifiedRegion,
+    WrongType,
     json_field,
     json_object,
     json_value,
@@ -426,7 +427,11 @@ class SplineProfile(RadialProfile, namedtuple("SplineProfile", "slope r_max c0 k
     family = "spline"
 
     def __new__(cls, slope, r_max, c0=0.0, knots=()):
-        return super().__new__(cls, slope, r_max, c0, tuple(float(v) for v in knots))
+        try:
+            knots = tuple(float(v) for v in knots)
+        except (TypeError, ValueError):
+            raise WrongType(f"knots must be a sequence of reals, got {knots!r}") from None
+        return super().__new__(cls, slope, r_max, c0, knots)
 
     def _check_parameters(self):
         knots = self.knots
@@ -540,11 +545,18 @@ def build_profile(family: str = "quadratic", *, slope: float, r_max: float,
 
     The family's constructor checks them (RadialProfile.__init__): h'' >=
     0 on the shell and > 0 inside it is decided exactly, so h' rises, and
-    ConvexityViolation names the first offending (r, h'') in r order.
+    ConvexityViolation names the first offending (r, h'') in r order.  A
+    keyword the family does not take raises WrongType, which names the
+    keywords it takes.
     """
     if family not in _FAMILIES:
         raise InvalidParameter(f"unknown profile family {family!r}")
-    return _FAMILIES[family](slope=slope, r_max=r_max, c0=c0, **params)
+    cls = _FAMILIES[family]
+    for key in params:
+        if key not in cls._fields:
+            raise WrongType(f"the {family} family takes no keyword {key!r}, only "
+                            + ", ".join(cls._fields))
+    return cls(slope=slope, r_max=r_max, c0=c0, **params)
 
 
 def profile_from_json(obj: dict) -> RadialProfile:

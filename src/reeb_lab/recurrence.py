@@ -47,7 +47,8 @@ import numpy as np
 from .errors import Checked, HypothesisFailed, InvalidParameter, IterateUnderflow, JsonFields
 from .indices import IndexTriple, IterationProfile, _fits_int64, index_triple
 
-#: the first block of j; each next block doubles, up to _BLOCK_MAX and to
+#: the first block of j; each later block is sized by what the scan has
+#: found so far (recurrence_search), within a cap of _BLOCK_MAX j and of
 #: about _CHUNK expected R1 candidates; a batch of companion windows holds
 #: at most _CHUNK multiples of N per companion, unless it is one window
 _CHUNK = 1 << 16
@@ -261,6 +262,24 @@ def recurrence_search(query: RecurrenceQuery, on_solution=None) -> SearchResult:
     solution once count solutions are found, and k_bound when the horizon
     is exhausted first.
 
+    A block is a range of j = k_0 / N.  The first holds _BLOCK j; each
+    later one is sized by what the scan has found, within the cap that
+    bounds every block: about _CHUNK expected R1 candidates, max(_CHUNK,
+    _CHUNK / (2 W)) j for the widened window W (_window), and at most
+    _BLOCK_MAX j.  Once solutions are found, the next block spans what the
+    missing ones need at the yield so far, and at least twice the last
+    block.  Before the first, it doubles when a candidate of the last block
+    passed profile 0's mask (R1 and the companion prefilter), and takes the
+    whole cap when none did.  Where the blocks end decides no result: the
+    candidates are tested in increasing k_0, block after block, whatever
+    the sizes; last_d is re-read before each candidate, not once per block;
+    j_stop is fixed before the first block, so no block asks profile 0's
+    _Iterates for an iterate outside int64; and a companion window outside
+    int64 is tested only while the count is not reached (_batch, below).
+    So every choice of block sizes gives the same result and stream.  The
+    work past the count-th solution is the rest of its block, at most one
+    block, and no block exceeds the cap.
+
     Raises InvalidParameter, as index_triple does, when the horizon reaches a k_0
     whose iterate k_0 + ell0 of profile 0 has indices outside int64 before
     the requested count is found: no k_0 from there on is tested.  It
@@ -317,9 +336,14 @@ def recurrence_search(query: RecurrenceQuery, on_solution=None) -> SearchResult:
                         on_solution(sol)
                     if len(found) >= query.count:
                         break
-        a = b
-        size = min(2 * size, _BLOCK_MAX,
-                   max(_CHUNK, int(_CHUNK / (2 * _window(eta / N, mean0, b)))))
+        cap = min(_BLOCK_MAX, max(_CHUNK, int(_CHUNK / (2 * _window(eta / N, mean0, b)))))
+        if found:       # the span the missing solutions need at the yield so far
+            size = max(2 * size, -(-(query.count - len(found)) * (b - j_start) // len(found)))
+        elif mask.any():
+            size = 2 * size
+        else:
+            size = cap
+        a, size = b, min(size, cap)
     exhausted = len(found) < query.count
     if exhausted and j_stop <= j_end:
         raise InvalidParameter(f"indices of iterate {N * j_stop + query.ell0} leave int64")

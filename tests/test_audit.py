@@ -591,6 +591,20 @@ class TestAuditRuns:
             assert sum(s.counts.values()) == s.total_pairs
         assert rep.certified_pairs == rep.total_pairs and rep.ok
 
+    @FLAGSHIPS
+    def test_the_search_takes_one_block(self, monkeypatch, factory):
+        # the last k0 of ten solutions is at most 478: inside the first block
+        calls = []
+        enumerate_block = recurrence_module._r1_candidates
+
+        def counted(*args):
+            calls.append(args)
+            return enumerate_block(*args)
+
+        monkeypatch.setattr(recurrence_module, "_r1_candidates", counted)
+        assert audit(factory(), count=10).ok
+        assert len(calls) == 1
+
     def test_certified_pairs_counts_certificates(self, monkeypatch):
         # a sweep that certifies one pair too few must not report ok
         sweep = audit_module._audit_solution

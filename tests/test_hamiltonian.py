@@ -20,6 +20,7 @@ from reeb_lab.errors import (
     SandwichViolated,
     SlopeMismatch,
     UncertifiedRegion,
+    WrongType,
 )
 from reeb_lab.hamiltonian import (
     CylinderTrace,
@@ -374,6 +375,14 @@ INVALID_PROFILES = [
      "r_max must be finite and exceed 1, got 0.5"),
     ("cubicc", {"slope": math.nan}, InvalidParameter,
      "unknown profile family 'cubicc'"),
+    # knots that are not reals, refused as they are converted, before any
+    # other check
+    ("spline", {"knots": 5}, WrongType,
+     "knots must be a sequence of reals, got 5"),
+    ("spline", {"knots": ("a", 1.0)}, WrongType,
+     "knots must be a sequence of reals, got ('a', 1.0)"),
+    ("spline", {"knots": (None, 1.0), "slope": math.nan}, WrongType,
+     "knots must be a sequence of reals, got (None, 1.0)"),
 ]
 
 
@@ -383,6 +392,19 @@ def test_build_profile_refusals(family, args, error, message):
         # an unknown family gets the quadratic's valid fields
         build_profile(family, **{**VALID_ARGS.get(family, VALID_ARGS["quadratic"]), **args})
     assert type(err.value) is error and str(err.value) == message
+
+
+@pytest.mark.parametrize("family, key, message", [
+    ("quadratic", "theta", "the quadratic family takes no keyword 'theta', only slope, r_max, c0"),
+    ("cubic", "beta", "the cubic family takes no keyword 'beta', only slope, r_max, c0, theta"),
+    ("exp", "knots", "the exp family takes no keyword 'knots', only slope, r_max, c0, beta"),
+    ("spline", "grid", "the spline family takes no keyword 'grid', only slope, r_max, c0, knots"),
+])
+def test_build_profile_names_the_keywords_a_family_takes(family, key, message):
+    with pytest.raises(WrongType) as err:
+        build_profile(family, **{**VALID_ARGS[family], key: 0.5})
+    assert isinstance(err.value, ReebLabError) and isinstance(err.value, TypeError)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("family, args, error, message",

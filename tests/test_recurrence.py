@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reeb_lab.recurrence as recurrence_module
 from reeb_lab.ellipsoid import EllipsoidSpec, ellipsoid_profile
 from reeb_lab.errors import HypothesisFailed, InvalidParameter, IterateUnderflow
 from reeb_lab.indices import INTEGER_BAND, IterationProfile
@@ -175,6 +176,28 @@ class TestSearch:
         d = 2 * np.arange(2, 10_000, dtype=np.int64)
         assert _CHUNK // 300 <= _batch(query, d) <= _CHUNK // 296
         assert _batch(query, d[:5]) == 5
+
+    def test_block_count(self, monkeypatch):
+        # perfbench's recurrence_scan queries: the three-weight ellipsoid
+        # exhausts 10^7 k0, the rational pair finds 100 solutions by 34,650
+        spec = EllipsoidSpec((1.0, SQRT2, math.sqrt(3.0)))
+        rational = (IterationProfile(loop_index=2, elliptic=(Fraction(2, 7), Fraction(5, 11))),
+                    IterationProfile(loop_index=2, elliptic=(Fraction(1, 5), Fraction(3, 5))))
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _r1_candidates(*args)
+
+        monkeypatch.setattr(recurrence_module, "_r1_candidates", counted)
+        for query in (
+                RecurrenceQuery(profiles=tuple(ellipsoid_profile(spec, j) for j in (1, 2, 3)),
+                                eta=0.001, ell0=4, k_bound=10 ** 7, count=10),
+                RecurrenceQuery(profiles=rational, eta=0.2, ell0=3, k_bound=10 ** 6,
+                                count=100)):
+            calls.clear()
+            recurrence_search(query)
+            assert 0 < len(calls) <= 3
 
     def test_streaming_callback(self):
         seen = []
@@ -440,10 +463,39 @@ class TestScanOracle:
     @example(profiles=[IterationProfile(loop_index=2, elliptic=(Fraction(1, 4),)),
                        IterationProfile(loop_index=2, elliptic=(Fraction(2, 5),))],
              eta=0.3, ell0=1, n_divisor=1, k_bound=2000, count=50)
+    # a third block from each branch of the block rule, at the first block of
+    # 2,048 j: sized by the yield of the one solution the first two blocks
+    # found (6 of 8 in all, the horizon exhausted)
+    @example(profiles=[IterationProfile(loop_index=2, elliptic=(1.437856,)),
+                       IterationProfile(loop_index=2, elliptic=(1.876266, 1.270367))],
+             eta=0.7, ell0=4, n_divisor=3, k_bound=65_326, count=8)
+    # doubled: candidates pass profile 0's mask in every block, none solves
+    @example(profiles=[IterationProfile(loop_index=2, elliptic=(0.110917,)),
+                       IterationProfile(loop_index=2, elliptic=(0.665757, 0.038438))],
+             eta=0.5, ell0=4, n_divisor=2, k_bound=23_949, count=10)
+    # the cap: the second block holds no candidate that passes the mask
+    @example(profiles=[IterationProfile(loop_index=2, hyperbolic=(2,)),
+                       IterationProfile(loop_index=2, elliptic=(Fraction(10, 11),)),
+                       IterationProfile(loop_index=2, elliptic=(1.973229, 1.771577))],
+             eta=0.075, ell0=4, n_divisor=2, k_bound=21_876, count=3)
+    # profile 0's iterate 2306 leaves int64, in the second block, after the
+    # solutions at k0 = 1009 and 2018 (the companion solves where 1009
+    # divides k0): raised for a 3rd, not for 2
+    @example(profiles=[IterationProfile(hyperbolic=(2 * 10 ** 15,)),
+                       IterationProfile(hyperbolic=(1009 * 125 * 10 ** 12,))],
+             eta=0.1, ell0=2, n_divisor=1, k_bound=10 ** 6, count=3)
+    @example(profiles=[IterationProfile(hyperbolic=(2 * 10 ** 15,)),
+                       IterationProfile(hyperbolic=(1009 * 125 * 10 ** 12,))],
+             eta=0.1, ell0=2, n_divisor=1, k_bound=10 ** 6, count=2)
     def test_same_result_and_stream(self, profiles, eta, ell0, n_divisor, k_bound, count):
+        # whatever the first block, and so wherever each later block starts
         query = RecurrenceQuery(profiles=tuple(profiles), eta=eta, ell0=ell0,
                                 n_divisor=n_divisor, k_bound=k_bound, count=count)
-        assert run_search(recurrence_search, query) == run_search(scan_recurrence_search, query)
+        expected = run_search(scan_recurrence_search, query)
+        for block in (1, 3, 2048, 2 ** 20):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(recurrence_module, "_BLOCK", block)
+                assert run_search(recurrence_search, query) == expected, block
 
     @settings(max_examples=200, deadline=None)
     @given(alpha=st.one_of(st.floats(1e-12, 1e6),
