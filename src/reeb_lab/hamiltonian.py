@@ -192,6 +192,15 @@ def _bisect(f, target, top: float, steps: int):
     return (0.5 * (ends[0] + ends[1])).reshape(target.shape)
 
 
+def _holds(name: str, value, test) -> bool:
+    """test(value), a field's range check; WrongType naming the field when
+    the value cannot be compared, as no real number can."""
+    try:
+        return test(value)
+    except TypeError:
+        raise WrongType(f"{name} must be a real number, got {value!r}") from None
+
+
 def _first_outside(x, lo: float, hi: float):
     """The first element of the array x, in C order, that is not inside
     [lo, hi], as a float, or None: NaN is inside no range."""
@@ -208,8 +217,11 @@ class RadialProfile(Checked, JsonFields):
     own parameters.  It names itself in ``family``.  Every construction,
     direct, through build_profile or through _replace, runs __init__'s
     checks and sets h_triple_nonneg_up_to, the end of the certified
-    h''' >= 0 region.  Two profiles are equal only when they are of one
-    family: CubicProfile and ExpProfile both hold four floats.
+    h''' >= 0 region, and the constants that the action calculus would
+    otherwise recompute on every call: the shell width _w = r_max - 1, the
+    shell piece's value _h_w at its end, and c.  Two profiles are equal
+    only when they are of one family: CubicProfile and ExpProfile both hold
+    four floats.
     """
 
     family: ClassVar[str]
@@ -218,13 +230,16 @@ class RadialProfile(Checked, JsonFields):
         """Check slope, r_max and c0, then the family's own parameters
         (_check_parameters, which also sets derived values), then that h''
         > 0 inside the shell (_check_convex) and the C^1 joins at r = 1 and
-        r = r_max: the first failed check raises."""
-        if not 0 < self.slope < math.inf:
+        r = r_max: the first failed check raises, WrongType where a field is
+        no real number.  Last it keeps _h_w and c, each computed by the
+        expression that h and action evaluated on every call before."""
+        if not _holds("slope", self.slope, lambda v: 0 < v < math.inf):
             raise SlopeMismatch(f"slope must be positive and finite, got {self.slope}")
-        if not 1.0 < self.r_max < math.inf:
+        if not _holds("r_max", self.r_max, lambda v: 1.0 < v < math.inf):
             raise BadGeometry(f"r_max must be finite and exceed 1, got {self.r_max}")
-        if not -math.inf < self.c0 <= 0:
+        if not _holds("c0", self.c0, lambda v: -math.inf < v <= 0):
             raise JoinDiscontinuity(f"constant piece must be finite and <= 0, got {self.c0}")
+        object.__setattr__(self, "_w", self.r_max - 1.0)
         object.__setattr__(self, "h_triple_nonneg_up_to", self.r_max)
         self._check_parameters()
         self._check_convex()
@@ -237,6 +252,9 @@ class RadialProfile(Checked, JsonFields):
             raise SlopeMismatch(f"h'(r_max) = {dh_r_max:.9g} != slope {self.slope:.9g}")
         if abs(float(self._piece_h(0.0))) > 1e-9 * max(1.0, abs(self.c0)):
             raise JoinDiscontinuity("h(1) does not meet the constant piece")
+        object.__setattr__(self, "_h_w", self._piece_h(self._w))
+        # the linear piece's offset, h(r) = slope * r - c for r >= r_max, is max A_h
+        object.__setattr__(self, "c", self.action(self.r_max))
 
     def _check_parameters(self):
         """The family's own checks and derived values; the quadratic has none."""
@@ -260,29 +278,21 @@ class RadialProfile(Checked, JsonFields):
     def admissible(self) -> bool:
         return self.c0 < 0.0
 
-    @property
-    def c(self) -> float:
-        """Linear-piece offset: h(r) = slope * r - c for r >= r_max; equals max A_h."""
-        return self.action(self.r_max)
-
-    @property
-    def _w(self):
-        """Shell width r_max - 1."""
-        return self.r_max - 1.0
-
     # -- assembled profile ----------------------------------------------------
 
     def _on_shell(self, r, masked):
         """masked(r, x) with x = r - 1 clipped to the shell [0, r_max - 1];
         a 0-d result unwraps to a float."""
         r = np.asarray(r, dtype=float)
-        out = masked(r, np.clip(r - 1.0, 0.0, self._w))
+        # with scalar bounds np.minimum(hi, np.maximum(lo, x)) is np.clip(x, lo,
+        # hi) bit for bit, -0.0 and NaN included, at less dispatch cost per
+        # call; with x as the first argument, -0.0 would come out as +0.0
+        out = masked(r, np.minimum(self._w, np.maximum(0.0, r - 1.0)))
         return out if np.ndim(out) else float(out)
 
     def h(self, r):
-        at_r_max = self._piece_h(self._w)
         return self._on_shell(r, lambda r, x: np.where(
-            r >= self.r_max, self.c0 + (at_r_max + self.slope * (r - self.r_max)),
+            r >= self.r_max, self.c0 + (self._h_w + self.slope * (r - self.r_max)),
             self.c0 + self._piece_h(x)))
 
     def dh(self, r):
@@ -316,8 +326,8 @@ class RadialProfile(Checked, JsonFields):
 
     def _dh_inv(self, T):
         """dh_inv without the range check, for periods in [0, slope]."""
-        out = np.clip(self._piece_dh_inv(np.clip(T, 0.0, self.slope)) + 1.0,
-                      1.0, self.r_max)
+        out = np.minimum(self.r_max, np.maximum(
+            1.0, self._piece_dh_inv(np.minimum(self.slope, np.maximum(0.0, T))) + 1.0))
         return out if out.ndim else float(out)
 
     def action(self, r, k: float = 1.0):
@@ -325,7 +335,9 @@ class RadialProfile(Checked, JsonFields):
         r = np.asarray(r, dtype=float)
         rr = np.minimum(r, self.r_max)
         out = k * (rr * self.dh(rr) - self.h(rr))
-        return out if out.ndim else float(out)
+        # a Fraction r_max makes a 0-d rr, and so out, a Python number, which
+        # has no ndim: construction evaluates c = action(r_max) for it too
+        return out if getattr(out, "ndim", 0) else float(out)
 
     def to_json(self) -> dict:
         return {"family": self.family, **super().to_json()}
@@ -357,7 +369,7 @@ class CubicProfile(RadialProfile, namedtuple("CubicProfile", "slope r_max c0 the
     family = "cubic"
 
     def _check_parameters(self):
-        if not (0.0 < self.theta < 1.0):
+        if not _holds("theta", self.theta, lambda v: 0.0 < v < 1.0):
             raise InvalidParameter(f"theta must be in (0, 1), got {self.theta}")
 
     def _piece_h(self, x):
@@ -386,7 +398,7 @@ class ExpProfile(RadialProfile, namedtuple("ExpProfile", "slope r_max c0 beta",
     family = "exp"
 
     def _check_parameters(self):
-        if not 0 < self.beta < math.inf:
+        if not _holds("beta", self.beta, lambda v: 0 < v < math.inf):
             raise InvalidParameter(f"beta must be positive and finite, got {self.beta}")
         if not self.beta * self._w <= np.log(np.finfo(float).max):
             raise InvalidParameter(f"expm1(beta * (r_max - 1)) overflows at beta = {self.beta}")
@@ -395,10 +407,7 @@ class ExpProfile(RadialProfile, namedtuple("ExpProfile", "slope r_max c0 beta",
         if not scale + math.log(self.slope) <= np.log(np.finfo(float).max):
             raise InvalidParameter(f"slope * max(1, beta) * e^(beta * (r_max - 1)) overflows "
                                    f"at slope = {self.slope}, beta = {self.beta}")
-
-    @property
-    def _den(self):
-        return math.expm1(self.beta * self._w)
+        object.__setattr__(self, "_den", math.expm1(self.beta * self._w))
 
     def _piece_h(self, x):
         a, b = self.slope, self.beta
@@ -428,7 +437,7 @@ class SplineProfile(RadialProfile, namedtuple("SplineProfile", "slope r_max c0 k
 
     def __new__(cls, slope, r_max, c0=0.0, knots=()):
         try:
-            knots = tuple(float(v) for v in knots)
+            knots = tuple(float(_not_text(v)) for v in _not_text(knots))
         except (TypeError, ValueError):
             raise WrongType(f"knots must be a sequence of reals, got {knots!r}") from None
         return super().__new__(cls, slope, r_max, c0, knots)
@@ -519,8 +528,16 @@ class SplineProfile(RadialProfile, namedtuple("SplineProfile", "slope r_max c0 k
         x = _bisect(self._piece_dh, T, self._w, 64)
         d2 = self._piece_d2h(x)
         with np.errstate(divide="ignore", invalid="ignore"):
-            polished = np.clip(x - (self._piece_dh(x) - T) / d2, 0.0, self._w)
+            polished = np.minimum(self._w, np.maximum(0.0, x - (self._piece_dh(x) - T) / d2))
         return np.where(d2 > 0, polished, x)
+
+
+def _not_text(value):
+    """value itself; TypeError for a str or bytes, which float() would parse
+    and a loop would walk character by character."""
+    if isinstance(value, (str, bytes)):
+        raise TypeError
+    return value
 
 
 _FAMILIES = {cls.family: cls for cls in (QuadraticProfile, CubicProfile, ExpProfile,
@@ -627,11 +644,11 @@ def action_inverse(profile: RadialProfile, alpha, k: float = 1.0):
     bad = _first_outside(alpha, -1e-12, top * (1 + 1e-12))
     if bad is not None:
         raise ActionOutOfRange(f"action {bad:.6g} outside [0, {top:.6g}]")
-    alpha = np.clip(alpha, 0.0, top)
+    alpha = np.minimum(top, np.maximum(0.0, alpha))
     T_max = k * profile.slope
     T = _bisect(lambda T: _action_from_period(profile, T, k)[0], alpha, T_max, 80)
     val, r = _action_from_period(profile, T, k)
-    T = np.where(r > 1.0, np.clip(T - (val - alpha) / r, 0.0, T_max), T)
+    T = np.where(r > 1.0, np.minimum(T_max, np.maximum(0.0, T - (val - alpha) / r)), T)
     return T if T.ndim else float(T)
 
 
@@ -700,7 +717,7 @@ def transfer_map(profile: RadialProfile, k: float, lam: float,
     top = k * profile.c
     if _first_outside(taus, -1e-12, top * (1 + 1e-9)) is not None:
         raise ActionOutOfRange(f"tau grid escapes [0, {top:.6g}]")
-    T = action_inverse(profile, np.clip(taus, 0.0, top), k)
+    T = action_inverse(profile, np.minimum(top, np.maximum(0.0, taus)), k)
     values = action_from_period(profile, T, k + lam)[0]
     h_top = float(profile.h(profile.r_max))
     upper = float(np.min(taus - values))

@@ -35,6 +35,7 @@ from .errors import (
     PathNotSplittable,
     SamplingTooCoarse,
     SupportOutOfRange,
+    WrongType,
     json_field,
     json_object,
     json_value,
@@ -58,15 +59,24 @@ class IterationProfile(Checked, namedtuple("IterationProfile",
     of the primitive path; loop_index is the even index of the loop factor;
     degenerate is the invariant data of a totally degenerate factor, a
     WilliamsonInvariants, or None.
+
+    Construction checks the entries, WrongType for one of the wrong type,
+    and then keeps what every iterate reads: dim_half, the float mean index
+    of the first iterate and the growth bound of _fits_int64.
     """
 
-    __slots__ = ()
-
     def __new__(cls, loop_index: int = 0, elliptic=(), hyperbolic=(), degenerate=None):
-        if loop_index % 2 != 0:
+        try:
+            odd = loop_index % 2 != 0
+        except TypeError:
+            raise WrongType(f"loop index must be an even integer, got {loop_index!r}") from None
+        if odd:
             raise InvalidParameter(f"loop index must be even, got {loop_index}")
-        self = super().__new__(cls, loop_index, tuple(elliptic),
-                               tuple(int(h) for h in hyperbolic), degenerate)
+        try:
+            hyperbolic = tuple(int(h) for h in hyperbolic)
+        except TypeError:
+            raise WrongType(f"hyperbolic entries must be integers, got {hyperbolic!r}") from None
+        self = super().__new__(cls, loop_index, tuple(elliptic), hyperbolic, degenerate)
         entries = [("loop_index", loop_index),
                    *((f"elliptic[{i}]", rho) for i, rho in enumerate(self.elliptic)),
                    *((f"hyperbolic[{i}]", h) for i, h in enumerate(self.hyperbolic))]
@@ -76,22 +86,28 @@ class IterationProfile(Checked, namedtuple("IterationProfile",
                 finite = math.isfinite(value)
             except OverflowError:
                 raise InvalidParameter(f"profile entry {what} is too large for a float") from None
+            except TypeError:
+                raise WrongType(f"profile entry {what} must be a real number, "
+                                f"got {value!r}") from None
             if not finite:
                 raise InvalidParameter(f"profile has a non-finite rotation number {what} = {value}")
+        deg = degenerate.m if degenerate is not None else 0
+        object.__setattr__(self, "dim_half", len(self.elliptic) + len(self.hyperbolic) + deg)
+        rho_sum = sum(float(r) for r in self.elliptic)
+        object.__setattr__(self, "_mean_per_turn",
+                           loop_index + 2.0 * rho_sum + sum(self.hyperbolic))
+        # every index and every floor(k rho) is at most k * growth in size
+        object.__setattr__(self, "_growth", (
+            abs(loop_index) + sum(map(abs, self.hyperbolic)) + 2 * self.dim_half
+            + sum(2.0 * abs(float(rho)) for rho in self.elliptic)))
         return self
-
-    @property
-    def dim_half(self) -> int:
-        deg = self.degenerate.m if self.degenerate is not None else 0
-        return len(self.elliptic) + len(self.hyperbolic) + deg
 
     def mean_index(self, k: int = 1) -> float:
         """The mean index of the k-th iterate: k times the float mean index
         of the first, in one multiplication; k an int, or an int64 array
         (elementwise).  Every mean index on which the recurrence search or
         the audit decides is read from here."""
-        rho_sum = sum(float(r) for r in self.elliptic)
-        return k * (self.loop_index + 2.0 * rho_sum + sum(self.hyperbolic))
+        return k * self._mean_per_turn
 
     def b_correction(self) -> int:
         """b_plus - b_minus of any iterate (stable under positive scaling)."""
@@ -207,6 +223,9 @@ def _orders(profile: IterationProfile, k) -> np.ndarray:
             ks = np.array([operator.index(k)], dtype=np.int64)
         except OverflowError:
             raise InvalidParameter(f"iteration order {k} outside int64") from None
+        except TypeError:
+            raise WrongType(f"iteration order must be an integer or an int64 array, "
+                            f"got {k!r}") from None
     if ks.size:
         if ks.min() < 1:
             raise InvalidParameter(
@@ -219,10 +238,7 @@ def _orders(profile: IterationProfile, k) -> np.ndarray:
 def _fits_int64(profile: IterationProfile, k: int) -> bool:
     """Whether the indices of iterates 1..k stay inside int64 (index_triple
     raises InvalidParameter beyond)."""
-    # every index and every floor(k rho) is at most k * growth in size
-    growth = (abs(profile.loop_index) + sum(map(abs, profile.hyperbolic)) + 2 * profile.dim_half
-              + sum(2.0 * abs(float(rho)) for rho in profile.elliptic))
-    return k * growth < 2 ** 62
+    return k * profile._growth < 2 ** 62
 
 
 def _floor_hits(rho, k: np.ndarray) -> tuple:

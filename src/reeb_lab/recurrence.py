@@ -405,8 +405,10 @@ def _r1_candidates(alpha: float, w: float, a: int, b: int) -> np.ndarray:
         t_hi = np.broadcast_to(last, t_lo.shape)
     else:
         e0, e1 = below / delta, above / delta
-        t_lo = np.clip(np.floor(np.minimum(e0, e1)), 0, T[:, None]).astype(np.int64)
-        t_hi = np.clip(np.ceil(np.maximum(e0, e1)), -1, last).astype(np.int64)
+        # np.clip(x, lo, hi) with less dispatch, up to the sign of a zero, which
+        # the cast drops
+        t_lo = np.minimum(T[:, None], np.maximum(0, np.floor(np.minimum(e0, e1)))).astype(np.int64)
+        t_hi = np.minimum(last, np.maximum(-1, np.ceil(np.maximum(e0, e1)))).astype(np.int64)
     n = np.maximum(t_hi - t_lo + 1, 0).ravel()
     first = (a + r[:, None] + Q * t_lo).ravel()
     offsets = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)

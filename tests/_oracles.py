@@ -15,7 +15,9 @@ per call replaced, the normal-form invariants read through the matrix logarithm 
 the form on ker (A - I)^s replaced, the slope check over the whole
 action spectrum that the check of the multiples next to the slope replaced,
 and the rationality detection that re-folded each continued-fraction
-convergent, which the convergent recurrence replaced.
+convergent, which the convergent recurrence replaced; and the mean index
+and int64 growth bound of an iteration profile summed on every call, which
+the values the profile keeps from its construction replaced.
 """
 
 from __future__ import annotations
@@ -421,6 +423,21 @@ def _times(rho, k: int):
     return rho * k if isinstance(rho, Fraction) else float(rho) * k
 
 
+def per_call_mean_index(profile, k):
+    """IterationProfile.mean_index(k), its rotation numbers summed anew."""
+    rho_sum = sum(float(r) for r in profile.elliptic)
+    return k * (profile.loop_index + 2.0 * rho_sum + sum(profile.hyperbolic))
+
+
+def per_call_fits_int64(profile, k: int) -> bool:
+    """_fits_int64(profile, k), its growth bound and half-dimension summed anew."""
+    deg = profile.degenerate.m if profile.degenerate is not None else 0
+    dim_half = len(profile.elliptic) + len(profile.hyperbolic) + deg
+    growth = (abs(profile.loop_index) + sum(map(abs, profile.hyperbolic)) + 2 * dim_half
+              + sum(2.0 * abs(float(rho)) for rho in profile.elliptic))
+    return k * growth < 2 ** 62
+
+
 def scalar_nu_a(profile, k: int) -> int:
     """Half the algebraic multiplicity of eigenvalue 1 of the k-th iterate."""
     hits = sum(1 for rho in profile.elliptic if _is_integer(_times(rho, k))[0])
@@ -450,7 +467,7 @@ def scalar_index_triple(profile, k: int) -> IndexTriple:
         d = profile.degenerate
         hi += d.b0 + d.b_plus + d.nu0
         lo -= d.b0 + d.b_minus + d.nu0
-    return IndexTriple(mu_minus=lo, mu_plus=hi, mu_hat=profile.mean_index(k),
+    return IndexTriple(mu_minus=lo, mu_plus=hi, mu_hat=per_call_mean_index(profile, k),
                        nu_a=scalar_nu_a(profile, k))
 
 

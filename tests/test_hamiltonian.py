@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -383,7 +384,38 @@ INVALID_PROFILES = [
      "knots must be a sequence of reals, got ('a', 1.0)"),
     ("spline", {"knots": (None, 1.0), "slope": math.nan}, WrongType,
      "knots must be a sequence of reals, got (None, 1.0)"),
+    # text is no sequence of reals, though float() would parse it and a str
+    # iterates by character
+    ("spline", {"knots": "12"}, WrongType,
+     "knots must be a sequence of reals, got '12'"),
+    ("spline", {"knots": ("1", b"2")}, WrongType,
+     "knots must be a sequence of reals, got ('1', b'2')"),
+    ("spline", {"knots": b"123", "slope": math.nan}, WrongType,
+     "knots must be a sequence of reals, got b'123'"),
+    # a field that is no real number is refused at its own check, in order
+    ("quadratic", {"slope": "5"}, WrongType, "slope must be a real number, got '5'"),
+    ("quadratic", {"r_max": None}, WrongType, "r_max must be a real number, got None"),
+    ("quadratic", {"c0": 1j}, WrongType, "c0 must be a real number, got 1j"),
+    ("quadratic", {"slope": 0.0, "r_max": "2"}, SlopeMismatch,
+     "slope must be positive and finite, got 0.0"),
+    ("cubic", {"theta": "0.5"}, WrongType, "theta must be a real number, got '0.5'"),
+    ("cubic", {"c0": 0.5, "theta": None}, JoinDiscontinuity,
+     "constant piece must be finite and <= 0, got 0.5"),
+    ("exp", {"beta": None}, WrongType, "beta must be a real number, got None"),
 ]
+
+
+@pytest.mark.parametrize("family, params", [
+    ("quadratic", {"slope": np.float32(5), "r_max": Fraction(2), "c0": np.int64(0)}),
+    ("cubic", {"slope": Fraction(5), "r_max": np.float64(2), "theta": Fraction(1, 2)}),
+    ("exp", {"slope": np.int32(5), "r_max": 2, "c0": False, "beta": True}),
+    ("spline", {"slope": True, "r_max": Fraction(3), "knots": (np.float32(0.5), Fraction(1, 2))}),
+])
+def test_numpy_scalars_fractions_and_bools_build(family, params):
+    # the WrongType checks refuse only what cannot be compared
+    p = build_profile(family, **params)
+    assert tuple(p) == tuple(params.get(key, p._field_defaults.get(key)) for key in p._fields)
+    assert p.c == p.action(p.r_max)
 
 
 @pytest.mark.parametrize("family, args, error, message", INVALID_PROFILES)
@@ -419,6 +451,87 @@ def test_every_construction_refuses_what_build_profile_refuses(family, args, err
         with pytest.raises(error) as err:
             construct()
         assert type(err.value) is error and str(err.value) == message
+
+
+def assert_constants_are_their_formulas(p):
+    assert p._w.hex() == (p.r_max - 1.0).hex()
+    assert float(p._h_w).hex() == float(p._piece_h(p._w)).hex()
+    assert p.c.hex() == p.action(p.r_max).hex()
+    if p.family == "exp":
+        assert p._den.hex() == math.expm1(p.beta * p._w).hex()
+
+
+@pytest.mark.parametrize("name", ["quadratic", "cubic", "exp", "spline", "spline-nonmonotone"])
+def test_each_kept_constant_is_its_formula(name):
+    # each profile computes _w, _h_w, c (and an exp's _den) once, when built,
+    # by the expression that was evaluated on every call; _replace builds
+    # through the constructor, so they follow the fields
+    p = array_profile(name)
+    assert_constants_are_their_formulas(p)
+    if name in SPLINE_KNOTS:
+        q = p._replace(r_max=3.0, slope=spline_slope(p.knots, 3.0))
+    else:
+        q = p._replace(r_max=3.0, c0=-0.5)
+    assert_constants_are_their_formulas(q)
+    assert q._w != p._w and q._h_w != p._h_w and q.c != p.c
+    if name == "exp":
+        r = p._replace(beta=0.5)
+        assert_constants_are_their_formulas(r)
+        assert r._den != p._den
+    # h beyond the shell reads _h_w
+    assert q.h(4.0) == q.c0 + (q._h_w + q.slope * (4.0 - q.r_max))
+
+
+# floats where a clamp can go wrong: signed zeros, NaNs of either sign and
+# with a payload, infinities, subnormals and the ends of the normal range
+EDGE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+                     2.2250738585072014e-308, -2.2250738585072014e-308, 1.0, -1.0,
+                     float(np.array(0x7FF8000000000001).view(float))]),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+)
+
+
+def placed(values, n: int, offset: int) -> np.ndarray:
+    """values repeated to length n, starting offset elements into a buffer."""
+    buffer = np.empty(n + offset)
+    buffer[offset:] = np.resize(np.asarray(values, dtype=float), n)
+    return buffer[offset:]
+
+
+# a clamp's bounds in src/ are never NaN: where both are, the two spellings
+# return different NaN payloads
+EDGE_BOUNDS = EDGE_FLOATS.filter(lambda b: not math.isnan(b))
+
+
+@settings(max_examples=400, deadline=None)
+@given(values=st.lists(EDGE_FLOATS, min_size=1, max_size=24), n=st.integers(0, 300),
+       offset=st.integers(0, 2),
+       bounds=st.tuples(EDGE_BOUNDS, EDGE_BOUNDS)
+       | st.tuples(st.lists(EDGE_BOUNDS, min_size=1, max_size=8),
+                   st.lists(EDGE_BOUNDS, min_size=1, max_size=8)))
+def test_clamp_spelling_is_np_clip(values, n, offset, bounds):
+    # src/ clamps as np.minimum(hi, np.maximum(lo, x)), over lengths and
+    # offsets that reach numpy's vector loops and their tails, an upper bound
+    # below the lower one included.  With scalar bounds, as in hamiltonian,
+    # that has the bits of np.clip(x, lo, hi), -0.0 and NaN included.  With
+    # array bounds np.clip takes other loops, and the sign of a zero result
+    # may differ; recurrence, whose upper bounds are arrays, casts the result
+    # to int64, and adding 0.0 makes every zero +0.0 and leaves the rest
+    x = placed(values, n, offset)
+    lo, hi = (b if isinstance(b, float) else placed(b, n, 2 - offset) for b in bounds)
+    got, expect = np.minimum(hi, np.maximum(lo, x)), np.clip(x, lo, hi)
+    if not isinstance(hi, float):
+        got, expect = got + 0.0, expect + 0.0
+    assert np.array_equal(got.view(np.int64), expect.view(np.int64))
+
+
+def test_clamp_with_x_first_loses_negative_zero():
+    # the other order is not np.clip: it turns -0.0 into +0.0
+    x = np.array([-0.0])
+    assert np.signbit(np.clip(x, 0.0, 1.0)[0])
+    assert np.signbit(np.minimum(1.0, np.maximum(0.0, x))[0])
+    assert not np.signbit(np.minimum(np.maximum(x, 0.0), 1.0)[0])
 
 
 class TestRadialAction:

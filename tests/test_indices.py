@@ -12,14 +12,17 @@ from reeb_lab.cli import main
 from reeb_lab.errors import (
     DegenerateEndpoint,
     DimensionMismatch,
+    InvalidParameter,
     MalformedInput,
     PathNotSplittable,
     SamplingTooCoarse,
     SupportOutOfRange,
+    WrongType,
 )
 from reeb_lab.indices import (
     INTEGER_BAND,
     IterationProfile,
+    _fits_int64,
     check_dynamical_convexity,
     cz_index_sampled,
     index_triple,
@@ -34,6 +37,8 @@ from _matrices import direct_sum, rotation2, williamson_from_counts
 from _oracles import (
     crossing_index,
     flow_path,
+    per_call_fits_int64,
+    per_call_mean_index,
     rotation_index_closed_form,
     scalar_index_triple,
     scalar_nu_a,
@@ -315,6 +320,70 @@ def assert_matches_scalar(profile, ks):
         assert (s.mu_minus, s.mu_plus, s.mu_hat) == (
             t.mu_minus[pos], t.mu_plus[pos], t.mu_hat[pos]), k
     return t
+
+
+class TestKeptConstants:
+    """A profile keeps dim_half, its first iterate's mean index and the
+    growth bound of _fits_int64 from its construction."""
+
+    @pytest.mark.parametrize("name", sorted(ARRAY_PROFILES))
+    def test_each_constant_is_its_formula(self, name):
+        p = ARRAY_PROFILES[name]
+        ks = np.array([1, 2, 7, 999_983, 10 ** 12], dtype=np.int64)
+        for k in (1, 3, np.int64(12), 10 ** 6):
+            assert p.mean_index(k).hex() == per_call_mean_index(p, k).hex()
+        assert np.array_equal(p.mean_index(ks).view(np.int64),
+                              per_call_mean_index(p, ks).view(np.int64))
+        for k in (1, 2 ** 40, 2 ** 59, 2 ** 60 + 1, 2 ** 62):
+            assert _fits_int64(p, k) == per_call_fits_int64(p, k)
+        deg = p.degenerate.m if p.degenerate is not None else 0
+        assert p.dim_half == len(p.elliptic) + len(p.hyperbolic) + deg
+
+    @settings(max_examples=200, deadline=None)
+    @given(profiles(), st.lists(st.integers(-9, 9).filter(bool).map(lambda q: Fraction(1, q))
+                                | st.floats(-4, 4), max_size=3),
+           st.integers(1, 10 ** 9))
+    def test_replace_refreshes_every_constant(self, p, elliptic, k):
+        # _replace builds through the constructor, so the constants follow the fields
+        q = p._replace(elliptic=tuple(elliptic), loop_index=p.loop_index + 2)
+        assert q.mean_index(k).hex() == per_call_mean_index(q, k).hex()
+        assert _fits_int64(q, 2 ** 62 // k) == per_call_fits_int64(q, 2 ** 62 // k)
+        deg = q.degenerate.m if q.degenerate is not None else 0
+        assert q.dim_half == len(q.elliptic) + len(q.hyperbolic) + deg
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: IterationProfile(elliptic=("a",)),
+     "profile entry elliptic[0] must be a real number, got 'a'"),
+    (lambda: IterationProfile(elliptic=(0.3, b"0.3")),
+     "profile entry elliptic[1] must be a real number, got b'0.3'"),
+    (lambda: IterationProfile(hyperbolic=(None,)),
+     "hyperbolic entries must be integers, got (None,)"),
+    (lambda: IterationProfile(loop_index=None),
+     "loop index must be an even integer, got None"),
+    (lambda: index_triple(IterationProfile(elliptic=(0.3,)), 2.5),
+     "iteration order must be an integer or an int64 array, got 2.5"),
+    (lambda: support_interval(IterationProfile(elliptic=(0.3,)), "1", 2),
+     "iteration order must be an integer or an int64 array, got '1'"),
+])
+def test_wrong_types_are_typed(make, message):
+    with pytest.raises(WrongType) as err:
+        make()
+    assert str(err.value) == message
+
+
+def test_numpy_scalars_fractions_and_bools_accepted():
+    p = IterationProfile(loop_index=np.int64(2),
+                         elliptic=(Fraction(1, 3), np.float32(0.25), True),
+                         hyperbolic=(np.int32(3), False, 2.0))
+    assert p.hyperbolic == (3, 0, 2) and p.dim_half == 6
+    for k in (True, np.int64(5), np.uint8(7)):
+        assert index_triple(p, k).mu_hat == per_call_mean_index(p, int(k))
+    # a wrong type is refused at its own check, in the order the checks run
+    with pytest.raises(InvalidParameter, match="loop index must be even"):
+        IterationProfile(loop_index=3, elliptic=("a",))
+    with pytest.raises(InvalidParameter, match="non-finite"):
+        IterationProfile(elliptic=(float("nan"), "a"))
 
 
 class TestArrayPath:
