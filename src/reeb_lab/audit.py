@@ -46,13 +46,16 @@ from .errors import (
     MalformedInput,
     NotExcluded,
     ShellMarginNotFound,
+    integer,
     json_field,
     json_object,
+    real,
 )
 from .hamiltonian import RadialProfile, profile_from_json
 from .indices import (
     IterationProfile,
     SystemOrbit,
+    _fits_int64,
     _support_bounds,
     _support_escape,
     index_triple,
@@ -122,7 +125,7 @@ class OrbitSystem(Checked, namedtuple("OrbitSystem", [
             raise InvalidParameter(f"mode must be one of {MODES}")
         if not self.orbits:
             raise InvalidParameter("need at least one orbit")
-        if self.n < 2:
+        if integer("n", self.n) < 2:
             raise BadGeometry(f"ambient half-dimension n = {self.n} < 2")
         if self.hamiltonian.admissible:
             raise BadGeometry("the audit is normalized for semi-admissible profiles")
@@ -135,14 +138,18 @@ class OrbitSystem(Checked, namedtuple("OrbitSystem", [
                 raise HypothesisFailed(f"orbit {pos} has nonpositive mean index")
             if o.period <= 0:
                 raise BadGeometry(f"orbit {pos} has nonpositive period")
-        if not (0 < self.sigma < math.inf and 0 < self.cbar < math.inf):
+        if not (0 < real("sigma", self.sigma) < math.inf
+                and 0 < real("cbar", self.cbar) < math.inf):
             raise BadGeometry("sigma and cbar must be positive and finite")
-        if not 0.0 < self.eta < 0.5:
+        if not 0.0 < real("eta", self.eta) < 0.5:
             raise BadGeometry(f"eta = {self.eta} outside (0, 1/2)")
 
         z = self.orbits[0]
         mean_z = z.profile.mean_index(1)
-        ells = np.arange(1, self.ell0 + 1, dtype=np.int64)
+        ell0 = integer("ell0", self.ell0)
+        if not _fits_int64(z.profile, ell0):   # nor could np.arange list the iterates
+            raise InvalidParameter(f"indices of iterate {ell0} leave int64")
+        ells = np.arange(1, max(ell0, 0) + 1, dtype=np.int64)
         if self.mode in ("hyperbolic", "hyperbolic_lower"):
             if not z.hyperbolic or z.profile.elliptic or z.profile.degenerate:
                 raise HypothesisFailed(
@@ -196,9 +203,7 @@ class OrbitSystem(Checked, namedtuple("OrbitSystem", [
                 raise BadGeometry(f"slope {a} does not exceed the {label} periods")
             for pos, (o, T) in enumerate(zip(self.orbits, periods)):
                 if mean_z * T / o.profile.mean_index(1) >= a:
-                    raise BadGeometry(
-                        f"slope too small for orbit {pos} ({label} resonant level)"
-                    )
+                    raise BadGeometry(f"slope too small for orbit {pos} ({label} resonant level)")
 
         object.__setattr__(self, "derived", _derive_constants(self))
         if self.derived.C * self.eta >= self.sigma:
@@ -208,9 +213,7 @@ class OrbitSystem(Checked, namedtuple("OrbitSystem", [
         A_star = float(self.hamiltonian.action(self.derived.r_star))
         b = self.b_level if self.b_level is not None else 0.5 * (A_star + a)
         if not A_star < b < a:
-            raise BadGeometry(
-                f"vanishing level b = {b:.6g} outside ({A_star:.6g}, {a:.6g})"
-            )
+            raise BadGeometry(f"vanishing level b = {b:.6g} outside ({A_star:.6g}, {a:.6g})")
         object.__setattr__(self, "A_star", A_star)    # A_h(r_star), unserialised as b
         object.__setattr__(self, "b", b)
 
@@ -278,9 +281,7 @@ def _derive_constants(system: OrbitSystem) -> DerivedConstants:
     pts = [r_star, *levels]
     xi_max = min(min(p - 1.0 for p in pts), min(H.r_max - p for p in pts))
     if xi_max <= 0:
-        raise ShellMarginNotFound(
-            f"orbit levels {pts} touch the shell boundary [1, {H.r_max}]"
-        )
+        raise ShellMarginNotFound(f"orbit levels {pts} touch the shell boundary [1, {H.r_max}]")
     xi = 0.5 * xi_max
     rs, d2 = H.d2h_extremes(1.0 + xi, H.r_max - xi)
     c2 = float(np.min(rs * d2))
@@ -464,8 +465,7 @@ class AuditReport(JsonFields, namedtuple("AuditReport", [
             f"constants: {json.dumps(self.constants, sort_keys=True)}",
         ]
         for s in self.solutions:
-            div = ("-" if s.min_diverging_gap is None
-                   else f"{s.min_diverging_gap:.4g}")
+            div = "-" if s.min_diverging_gap is None else f"{s.min_diverging_gap:.4g}"
             lines.append(
                 f"  d={s.d} k={list(s.k)} pairs={s.total_pairs} "
                 f"counts={s.counts} min_div_gap={div} "
@@ -589,8 +589,7 @@ def _audit_solution(system: OrbitSystem, solution: RecurrenceSolution,
         H = system.hamiltonian
         r = H.dh_inv(np.array([solution.k[i] * system.norm_periods[i] / k for i in placed]))
         levels = dict(zip(placed, zip(r.tolist(), H.action(r).tolist())))
-    counts = {"same-pair": 0, "index-gap": 0, "short-action-gap": 0,
-              "diverging-action-gap": 0}
+    counts = {"same-pair": 0, "index-gap": 0, "short-action-gap": 0, "diverging-action-gap": 0}
     min_gap = None
     min_div = None
     aligned = []

@@ -19,7 +19,7 @@ from collections import namedtuple
 from fractions import Fraction
 from typing import Optional
 
-from .errors import Checked, DegenerateEllipsoid, HypothesisFailed, InvalidParameter
+from .errors import Checked, DegenerateEllipsoid, HypothesisFailed, InvalidParameter, reals
 from .indices import IterationProfile, SystemOrbit, check_dynamical_convexity
 
 CONVENTION = "periods=pi*a_j; return-map angles 2*pi*a_j/a_i"
@@ -66,7 +66,7 @@ class EllipsoidSpec(Checked, namedtuple("EllipsoidSpec", "weights")):
     __slots__ = ()
 
     def __new__(cls, weights):
-        w = tuple(float(v) for v in weights)
+        w = reals("weights", weights)
         if not w or not all(0 < v < math.inf for v in w):
             raise InvalidParameter(f"weights must be positive and finite, got {w}")
         if any(b < a for a, b in zip(w, w[1:])):
@@ -199,7 +199,6 @@ def pseudo_rotation_instance(spec: EllipsoidSpec, k_max: int = 100,
         ))
     report = check_dynamical_convexity([(o.profile, k_max) for o in orbits], n)
     if not report.ok:
-        raise HypothesisFailed(
-            f"ellipsoid failed dynamical convexity: {report.witnesses[:3]}")
+        raise HypothesisFailed(f"ellipsoid failed dynamical convexity: {report.witnesses[:3]}")
     return PseudoRotationSeed(orbits=tuple(orbits), n=n, convexity=report)
 

@@ -8,6 +8,7 @@ can map it to exit code 2; audit failures get their own branch (exit 3).
 from __future__ import annotations
 
 import json
+import operator
 
 
 class ReebLabError(Exception):
@@ -27,6 +28,51 @@ class WrongType(ReebLabError, TypeError):
     """A constructor or a call got an argument of the wrong type, or a
     keyword it does not take.  It is also a TypeError, which is what these
     checks raised before they were typed."""
+
+
+# The three kinds a checked field can have.  A bool is an int, and so a real;
+# numpy scalars and 0-d arrays of a bool, int or float dtype count as their
+# Python kind.
+
+def real(name: str, v):
+    """v itself, unchanged, so that a Fraction stays exact.  WrongType for
+    text, a complex number, an array of one or more dimensions, a numpy
+    value of another dtype or anything else float() refuses;
+    InvalidParameter when float() overflows."""
+    try:
+        if not (isinstance(v, (str, bytes, complex)) or getattr(v, "ndim", 0)
+                or getattr(getattr(v, "dtype", None), "kind", "f") not in "biuf"):
+            float(v)
+            return v
+    except OverflowError:
+        raise InvalidParameter(f"{name} is too large for a float") from None
+    except (TypeError, ValueError):
+        pass
+    raise WrongType(f"{name} must be a real number, got {v!r}")
+
+
+def integer(name: str, v) -> int:
+    """v as an int: what operator.index takes, or an integral float, as
+    json_value takes a JSON integer.  WrongType for anything else, NaN and
+    the infinities included."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        if isinstance(v, float) and v.is_integer():
+            return int(v)
+    raise WrongType(f"{name} must be an integer, got {v!r}")
+
+
+def reals(name: str, vs) -> tuple:
+    """vs as a tuple of floats.  WrongType for text, which float() would
+    parse and a loop would walk character by character, and for anything
+    else that is not a sequence of reals (real)."""
+    if not isinstance(vs, (str, bytes)):
+        try:
+            return tuple(float(real(name, v)) for v in vs)
+        except TypeError:
+            pass
+    raise WrongType(f"{name} must be a sequence of reals, got {vs!r}")
 
 
 # JSON types accepted for each field type; integral floats pass as ints, as

@@ -11,7 +11,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import Checked, FixedPointOnCircle, InvalidParameter, SamplingTooCoarse
+from .errors import Checked, FixedPointOnCircle, InvalidParameter, SamplingTooCoarse, real
 from .indices import winding
 
 #: fewest samples of a closed circle whose winding can certify: a full turn
@@ -36,7 +36,7 @@ class PlanarMapSample(Checked, namedtuple("PlanarMapSample", [
         ims = np.asarray(images, dtype=float)
         if pts.shape != ims.shape or pts.ndim != 2 or pts.shape[1] != 2:
             raise InvalidParameter(f"bad sample shapes {pts.shape} vs {ims.shape}")
-        if not 0 < eps < math.inf:
+        if not 0 < real("eps", eps) < math.inf:
             raise InvalidParameter(f"eps must be positive and finite, got {eps}")
         return super().__new__(cls, pts, ims, eps)
 

@@ -39,6 +39,8 @@ from .errors import (
     json_field,
     json_object,
     json_value,
+    real,
+    reals,
 )
 
 #: x ** n through libm's pow, elementwise: numpy's ``**`` on arrays takes a
@@ -192,15 +194,6 @@ def _bisect(f, target, top: float, steps: int):
     return (0.5 * (ends[0] + ends[1])).reshape(target.shape)
 
 
-def _holds(name: str, value, test) -> bool:
-    """test(value), a field's range check; WrongType naming the field when
-    the value cannot be compared, as no real number can."""
-    try:
-        return test(value)
-    except TypeError:
-        raise WrongType(f"{name} must be a real number, got {value!r}") from None
-
-
 def _first_outside(x, lo: float, hi: float):
     """The first element of the array x, in C order, that is not inside
     [lo, hi], as a float, or None: NaN is inside no range."""
@@ -231,13 +224,14 @@ class RadialProfile(Checked, JsonFields):
         (_check_parameters, which also sets derived values), then that h''
         > 0 inside the shell (_check_convex) and the C^1 joins at r = 1 and
         r = r_max: the first failed check raises, WrongType where a field is
-        no real number.  Last it keeps _h_w and c, each computed by the
-        expression that h and action evaluated on every call before."""
-        if not _holds("slope", self.slope, lambda v: 0 < v < math.inf):
+        no real number and InvalidParameter where it overflows a float.
+        Last it keeps _h_w and c, each computed by the expression that h
+        and action evaluated on every call before."""
+        if not 0 < real("slope", self.slope) < math.inf:
             raise SlopeMismatch(f"slope must be positive and finite, got {self.slope}")
-        if not _holds("r_max", self.r_max, lambda v: 1.0 < v < math.inf):
+        if not 1.0 < real("r_max", self.r_max) < math.inf:
             raise BadGeometry(f"r_max must be finite and exceed 1, got {self.r_max}")
-        if not _holds("c0", self.c0, lambda v: -math.inf < v <= 0):
+        if not -math.inf < real("c0", self.c0) <= 0:
             raise JoinDiscontinuity(f"constant piece must be finite and <= 0, got {self.c0}")
         object.__setattr__(self, "_w", self.r_max - 1.0)
         object.__setattr__(self, "h_triple_nonneg_up_to", self.r_max)
@@ -369,7 +363,7 @@ class CubicProfile(RadialProfile, namedtuple("CubicProfile", "slope r_max c0 the
     family = "cubic"
 
     def _check_parameters(self):
-        if not _holds("theta", self.theta, lambda v: 0.0 < v < 1.0):
+        if not 0.0 < real("theta", self.theta) < 1.0:
             raise InvalidParameter(f"theta must be in (0, 1), got {self.theta}")
 
     def _piece_h(self, x):
@@ -398,7 +392,7 @@ class ExpProfile(RadialProfile, namedtuple("ExpProfile", "slope r_max c0 beta",
     family = "exp"
 
     def _check_parameters(self):
-        if not _holds("beta", self.beta, lambda v: 0 < v < math.inf):
+        if not 0 < real("beta", self.beta) < math.inf:
             raise InvalidParameter(f"beta must be positive and finite, got {self.beta}")
         if not self.beta * self._w <= np.log(np.finfo(float).max):
             raise InvalidParameter(f"expm1(beta * (r_max - 1)) overflows at beta = {self.beta}")
@@ -436,11 +430,7 @@ class SplineProfile(RadialProfile, namedtuple("SplineProfile", "slope r_max c0 k
     family = "spline"
 
     def __new__(cls, slope, r_max, c0=0.0, knots=()):
-        try:
-            knots = tuple(float(_not_text(v)) for v in _not_text(knots))
-        except (TypeError, ValueError):
-            raise WrongType(f"knots must be a sequence of reals, got {knots!r}") from None
-        return super().__new__(cls, slope, r_max, c0, knots)
+        return super().__new__(cls, slope, r_max, c0, reals("knots", knots))
 
     def _check_parameters(self):
         knots = self.knots
@@ -530,14 +520,6 @@ class SplineProfile(RadialProfile, namedtuple("SplineProfile", "slope r_max c0 k
         with np.errstate(divide="ignore", invalid="ignore"):
             polished = np.minimum(self._w, np.maximum(0.0, x - (self._piece_dh(x) - T) / d2))
         return np.where(d2 > 0, polished, x)
-
-
-def _not_text(value):
-    """value itself; TypeError for a str or bytes, which float() would parse
-    and a loop would walk character by character."""
-    if isinstance(value, (str, bytes)):
-        raise TypeError
-    return value
 
 
 _FAMILIES = {cls.family: cls for cls in (QuadraticProfile, CubicProfile, ExpProfile,
@@ -684,8 +666,9 @@ class TransferValues(namedtuple("TransferValues", [
 
 
 def check_transfer_parameters(k: float, lam: float) -> None:
-    """InvalidParameter unless k >= 1 and lam > 0 are both finite."""
-    if not (math.isfinite(k) and math.isfinite(lam)):
+    """InvalidParameter unless k >= 1 and lam > 0 are both finite reals;
+    WrongType where one is no real number."""
+    if not (math.isfinite(real("k", k)) and math.isfinite(real("lam", lam))):
         raise InvalidParameter(f"k and lam must be finite, got k = {k}, lam = {lam}")
     if k < 1 or lam <= 0:
         raise InvalidParameter("need k >= 1 and lam > 0")
@@ -790,7 +773,8 @@ class CylinderTrace(Checked, namedtuple("CylinderTrace", [
             raise MalformedTrace("grids must be strictly increasing")
         if not (np.all(np.isfinite(r)) and np.all(r > 0)):
             raise MalformedTrace("r values must be finite and positive")
-        if not (math.isfinite(r_plus) and math.isfinite(r_minus)):
+        if not (math.isfinite(real("r_plus", r_plus))
+                and math.isfinite(real("r_minus", r_minus))):
             raise MalformedTrace(f"levels must be finite, got r_plus = {r_plus}, "
                                  f"r_minus = {r_minus}")
         if r_plus < r_minus:

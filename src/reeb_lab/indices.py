@@ -17,7 +17,6 @@ quantity.
 from __future__ import annotations
 
 import math
-import operator
 import re
 from collections import namedtuple
 from fractions import Fraction
@@ -35,10 +34,11 @@ from .errors import (
     PathNotSplittable,
     SamplingTooCoarse,
     SupportOutOfRange,
-    WrongType,
+    integer,
     json_field,
     json_object,
     json_value,
+    real,
 )
 from .symplectic import WilliamsonInvariants, standard_form
 
@@ -61,35 +61,24 @@ class IterationProfile(Checked, namedtuple("IterationProfile",
     WilliamsonInvariants, or None.
 
     Construction checks the entries, WrongType for one of the wrong type,
-    and then keeps what every iterate reads: dim_half, the float mean index
-    of the first iterate and the growth bound of _fits_int64.
+    stores the loop index and the hyperbolic entries as ints, and then
+    keeps what every iterate reads: dim_half, the float mean index of the
+    first iterate and the growth bound of _fits_int64.
     """
 
     def __new__(cls, loop_index: int = 0, elliptic=(), hyperbolic=(), degenerate=None):
-        try:
-            odd = loop_index % 2 != 0
-        except TypeError:
-            raise WrongType(f"loop index must be an even integer, got {loop_index!r}") from None
-        if odd:
+        loop_index = integer("loop index", loop_index)
+        if loop_index % 2:
             raise InvalidParameter(f"loop index must be even, got {loop_index}")
-        try:
-            hyperbolic = tuple(int(h) for h in hyperbolic)
-        except TypeError:
-            raise WrongType(f"hyperbolic entries must be integers, got {hyperbolic!r}") from None
+        hyperbolic = tuple(integer(f"profile entry hyperbolic[{i}]", h)
+                           for i, h in enumerate(hyperbolic))
         self = super().__new__(cls, loop_index, tuple(elliptic), hyperbolic, degenerate)
         entries = [("loop_index", loop_index),
                    *((f"elliptic[{i}]", rho) for i, rho in enumerate(self.elliptic)),
                    *((f"hyperbolic[{i}]", h) for i, h in enumerate(self.hyperbolic))]
         for what, value in entries:
             # the mean index is a float, so every entry must convert to one
-            try:
-                finite = math.isfinite(value)
-            except OverflowError:
-                raise InvalidParameter(f"profile entry {what} is too large for a float") from None
-            except TypeError:
-                raise WrongType(f"profile entry {what} must be a real number, "
-                                f"got {value!r}") from None
-            if not finite:
+            if not math.isfinite(real(f"profile entry {what}", value)):
                 raise InvalidParameter(f"profile has a non-finite rotation number {what} = {value}")
         deg = degenerate.m if degenerate is not None else 0
         object.__setattr__(self, "dim_half", len(self.elliptic) + len(self.hyperbolic) + deg)
@@ -184,13 +173,13 @@ class IndexTriple(namedtuple("IndexTriple", "mu_minus mu_plus mu_hat nu_a")):
 def index_triple(profile: IterationProfile, k) -> IndexTriple:
     """Exact (mu_minus, mu_plus, mu_hat) of the k-th iterate of a profile.
 
-    k is an int, which gives two ints and a float, or an int64 array of
-    iteration orders, which gives an IndexTriple of arrays; an int is computed
-    as the array of length one.  Orders below 1, or so large that an index
-    leaves int64, raise InvalidParameter.  The iterate formulas are those of
-    Long, *Index Theory for Symplectic Paths with Applications* (Birkhauser,
-    2002), in the form used by the common index jump theorem of Long & Zhu,
-    Ann. of Math. 155 (2002) 317-368.
+    k is an int or an integral float, which gives two ints and a float, or an
+    int64 array of iteration orders, which gives an IndexTriple of arrays; an
+    int is computed as the array of length one.  Orders below 1, or so large
+    that an index leaves int64, raise InvalidParameter.  The iterate formulas
+    are those of Long, *Index Theory for Symplectic Paths with Applications*
+    (Birkhauser, 2002), in the form used by the common index jump theorem of
+    Long & Zhu, Ann. of Math. 155 (2002) 317-368.
     """
     ks = _orders(profile, k)
     hi = ks * (profile.loop_index + sum(profile.hyperbolic)) + len(profile.elliptic)
@@ -215,17 +204,15 @@ def index_triple(profile: IterationProfile, k) -> IndexTriple:
 
 def _orders(profile: IterationProfile, k) -> np.ndarray:
     """k as an int64 array of iteration orders (an int gives length one);
-    InvalidParameter for an order below 1 or one whose indices leave int64."""
+    WrongType for an order that is no integer, InvalidParameter for one below
+    1 or one whose indices leave int64."""
     if isinstance(k, np.ndarray):
         ks = k.astype(np.int64, copy=False)
     else:
         try:
-            ks = np.array([operator.index(k)], dtype=np.int64)
+            ks = np.array([integer("iteration order", k)], dtype=np.int64)
         except OverflowError:
             raise InvalidParameter(f"iteration order {k} outside int64") from None
-        except TypeError:
-            raise WrongType(f"iteration order must be an integer or an int64 array, "
-                            f"got {k!r}") from None
     if ks.size:
         if ks.min() < 1:
             raise InvalidParameter(
@@ -270,9 +257,7 @@ def support_interval(profile: IterationProfile, k, n: int) -> tuple:
     first k where it is not.
     """
     if profile.dim_half != n - 1:
-        raise DimensionMismatch(
-            f"profile half-dimension {profile.dim_half} != n - 1 = {n - 1}"
-        )
+        raise DimensionMismatch(f"profile half-dimension {profile.dim_half} != n - 1 = {n - 1}")
     ks = _orders(profile, k)
     lo, hi, escaped = _support_bounds(index_triple(profile, ks), n)
     if escaped.any():
@@ -385,9 +370,7 @@ def _split_planes(path: np.ndarray, tol: float) -> list:
         blocks, coupling = _extract_blocks(B, m)
         if coupling <= max(tol, 1e-8) * max(1.0, float(np.abs(B).max())):
             return blocks
-    raise PathNotSplittable(
-        "path does not preserve a common splitting into symplectic 2-planes"
-    )
+    raise PathNotSplittable("path does not preserve a common splitting into symplectic 2-planes")
 
 
 def _extract_blocks(B: np.ndarray, m: int):
@@ -514,5 +497,4 @@ def profile_table(profile: IterationProfile, k_max: int) -> list:
     """Rows (k, mu_minus, mu_plus, mu_hat) for k = 1..k_max."""
     ks = np.arange(1, k_max + 1, dtype=np.int64)
     t = index_triple(profile, ks)
-    return list(zip(ks.tolist(), t.mu_minus.tolist(), t.mu_plus.tolist(),
-                    t.mu_hat.tolist()))
+    return list(zip(ks.tolist(), t.mu_minus.tolist(), t.mu_plus.tolist(), t.mu_hat.tolist()))

@@ -44,7 +44,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import Checked, HypothesisFailed, InvalidParameter, IterateUnderflow, JsonFields
+from .errors import (Checked, HypothesisFailed, InvalidParameter, IterateUnderflow, JsonFields,
+                     integer, real)
 from .indices import IndexTriple, IterationProfile, _fits_int64, index_triple
 
 #: the first block of j; each later block is sized by what the scan has
@@ -59,25 +60,31 @@ _INT64_MAX = 2 ** 63 - 1
 
 class RecurrenceQuery(Checked, namedtuple("RecurrenceQuery",
                                           "profiles eta ell0 n_divisor k_bound count")):
+    """What recurrence_search looks for, checked: eta is kept as given, so a
+    Fraction stays exact, and ell0, n_divisor, k_bound and count are stored
+    as ints (errors.integer)."""
+
     __slots__ = ()
 
     def __new__(cls, profiles, eta: float, ell0: int, n_divisor: int = 1,
                 k_bound: int = 10 ** 6, count: int = 3):
-        self = super().__new__(cls, tuple(profiles), eta, ell0, n_divisor, k_bound, count)
-        if not self.profiles:
+        profiles = tuple(profiles)
+        if not profiles:
             raise InvalidParameter("need at least one profile")
-        for i, p in enumerate(self.profiles):
+        for i, p in enumerate(profiles):
             mean = p.mean_index(1)
             if not math.isfinite(mean):
                 raise InvalidParameter(f"profile {i} has mean index {mean}")
             if mean <= 0:
                 raise HypothesisFailed(f"profile {i} has mean index {mean:.6g} <= 0")
-        if (not 0 < self.eta < math.inf or self.ell0 < 1 or self.n_divisor < 1
-                or self.count < 1):
+        eta, ell0 = real("eta", eta), integer("ell0", ell0)
+        n_divisor, count = integer("n_divisor", n_divisor), integer("count", count)
+        if not 0 < eta < math.inf or ell0 < 1 or n_divisor < 1 or count < 1:
             raise InvalidParameter("finite eta > 0, ell0 >= 1, divisor >= 1, count >= 1 required")
-        if self.k_bound < 0:
-            raise InvalidParameter(f"k_bound must be >= 0, got {self.k_bound}")
-        return self
+        k_bound = integer("k_bound", k_bound)
+        if k_bound < 0:
+            raise InvalidParameter(f"k_bound must be >= 0, got {k_bound}")
+        return super().__new__(cls, profiles, eta, ell0, n_divisor, k_bound, count)
 
 
 class ConditionRecord(JsonFields, namedtuple("ConditionRecord", "name ok detail")):
@@ -508,9 +515,7 @@ def convexity_gap_check(profiles: Sequence[IterationProfile],
               for p, k in zip(profiles, _orders_at(profiles, solution.k, solution.ell0))]
     for i, t in enumerate(tables):
         if t.mu_minus[0] < m + 2:
-            raise HypothesisFailed(
-                f"profile {i} has mu_- = {t.mu_minus[0]} < m + 2 = {m + 2}"
-            )
+            raise HypothesisFailed(f"profile {i} has mu_- = {t.mu_minus[0]} < m + 2 = {m + 2}")
     rows = tuple((i, ell, mu_plus, solution.d - 2) for i, t in enumerate(tables)
                  for ell, mu_plus in enumerate(t.mu_plus[1:].tolist(), start=1))
     return GapReport(ok=all(mu_plus <= solution.d - 2 for _i, _ell, mu_plus, _b in rows),

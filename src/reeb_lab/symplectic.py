@@ -36,6 +36,7 @@ from .errors import (
     NotUnipotent,
     OddDimension,
     UnresolvedNormalForm,
+    integer,
     json_field,
     json_object,
 )
@@ -102,10 +103,15 @@ class WilliamsonInvariants(Checked, JsonFields, namedtuple(
     nu0 counts zero planes (including d = 1 odd chains, which coincide with
     them), b0 the odd chain pairs of length >= 3, b_plus/b_minus the signed
     even chains.  nu_g is the geometric and 2*nu_a the algebraic multiplicity
-    of eigenvalue 1; m is the half-dimension of the block.
+    of eigenvalue 1; m is the half-dimension of the block.  Every count is
+    stored as an int (errors.integer).
     """
 
     __slots__ = ()
+
+    def __new__(cls, nu0, b0, b_plus, b_minus, nu_g, nu_a, m):
+        counts = (nu0, b0, b_plus, b_minus, nu_g, nu_a, m)
+        return super().__new__(cls, *map(integer, cls._fields, counts))
 
     def __init__(self, *args, **kwargs):
         if min(self.nu0, self.b0, self.b_plus, self.b_minus) < 0:

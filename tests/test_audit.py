@@ -67,7 +67,7 @@ from reeb_lab.indices import (
     stretch_path,
     support_interval,
 )
-from reeb_lab.symplectic import validate_symplectic, williamson_invariants
+from reeb_lab.symplectic import WilliamsonInvariants, validate_symplectic, williamson_invariants
 from reeb_lab.recurrence import (
     RecurrenceQuery,
     RecurrenceSolution,
@@ -187,6 +187,76 @@ def test_invalid_parameters_are_typed(build, message):
         build()
     assert isinstance(exc.value, ReebLabError) and isinstance(exc.value, ValueError)
     assert str(exc.value) == message
+
+
+# What a caller may hand a typed field by mistake: text, None, bools, nested
+# and empty lists, the non-finite floats, reals too large for a float, numpy
+# scalars, 0-d and 1-element arrays, a complex number, and some valid values
+_POOL = ["5", b"5", None, True, False, [[1.0]], [], math.nan, math.inf, -math.inf,
+         10 ** 400, -10 ** 400, Fraction(10 ** 400, 3), np.int64(3), np.float64(2.5),
+         np.bool_(True), np.array(2.0), np.array([2.0]), 1j, 2.5, 3, 0, -1]
+
+_PROFILE = IterationProfile(elliptic=(0.3,))
+
+#: every constructor and check whose fields errors.real, integer and reals
+#: type, as a function of those fields (or of one entry of a sequence field),
+#: and values with which it builds
+TYPED = {
+    "IterationProfile": (lambda loop_index, rho, h: IterationProfile(loop_index, (0.25, rho),
+                                                                     (3, h)),
+                         {"loop_index": 2, "rho": 0.5, "h": 1}),
+    "index_triple": (lambda k: index_triple(_PROFILE, k), {"k": 2}),
+    "RadialProfile": (lambda slope, r_max, c0: build_profile("quadratic", slope=slope,
+                                                             r_max=r_max, c0=c0),
+                      {"slope": 5.0, "r_max": 2.0, "c0": 0.0}),
+    "CubicProfile": (lambda theta: build_profile("cubic", slope=5.0, r_max=2.0, theta=theta),
+                     {"theta": 0.5}),
+    "ExpProfile": (lambda beta: build_profile("exp", slope=5.0, r_max=2.0, beta=beta),
+                   {"beta": 2.0}),
+    "SplineProfile": (lambda knots: build_profile("spline", slope=1.5, r_max=2.0, knots=knots),
+                      {"knots": (1.0, 2.0)}),
+    "SplineProfile knot": (lambda knot: build_profile("spline", slope=1.5, r_max=2.0,
+                                                      knots=(1.0, knot)), {"knot": 2.0}),
+    "check_transfer_parameters": (check_transfer_parameters, {"k": 3.0, "lam": 2.0}),
+    "RecurrenceQuery": (lambda **kw: RecurrenceQuery(profiles=(_PROFILE,), **kw),
+                        {"eta": 0.1, "ell0": 3, "n_divisor": 1, "k_bound": 100, "count": 3}),
+    "OrbitSystem": (sqrt2_system, {"n": 2, "ell0": 3, "sigma": 0.6, "eta": 0.1, "cbar": 2.0}),
+    "EllipsoidSpec": (EllipsoidSpec, {"weights": (1.0, 2.0)}),
+    "EllipsoidSpec weight": (lambda weight: EllipsoidSpec((1.0, weight)), {"weight": 2.0}),
+    "PlanarMapSample": (lambda eps: PlanarMapSample(np.eye(2), 2 * np.eye(2), eps),
+                        {"eps": 1.0}),
+    "CylinderTrace": (lambda r_plus, r_minus: CylinderTrace(
+        np.arange(3.0), np.arange(2.0), np.ones((3, 2)), r_plus, r_minus),
+                      {"r_plus": 1.5, "r_minus": 1.0}),
+    "WilliamsonInvariants": (WilliamsonInvariants, dict(zip(
+        WilliamsonInvariants._fields, (1, 0, 0, 0, 2, 1, 1)))),
+}
+
+
+def _builds_or_is_typed(build, kwargs):
+    try:
+        build(**kwargs)
+    except ReebLabError:
+        pass
+
+
+@pytest.mark.parametrize("name", sorted(TYPED))
+def test_each_typed_field_takes_each_pool_value_or_is_typed(name):
+    build, valid = TYPED[name]
+    build(**valid)
+    for key in valid:
+        for value in _POOL:
+            _builds_or_is_typed(build, {**valid, key: value})
+
+
+@pytest.mark.parametrize("name", sorted(TYPED))
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_typed_fields_drawn_together_build_or_are_typed(name, data):
+    # several fields wrong at once: whichever check comes first, its error is typed
+    build, valid = TYPED[name]
+    _builds_or_is_typed(build, {key: data.draw(st.sampled_from([value, *_POOL]), label=key)
+                                for key, value in valid.items()})
 
 
 #: the three criterion-10 flagship systems

@@ -833,6 +833,38 @@ def test_every_unnamed_definition_is_reached_from_outside():
     assert defined - named == set(REACHED_FROM_OUTSIDE)
 
 
+def _nodes_by_function(tree):
+    """(name of the innermost enclosing function or None, node) for every
+    node of a module."""
+    stack = [(None, tree)]
+    while stack:
+        where, node = stack.pop()
+        yield where, node
+        inner = node.name if isinstance(node, ast.FunctionDef) else where
+        stack.extend((inner, child) for child in ast.iter_child_nodes(node))
+
+
+def test_errors_decides_what_a_real_and_an_integer_are():
+    # a field's kind is decided by errors.real, integer and reals, so WrongType
+    # is raised there, and for a keyword a profile family does not take; and
+    # no check turns a TypeError into another error, but the config file's
+    # reading of a value as its flag's type
+    raised, caught = set(), set()
+    for path in Path(reeb_lab.__file__).parent.glob("*.py"):
+        for where, node in _nodes_by_function(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "WrongType"):
+                raised.add((path.stem, where))
+            if isinstance(node, ast.ExceptHandler):
+                names = ({n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}
+                         if node.type else {"bare"})
+                if names & {"TypeError", "Exception", "BaseException", "bare"}:
+                    caught.add((path.stem, where))
+    assert {module for module, _ in raised} - {"errors"} == {"hamiltonian"}
+    assert {where for module, where in raised if module == "hamiltonian"} == {"build_profile"}
+    assert {entry for entry in caught if entry[0] != "errors"} == {("cli", "_apply_config")}
+
+
 @pytest.mark.parametrize("argv, files, absent", [
     (["barcode", "--complex", "c.json"],
      {"c.json": {"generators": [{"id": "a", "action": 0.0, "degree": 0},

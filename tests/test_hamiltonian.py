@@ -402,6 +402,10 @@ INVALID_PROFILES = [
     ("cubic", {"c0": 0.5, "theta": None}, JoinDiscontinuity,
      "constant piece must be finite and <= 0, got 0.5"),
     ("exp", {"beta": None}, WrongType, "beta must be a real number, got None"),
+    # a real that overflows a float is refused at its own check, before the
+    # convexity checks or float() raise a bare OverflowError
+    ("quadratic", {"slope": 10 ** 400}, InvalidParameter, "slope is too large for a float"),
+    ("spline", {"knots": (1.0, 10 ** 400)}, InvalidParameter, "knots is too large for a float"),
 ]
 
 

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reeb_lab.cli import main
+from reeb_lab.ellipsoid import EllipsoidSpec
 from reeb_lab.errors import (
     DegenerateEndpoint,
     DimensionMismatch,
@@ -19,6 +20,8 @@ from reeb_lab.errors import (
     SupportOutOfRange,
     WrongType,
 )
+from reeb_lab.fixedpoint import PlanarMapSample
+from reeb_lab.hamiltonian import CylinderTrace
 from reeb_lab.indices import (
     INTEGER_BAND,
     IterationProfile,
@@ -31,6 +34,8 @@ from reeb_lab.indices import (
     support_interval,
     winding,
 )
+from reeb_lab.recurrence import RecurrenceQuery
+from reeb_lab.symplectic import WilliamsonInvariants
 
 from _matrices import direct_sum, rotation2, williamson_from_counts
 
@@ -358,13 +363,37 @@ class TestKeptConstants:
     (lambda: IterationProfile(elliptic=(0.3, b"0.3")),
      "profile entry elliptic[1] must be a real number, got b'0.3'"),
     (lambda: IterationProfile(hyperbolic=(None,)),
-     "hyperbolic entries must be integers, got (None,)"),
-    (lambda: IterationProfile(loop_index=None),
-     "loop index must be an even integer, got None"),
+     "profile entry hyperbolic[0] must be an integer, got None"),
+    (lambda: IterationProfile(loop_index=None), "loop index must be an integer, got None"),
     (lambda: index_triple(IterationProfile(elliptic=(0.3,)), 2.5),
-     "iteration order must be an integer or an int64 array, got 2.5"),
+     "iteration order must be an integer, got 2.5"),
     (lambda: support_interval(IterationProfile(elliptic=(0.3,)), "1", 2),
-     "iteration order must be an integer or an int64 array, got '1'"),
+     "iteration order must be an integer, got '1'"),
+    # text is no integer, though int() would parse it, and neither is NaN,
+    # an infinity or 2.5, which int() refuses untyped or truncates
+    (lambda: IterationProfile(hyperbolic=("3",)),
+     "profile entry hyperbolic[0] must be an integer, got '3'"),
+    (lambda: IterationProfile(hyperbolic=(3, math.nan)),
+     "profile entry hyperbolic[1] must be an integer, got nan"),
+    (lambda: IterationProfile(hyperbolic=(math.inf,)),
+     "profile entry hyperbolic[0] must be an integer, got inf"),
+    (lambda: IterationProfile(hyperbolic=(2.5,)),
+     "profile entry hyperbolic[0] must be an integer, got 2.5"),
+    # refused when the query is built, not by a bare error inside the search
+    (lambda: RecurrenceQuery((IterationProfile(elliptic=(0.3,)),), 0.1, 3, count=math.nan),
+     "count must be an integer, got nan"),
+    (lambda: RecurrenceQuery((IterationProfile(elliptic=(0.3,)),), 0.1, math.nan),
+     "ell0 must be an integer, got nan"),
+    (lambda: RecurrenceQuery((IterationProfile(elliptic=(0.3,)),), 0.1, 2.5),
+     "ell0 must be an integer, got 2.5"),
+    # text is no real, though float() would parse it
+    (lambda: EllipsoidSpec(("1", "2")), "weights must be a sequence of reals, got ('1', '2')"),
+    # the other constructors' fields, each at its own check
+    (lambda: PlanarMapSample(np.zeros((3, 2)), np.zeros((3, 2)), eps="1"),
+     "eps must be a real number, got '1'"),
+    (lambda: CylinderTrace(np.arange(3.0), np.arange(2.0), np.ones((3, 2)), None, 1.0),
+     "r_plus must be a real number, got None"),
+    (lambda: WilliamsonInvariants("1", 0, 0, 0, 2, 1, 1), "nu0 must be an integer, got '1'"),
 ])
 def test_wrong_types_are_typed(make, message):
     with pytest.raises(WrongType) as err:
@@ -377,6 +406,18 @@ def test_numpy_scalars_fractions_and_bools_accepted():
                          elliptic=(Fraction(1, 3), np.float32(0.25), True),
                          hyperbolic=(np.int32(3), False, 2.0))
     assert p.hyperbolic == (3, 0, 2) and p.dim_half == 6
+    # an integral float is an integer: the loop index and the order are stored
+    # and computed as ints, and the indices stay int64
+    q = IterationProfile(loop_index=2.0, elliptic=(0.3,))
+    assert type(q.loop_index) is int and all(type(h) is int for h in p.hyperbolic)
+    assert index_triple(q, 2.0) == index_triple(q, 2)
+    assert index_triple(q, np.arange(1, 4)).mu_minus.dtype == np.int64
+    # so are a degenerate factor's counts, which the int64 index arrays add
+    # in place: numpy refuses to add a float count there
+    w = WilliamsonInvariants(1.0, 0, 0, 0, 2.0, 1.0, 1.0)
+    assert all(type(c) is int for c in w)
+    r = IterationProfile(elliptic=(0.3,), degenerate=w)
+    assert index_triple(r, np.arange(1, 4)).mu_minus.dtype == np.int64
     for k in (True, np.int64(5), np.uint8(7)):
         assert index_triple(p, k).mu_hat == per_call_mean_index(p, int(k))
     # a wrong type is refused at its own check, in the order the checks run
